@@ -8,8 +8,7 @@ trajectories, action identity).
 """
 
 from .analysis import (
-    ComplexField1D,
-    ComplexField2D,
+    ComplexField,
     Grid1D,
     Grid2D,
     PeakLawReport,
@@ -21,19 +20,12 @@ from .analysis import (
     density_scaling_check,
     expectation_position,
     find_density_maxima,
-    free_residual_1d,
-    free_residual_2d,
-    free_residual_study_1d,
-    free_residual_study_2d,
-    norm_1d,
-    norm_2d,
-    oscillator_residual_1d,
-    oscillator_residual_2d,
-    oscillator_residual_study_1d,
+    norm,
     peak_trajectory_check,
     peak_widths,
-    sample_field_1d,
-    sample_field_2d,
+    residual,
+    residual_study,
+    sample_field,
     semiclassical_gap,
     spectral_propagate_free,
 )
@@ -53,6 +45,7 @@ from .errors import (
     BoundaryDecayError,
     DegenerateTangencyError,
     HalfPeriodError,
+    NonFiniteError,
     NormalizationError,
     OscfreeError,
     PeakDetectionError,

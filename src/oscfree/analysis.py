@@ -1,9 +1,10 @@
 """Verification machinery: grids, PDE residuals, spectral oracle, norms, peaks.
 
-Everything here consumes closed-form evaluators (no time stepping): time
-derivatives in the residual stencils are central differences of the
-evaluator at tau +- dt, with dt tied to the grid spacing so one parameter
-drives the convergence studies.
+Everything here consumes closed-form evaluators (no time stepping).  Grids
+are tensor products of Grid1D axes, and fields, norms and residuals work on
+any number of axes: a solution is called as solution(*coords, t).  Residual
+time derivatives are central differences at t +- dt, with dt tied to the
+grid spacing so one parameter drives the convergence studies.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .classical import TrajectoryFamily
-from .errors import BoundaryDecayError, NormalizationError, PeakDetectionError
+from .errors import BoundaryDecayError, NonFiniteError, NormalizationError, PeakDetectionError
 from .oscillator import OscillatorParams, QuantumNumbers1D, QuantumNumbers2D, density_1d
 from .transform import lifted_eigenstate_1d
 
@@ -32,10 +33,14 @@ class Grid1D:
     count: int
 
     def __post_init__(self) -> None:
-        if self.y_min >= self.y_max:
-            raise ValueError(f"need y_min < y_max, got [{self.y_min}, {self.y_max}]")
+        if not -math.inf < self.y_min < self.y_max < math.inf:
+            raise ValueError(f"need finite y_min < y_max, got [{self.y_min}, {self.y_max}]")
         if self.count < 3:
             raise ValueError(f"need at least 3 nodes, got {self.count}")
+
+    @property
+    def axes(self) -> tuple[Grid1D]:
+        return (self,)
 
     @property
     def spacing(self) -> float:
@@ -45,7 +50,7 @@ class Grid1D:
     def nodes(self) -> np.ndarray:
         return np.linspace(self.y_min, self.y_max, self.count)
 
-    def refined(self, factor: int) -> "Grid1D":
+    def refined(self, factor: int) -> Grid1D:
         """Same span with the spacing divided by factor."""
         return Grid1D(self.y_min, self.y_max, (self.count - 1) * factor + 1)
 
@@ -57,63 +62,49 @@ class Grid2D:
     axis1: Grid1D
     axis2: Grid1D
 
+    @property
+    def axes(self) -> tuple[Grid1D, Grid1D]:
+        return (self.axis1, self.axis2)
+
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.axis1.nodes, self.axis2.nodes, indexing="ij")
 
-    def refined(self, factor: int) -> "Grid2D":
+    def refined(self, factor: int) -> Grid2D:
         return Grid2D(self.axis1.refined(factor), self.axis2.refined(factor))
 
 
-@dataclass(frozen=True)
-class ComplexField1D:
-    """Complex wavefunction values sampled on a Grid1D at one time."""
+Grid = Grid1D | Grid2D
 
-    grid: Grid1D
+
+def _coords(grid: Grid) -> tuple[np.ndarray, ...]:
+    """One coordinate array per axis, each shaped like the grid."""
+    return tuple(np.meshgrid(*(axis.nodes for axis in grid.axes), indexing="ij"))
+
+
+@dataclass(frozen=True)
+class ComplexField:
+    """Complex wavefunction values sampled on a grid at one time."""
+
+    grid: Grid
     values: np.ndarray
     time_label: float
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.grid.count,):
-            raise ValueError(f"values shape {v.shape} does not match grid count {self.grid.count}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field contains non-finite values")
-        object.__setattr__(self, "values", v)
-
-    def density(self) -> np.ndarray:
-        return self.values.real**2 + self.values.imag**2
-
-
-@dataclass(frozen=True)
-class ComplexField2D:
-    """Complex wavefunction values sampled on a Grid2D at one time."""
-
-    grid: Grid2D
-    values: np.ndarray
-    time_label: float
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=complex)
-        shape = (self.grid.axis1.count, self.grid.axis2.count)
+        shape = tuple(axis.count for axis in self.grid.axes)
         if v.shape != shape:
             raise ValueError(f"values shape {v.shape} does not match grid shape {shape}")
         if not np.all(np.isfinite(v)):
-            raise ValueError("field contains non-finite values")
+            raise NonFiniteError("field contains non-finite values")
         object.__setattr__(self, "values", v)
 
     def density(self) -> np.ndarray:
         return self.values.real**2 + self.values.imag**2
 
 
-def sample_field_1d(solution, grid: Grid1D, tau: float) -> ComplexField1D:
-    """Evaluate a closed-form solution(y, tau) on the grid."""
-    return ComplexField1D(grid, solution(grid.nodes, tau), tau)
-
-
-def sample_field_2d(solution, grid: Grid2D, tau: float) -> ComplexField2D:
-    """Evaluate a closed-form solution(y1, y2, tau) on the grid."""
-    y1, y2 = grid.nodes()
-    return ComplexField2D(grid, solution(y1, y2, tau), tau)
+def sample_field(solution, grid: Grid, time: float) -> ComplexField:
+    """Evaluate a closed-form solution(*coords, time) on the grid."""
+    return ComplexField(grid, solution(*_coords(grid), time), time)
 
 
 def auto_grid(params: OscillatorParams, n: int, tau: float, count: int) -> Grid1D:
@@ -143,84 +134,33 @@ def auto_grid_2d(params: OscillatorParams, qn: QuantumNumbers2D, tau: float, cou
 # residuals and convergence
 
 
-def free_residual_1d(solution, grid: Grid1D, tau: float, m: float, dt: float) -> tuple[float, float]:
-    """Stencil residual of the free equation i d_tau chi + (1/2m) d_yy chi = 0.
+def residual(
+    solution, grid: Grid, time: float, mass: float, dt: float, omega: float | None = None
+) -> tuple[float, float]:
+    """Stencil residual of i d_t psi + (1/2m) lap psi - (m omega^2/2) |x|^2 psi = 0.
 
-    Central differences in both tau (evaluator at tau +- dt) and y; the
-    residual is taken at interior nodes only, which drops one boundary
-    layer.  Returns (max norm, discrete L2 norm).
+    omega=None drops the potential (free equation).  Central differences in t
+    (t +- dt) and along each axis, at interior nodes only; the samples pass the
+    checks of a ComplexField.  Returns (max norm, discrete L2 norm).
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    y = grid.nodes
-    h = grid.spacing
-    chi0 = np.asarray(solution(y, tau), dtype=complex)
-    chip = np.asarray(solution(y, tau + dt), dtype=complex)
-    chim = np.asarray(solution(y, tau - dt), dtype=complex)
-    lap = (chi0[2:] - 2.0 * chi0[1:-1] + chi0[:-2]) / h**2
-    resid = 1j * (chip[1:-1] - chim[1:-1]) / (2.0 * dt) + lap / (2.0 * m)
+    coords = _coords(grid)
+    times = (time, time + dt, time - dt)
+    psi0, psip, psim = (ComplexField(grid, solution(*coords, t), t).values for t in times)
+    inner = (slice(1, -1),) * len(coords)
+    lap = 0.0
+    for k, axis in enumerate(grid.axes):
+        up = inner[:k] + (slice(2, None),) + inner[k + 1 :]
+        down = inner[:k] + (slice(None, -2),) + inner[k + 1 :]
+        lap = lap + (psi0[up] - 2.0 * psi0[inner] + psi0[down]) / axis.spacing**2
+    resid = 1j * (psip[inner] - psim[inner]) / (2.0 * dt) + lap / (2.0 * mass)
+    if omega is not None:
+        r_sq = sum(c[inner] ** 2 for c in coords)
+        resid = resid - 0.5 * mass * omega**2 * r_sq * psi0[inner]
     mags = np.abs(resid)
-    return float(mags.max()), float(math.sqrt(h * float(np.sum(mags**2))))
-
-
-def oscillator_residual_1d(
-    solution, grid: Grid1D, t: float, params: OscillatorParams, dt: float
-) -> tuple[float, float]:
-    """Stencil residual of i d_t psi + (1/2m) d_xx psi - (m omega^2/2) x^2 psi = 0."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    x = grid.nodes
-    h = grid.spacing
-    psi0 = np.asarray(solution(x, t), dtype=complex)
-    psip = np.asarray(solution(x, t + dt), dtype=complex)
-    psim = np.asarray(solution(x, t - dt), dtype=complex)
-    lap = (psi0[2:] - 2.0 * psi0[1:-1] + psi0[:-2]) / h**2
-    pot = 0.5 * params.mass * params.omega**2 * x[1:-1] ** 2 * psi0[1:-1]
-    resid = 1j * (psip[1:-1] - psim[1:-1]) / (2.0 * dt) + lap / (2.0 * params.mass) - pot
-    mags = np.abs(resid)
-    return float(mags.max()), float(math.sqrt(h * float(np.sum(mags**2))))
-
-
-def free_residual_2d(solution, grid: Grid2D, tau: float, m: float, dt: float) -> tuple[float, float]:
-    """2D analogue of free_residual_1d with the 5-point Laplacian."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    y1, y2 = grid.nodes()
-    h1 = grid.axis1.spacing
-    h2 = grid.axis2.spacing
-    chi0 = np.asarray(solution(y1, y2, tau), dtype=complex)
-    chip = np.asarray(solution(y1, y2, tau + dt), dtype=complex)
-    chim = np.asarray(solution(y1, y2, tau - dt), dtype=complex)
-    inner = chi0[1:-1, 1:-1]
-    lap = (chi0[2:, 1:-1] - 2.0 * inner + chi0[:-2, 1:-1]) / h1**2 + (
-        chi0[1:-1, 2:] - 2.0 * inner + chi0[1:-1, :-2]
-    ) / h2**2
-    resid = 1j * (chip[1:-1, 1:-1] - chim[1:-1, 1:-1]) / (2.0 * dt) + lap / (2.0 * m)
-    mags = np.abs(resid)
-    return float(mags.max()), float(math.sqrt(h1 * h2 * float(np.sum(mags**2))))
-
-
-def oscillator_residual_2d(
-    solution, grid: Grid2D, t: float, params: OscillatorParams, dt: float
-) -> tuple[float, float]:
-    """2D oscillator-equation residual with the isotropic quadratic potential."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    x1, x2 = grid.nodes()
-    h1 = grid.axis1.spacing
-    h2 = grid.axis2.spacing
-    psi0 = np.asarray(solution(x1, x2, t), dtype=complex)
-    psip = np.asarray(solution(x1, x2, t + dt), dtype=complex)
-    psim = np.asarray(solution(x1, x2, t - dt), dtype=complex)
-    inner = psi0[1:-1, 1:-1]
-    lap = (psi0[2:, 1:-1] - 2.0 * inner + psi0[:-2, 1:-1]) / h1**2 + (
-        psi0[1:-1, 2:] - 2.0 * inner + psi0[1:-1, :-2]
-    ) / h2**2
-    r_sq = x1[1:-1, 1:-1] ** 2 + x2[1:-1, 1:-1] ** 2
-    pot = 0.5 * params.mass * params.omega**2 * r_sq * inner
-    resid = 1j * (psip[1:-1, 1:-1] - psim[1:-1, 1:-1]) / (2.0 * dt) + lap / (2.0 * params.mass) - pot
-    mags = np.abs(resid)
-    return float(mags.max()), float(math.sqrt(h1 * h2 * float(np.sum(mags**2))))
+    cell = math.prod(axis.spacing for axis in grid.axes)
+    return float(mags.max()), float(math.sqrt(cell * float(np.sum(mags**2))))
 
 
 def convergence_order(residual_pairs) -> float:
@@ -267,44 +207,15 @@ class ResidualReport:
         }
 
 
-def _run_study(grids, spacings, residual_at) -> ResidualReport:
-    linfs: list[float] = []
-    l2s: list[float] = []
-    for g, h in zip(grids, spacings):
-        linf, l2 = residual_at(g, h)
-        linfs.append(linf)
-        l2s.append(l2)
-    order = convergence_order(zip(spacings, l2s))
-    return ResidualReport(list(spacings), linfs, l2s, order)
-
-
-def free_residual_study_1d(
-    solution, grid: Grid1D, tau: float, m: float, refinements: int = 4
+def residual_study(
+    solution, grid: Grid, time: float, mass: float, refinements: int = 4, omega: float | None = None
 ) -> ResidualReport:
-    """Free-equation residuals over successive spacing halvings (dt = h)."""
+    """Residuals over successive spacing halvings, with dt = the smallest axis spacing."""
     grids = [grid.refined(2**k) for k in range(refinements)]
-    spacings = [g.spacing for g in grids]
-    return _run_study(grids, spacings, lambda g, h: free_residual_1d(solution, g, tau, m, h))
-
-
-def oscillator_residual_study_1d(
-    solution, grid: Grid1D, t: float, params: OscillatorParams, refinements: int = 4
-) -> ResidualReport:
-    """Oscillator-equation residuals over successive spacing halvings (dt = h)."""
-    grids = [grid.refined(2**k) for k in range(refinements)]
-    spacings = [g.spacing for g in grids]
-    return _run_study(
-        grids, spacings, lambda g, h: oscillator_residual_1d(solution, g, t, params, h)
-    )
-
-
-def free_residual_study_2d(
-    solution, grid: Grid2D, tau: float, m: float, refinements: int = 4
-) -> ResidualReport:
-    """2D free-equation residuals over successive spacing halvings (dt = min spacing)."""
-    grids = [grid.refined(2**k) for k in range(refinements)]
-    spacings = [min(g.axis1.spacing, g.axis2.spacing) for g in grids]
-    return _run_study(grids, spacings, lambda g, h: free_residual_2d(solution, g, tau, m, h))
+    spacings = [min(axis.spacing for axis in g.axes) for g in grids]
+    norms = [residual(solution, g, time, mass, h, omega) for g, h in zip(grids, spacings)]
+    linfs, l2s = map(list, zip(*norms))
+    return ResidualReport(spacings, linfs, l2s, convergence_order(zip(spacings, l2s)))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +224,7 @@ def free_residual_study_2d(
 _BOUNDARY_DECAY = 1e-10
 
 
-def spectral_propagate_free(initial: ComplexField1D, tau: float, m: float) -> ComplexField1D:
+def spectral_propagate_free(initial: ComplexField, tau: float, m: float) -> ComplexField:
     """Exact free evolution of the sampled field, mode by mode.
 
     Treats the grid as periodic: each discrete Fourier mode k picks up
@@ -331,23 +242,24 @@ def spectral_propagate_free(initial: ComplexField1D, tau: float, m: float) -> Co
             )
     k = 2.0 * math.pi * np.fft.fftfreq(initial.grid.count, d=initial.grid.spacing)
     evolved = np.fft.ifft(np.fft.fft(v) * np.exp(-0.5j * k**2 * tau / m))
-    return ComplexField1D(initial.grid, evolved, initial.time_label + tau)
+    return ComplexField(initial.grid, evolved, initial.time_label + tau)
 
 
-def norm_1d(field: ComplexField1D) -> float:
-    """Squared-modulus integral over the grid by composite Simpson rule."""
-    return float(simpson(field.density(), x=field.grid.nodes))
+def norm(field: ComplexField) -> float:
+    """Squared-modulus integral by composite Simpson rule, iterated over the axes."""
+    total = field.density()
+    for axis in reversed(field.grid.axes):
+        total = simpson(total, x=axis.nodes)
+    return float(total)
 
 
-def norm_2d(field: ComplexField2D) -> float:
-    """2D squared-modulus integral by iterated Simpson rule."""
-    inner = simpson(field.density(), x=field.grid.axis2.nodes, axis=1)
-    return float(simpson(inner, x=field.grid.axis1.nodes))
+sample_field_1d = sample_field  # one-axis alias
+norm_1d = norm  # one-axis alias
 
 
-def expectation_position(field: ComplexField1D) -> float:
+def expectation_position(field: ComplexField) -> float:
     """Position expectation of a unit-norm field (norm checked to 1e-6)."""
-    total = norm_1d(field)
+    total = norm(field)
     if abs(total - 1.0) > 1e-6:
         raise NormalizationError(f"field norm {total} is not 1 within 1e-6")
     return float(simpson(field.grid.nodes * field.density(), x=field.grid.nodes))
@@ -365,11 +277,9 @@ def density_scaling_check(params: OscillatorParams, n: int, tau: float, grid: Gr
     identically; both sides are evaluated in closed form.
     """
     qn = QuantumNumbers1D(n)
-    y = grid.nodes
-    chi = lifted_eigenstate_1d(params, qn, y, tau)
-    lhs = chi.real**2 + chi.imag**2
+    lhs = sample_field(lambda y, t: lifted_eigenstate_1d(params, qn, y, t), grid, tau).density()
     s = math.sqrt(1.0 + (params.omega * tau) ** 2)
-    rhs = density_1d(params, qn, y / s) / s
+    rhs = density_1d(params, qn, grid.nodes / s) / s
     return float(np.abs(lhs - rhs).max())
 
 
@@ -393,7 +303,7 @@ class PeakRecord:
 _PEAK_HEIGHT_FLOOR = 1e-12  # relative to the tallest peak, suppresses tail noise
 
 
-def find_density_maxima(field: ComplexField1D) -> PeakRecord:
+def find_density_maxima(field: ComplexField) -> PeakRecord:
     """Locate strict interior local maxima of the sampled density.
 
     Each maximum is refined by the vertex of the parabola through the
@@ -426,7 +336,7 @@ def find_density_maxima(field: ComplexField1D) -> PeakRecord:
     return PeakRecord(field.time_label, positions, heights)
 
 
-def peak_widths(field: ComplexField1D, record: PeakRecord) -> list[float]:
+def peak_widths(field: ComplexField, record: PeakRecord) -> list[float]:
     """Full width at half maximum of each recorded peak.
 
     Half-maximum crossings are found by linear interpolation on the
@@ -491,7 +401,7 @@ def peak_trajectory_check(
 
     def detect(tau: float) -> tuple[PeakRecord, list[float]]:
         grid = auto_grid(params, n, tau, count)
-        fld = sample_field_1d(lambda y, s: lifted_eigenstate_1d(params, qn, y, s), grid, tau)
+        fld = sample_field(lambda y, s: lifted_eigenstate_1d(params, qn, y, s), grid, tau)
         rec = find_density_maxima(fld)
         return rec, peak_widths(fld, rec)
 
@@ -538,7 +448,7 @@ def semiclassical_gap(
     for n in ns:
         grid = auto_grid(params, n, 0.0, count)
         qn = QuantumNumbers1D(n)
-        fld = sample_field_1d(lambda y, s: lifted_eigenstate_1d(params, qn, y, s), grid, 0.0)
+        fld = sample_field(lambda y, s: lifted_eigenstate_1d(params, qn, y, s), grid, 0.0)
         rec = find_density_maxima(fld)
         x_turn = TrajectoryFamily.from_level(params, n).amplitude
         out.append((n, (x_turn - rec.positions[-1]) / x_turn))

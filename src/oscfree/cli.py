@@ -5,9 +5,9 @@ trajectories, peak tracks, spectral propagation, and residual
 verification reports, as CSV or JSON artifacts for external plotting.
 
 Exit codes: 0 ok, 2 usage error, 3 numerical precondition failure
-(quadrature, peak detection, boundary decay, half-period window),
-4 verification failure (a verify suite ran but its pass criterion did
-not hold).
+(quadrature, peak detection, boundary decay, half-period window,
+non-finite sampled values), 4 verification failure (a verify suite ran
+but its pass criterion did not hold).
 
 Grid specs are `min:max:count`; tau lists are comma-separated values or
 `min:max:count` ranges.  CSV output is deterministic: identical configs
@@ -34,12 +34,10 @@ from .analysis import (
     auto_grid,
     auto_grid_2d,
     find_density_maxima,
-    free_residual_study_1d,
-    free_residual_study_2d,
-    norm_1d,
-    oscillator_residual_study_1d,
+    norm,
     peak_widths,
-    sample_field_1d,
+    residual_study,
+    sample_field,
     spectral_propagate_free,
 )
 from .classical import TrajectoryFamily, envelope, free_trajectory
@@ -171,7 +169,7 @@ def _run_peaks(config: RunConfig) -> int:
     rows: list[list] = []
     for tau in config.tau_list:
         grid = auto_grid(params, config.n, tau, config.count)
-        fld = sample_field_1d(lambda yy, tt: lifted_eigenstate_1d(params, qn, yy, tt), grid, tau)
+        fld = sample_field(lambda yy, tt: lifted_eigenstate_1d(params, qn, yy, tt), grid, tau)
         record = find_density_maxima(fld)
         widths = peak_widths(fld, record)
         for k, (pos, height, width) in enumerate(
@@ -208,31 +206,24 @@ def _run_envelope(config: RunConfig) -> int:
 def _run_verify(config: RunConfig) -> int:
     params = OscillatorParams(config.mass, config.omega)
     tau = config.tau_list[0] if config.tau_list else 0.5
+    # the free suites check the free equation at tau; osc-residual overrides both
+    time, omega = tau, None
     if config.suite == "free-residual":
         state = LiftedState(params, 1, QuantumNumbers1D(config.n))
+        solution = lambda y, s: state(y, tau=s)
         grid = auto_grid(params, config.n, tau, config.base_count)
-        report = free_residual_study_1d(
-            lambda y, s: state(y, tau=s), grid, tau, params.mass, config.refinements
-        )
         run_params = {"mass": config.mass, "omega": config.omega, "n": config.n, "tau": tau}
     elif config.suite == "osc-residual":
         qn = QuantumNumbers1D(config.n)
+        solution = lambda x, t: eigenstate_1d(params, qn, x, t)
         grid = auto_grid(params, config.n, 0.0, config.base_count)
-        report = oscillator_residual_study_1d(
-            lambda x, t: eigenstate_1d(params, qn, x, t),
-            grid,
-            config.time,
-            params,
-            config.refinements,
-        )
+        time, omega = config.time, params.omega
         run_params = {"mass": config.mass, "omega": config.omega, "n": config.n, "t": config.time}
     elif config.suite == "free-residual-2d":
         qn = QuantumNumbers2D(config.n_radial, config.l)
         state = LiftedState(params, 2, qn)
-        grid2 = auto_grid_2d(params, qn, tau, config.base_count)
-        report = free_residual_study_2d(
-            lambda y1, y2, s: state(y1, y2, tau=s), grid2, tau, params.mass, config.refinements
-        )
+        solution = lambda y1, y2, s: state(y1, y2, tau=s)
+        grid = auto_grid_2d(params, qn, tau, config.base_count)
         run_params = {
             "mass": config.mass,
             "omega": config.omega,
@@ -242,15 +233,13 @@ def _run_verify(config: RunConfig) -> int:
         }
     else:
         raise ValueError(f"unknown suite {config.suite!r}")
+    report = residual_study(solution, grid, time, params.mass, config.refinements, omega)
     passed = ORDER_BAND[0] <= report.fitted_order <= ORDER_BAND[1]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "suite": config.suite,
         "params": run_params,
-        "spacings": report.spacings,
-        "linf": report.linf_residuals,
-        "l2": report.l2_residuals,
-        "fitted_order": report.fitted_order,
+        **report.to_dict(),
         "pass": passed,
     }
     text = json.dumps(payload)
@@ -263,7 +252,7 @@ def _run_verify(config: RunConfig) -> int:
 def _run_propagate(config: RunConfig) -> int:
     params = OscillatorParams(config.mass, config.omega)
     qn = QuantumNumbers1D(config.n)
-    initial = sample_field_1d(
+    initial = sample_field(
         lambda y, s: lifted_eigenstate_1d(params, qn, y, s), config.grid, 0.0
     )
     final = spectral_propagate_free(initial, config.to_tau, params.mass)
@@ -286,7 +275,7 @@ def _run_propagate(config: RunConfig) -> int:
                 "schema_version": SCHEMA_VERSION,
                 "command": "propagate",
                 "to_tau": config.to_tau,
-                "norm": norm_1d(final),
+                "norm": norm(final),
                 "l2_difference_vs_closed_form": l2_diff,
             }
         )

@@ -30,5 +30,9 @@ class PeakDetectionError(OscfreeError, RuntimeError):
     """Density maxima could not be located reliably on the given grid."""
 
 
+class NonFiniteError(OscfreeError, ValueError):
+    """A sampled field or residual evaluation produced inf or nan values."""
+
+
 class DegenerateTangencyError(OscfreeError, ValueError):
     """Trajectory touches its envelope only asymptotically (cos(alpha) = 0)."""

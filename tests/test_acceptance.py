@@ -32,14 +32,10 @@ from oscfree.analysis import (
     auto_grid_2d,
     density_scaling_check,
     expectation_position,
-    free_residual_study_1d,
-    free_residual_study_2d,
-    norm_1d,
-    norm_2d,
-    oscillator_residual_study_1d,
+    norm,
     peak_trajectory_check,
-    sample_field_1d,
-    sample_field_2d,
+    residual_study,
+    sample_field,
     semiclassical_gap,
     spectral_propagate_free,
 )
@@ -69,7 +65,7 @@ def test_c01_free_equation_residual():
         state = LiftedState(PARAMS, 1, QuantumNumbers1D(n))
         for tau in (0.5, 2.0):
             grid = auto_grid(PARAMS, n, tau, BASE_COUNT[n])
-            rep = free_residual_study_1d(
+            rep = residual_study(
                 lambda y, s: state(y, tau=s), grid, tau, PARAMS.mass, refinements=4
             )
             ok = ORDER_BAND[0] <= rep.fitted_order <= ORDER_BAND[1]
@@ -89,8 +85,9 @@ def test_c02_oscillator_equation_residual():
     for n in range(6):
         qn = QuantumNumbers1D(n)
         grid = auto_grid(PARAMS, n, 0.0, BASE_COUNT[n])
-        rep = oscillator_residual_study_1d(
-            lambda x, t: eigenstate_1d(PARAMS, qn, x, t), grid, 0.3, PARAMS, refinements=4
+        rep = residual_study(
+            lambda x, t: eigenstate_1d(PARAMS, qn, x, t), grid, 0.3, PARAMS.mass,
+            refinements=4, omega=PARAMS.omega,
         )
         ok = ORDER_BAND[0] <= rep.fitted_order <= ORDER_BAND[1]
         worst_order_gap = max(worst_order_gap, abs(rep.fitted_order - 2.0))
@@ -147,19 +144,19 @@ def test_c06_unitarity():
         qn = QuantumNumbers1D(n)
         for tau in (0.0, 3.0):
             grid = auto_grid(PARAMS, n, tau, 20001)
-            field = sample_field_1d(
+            field = sample_field(
                 lambda y, s: lifted_eigenstate_1d(PARAMS, qn, y, s), grid, tau
             )
-            worst_1d = max(worst_1d, abs(norm_1d(field) - 1.0))
+            worst_1d = max(worst_1d, abs(norm(field) - 1.0))
     worst_2d = 0.0
     for l in range(4):
         qn = QuantumNumbers2D(0, l)
         for tau in (0.0, 3.0):
             grid2 = auto_grid_2d(PARAMS, qn, tau, 1201)
-            field = sample_field_2d(
+            field = sample_field(
                 lambda a, b, s: lifted_eigenstate_2d(PARAMS, qn, a, b, s), grid2, tau
             )
-            worst_2d = max(worst_2d, abs(norm_2d(field) - 1.0))
+            worst_2d = max(worst_2d, abs(norm(field) - 1.0))
     report(
         worst_1d < 1e-8 and worst_2d < 1e-7,
         f"C06 unitarity: 1D norm defect {worst_1d:.2e} < 1e-8, 2D {worst_2d:.2e} < 1e-7",
@@ -169,7 +166,7 @@ def test_c06_unitarity():
 def test_c07_spectral_oracle():
     qn = QuantumNumbers1D(2)
     grid = Grid1D(-20.0, 20.0, 801)
-    initial = sample_field_1d(
+    initial = sample_field(
         lambda y, s: lifted_eigenstate_1d(PARAMS, qn, y, s), grid, 0.0
     )
     evolved = spectral_propagate_free(initial, 1.0, PARAMS.mass)
@@ -191,7 +188,7 @@ def test_c08_ehrenfest():
     means = []
     for tau in taus:
         grid = auto_grid(PARAMS, 1, tau, 8001)
-        means.append(expectation_position(sample_field_1d(mix, grid, tau)))
+        means.append(expectation_position(sample_field(mix, grid, tau)))
     second = max(
         abs(means[i - 1] - 2.0 * means[i] + means[i + 1]) for i in range(1, len(means) - 1)
     )
@@ -200,7 +197,7 @@ def test_c08_ehrenfest():
         qn = QuantumNumbers1D(n)
         for tau in (0.0, 2.0):
             grid = auto_grid(PARAMS, n, tau, 8001)
-            field = sample_field_1d(
+            field = sample_field(
                 lambda y, s: lifted_eigenstate_1d(PARAMS, qn, y, s), grid, tau
             )
             worst_parity = max(worst_parity, abs(expectation_position(field)))
@@ -267,7 +264,7 @@ def test_c12_lifted_2d_residual():
         qn = QuantumNumbers2D(0, l)
         state = LiftedState(PARAMS, 2, qn)
         grid2 = auto_grid_2d(PARAMS, qn, 0.5, 151)
-        rep = free_residual_study_2d(
+        rep = residual_study(
             lambda a, b, s: state(a, b, tau=s), grid2, 0.5, PARAMS.mass, refinements=4
         )
         ok = ORDER_BAND[0] <= rep.fitted_order <= ORDER_BAND[1]

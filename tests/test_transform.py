@@ -22,7 +22,7 @@ from oscfree import (
     osc_to_free_time,
     pull_back_wavefunction,
 )
-from oscfree.analysis import Grid1D, Grid2D, auto_grid, free_residual_2d
+from oscfree.analysis import Grid1D, Grid2D, auto_grid, residual
 
 PI_HALF = math.pi ** -0.5
 
@@ -261,11 +261,9 @@ class TestLiftedState:
         state = LiftedState(params, 2, QuantumNumbers2D(1, 1))
         axis = Grid1D(-10.0, 10.0, 161)
         solution = lambda a, b, s: state(a, b, tau=s)
-        coarse = free_residual_2d(solution, Grid2D(axis, axis), 0.5, 1.0, dt=axis.spacing)
+        coarse = residual(solution, Grid2D(axis, axis), 0.5, 1.0, dt=axis.spacing)
         fine_axis = axis.refined(2)
-        fine = free_residual_2d(
-            solution, Grid2D(fine_axis, fine_axis), 0.5, 1.0, dt=fine_axis.spacing
-        )
+        fine = residual(solution, Grid2D(fine_axis, fine_axis), 0.5, 1.0, dt=fine_axis.spacing)
         assert 3.6 <= coarse[0] / fine[0] <= 4.4
 
     def test_norm_constant_positive(self, params):
