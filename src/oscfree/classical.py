@@ -24,14 +24,15 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class TrajectoryFamily:
-    """Classical trajectory family at fixed energy E > 0."""
+    """Classical trajectory family at fixed finite energy E > 0."""
 
     energy: float
     params: OscillatorParams
 
     def __post_init__(self) -> None:
-        if self.energy <= 0:
-            raise ValueError(f"energy must be positive, got {self.energy}")
+        # written so that nan fails too
+        if not 0 < self.energy < math.inf:
+            raise ValueError(f"energy must be positive and finite, got {self.energy}")
 
     @property
     def amplitude(self) -> float:

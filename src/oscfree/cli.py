@@ -5,8 +5,8 @@ trajectories, peak tracks, spectral propagation, and residual
 verification reports, as CSV or JSON artifacts for external plotting.
 
 Exit codes: 0 ok, 2 usage error, 3 numerical precondition failure
-(quadrature, peak detection, boundary decay, half-period window,
-non-finite sampled values), 4 verification failure (a verify suite ran
+(peak detection, boundary decay, half-period window, non-finite
+sampled values), 4 verification failure (a verify suite ran
 but its pass criterion did not hold).
 
 Grid specs are `min:max:count`; tau lists are comma-separated values or
@@ -318,10 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="grid spec min:max:count")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("gen2d", help="sample a lifted 2D eigenstate (n_radial = 0) on a grid")
+    p = sub.add_parser("gen2d", help="sample a lifted 2D eigenstate on a grid")
     add_common(p)
     p.add_argument("--l", type=int, required=True, help="angular momentum")
-    p.add_argument("--n-radial", type=int, default=0, help="must be 0 for the closed form")
+    p.add_argument("--n-radial", type=int, default=0, help="radial quantum number (default 0)")
     p.add_argument("--tau", required=True)
     p.add_argument("--grid", required=True, help="one or two min:max:count blocks (comma-separated)")
     p.add_argument("--out", required=True)
@@ -376,9 +376,8 @@ def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace)
             config.n = args.n
             config.grid = _parse_grid(args.grid)
         elif args.command == "gen2d":
-            if args.n_radial != 0:
-                parser.error("gen2d closed form requires --n-radial 0")
             config.l = args.l
+            config.n_radial = args.n_radial
             config.grid2 = _parse_grid2(args.grid)
         elif args.command == "peaks":
             config.n = args.n

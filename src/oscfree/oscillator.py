@@ -10,27 +10,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ._quadrature import gauss_panels
-from .errors import QuadratureError
 from .specfun import hermite, kummer_truncated
 
 
 @dataclass(frozen=True)
 class OscillatorParams:
-    """Mass and angular frequency of the oscillator, both positive."""
+    """Mass and angular frequency of the oscillator, both positive and finite."""
 
     mass: float
     omega: float
 
     def __post_init__(self) -> None:
-        if self.mass <= 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        # written so that nan fails too
+        if not 0 < self.mass < math.inf:
+            raise ValueError(f"mass must be positive and finite, got {self.mass}")
+        if not 0 < self.omega < math.inf:
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
 
 
 @dataclass(frozen=True)
@@ -164,30 +162,19 @@ def eigenstate_2d(params: OscillatorParams, qn: QuantumNumbers2D, r, phi, t: flo
     return out
 
 
-@lru_cache(maxsize=None)
-def _norm_constant_2d_cached(mass: float, omega: float, n: int, labs: int) -> float:
-    # cache is safe for concurrent readers; a racing recompute is idempotent
-    mw = mass * omega
-    # radial extent: classical turning radius for this level plus a wide margin,
-    # so the neglected tail is ~exp(-144) of the peak
-    r_turn = math.sqrt(2.0 * (2 * n + labs + 1) / mw)
-    r_max = r_turn + 12.0 / math.sqrt(mw)
-
-    def integrand(r):
-        poly = kummer_truncated(n, labs + 1.0, mw * r * r)
-        return np.exp(-mw * r * r) * r ** (2 * labs + 1) * poly * poly
-
-    total = 2.0 * math.pi * gauss_panels(integrand, 0.0, r_max, rtol=1e-13)
-    if not total > 0.0:
-        raise QuadratureError(f"squared-norm integral came out nonpositive ({total})")
-    return 1.0 / math.sqrt(total)
-
-
 def norm_constant_2d(params: OscillatorParams, qn: QuantumNumbers2D) -> float:
     """Normalization constant giving the 2D state unit L2 norm.
 
-    Computed once per (mass, omega, n, |l|) by panel-doubling radial
-    quadrature of the squared radial profile and cached; raises
-    QuadratureError if the quadrature fails to stabilize.
+    Closed form sqrt((m omega)^{|l|+1} (n+|l|)! / (pi n! |l|!^2)) from the
+    Laguerre orthogonality integral, evaluated with lgamma so that large
+    levels do not overflow.
     """
-    return _norm_constant_2d_cached(params.mass, params.omega, qn.n_radial, abs(qn.l))
+    n, labs = qn.n_radial, abs(qn.l)
+    log_sq = (
+        (labs + 1) * math.log(params.mass * params.omega)
+        + math.lgamma(n + labs + 1.0)
+        - math.lgamma(n + 1.0)
+        - 2.0 * math.lgamma(labs + 1.0)
+        - math.log(math.pi)
+    )
+    return math.exp(0.5 * log_sq)

@@ -1,12 +1,12 @@
 """Special functions for the oscillator eigenstate formulas.
 
 Physicists' Hermite polynomials and the truncated (terminating) Kummer
-confluent hypergeometric function.  Both are evaluated by exact
-recurrences rather than explicit coefficient sums: the sums cancel
-catastrophically already at moderate degree, while the recurrences stay
-accurate.  Absolute precision still degrades for degree beyond roughly
-200 because the polynomial values themselves grow; callers here stay far
-below that.
+confluent hypergeometric function, both by three-term recurrences in the
+degree rather than explicit coefficient sums: the alternating sums
+cancel catastrophically already at moderate degree, while the
+recurrences stay accurate.  Absolute precision still degrades for degree
+beyond roughly 200 because the polynomial values themselves grow;
+callers here stay far below that.
 """
 
 from __future__ import annotations
@@ -52,9 +52,11 @@ def kummer_truncated(n: int, b: float, z):
     """Terminating Kummer function F(-n, b, z).
 
     With a nonnegative integer first parameter the confluent
-    hypergeometric series breaks off, leaving the degree-n polynomial
-    sum_{k=0}^{n} [(-n)_k / (b)_k] z^k / k!.  Terms are accumulated via
-    the exact ratio t_{k+1}/t_k = (k - n) z / ((b + k)(k + 1)).
+    hypergeometric series breaks off, leaving a degree-n polynomial.  It
+    is evaluated by the contiguous relation (DLMF 13.3.1 at a = -k)
+    (b + k) F_{k+1} = (2k + b - z) F_k - k F_{k-1} from F_0 = 1 and
+    F_1 = 1 - z/b, written as an update of F_k so that F(-n, b, 0) stays
+    exactly 1.
 
     Parameters
     ----------
@@ -75,11 +77,10 @@ def kummer_truncated(n: int, b: float, z):
     if b <= 0:
         raise ValueError(f"second parameter must be positive, got {b}")
     za = np.asarray(z, dtype=float)
-    term = np.ones_like(za)
-    total = np.ones_like(za)
-    for k in range(n):
-        term = term * za * ((k - n) / ((b + k) * (k + 1.0)))
-        total = total + term
+    f_prev = np.ones_like(za)
+    f = f_prev if n == 0 else 1.0 - za / b
+    for k in range(1, n):
+        f, f_prev = f + (k * (f - f_prev) - za * f) / (b + k), f
     if np.ndim(z) == 0:
-        return float(total)
-    return total
+        return float(f)
+    return f

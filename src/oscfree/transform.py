@@ -35,12 +35,11 @@ from .oscillator import (
     QuantumNumbers1D,
     QuantumNumbers2D,
     _log_norm_1d,
-    eigenstate_2d,
     energy_1d,
     energy_2d,
     norm_constant_2d,
 )
-from .specfun import hermite
+from .specfun import hermite, kummer_truncated
 
 
 def _check_half_period(params: OscillatorParams, t: float) -> None:
@@ -165,16 +164,16 @@ def lifted_eigenstate_1d(params: OscillatorParams, qn: QuantumNumbers1D, y, tau:
 
 
 def lifted_eigenstate_2d(params: OscillatorParams, qn: QuantumNumbers2D, y1, y2, tau: float):
-    """Closed-form lift of the nodeless (n_radial = 0) 2D level with angular momentum l.
+    """Closed-form lift of the 2D level (n_radial, l), for every n_radial >= 0.
 
-    Radial excitations are rejected here; lift a general 2D eigenstate
-    through lift_wavefunction instead.
+    (y1 + i sgn(l) y2)^{|l|} carries r^{|l|} exp(i l phi) without an angle,
+    and kummer_truncated the radial excitation.  Agrees with
+    lift_wavefunction applied to eigenstate_2d to machine precision.
 
     Parameters
     ----------
     params : OscillatorParams
     qn : QuantumNumbers2D
-        Must have n_radial == 0.
     y1, y2 : float or ndarray
         Cartesian free-side coordinates (broadcast together).
     tau : float
@@ -183,12 +182,8 @@ def lifted_eigenstate_2d(params: OscillatorParams, qn: QuantumNumbers2D, y1, y2,
     Returns
     -------
     complex or ndarray
-        chi_{0,l}(y1, y2, tau), scalar in / scalar out.
+        chi_{n_radial,l}(y1, y2, tau), scalar in / scalar out.
     """
-    if qn.n_radial != 0:
-        raise ValueError(
-            f"closed-form 2D lift covers n_radial = 0 only, got {qn.n_radial}"
-        )
     omega = params.omega
     mw = params.mass * omega
     y1a = np.asarray(y1, dtype=float)
@@ -197,16 +192,15 @@ def lifted_eigenstate_2d(params: OscillatorParams, qn: QuantumNumbers2D, y1, y2,
     s2 = 1.0 + (omega * tau) ** 2
     t = math.atan(omega * tau) / omega
     r_sq = y1a * y1a + y2a * y2a
-    phi = np.arctan2(y2a, y1a)
-    exponent = (
-        -0.5 * mw * r_sq / s2
-        + 1j * (0.5 * params.mass * omega**2 * tau * r_sq / s2 + qn.l * phi
-                - energy_2d(params, qn) * t)
+    z = mw * r_sq / s2
+    exponent = -0.5 * z + 1j * (
+        0.5 * params.mass * omega**2 * tau * r_sq / s2 - energy_2d(params, qn) * t
     )
     out = (
         norm_constant_2d(params, qn)
         * s2 ** (-0.5 * (labs + 1))
-        * np.sqrt(r_sq) ** labs
+        * (y1a + 1j * math.copysign(1.0, qn.l) * y2a) ** labs
+        * kummer_truncated(qn.n_radial, labs + 1.0, z)
         * np.exp(exponent)
     )
     if np.ndim(y1) == 0 and np.ndim(y2) == 0:
@@ -240,14 +234,4 @@ class LiftedState:
             raise TypeError(f"expected {self.dimension} coordinate arrays, got {len(coords)}")
         if self.dimension == 1:
             return lifted_eigenstate_1d(self.params, self.source, coords[0], tau)
-        if self.source.n_radial == 0:
-            return lifted_eigenstate_2d(self.params, self.source, coords[0], coords[1], tau)
-        # radially excited 2D states go through the generic lift
-        y = np.stack(np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in coords]))
-
-        def psi(x, t):
-            r = np.hypot(x[0], x[1])
-            phi = np.arctan2(x[1], x[0])
-            return eigenstate_2d(self.params, self.source, r, phi, t)
-
-        return lift_wavefunction(psi, self.params, 2, y, tau)
+        return lifted_eigenstate_2d(self.params, self.source, coords[0], coords[1], tau)

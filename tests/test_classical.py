@@ -28,8 +28,9 @@ def fam(params) -> TrajectoryFamily:
 
 class TestFamily:
     def test_rejects_nonpositive_energy(self, params):
-        with pytest.raises(ValueError):
-            TrajectoryFamily(energy=0.0, params=params)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                TrajectoryFamily(energy=bad, params=params)
 
     def test_amplitude(self, params):
         assert TrajectoryFamily(2.5, params).amplitude == pytest.approx(math.sqrt(5.0))

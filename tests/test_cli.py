@@ -5,8 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from oscfree import OscillatorParams, QuantumNumbers2D, lifted_eigenstate_2d
 from oscfree.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -103,6 +105,11 @@ class TestEnvelope:
         code = main(["envelope", "--energy", "-1", "--tau", "0", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_rejects_non_finite_energy(self, tmp_path):
+        code = main(["envelope", "--energy", "nan", "--tau", "0", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestPeaks:
     def test_schema_and_counts(self, tmp_path):
@@ -138,11 +145,27 @@ class TestGen2D:
         _, rows = read_csv(out)
         assert len(rows) == 21 * 31
 
-    def test_radial_excitation_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["gen2d", "--l", "1", "--n-radial", "1", "--tau", "0",
-                  "--grid", "-8:8:21", "--out", str(tmp_path / "x.csv")])
-        assert exc.value.code == 2
+    def test_radial_excitation_matches_closed_form(self, tmp_path):
+        out = tmp_path / "field2.csv"
+        code = main(["gen2d", "--l", "1", "--n-radial", "1", "--mass", "1.3", "--omega", "0.8",
+                     "--tau", "0,0.7", "--grid", "-8:8:21", "--out", str(out)])
+        assert code == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 2 * 21 * 21
+        tau, y1, y2, re, im = (np.array([float(r[k]) for r in rows]) for k in range(5))
+        params = OscillatorParams(1.3, 0.8)
+        qn = QuantumNumbers2D(1, 1)
+        for t in (0.0, 0.7):
+            at = tau == t
+            expected = lifted_eigenstate_2d(params, qn, y1[at], y2[at], t)
+            assert np.array_equal(re[at], expected.real)
+            assert np.array_equal(im[at], expected.imag)
+
+    def test_non_finite_omega_is_usage_error(self, tmp_path):
+        code = main(["gen2d", "--l", "1", "--omega", "nan", "--tau", "0",
+                     "--grid", "-8:8:21", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestVerify:

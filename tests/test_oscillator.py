@@ -35,6 +35,11 @@ class TestDomainTypes:
             OscillatorParams(mass=0.0, omega=1.0)
         with pytest.raises(ValueError):
             OscillatorParams(mass=1.0, omega=-2.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                OscillatorParams(mass=bad, omega=1.0)
+            with pytest.raises(ValueError):
+                OscillatorParams(mass=1.0, omega=bad)
 
     def test_quantum_number_validation(self):
         with pytest.raises(ValueError):
@@ -154,6 +159,18 @@ class TestEigenstate2D:
         total, _ = quad(radial_sq, 0.0, 14.0, epsabs=1e-12, epsrel=1e-12)
         assert 2.0 * math.pi * total == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("n_radial, l", [(20, 3), (60, -10)])
+    def test_unit_norm_high_radial_level(self, n_radial, l):
+        # radial Simpson well past the classical turning radius
+        params = OscillatorParams(1.3, 0.8)
+        qn = QuantumNumbers2D(n_radial, l)
+        mw = params.mass * params.omega
+        r_turn = math.sqrt(2.0 * (2 * n_radial + abs(l) + 1) / mw)
+        r = np.linspace(0.0, r_turn + 12.0 / math.sqrt(mw), 40001)
+        psi = eigenstate_2d(params, qn, r, 0.0, 0.0)
+        total = 2.0 * math.pi * simpson(np.abs(psi) ** 2 * r, x=r)
+        assert total == pytest.approx(1.0, abs=1e-10)
+
     def test_angular_dependence_is_pure_phase(self, params):
         for l in (-3, 1, 2):
             qn = QuantumNumbers2D(1, l)
@@ -207,12 +224,3 @@ class TestNormConstant2D:
         a = norm_constant_2d(params, QuantumNumbers2D(2, 3))
         b = norm_constant_2d(params, QuantumNumbers2D(2, -3))
         assert a == b
-
-    def test_concurrent_lookups_agree(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        params = OscillatorParams(1.3, 0.8)  # fresh key, not yet cached
-        qn = QuantumNumbers2D(3, 2)
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(lambda _: norm_constant_2d(params, qn), range(32)))
-        assert len(set(results)) == 1

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.special import eval_hermite
+from scipy.special import eval_genlaguerre, eval_hermite
 
 from oscfree.specfun import hermite, kummer_truncated
 
@@ -92,6 +92,18 @@ class TestKummerTruncated:
                     ours = kummer_truncated(n, l + 1.0, float(z)) * scale
                     ref = laguerre_recurrence(n, l, float(z))
                     assert ours == pytest.approx(ref, rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("a", [0, 3, 10])
+    @pytest.mark.parametrize("n", [20, 40, 60, 100])
+    def test_high_degree_against_scipy_laguerre(self, n, a):
+        # error weighted by e^{-z/2} z^{a/2}, the 2D radial profile, out to
+        # twice the turning-point value of z for the level
+        z = np.linspace(0.0, 4.0 * (2 * n + a + 1), 2001)
+        weight = np.exp(-0.5 * z) * z ** (0.5 * a)
+        ref = eval_genlaguerre(n, a, z) / math.comb(n + a, n)
+        ours = kummer_truncated(n, a + 1.0, z)
+        err = np.max(np.abs(weight * (ours - ref))) / np.max(np.abs(weight * ref))
+        assert err <= 1e-12
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

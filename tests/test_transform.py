@@ -210,12 +210,9 @@ class TestLiftedEigenstate2D:
         inner = simpson(np.abs(chi) ** 2, x=nodes, axis=1)
         assert simpson(inner, x=nodes) == pytest.approx(1.0, abs=1e-7)
 
-    def test_rejects_radial_excitation(self, params):
-        with pytest.raises(ValueError):
-            lifted_eigenstate_2d(params, QuantumNumbers2D(1, 0), 0.0, 0.0, 1.0)
-
-    def test_matches_generic_lift(self, params):
-        qn = QuantumNumbers2D(0, 2)
+    @pytest.mark.parametrize("n_radial, l", [(0, 2), (1, 1), (3, -2), (5, 4)])
+    def test_matches_generic_lift(self, params, n_radial, l):
+        qn = QuantumNumbers2D(n_radial, l)
 
         def psi(x, t):
             r = np.hypot(x[0], x[1])
@@ -256,8 +253,8 @@ class TestLiftedState:
         assert state(1.0, 0.5, tau=0.3) == lifted_eigenstate_2d(params, qn, 1.0, 0.5, 0.3)
 
     def test_radially_excited_solves_free_equation(self, params):
-        # n_radial > 0 routes through the generic lift; check it still
-        # satisfies the free equation by a two-grid residual ratio
+        # the Kummer factor of an n_radial > 0 state must keep the closed
+        # form a free solution: two-grid residual ratio
         state = LiftedState(params, 2, QuantumNumbers2D(1, 1))
         axis = Grid1D(-10.0, 10.0, 161)
         solution = lambda a, b, s: state(a, b, tau=s)
