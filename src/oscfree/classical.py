@@ -64,7 +64,9 @@ def free_trajectory(fam: TrajectoryFamily, alpha: float, tau):
 def envelope(fam: TrajectoryFamily, tau):
     """Both envelope branches +- A sqrt(1 + omega^2 tau^2) at free time tau."""
     ta = np.asarray(tau, dtype=float)
-    mag = fam.amplitude * np.sqrt(1.0 + (fam.params.omega * ta) ** 2)
+    # float_power rounds like the scalar ``**`` (libm pow), where an array
+    # ``** 2`` squares; so an array call gives each value's scalar-call bits
+    mag = fam.amplitude * np.sqrt(1.0 + np.float_power(fam.params.omega * ta, 2))
     if np.ndim(tau) == 0:
         return float(mag), float(-mag)
     return mag, -mag

@@ -6,23 +6,23 @@ verification reports, as CSV or JSON artifacts for external plotting.
 
 Exit codes: 0 ok, 2 usage error, 3 numerical precondition failure
 (peak detection, boundary decay, half-period window, non-finite
-sampled values), 4 verification failure (a verify suite ran
-but its pass criterion did not hold).
+sampled values, a non-finite table, which is then not written, or a
+floating-point overflow), 4 verification failure (a verify suite ran
+but its pass criterion did not hold), 5 I/O error (the output file
+could not be written).
 
 Grid specs are `min:max:count`; tau lists are comma-separated values or
-`min:max:count` ranges.  CSV output is deterministic: identical configs
-produce bit-identical files (floats are written in shortest round-trip
-form).
+`min:max:count` ranges.  Tables are written column-wise, a block of rows
+at a time.  CSV output is deterministic: identical invocations produce
+bit-identical files (floats are written in shortest round-trip form).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,7 @@ from .analysis import (
     spectral_propagate_free,
 )
 from .classical import TrajectoryFamily, envelope, free_trajectory
-from .errors import OscfreeError
+from .errors import NonFiniteError, OscfreeError
 from .oscillator import OscillatorParams, QuantumNumbers1D, QuantumNumbers2D, eigenstate_1d
 from .transform import LiftedState, lifted_eigenstate_1d, lifted_eigenstate_2d
 
@@ -52,31 +52,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
+EXIT_IO = 5
 
-
-@dataclass
-class RunConfig:
-    """Fully resolved invocation; parameter set depends on the command."""
-
-    command: str
-    mass: float = 1.0
-    omega: float = 1.0
-    n: int | None = None
-    l: int | None = None
-    n_radial: int = 0
-    tau_list: list[float] = field(default_factory=list)
-    grid: Grid1D | None = None
-    grid2: Grid2D | None = None
-    format: str = "csv"
-    out_path: str | None = None
-    count: int = 32001
-    energy: float | None = None
-    alphas: list[float] | None = None
-    suite: str | None = None
-    refinements: int = 4
-    base_count: int = 501
-    time: float = 0.3
-    to_tau: float | None = None
+_CSV_BLOCK_ROWS = 4096
 
 
 def _parse_range(spec: str, what: str) -> list[float]:
@@ -107,174 +85,170 @@ def _parse_grid2(spec: str) -> Grid2D:
     raise ValueError(f"2D grid spec must be one or two min:max:count blocks, got {spec!r}")
 
 
-def _write_table(path: str, header: list[str], rows: list[list], fmt: str, command: str) -> None:
+def _write_table(
+    path: str, header: list[str], columns: list[np.ndarray], fmt: str, command: str
+) -> None:
+    """Write one 1-D array per column; a non-finite float column fails before path is opened."""
+    for name, column in zip(header, columns):
+        if column.dtype.kind == "f" and not np.isfinite(column).all():
+            raise NonFiniteError(
+                f"{command}: column {name!r} has non-finite values; no table written"
+            )
     if fmt == "csv":
         with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            f.write(",".join(header) + "\n")
+            # repr is csv.writer's float format; formatting in blocks bounds the
+            # memory held by the cell strings
+            for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+                cells = [map(repr, c[start : start + _CSV_BLOCK_ROWS].tolist()) for c in columns]
+                f.write("\n".join(map(",".join, zip(*cells))) + "\n")
     else:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": command,
             "columns": header,
-            "rows": rows,
+            "rows": list(zip(*[c.tolist() for c in columns])),
         }
         Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
 
 
-def _float_row(*values) -> list:
-    return [v if isinstance(v, int) else float(v) for v in values]
+def _field_columns(values: np.ndarray) -> list[np.ndarray]:
+    re = values.real
+    im = values.imag
+    # density written as re^2 + im^2 so re-reading the table reproduces it exactly
+    return [re, im, re * re + im * im]
 
 
-def _run_gen1d(config: RunConfig) -> int:
-    params = OscillatorParams(config.mass, config.omega)
-    qn = QuantumNumbers1D(config.n)
-    y = config.grid.nodes
-    rows: list[list] = []
-    for tau in config.tau_list:
-        values = lifted_eigenstate_1d(params, qn, y, tau)
-        re = values.real
-        im = values.imag
-        # density written as re^2 + im^2 so re-reading the CSV reproduces it exactly
-        dens = re * re + im * im
-        for i in range(y.size):
-            rows.append(_float_row(tau, y[i], re[i], im[i], dens[i]))
-    _write_table(config.out_path, ["tau", "y", "re", "im", "density"], rows, config.format, "gen1d")
+def _run_gen1d(args: argparse.Namespace) -> int:
+    params = OscillatorParams(args.mass, args.omega)
+    qn = QuantumNumbers1D(args.n)
+    y = args.grid.nodes
+    values = np.concatenate([lifted_eigenstate_1d(params, qn, y, tau) for tau in args.tau])
+    columns = [np.repeat(args.tau, y.size), np.tile(y, len(args.tau)), *_field_columns(values)]
+    _write_table(args.out, ["tau", "y", "re", "im", "density"], columns, args.format, "gen1d")
     return EXIT_OK
 
 
-def _run_gen2d(config: RunConfig) -> int:
-    params = OscillatorParams(config.mass, config.omega)
-    qn = QuantumNumbers2D(config.n_radial, config.l)
-    y1, y2 = config.grid2.nodes()
-    rows: list[list] = []
-    for tau in config.tau_list:
-        values = lifted_eigenstate_2d(params, qn, y1, y2, tau)
-        re = values.real
-        im = values.imag
-        dens = re * re + im * im
-        for i in range(y1.shape[0]):
-            for j in range(y1.shape[1]):
-                rows.append(_float_row(tau, y1[i, j], y2[i, j], re[i, j], im[i, j], dens[i, j]))
+def _run_gen2d(args: argparse.Namespace) -> int:
+    params = OscillatorParams(args.mass, args.omega)
+    qn = QuantumNumbers2D(args.n_radial, args.l)
+    y1, y2 = args.grid.nodes()
+    values = np.concatenate(
+        [lifted_eigenstate_2d(params, qn, y1, y2, tau).ravel() for tau in args.tau]
+    )
+    count = len(args.tau)
+    columns = [
+        np.repeat(args.tau, y1.size),
+        np.tile(y1.ravel(), count),
+        np.tile(y2.ravel(), count),
+        *_field_columns(values),
+    ]
     _write_table(
-        config.out_path, ["tau", "y1", "y2", "re", "im", "density"], rows, config.format, "gen2d"
+        args.out, ["tau", "y1", "y2", "re", "im", "density"], columns, args.format, "gen2d"
     )
     return EXIT_OK
 
 
-def _run_peaks(config: RunConfig) -> int:
-    params = OscillatorParams(config.mass, config.omega)
-    qn = QuantumNumbers1D(config.n)
-    rows: list[list] = []
-    for tau in config.tau_list:
-        grid = auto_grid(params, config.n, tau, config.count)
+def _run_peaks(args: argparse.Namespace) -> int:
+    params = OscillatorParams(args.mass, args.omega)
+    qn = QuantumNumbers1D(args.n)
+    per_tau = []
+    for tau in args.tau:
+        grid = auto_grid(params, args.n, tau, args.count)
         fld = sample_field(lambda yy, tt: lifted_eigenstate_1d(params, qn, yy, tt), grid, tau)
         record = find_density_maxima(fld)
         widths = peak_widths(fld, record)
-        for k, (pos, height, width) in enumerate(
-            zip(record.positions, record.heights, widths)
-        ):
-            rows.append(_float_row(tau, k, pos, height, width))
+        k = len(widths)
+        per_tau.append((np.full(k, tau), np.arange(k), record.positions, record.heights, widths))
     _write_table(
-        config.out_path,
+        args.out,
         ["tau", "peak_index", "position", "height", "fwhm"],
-        rows,
-        config.format,
+        [np.concatenate(c) for c in zip(*per_tau)],
+        args.format,
         "peaks",
     )
     return EXIT_OK
 
 
-def _run_envelope(config: RunConfig) -> int:
-    params = OscillatorParams(config.mass, config.omega)
-    fam = TrajectoryFamily(config.energy, params)
-    rows: list[list] = []
-    if config.alphas:
-        for alpha in config.alphas:
-            for tau in config.tau_list:
-                rows.append(_float_row(tau, alpha, free_trajectory(fam, alpha, tau)))
-        _write_table(config.out_path, ["tau", "alpha", "y"], rows, config.format, "envelope")
-        return EXIT_OK
-    for tau in config.tau_list:
-        plus, minus = envelope(fam, tau)
-        rows.append(_float_row(tau, plus, minus))
-    _write_table(config.out_path, ["tau", "y_plus", "y_minus"], rows, config.format, "envelope")
+def _run_envelope(args: argparse.Namespace) -> int:
+    fam = TrajectoryFamily(args.energy, OscillatorParams(args.mass, args.omega))
+    taus = np.array(args.tau)
+    if args.alpha:
+        header = ["tau", "alpha", "y"]
+        columns = [
+            np.tile(taus, len(args.alpha)),
+            np.repeat(args.alpha, taus.size),
+            np.concatenate([free_trajectory(fam, alpha, taus) for alpha in args.alpha]),
+        ]
+    else:
+        header = ["tau", "y_plus", "y_minus"]
+        columns = [taus, *envelope(fam, taus)]
+    _write_table(args.out, header, columns, args.format, "envelope")
     return EXIT_OK
 
 
-def _run_verify(config: RunConfig) -> int:
-    params = OscillatorParams(config.mass, config.omega)
-    tau = config.tau_list[0] if config.tau_list else 0.5
+def _run_verify(args: argparse.Namespace) -> int:
+    params = OscillatorParams(args.mass, args.omega)
     # the free suites check the free equation at tau; osc-residual overrides both
-    time, omega = tau, None
-    if config.suite == "free-residual":
-        state = LiftedState(params, 1, QuantumNumbers1D(config.n))
+    time, omega = args.tau, None
+    if args.suite == "free-residual":
+        state = LiftedState(params, 1, QuantumNumbers1D(args.n))
         solution = lambda y, s: state(y, tau=s)
-        grid = auto_grid(params, config.n, tau, config.base_count)
-        run_params = {"mass": config.mass, "omega": config.omega, "n": config.n, "tau": tau}
-    elif config.suite == "osc-residual":
-        qn = QuantumNumbers1D(config.n)
+        grid = auto_grid(params, args.n, args.tau, args.base_count)
+        run_params = {"mass": args.mass, "omega": args.omega, "n": args.n, "tau": args.tau}
+    elif args.suite == "osc-residual":
+        qn = QuantumNumbers1D(args.n)
         solution = lambda x, t: eigenstate_1d(params, qn, x, t)
-        grid = auto_grid(params, config.n, 0.0, config.base_count)
-        time, omega = config.time, params.omega
-        run_params = {"mass": config.mass, "omega": config.omega, "n": config.n, "t": config.time}
-    elif config.suite == "free-residual-2d":
-        qn = QuantumNumbers2D(config.n_radial, config.l)
+        grid = auto_grid(params, args.n, 0.0, args.base_count)
+        time, omega = args.time, params.omega
+        run_params = {"mass": args.mass, "omega": args.omega, "n": args.n, "t": args.time}
+    elif args.suite == "free-residual-2d":
+        qn = QuantumNumbers2D(args.n_radial, args.l)
         state = LiftedState(params, 2, qn)
         solution = lambda y1, y2, s: state(y1, y2, tau=s)
-        grid = auto_grid_2d(params, qn, tau, config.base_count)
+        grid = auto_grid_2d(params, qn, args.tau, args.base_count)
         run_params = {
-            "mass": config.mass,
-            "omega": config.omega,
-            "n_radial": config.n_radial,
-            "l": config.l,
-            "tau": tau,
+            "mass": args.mass,
+            "omega": args.omega,
+            "n_radial": args.n_radial,
+            "l": args.l,
+            "tau": args.tau,
         }
     else:
-        raise ValueError(f"unknown suite {config.suite!r}")
-    report = residual_study(solution, grid, time, params.mass, config.refinements, omega)
+        raise ValueError(f"unknown suite {args.suite!r}")
+    report = residual_study(solution, grid, time, params.mass, args.refinements, omega)
     passed = ORDER_BAND[0] <= report.fitted_order <= ORDER_BAND[1]
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "suite": config.suite,
+        "suite": args.suite,
         "params": run_params,
         **report.to_dict(),
         "pass": passed,
     }
     text = json.dumps(payload)
     print(text)
-    if config.out_path:
-        Path(config.out_path).write_text(text + "\n", encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
     return EXIT_OK if passed else EXIT_VERIFICATION
 
 
-def _run_propagate(config: RunConfig) -> int:
-    params = OscillatorParams(config.mass, config.omega)
-    qn = QuantumNumbers1D(config.n)
-    initial = sample_field(
-        lambda y, s: lifted_eigenstate_1d(params, qn, y, s), config.grid, 0.0
-    )
-    final = spectral_propagate_free(initial, config.to_tau, params.mass)
-    closed = lifted_eigenstate_1d(params, qn, config.grid.nodes, config.to_tau)
+def _run_propagate(args: argparse.Namespace) -> int:
+    params = OscillatorParams(args.mass, args.omega)
+    qn = QuantumNumbers1D(args.n)
+    y = args.grid.nodes
+    initial = sample_field(lambda yy, s: lifted_eigenstate_1d(params, qn, yy, s), args.grid, 0.0)
+    final = spectral_propagate_free(initial, args.to_tau, params.mass)
+    closed = lifted_eigenstate_1d(params, qn, y, args.to_tau)
     diff = np.abs(final.values - closed) ** 2
-    l2_diff = math.sqrt(float(simpson(diff, x=config.grid.nodes)))
-    y = config.grid.nodes
-    re = final.values.real
-    im = final.values.imag
-    dens = re * re + im * im
-    rows = [
-        _float_row(config.to_tau, y[i], re[i], im[i], dens[i]) for i in range(y.size)
-    ]
-    _write_table(
-        config.out_path, ["tau", "y", "re", "im", "density"], rows, config.format, "propagate"
-    )
+    l2_diff = math.sqrt(float(simpson(diff, x=y)))
+    columns = [np.full(y.size, args.to_tau), y, *_field_columns(final.values)]
+    _write_table(args.out, ["tau", "y", "re", "im", "density"], columns, args.format, "propagate")
     print(
         json.dumps(
             {
                 "schema_version": SCHEMA_VERSION,
                 "command": "propagate",
-                "to_tau": config.to_tau,
+                "to_tau": args.to_tau,
                 "norm": norm(final),
                 "l2_difference_vs_closed_form": l2_diff,
             }
@@ -291,11 +265,6 @@ _RUNNERS = {
     "verify": _run_verify,
     "propagate": _run_propagate,
 }
-
-
-def run(config: RunConfig) -> int:
-    """Execute a resolved configuration; returns the process exit code."""
-    return _RUNNERS[config.command](config)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,52 +336,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command, mass=args.mass, omega=args.omega)
-    try:
-        if args.command in ("gen1d", "gen2d", "peaks", "envelope"):
-            config.tau_list = _parse_range(args.tau, "tau")
-        if args.command == "gen1d":
-            config.n = args.n
-            config.grid = _parse_grid(args.grid)
-        elif args.command == "gen2d":
-            config.l = args.l
-            config.n_radial = args.n_radial
-            config.grid2 = _parse_grid2(args.grid)
-        elif args.command == "peaks":
-            config.n = args.n
-            config.count = args.count
-        elif args.command == "envelope":
-            if args.energy_from_n is not None:
-                params = OscillatorParams(args.mass, args.omega)
-                config.energy = params.omega * (args.energy_from_n + 0.5)
-            else:
-                config.energy = args.energy
-            if args.alpha:
-                config.alphas = _parse_range(args.alpha, "alpha")
-        elif args.command == "verify":
-            config.suite = args.suite
-            config.n = args.n
-            config.l = args.l
-            config.n_radial = args.n_radial
-            config.tau_list = [float(args.tau)] if args.tau else []
-            config.time = args.time
-            config.refinements = args.refinements
-            if args.base_count is not None:
-                config.base_count = args.base_count
-            elif args.suite == "free-residual-2d":
-                config.base_count = 101
-            config.out_path = args.out
-        elif args.command == "propagate":
-            config.n = args.n
-            config.to_tau = args.to_tau
-            config.grid = _parse_grid(args.grid)
-        if args.command != "verify":
-            config.format = getattr(args, "format", "csv")
-            config.out_path = args.out
-    except ValueError as exc:
-        parser.error(str(exc))
-    return config
+def _resolve(args: argparse.Namespace) -> None:
+    """Parse the spec flags in place and fill in the values derived from others."""
+    if args.command == "verify":
+        args.tau = float(args.tau) if args.tau else 0.5
+        if args.base_count is None:
+            args.base_count = 101 if args.suite == "free-residual-2d" else 501
+        return
+    if args.command != "propagate":
+        args.tau = _parse_range(args.tau, "tau")
+    if args.command == "gen2d":
+        args.grid = _parse_grid2(args.grid)
+    elif args.command in ("gen1d", "propagate"):
+        args.grid = _parse_grid(args.grid)
+    elif args.command == "envelope":
+        if args.energy_from_n is not None:
+            params = OscillatorParams(args.mass, args.omega)
+            args.energy = params.omega * (args.energy_from_n + 0.5)
+        if args.alpha:
+            args.alpha = _parse_range(args.alpha, "alpha")
 
 
 _VALUE_FLAGS = {"--grid", "--tau", "--alpha"}
@@ -433,27 +375,34 @@ def _fuse_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _numerical_failure(exc: OscfreeError) -> int:
+    error = {"type": type(exc).__name__, "message": str(exc)}
+    print(json.dumps({"schema_version": SCHEMA_VERSION, "error": error}))
+    return EXIT_NUMERICAL
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = parser.parse_args(_fuse_dash_values(argv))
-    config = _config_from_args(parser, args)
     try:
-        return run(config)
+        _resolve(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+    try:
+        return _RUNNERS[args.command](args)
     except OscfreeError as exc:
-        print(
-            json.dumps(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "error": {"type": type(exc).__name__, "message": str(exc)},
-                }
-            )
-        )
-        return EXIT_NUMERICAL
+        return _numerical_failure(exc)
+    except OverflowError as exc:
+        # Python float arithmetic raises where numpy would return inf
+        return _numerical_failure(NonFiniteError(f"floating-point overflow: {exc}"))
     except ValueError as exc:
         # bad parameter values that survived flag parsing (e.g. negative energy)
         print(f"oscfree: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        print(f"oscfree: error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

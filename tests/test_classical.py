@@ -97,6 +97,16 @@ class TestEnvelope:
             fam = TrajectoryFamily(energy, params)
             assert envelope(fam, 0.0) == turning_points(fam)
 
+    def test_array_call_matches_scalar_calls(self):
+        # the envelope table is written from one array call; it must keep the
+        # bits of the per-value calls (an array ``** 2`` differs in the last bit)
+        fam = TrajectoryFamily(0.731, OscillatorParams(1.7, 0.6))
+        taus = np.linspace(-7.3, 9.1, 2001)
+        plus, minus = envelope(fam, taus)
+        scalar = [envelope(fam, t) for t in taus.tolist()]
+        assert plus.tolist() == [p for p, _ in scalar]
+        assert minus.tolist() == [m for _, m in scalar]
+
     def test_turning_point_values(self, params):
         assert turning_points(TrajectoryFamily(0.5, params)) == (1.0, -1.0)
         plus, minus = turning_points(TrajectoryFamily(2.5, params))

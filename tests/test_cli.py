@@ -3,13 +3,17 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oscfree import OscillatorParams, QuantumNumbers2D, lifted_eigenstate_2d
-from oscfree.cli import main
+from oscfree.cli import _CSV_BLOCK_ROWS, _write_table, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -122,6 +126,20 @@ class TestPeaks:
         outer = [float(r[2]) for r in rows if r[0] == "0.0"][2]
         assert outer == pytest.approx(math.sqrt(2.5), abs=1e-5)
         assert all(float(r[4]) > 0 for r in rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_index_is_an_int_column(self, tmp_path, fmt):
+        out = tmp_path / f"peaks.{fmt}"
+        code = main(["peaks", "--n", "2", "--tau", "0,1", "--count", "8001",
+                     "--format", fmt, "--out", str(out)])
+        assert code == 0
+        if fmt == "csv":
+            index = [r[1] for r in read_csv(out)[1]]
+            assert index == ["0", "1", "2", "0", "1", "2"]
+        else:
+            index = [r[1] for r in json.loads(out.read_text())["rows"]]
+            assert index == [0, 1, 2, 0, 1, 2]
+            assert all(type(k) is int for k in index)
 
 
 class TestGen2D:
@@ -243,6 +261,40 @@ class TestErrorPaths:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["type"] == "NonFiniteError"
 
+    # the first two overflow in the Hermite/Kummer recurrences (ROADMAP item 2),
+    # the third in the envelope's square; each warns before the table is refused
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "args, column",
+        [
+            (["gen2d", "--l", "1", "--n-radial", "300", "--tau", "0", "--grid", "-60:60:41"], "re"),
+            (["gen1d", "--n", "300", "--tau", "0", "--grid", "-40:40:2001"], "re"),
+            (["envelope", "--energy", "1", "--tau", "1e200"], "y_plus"),
+        ],
+    )
+    def test_non_finite_table_exits_3_and_writes_nothing(self, tmp_path, capsys, args, column):
+        out = tmp_path / "x.csv"
+        assert main(args + ["--out", str(out)]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["type"] == "NonFiniteError"
+        assert repr(column) in payload["error"]["message"]
+        assert not out.exists()
+
+    def test_float_overflow_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["gen1d", "--n", "2", "--tau", "1e308", "--grid", "-4:4:5", "--out", str(out)])
+        assert code == 3
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "NonFiniteError"
+        assert not out.exists()
+
+    def test_unwritable_output_exits_5(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code = main(["gen1d", "--n", "2", "--tau", "0", "--grid", "-4:4:5", "--out", str(out)])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("oscfree: error:") and str(out) in err
+        assert err.count("\n") == 1
+
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         # truncating the state mid-bulk violates the spectral decay precondition
         code = main(
@@ -267,6 +319,63 @@ class TestPropagate:
         header, rows = read_csv(out)
         assert header == ["tau", "y", "re", "im", "density"]
         assert len(rows) == 801
+
+
+def _per_row_reference(directory: Path, header, columns, fmt: str) -> bytes:
+    """The per-row csv.writer / json.dumps path the column-wise writer replaced."""
+    rows = [
+        [int(c[i]) if c.dtype.kind == "i" else float(c[i]) for c in columns]
+        for i in range(len(columns[0]))
+    ]
+    path = directory / f"reference.{fmt}"
+    if fmt == "csv":
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    else:
+        payload = {"schema_version": 1, "command": "test", "columns": header, "rows": rows}
+        path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+    return path.read_bytes()
+
+
+def _assert_writer_matches_reference(directory: Path, columns) -> None:
+    header = [f"c{k}" for k in range(len(columns))]
+    for fmt in ("csv", "json"):
+        path = directory / f"table.{fmt}"
+        _write_table(str(path), header, columns, fmt, "test")
+        assert path.read_bytes() == _per_row_reference(directory, header, columns, fmt)
+
+
+EXTREME_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                  1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16, 1e-7]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    rows=st.integers(min_value=0, max_value=40),
+    n_float=st.integers(min_value=1, max_value=5),
+)
+def test_column_writer_matches_per_row_writer(data, rows, n_float):
+    elements = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EXTREME_FLOATS)
+    )
+    columns = [data.draw(arrays(np.float64, rows, elements=elements)) for _ in range(n_float)]
+    index = data.draw(arrays(np.int64, rows, elements=st.integers(-(2**62), 2**62)))
+    columns.insert(data.draw(st.integers(0, n_float)), index)
+    with tempfile.TemporaryDirectory() as directory:
+        _assert_writer_matches_reference(Path(directory), columns)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 3 * _CSV_BLOCK_ROWS + 7],
+)
+def test_column_writer_block_boundaries(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    columns = [np.arange(rows), rng.standard_normal(rows), rng.uniform(-1e300, 1e300, rows)]
+    _assert_writer_matches_reference(tmp_path, columns)
 
 
 def test_module_entry_point(tmp_path):
