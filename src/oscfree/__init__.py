@@ -64,7 +64,6 @@ from .oscillator import (
 )
 from .specfun import hermite, kummer_truncated
 from .transform import (
-    LiftedState,
     free_to_osc_space,
     free_to_osc_time,
     lift_wavefunction,

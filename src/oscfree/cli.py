@@ -4,12 +4,14 @@ Subcommands generate solution/density tables, classical envelopes and
 trajectories, peak tracks, spectral propagation, and residual
 verification reports, as CSV or JSON artifacts for external plotting.
 
-Exit codes: 0 ok, 2 usage error, 3 numerical precondition failure
-(peak detection, boundary decay, half-period window, non-finite
-sampled values, a non-finite table, which is then not written, or a
-floating-point overflow), 4 verification failure (a verify suite ran
-but its pass criterion did not hold), 5 I/O error (the output file
-could not be written).
+Exit codes: 0 ok, 2 usage error (a malformed flag value is named in the
+message), 3 numerical precondition failure (peak detection, boundary
+decay, half-period window, non-finite sampled values, a non-finite
+table, which is then not written, or a floating-point overflow, invalid
+operation or division by zero), 4 verification failure (a verify suite
+ran but its pass criterion did not hold), 5 I/O error (the output file
+could not be written).  Nothing is written on exit 2 or 3, and verify
+writes its --out report before printing it.
 
 Grid specs are `min:max:count`; tau lists are comma-separated values or
 `min:max:count` ranges.  Tables are written column-wise, a block of rows
@@ -43,7 +45,7 @@ from .analysis import (
 from .classical import TrajectoryFamily, envelope, free_trajectory
 from .errors import NonFiniteError, OscfreeError
 from .oscillator import OscillatorParams, QuantumNumbers1D, QuantumNumbers2D, eigenstate_1d
-from .transform import LiftedState, lifted_eigenstate_1d, lifted_eigenstate_2d
+from .transform import lifted_eigenstate_1d, lifted_eigenstate_2d
 
 SCHEMA_VERSION = 1
 ORDER_BAND = (1.8, 2.2)
@@ -85,6 +87,18 @@ def _parse_grid2(spec: str) -> Grid2D:
     raise ValueError(f"2D grid spec must be one or two min:max:count blocks, got {spec!r}")
 
 
+def _flag_type(parse, *extra):
+    """An argparse type from a spec parser; its ValueError text names the flag."""
+
+    def convert(spec: str):
+        try:
+            return parse(spec, *extra)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return convert
+
+
 def _write_table(
     path: str, header: list[str], columns: list[np.ndarray], fmt: str, command: str
 ) -> None:
@@ -112,40 +126,36 @@ def _write_table(
         Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
 
 
-def _field_columns(values: np.ndarray) -> list[np.ndarray]:
+def _write_field_table(args: argparse.Namespace, lift, taus, coords, names) -> None:
+    """Tabulate lift(*coords, tau) for each tau as tau, coordinate, re, im, density columns."""
+    values = np.concatenate([lift(*coords, tau).ravel() for tau in taus])
     re = values.real
     im = values.imag
-    # density written as re^2 + im^2 so re-reading the table reproduces it exactly
-    return [re, im, re * re + im * im]
+    columns = [
+        np.repeat(taus, coords[0].size),
+        *(np.tile(c.ravel(), len(taus)) for c in coords),
+        re,
+        im,
+        # density written as re^2 + im^2 so re-reading the table reproduces it exactly
+        re * re + im * im,
+    ]
+    header = ["tau", *names, "re", "im", "density"]
+    _write_table(args.out, header, columns, args.format, args.command)
 
 
 def _run_gen1d(args: argparse.Namespace) -> int:
     params = OscillatorParams(args.mass, args.omega)
     qn = QuantumNumbers1D(args.n)
-    y = args.grid.nodes
-    values = np.concatenate([lifted_eigenstate_1d(params, qn, y, tau) for tau in args.tau])
-    columns = [np.repeat(args.tau, y.size), np.tile(y, len(args.tau)), *_field_columns(values)]
-    _write_table(args.out, ["tau", "y", "re", "im", "density"], columns, args.format, "gen1d")
+    lift = lambda y, tau: lifted_eigenstate_1d(params, qn, y, tau)
+    _write_field_table(args, lift, args.tau, (args.grid.nodes,), ["y"])
     return EXIT_OK
 
 
 def _run_gen2d(args: argparse.Namespace) -> int:
     params = OscillatorParams(args.mass, args.omega)
     qn = QuantumNumbers2D(args.n_radial, args.l)
-    y1, y2 = args.grid.nodes()
-    values = np.concatenate(
-        [lifted_eigenstate_2d(params, qn, y1, y2, tau).ravel() for tau in args.tau]
-    )
-    count = len(args.tau)
-    columns = [
-        np.repeat(args.tau, y1.size),
-        np.tile(y1.ravel(), count),
-        np.tile(y2.ravel(), count),
-        *_field_columns(values),
-    ]
-    _write_table(
-        args.out, ["tau", "y1", "y2", "re", "im", "density"], columns, args.format, "gen2d"
-    )
+    lift = lambda y1, y2, tau: lifted_eigenstate_2d(params, qn, y1, y2, tau)
+    _write_field_table(args, lift, args.tau, args.grid.nodes(), ["y1", "y2"])
     return EXIT_OK
 
 
@@ -171,7 +181,11 @@ def _run_peaks(args: argparse.Namespace) -> int:
 
 
 def _run_envelope(args: argparse.Namespace) -> int:
-    fam = TrajectoryFamily(args.energy, OscillatorParams(args.mass, args.omega))
+    params = OscillatorParams(args.mass, args.omega)
+    if args.energy_from_n is None:
+        fam = TrajectoryFamily(args.energy, params)
+    else:
+        fam = TrajectoryFamily.from_level(params, args.energy_from_n)
     taus = np.array(args.tau)
     if args.alpha:
         header = ["tau", "alpha", "y"]
@@ -189,46 +203,40 @@ def _run_envelope(args: argparse.Namespace) -> int:
 
 def _run_verify(args: argparse.Namespace) -> int:
     params = OscillatorParams(args.mass, args.omega)
+    base_count = args.base_count
+    if base_count is None:
+        base_count = 101 if args.suite == "free-residual-2d" else 501
     # the free suites check the free equation at tau; osc-residual overrides both
     time, omega = args.tau, None
     if args.suite == "free-residual":
-        state = LiftedState(params, 1, QuantumNumbers1D(args.n))
-        solution = lambda y, s: state(y, tau=s)
-        grid = auto_grid(params, args.n, args.tau, args.base_count)
-        run_params = {"mass": args.mass, "omega": args.omega, "n": args.n, "tau": args.tau}
+        qn = QuantumNumbers1D(args.n)
+        solution = lambda y, s: lifted_eigenstate_1d(params, qn, y, s)
+        grid = auto_grid(params, args.n, args.tau, base_count)
+        suite_params = {"n": args.n, "tau": args.tau}
     elif args.suite == "osc-residual":
         qn = QuantumNumbers1D(args.n)
         solution = lambda x, t: eigenstate_1d(params, qn, x, t)
-        grid = auto_grid(params, args.n, 0.0, args.base_count)
+        grid = auto_grid(params, args.n, 0.0, base_count)
         time, omega = args.time, params.omega
-        run_params = {"mass": args.mass, "omega": args.omega, "n": args.n, "t": args.time}
-    elif args.suite == "free-residual-2d":
-        qn = QuantumNumbers2D(args.n_radial, args.l)
-        state = LiftedState(params, 2, qn)
-        solution = lambda y1, y2, s: state(y1, y2, tau=s)
-        grid = auto_grid_2d(params, qn, args.tau, args.base_count)
-        run_params = {
-            "mass": args.mass,
-            "omega": args.omega,
-            "n_radial": args.n_radial,
-            "l": args.l,
-            "tau": args.tau,
-        }
+        suite_params = {"n": args.n, "t": args.time}
     else:
-        raise ValueError(f"unknown suite {args.suite!r}")
+        qn = QuantumNumbers2D(args.n_radial, args.l)
+        solution = lambda y1, y2, s: lifted_eigenstate_2d(params, qn, y1, y2, s)
+        grid = auto_grid_2d(params, qn, args.tau, base_count)
+        suite_params = {"n_radial": args.n_radial, "l": args.l, "tau": args.tau}
     report = residual_study(solution, grid, time, params.mass, args.refinements, omega)
     passed = ORDER_BAND[0] <= report.fitted_order <= ORDER_BAND[1]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "suite": args.suite,
-        "params": run_params,
+        "params": {"mass": args.mass, "omega": args.omega, **suite_params},
         **report.to_dict(),
         "pass": passed,
     }
     text = json.dumps(payload)
-    print(text)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
+    print(text)
     return EXIT_OK if passed else EXIT_VERIFICATION
 
 
@@ -240,31 +248,16 @@ def _run_propagate(args: argparse.Namespace) -> int:
     final = spectral_propagate_free(initial, args.to_tau, params.mass)
     closed = lifted_eigenstate_1d(params, qn, y, args.to_tau)
     diff = np.abs(final.values - closed) ** 2
-    l2_diff = math.sqrt(float(simpson(diff, x=y)))
-    columns = [np.full(y.size, args.to_tau), y, *_field_columns(final.values)]
-    _write_table(args.out, ["tau", "y", "re", "im", "density"], columns, args.format, "propagate")
-    print(
-        json.dumps(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "command": "propagate",
-                "to_tau": args.to_tau,
-                "norm": norm(final),
-                "l2_difference_vs_closed_form": l2_diff,
-            }
-        )
-    )
+    summary = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "propagate",
+        "to_tau": args.to_tau,
+        "norm": norm(final),
+        "l2_difference_vs_closed_form": math.sqrt(float(simpson(diff, x=y))),
+    }
+    _write_field_table(args, lambda yy, tau: final.values, [args.to_tau], (y,), ["y"])
+    print(json.dumps(summary))
     return EXIT_OK
-
-
-_RUNNERS = {
-    "gen1d": _run_gen1d,
-    "gen2d": _run_gen2d,
-    "peaks": _run_peaks,
-    "envelope": _run_envelope,
-    "verify": _run_verify,
-    "propagate": _run_propagate,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,46 +266,58 @@ def build_parser() -> argparse.ArgumentParser:
         description="Accelerating free-particle wave packets: generation and verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tau_list = _flag_type(_parse_range, "tau")
 
-    def add_common(p: argparse.ArgumentParser, with_format: bool = True) -> None:
+    def add_command(name: str, run, summary: str, with_format: bool = True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--mass", type=float, default=1.0, help="particle mass (default 1)")
         p.add_argument("--omega", type=float, default=1.0, help="angular frequency (default 1)")
         if with_format:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
+        return p
 
-    p = sub.add_parser("gen1d", help="sample a lifted 1D eigenstate on a grid")
-    add_common(p)
+    p = add_command("gen1d", _run_gen1d, "sample a lifted 1D eigenstate on a grid")
     p.add_argument("--n", type=int, required=True, help="1D level")
-    p.add_argument("--tau", required=True, help="free times: a,b,c or min:max:count")
-    p.add_argument("--grid", required=True, help="grid spec min:max:count")
+    p.add_argument("--tau", type=tau_list, required=True, help="free times: a,b,c or min:max:count")
+    p.add_argument(
+        "--grid", type=_flag_type(_parse_grid), required=True, help="grid spec min:max:count"
+    )
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("gen2d", help="sample a lifted 2D eigenstate on a grid")
-    add_common(p)
+    p = add_command("gen2d", _run_gen2d, "sample a lifted 2D eigenstate on a grid")
     p.add_argument("--l", type=int, required=True, help="angular momentum")
     p.add_argument("--n-radial", type=int, default=0, help="radial quantum number (default 0)")
-    p.add_argument("--tau", required=True)
-    p.add_argument("--grid", required=True, help="one or two min:max:count blocks (comma-separated)")
+    p.add_argument("--tau", type=tau_list, required=True)
+    p.add_argument(
+        "--grid",
+        type=_flag_type(_parse_grid2),
+        required=True,
+        help="one or two min:max:count blocks (comma-separated)",
+    )
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("peaks", help="track density maxima of a lifted 1D eigenstate")
-    add_common(p)
+    p = add_command("peaks", _run_peaks, "track density maxima of a lifted 1D eigenstate")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tau", required=True)
+    p.add_argument("--tau", type=tau_list, required=True)
     p.add_argument("--count", type=int, default=32001, help="auto-grid node count")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("envelope", help="classical envelope (or trajectory family members)")
-    add_common(p)
+    p = add_command("envelope", _run_envelope, "classical envelope (or trajectory family members)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--energy", type=float, help="family energy E > 0")
     group.add_argument("--energy-from-n", type=int, help="use the energy of 1D level n")
-    p.add_argument("--tau", required=True)
-    p.add_argument("--alpha", help="phase angles a,b,c: emit trajectories tau,alpha,y instead")
+    p.add_argument("--tau", type=tau_list, required=True)
+    p.add_argument(
+        "--alpha",
+        type=_flag_type(_parse_range, "alpha"),
+        help="phase angles a,b,c: emit trajectories tau,alpha,y instead",
+    )
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("verify", help="residual convergence study with a JSON report")
-    add_common(p, with_format=False)
+    p = add_command(
+        "verify", _run_verify, "residual convergence study with a JSON report", with_format=False
+    )
     p.add_argument(
         "--suite",
         required=True,
@@ -321,40 +326,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2, help="1D level (1D suites)")
     p.add_argument("--l", type=int, default=1, help="angular momentum (2D suite)")
     p.add_argument("--n-radial", type=int, default=0)
-    p.add_argument("--tau", help="free time of the residual check (default 0.5)")
+    p.add_argument(
+        "--tau", type=float, default=0.5, help="free time of the residual check (default 0.5)"
+    )
     p.add_argument("--time", type=float, default=0.3, help="oscillator time (osc-residual)")
     p.add_argument("--refinements", type=int, default=4)
     p.add_argument("--base-count", type=int, default=None, help="coarsest grid node count")
     p.add_argument("--out", help="also write the JSON report here")
 
-    p = sub.add_parser("propagate", help="spectrally propagate a lifted state and compare")
-    add_common(p)
+    p = add_command("propagate", _run_propagate, "spectrally propagate a lifted state and compare")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--to-tau", type=float, required=True)
-    p.add_argument("--grid", required=True)
+    p.add_argument("--grid", type=_flag_type(_parse_grid), required=True)
     p.add_argument("--out", required=True)
     return parser
-
-
-def _resolve(args: argparse.Namespace) -> None:
-    """Parse the spec flags in place and fill in the values derived from others."""
-    if args.command == "verify":
-        args.tau = float(args.tau) if args.tau else 0.5
-        if args.base_count is None:
-            args.base_count = 101 if args.suite == "free-residual-2d" else 501
-        return
-    if args.command != "propagate":
-        args.tau = _parse_range(args.tau, "tau")
-    if args.command == "gen2d":
-        args.grid = _parse_grid2(args.grid)
-    elif args.command in ("gen1d", "propagate"):
-        args.grid = _parse_grid(args.grid)
-    elif args.command == "envelope":
-        if args.energy_from_n is not None:
-            params = OscillatorParams(args.mass, args.omega)
-            args.energy = params.omega * (args.energy_from_n + 0.5)
-        if args.alpha:
-            args.alpha = _parse_range(args.alpha, "alpha")
 
 
 _VALUE_FLAGS = {"--grid", "--tau", "--alpha"}
@@ -382,20 +367,18 @@ def _numerical_failure(exc: OscfreeError) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = parser.parse_args(_fuse_dash_values(argv))
     try:
-        _resolve(args)
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        return _RUNNERS[args.command](args)
+        # a range spec such as --tau 1e308:-1e308:3 overflows while it is parsed
+        with np.errstate(over="raise", invalid="raise"):
+            args = build_parser().parse_args(_fuse_dash_values(argv))
+            return args.run(args)
     except OscfreeError as exc:
         return _numerical_failure(exc)
-    except OverflowError as exc:
-        # Python float arithmetic raises where numpy would return inf
-        return _numerical_failure(NonFiniteError(f"floating-point overflow: {exc}"))
+    except ArithmeticError as exc:
+        # numpy's FloatingPointError under errstate, and Python float
+        # OverflowError or ZeroDivisionError where numpy would return inf or nan
+        return _numerical_failure(NonFiniteError(f"floating-point failure: {exc}"))
     except ValueError as exc:
         # bad parameter values that survived flag parsing (e.g. negative energy)
         print(f"oscfree: error: {exc}", file=sys.stderr)

@@ -5,8 +5,9 @@ confluent hypergeometric function, both by three-term recurrences in the
 degree rather than explicit coefficient sums: the alternating sums
 cancel catastrophically already at moderate degree, while the
 recurrences stay accurate.  Absolute precision still degrades for degree
-beyond roughly 200 because the polynomial values themselves grow;
-callers here stay far below that.
+beyond roughly 200 because the polynomial values themselves grow, and
+they overflow from about degree 180 on wide grids; the CLI accepts any
+level and turns that overflow into a NonFiniteError (exit 3).
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ x.shape == (d, ...).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,31 +206,3 @@ def lifted_eigenstate_2d(params: OscillatorParams, qn: QuantumNumbers2D, y1, y2,
         return complex(out)
     return out
 
-
-@dataclass(frozen=True)
-class LiftedState:
-    """Closed-form evaluator for a lifted eigenstate.
-
-    Bundles parameters, spatial dimension, and the source quantum
-    numbers; calling the instance evaluates chi at free-side coordinates
-    and free time.  1D states are called as state(y, tau=...), 2D states
-    as state(y1, y2, tau=...).
-    """
-
-    params: OscillatorParams
-    dimension: int
-    source: QuantumNumbers1D | QuantumNumbers2D
-
-    def __post_init__(self) -> None:
-        expected = {1: QuantumNumbers1D, 2: QuantumNumbers2D}.get(self.dimension)
-        if expected is None or not isinstance(self.source, expected):
-            raise ValueError(
-                f"dimension {self.dimension} does not match quantum numbers {self.source!r}"
-            )
-
-    def __call__(self, *coords, tau: float):
-        if len(coords) != self.dimension:
-            raise TypeError(f"expected {self.dimension} coordinate arrays, got {len(coords)}")
-        if self.dimension == 1:
-            return lifted_eigenstate_1d(self.params, self.source, coords[0], tau)
-        return lifted_eigenstate_2d(self.params, self.source, coords[0], coords[1], tau)

@@ -41,7 +41,6 @@ from oscfree.analysis import (
 )
 from oscfree.classical import action_boundary_identity
 from oscfree.cli import main
-from oscfree.transform import LiftedState
 
 PARAMS = OscillatorParams(mass=1.0, omega=1.0)
 ORDER_BAND = (1.8, 2.2)
@@ -62,11 +61,15 @@ def test_c01_free_equation_residual():
     worst_order_gap = 0.0
     worst_linf = 0.0
     for n in (0, 1, 2, 5):
-        state = LiftedState(PARAMS, 1, QuantumNumbers1D(n))
+        qn = QuantumNumbers1D(n)
         for tau in (0.5, 2.0):
             grid = auto_grid(PARAMS, n, tau, BASE_COUNT[n])
             rep = residual_study(
-                lambda y, s: state(y, tau=s), grid, tau, PARAMS.mass, refinements=4
+                lambda y, s: lifted_eigenstate_1d(PARAMS, qn, y, s),
+                grid,
+                tau,
+                PARAMS.mass,
+                refinements=4,
             )
             ok = ORDER_BAND[0] <= rep.fitted_order <= ORDER_BAND[1]
             worst_order_gap = max(worst_order_gap, abs(rep.fitted_order - 2.0))
@@ -262,10 +265,13 @@ def test_c12_lifted_2d_residual():
     worst_gap = 0.0
     for l in (0, 1, 2):
         qn = QuantumNumbers2D(0, l)
-        state = LiftedState(PARAMS, 2, qn)
         grid2 = auto_grid_2d(PARAMS, qn, 0.5, 151)
         rep = residual_study(
-            lambda a, b, s: state(a, b, tau=s), grid2, 0.5, PARAMS.mass, refinements=4
+            lambda a, b, s: lifted_eigenstate_2d(PARAMS, qn, a, b, s),
+            grid2,
+            0.5,
+            PARAMS.mass,
+            refinements=4,
         )
         ok = ORDER_BAND[0] <= rep.fitted_order <= ORDER_BAND[1]
         worst_gap = max(worst_gap, abs(rep.fitted_order - 2.0))

@@ -252,8 +252,7 @@ class TestErrorPaths:
         assert not (tmp_path / "x.csv").exists()
 
     # the Hermite recurrence overflows at this level (ROADMAP item 2); once it
-    # is scaled, the overflow warning and this failure go away
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # is scaled, this failure goes away
     def test_non_finite_field_exits_3(self, tmp_path, capsys):
         code = main(["peaks", "--n", "250", "--tau", "0", "--count", "2001",
                      "--out", str(tmp_path / "x.csv")])
@@ -262,22 +261,45 @@ class TestErrorPaths:
         assert payload["error"]["type"] == "NonFiniteError"
 
     # the first two overflow in the Hermite/Kummer recurrences (ROADMAP item 2),
-    # the third in the envelope's square; each warns before the table is refused
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # the third in the envelope's square; each fails where it overflows
     @pytest.mark.parametrize(
-        "args, column",
+        "args",
         [
-            (["gen2d", "--l", "1", "--n-radial", "300", "--tau", "0", "--grid", "-60:60:41"], "re"),
-            (["gen1d", "--n", "300", "--tau", "0", "--grid", "-40:40:2001"], "re"),
-            (["envelope", "--energy", "1", "--tau", "1e200"], "y_plus"),
+            ["gen2d", "--l", "1", "--n-radial", "300", "--tau", "0", "--grid", "-60:60:41"],
+            ["gen1d", "--n", "300", "--tau", "0", "--grid", "-40:40:2001"],
+            ["envelope", "--energy", "1", "--tau", "1e200"],
         ],
+        ids=["gen2d-n-radial-300", "gen1d-n-300", "envelope-tau-1e200"],
     )
-    def test_non_finite_table_exits_3_and_writes_nothing(self, tmp_path, capsys, args, column):
+    def test_non_finite_table_exits_3_and_writes_nothing(self, tmp_path, capsys, args):
         out = tmp_path / "x.csv"
         assert main(args + ["--out", str(out)]) == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["type"] == "NonFiniteError"
-        assert repr(column) in payload["error"]["message"]
+        assert not out.exists()
+
+    def test_non_finite_table_names_the_column(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["envelope", "--energy", "1", "--tau", "inf", "--out", str(out)]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["type"] == "NonFiniteError"
+        assert repr("tau") in payload["error"]["message"]
+        assert not out.exists()
+
+    # m omega^2 underflows to 0, so the classical amplitude divides by zero
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["peaks", "--mass", "1e-200", "--omega", "1e-200", "--n", "2", "--tau", "0",
+             "--count", "101"],
+            ["verify", "--suite", "free-residual", "--mass", "1e-200", "--omega", "1e-200"],
+        ],
+        ids=["peaks", "verify"],
+    )
+    def test_division_by_zero_exits_3(self, tmp_path, capsys, args):
+        out = tmp_path / "x.csv"
+        assert main(args + ["--out", str(out)]) == 3
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "NonFiniteError"
         assert not out.exists()
 
     def test_float_overflow_exits_3(self, tmp_path, capsys):
@@ -294,6 +316,15 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("oscfree: error:") and str(out) in err
         assert err.count("\n") == 1
+
+    def test_unwritable_report_exits_5_before_stdout(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        code = main(["verify", "--suite", "free-residual", "--refinements", "2",
+                     "--out", str(out)])
+        assert code == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(out) in captured.err
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         # truncating the state mid-bulk violates the spectral decay precondition
@@ -376,6 +407,76 @@ def test_column_writer_block_boundaries(tmp_path, rows):
     rng = np.random.default_rng(rows)
     columns = [np.arange(rows), rng.standard_normal(rows), rng.uniform(-1e300, 1e300, rows)]
     _assert_writer_matches_reference(tmp_path, columns)
+
+
+def _mostly(good, bad):
+    """Draw from good seven times in eight, else from bad."""
+    return st.integers(0, 7).flatmap(lambda k: good if k else bad)
+
+
+NUMBERS = _mostly(
+    st.sampled_from(["0.3", "0.8", "1", "2.5"]),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e-200", "-1", "0", ""]),
+)
+LEVELS = _mostly(st.integers(0, 40).map(str), st.sampled_from(["-1", "", "nan", "1e308"]))
+# bounded so that no example builds a large table or grid
+COUNTS = _mostly(st.sampled_from(["3", "21", "201"]), st.sampled_from(["-1", "0", "1", "2", ""]))
+RANGE_COUNTS = _mostly(st.sampled_from(["1", "3"]), st.sampled_from(["-1", "0"]))
+RANGES = st.one_of(
+    NUMBERS,
+    st.lists(NUMBERS, min_size=2, max_size=3).map(",".join),
+    st.tuples(NUMBERS, NUMBERS, RANGE_COUNTS).map(":".join),
+)
+GRIDS = _mostly(
+    st.tuples(st.sampled_from(["-12", "-6"]), st.sampled_from(["6", "12"]), COUNTS).map(":".join),
+    st.one_of(NUMBERS, st.tuples(NUMBERS, NUMBERS, COUNTS).map(":".join)),
+)
+GRIDS_2D = st.one_of(GRIDS, st.tuples(GRIDS, GRIDS).map(",".join))
+SUITES = _mostly(
+    st.sampled_from(["free-residual", "osc-residual", "free-residual-2d"]), st.just("none")
+)
+
+# flags of each command with the values drawn for them; the first group is
+# always given, the second each with probability 1/2 (envelope also gets one
+# of its two exclusive energy flags)
+COMMAND_FLAGS = {
+    "gen1d": ({"--n": LEVELS, "--tau": RANGES, "--grid": GRIDS}, {}),
+    "gen2d": ({"--l": LEVELS, "--tau": RANGES, "--grid": GRIDS_2D}, {"--n-radial": LEVELS}),
+    "peaks": ({"--n": LEVELS, "--tau": RANGES}, {"--count": COUNTS}),
+    "envelope": ({"--tau": RANGES}, {"--alpha": RANGES}),
+    "verify": (
+        {"--suite": SUITES, "--refinements": _mostly(st.sampled_from(["2", "3"]), st.just("1"))},
+        {"--n": LEVELS, "--l": LEVELS, "--n-radial": LEVELS, "--tau": NUMBERS,
+         "--time": NUMBERS, "--base-count": COUNTS},
+    ),
+    "propagate": ({"--n": LEVELS, "--to-tau": NUMBERS, "--grid": GRIDS}, {}),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), command=st.sampled_from(sorted(COMMAND_FLAGS)))
+def test_exit_codes_over_random_arguments(data, command):
+    required, optional = COMMAND_FLAGS[command]
+    common = {"--mass": NUMBERS, "--omega": NUMBERS}
+    if command != "verify":
+        common["--format"] = st.sampled_from(["csv", "json"])
+    flags = dict(required)
+    if command == "envelope":
+        energy = data.draw(st.sampled_from(["--energy", "--energy-from-n"]))
+        flags[energy] = NUMBERS if energy == "--energy" else LEVELS
+    flags.update((f, v) for f, v in {**common, **optional}.items() if data.draw(st.booleans()))
+    with tempfile.TemporaryDirectory() as directory:
+        out = Path(directory) / data.draw(_mostly(st.just("x.out"), st.just("missing/x.out")))
+        argv = [command, *(f"{f}={data.draw(v)}" for f, v in flags.items()), f"--out={out}"]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in {0, 2, 3, 4, 5}, argv
+        if code in {2, 3, 5}:
+            assert not out.exists(), argv
+        if code == 4:
+            assert out.exists(), argv
 
 
 def test_module_entry_point(tmp_path):

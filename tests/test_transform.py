@@ -6,7 +6,6 @@ from scipy.integrate import simpson
 
 from oscfree import (
     HalfPeriodError,
-    LiftedState,
     OscillatorParams,
     QuantumNumbers1D,
     QuantumNumbers2D,
@@ -225,39 +224,12 @@ class TestLiftedEigenstate2D:
         closed = lifted_eigenstate_2d(params, qn, y1, y2, 1.5)
         assert np.abs(generic - closed).max() < 1e-14
 
-
-class TestLiftedState:
-    def test_dimension_source_mismatch(self, params):
-        with pytest.raises(ValueError):
-            LiftedState(params, 2, QuantumNumbers1D(0))
-        with pytest.raises(ValueError):
-            LiftedState(params, 1, QuantumNumbers2D(0, 0))
-        with pytest.raises(ValueError):
-            LiftedState(params, 3, QuantumNumbers2D(0, 0))
-
-    def test_coordinate_arity(self, params):
-        state = LiftedState(params, 1, QuantumNumbers1D(0))
-        with pytest.raises(TypeError):
-            state(0.0, 0.0, tau=0.0)
-
-    def test_dispatches_1d(self, params):
-        state = LiftedState(params, 1, QuantumNumbers1D(3))
-        y = np.linspace(-3, 3, 11)
-        assert np.array_equal(
-            state(y, tau=0.8), lifted_eigenstate_1d(params, QuantumNumbers1D(3), y, 0.8)
-        )
-
-    def test_dispatches_2d_closed_form(self, params):
-        qn = QuantumNumbers2D(0, 1)
-        state = LiftedState(params, 2, qn)
-        assert state(1.0, 0.5, tau=0.3) == lifted_eigenstate_2d(params, qn, 1.0, 0.5, 0.3)
-
     def test_radially_excited_solves_free_equation(self, params):
         # the Kummer factor of an n_radial > 0 state must keep the closed
         # form a free solution: two-grid residual ratio
-        state = LiftedState(params, 2, QuantumNumbers2D(1, 1))
+        qn = QuantumNumbers2D(1, 1)
         axis = Grid1D(-10.0, 10.0, 161)
-        solution = lambda a, b, s: state(a, b, tau=s)
+        solution = lambda a, b, s: lifted_eigenstate_2d(params, qn, a, b, s)
         coarse = residual(solution, Grid2D(axis, axis), 0.5, 1.0, dt=axis.spacing)
         fine_axis = axis.refined(2)
         fine = residual(solution, Grid2D(fine_axis, fine_axis), 0.5, 1.0, dt=fine_axis.spacing)
