@@ -17,6 +17,7 @@ from .analysis import (
     auto_grid,
     auto_grid_2d,
     convergence_order,
+    coordinates,
     density_scaling_check,
     expectation_position,
     find_density_maxima,
@@ -49,7 +50,6 @@ from .errors import (
     NormalizationError,
     OscfreeError,
     PeakDetectionError,
-    QuadratureError,
 )
 from .oscillator import (
     OscillatorParams,

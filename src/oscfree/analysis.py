@@ -66,9 +66,6 @@ class Grid2D:
     def axes(self) -> tuple[Grid1D, Grid1D]:
         return (self.axis1, self.axis2)
 
-    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.meshgrid(self.axis1.nodes, self.axis2.nodes, indexing="ij")
-
     def refined(self, factor: int) -> Grid2D:
         return Grid2D(self.axis1.refined(factor), self.axis2.refined(factor))
 
@@ -76,7 +73,7 @@ class Grid2D:
 Grid = Grid1D | Grid2D
 
 
-def _coords(grid: Grid) -> tuple[np.ndarray, ...]:
+def coordinates(grid: Grid) -> tuple[np.ndarray, ...]:
     """One coordinate array per axis, each shaped like the grid."""
     return tuple(np.meshgrid(*(axis.nodes for axis in grid.axes), indexing="ij"))
 
@@ -104,7 +101,7 @@ class ComplexField:
 
 def sample_field(solution, grid: Grid, time: float) -> ComplexField:
     """Evaluate a closed-form solution(*coords, time) on the grid."""
-    return ComplexField(grid, solution(*_coords(grid), time), time)
+    return ComplexField(grid, solution(*coordinates(grid), time), time)
 
 
 def auto_grid(params: OscillatorParams, n: int, tau: float, count: int) -> Grid1D:
@@ -145,7 +142,7 @@ def residual(
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    coords = _coords(grid)
+    coords = coordinates(grid)
     times = (time, time + dt, time - dt)
     psi0, psip, psim = (ComplexField(grid, solution(*coords, t), t).values for t in times)
     inner = (slice(1, -1),) * len(coords)

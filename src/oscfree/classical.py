@@ -15,9 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._quadrature import gauss_panels
-from .errors import DegenerateTangencyError, HalfPeriodError
+from .errors import DegenerateTangencyError
 from .oscillator import OscillatorParams, QuantumNumbers1D, energy_1d
+from .transform import osc_to_free_time
 
 _TWO_PI = 2.0 * math.pi
 
@@ -114,37 +114,28 @@ def action_boundary_identity(
 ) -> ActionIdentity:
     """Check that the Lagrangians on the two sides differ by a boundary term.
 
-    lhs integrates the oscillator Lagrangian (m/2) xdot^2 - (m omega^2 / 2) x^2
-    along the trajectory from t1 to t2.  rhs integrates the free kinetic
-    term (m/2) (dy/dtau)^2 over the mapped interval and subtracts the
-    boundary term [(m omega / 4) sin(2 omega t) y^2] evaluated at the
-    endpoints, with y the mapped trajectory.  Both integrals use
-    panel-doubling quadrature stabilized to 1e-10.
+    lhs is the action of the oscillator Lagrangian (m/2) xdot^2 - (m omega^2 / 2) x^2
+    along the trajectory from t1 to t2.  rhs is the action of the free kinetic
+    term (m/2) (dy/dtau)^2 over the mapped interval minus the boundary term
+    [(m omega / 4) sin(2 omega t) y^2] at the endpoints, with y the mapped
+    trajectory.  Both actions come from exact antiderivatives:
+    -(m A^2 omega / 4) sin 2(omega t + alpha), and (m/2) (dy/dtau)^2 tau with
+    dy/dtau constant along the straight line.
 
     Returns (lhs, rhs, |lhs - rhs|); raises HalfPeriodError if either
-    endpoint leaves the half-period window and QuadratureError if a
-    quadrature fails to stabilize.
+    endpoint leaves the half-period window.
     """
+    tau1 = osc_to_free_time(fam.params, t1)
+    tau2 = osc_to_free_time(fam.params, t2)
     omega = fam.params.omega
     m = fam.params.mass
-    for t in (t1, t2):
-        if not abs(omega * t) < 0.5 * math.pi:
-            raise HalfPeriodError(f"|omega*t| = {abs(omega * t)} leaves the half-period window")
     a = fam.amplitude
+    phase1 = 2.0 * (omega * t1 + alpha)
+    phase2 = 2.0 * (omega * t2 + alpha)
+    lhs = -0.25 * m * a * a * omega * (math.sin(phase2) - math.sin(phase1))
 
-    def lagrangian(t):
-        x = a * np.cos(omega * t + alpha)
-        xdot = -a * omega * np.sin(omega * t + alpha)
-        return 0.5 * m * xdot**2 - 0.5 * m * omega**2 * x**2
-
-    lhs = gauss_panels(lagrangian, t1, t2, rtol=1e-10)
-
-    tau1 = math.tan(omega * t1) / omega
-    tau2 = math.tan(omega * t2) / omega
     dy_dtau = -a * omega * math.sin(alpha)
-    kinetic = gauss_panels(
-        lambda tau: 0.5 * m * dy_dtau**2 * np.ones_like(tau), tau1, tau2, rtol=1e-10
-    )
+    kinetic = 0.5 * m * dy_dtau**2 * (tau2 - tau1)
 
     def boundary(t: float) -> float:
         y = a * math.cos(omega * t + alpha) / math.cos(omega * t)

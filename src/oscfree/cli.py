@@ -14,9 +14,11 @@ could not be written).  Nothing is written on exit 2 or 3, and verify
 writes its --out report before printing it.
 
 Grid specs are `min:max:count`; tau lists are comma-separated values or
-`min:max:count` ranges.  Tables are written column-wise, a block of rows
-at a time.  CSV output is deterministic: identical invocations produce
-bit-identical files (floats are written in shortest round-trip form).
+`min:max:count` ranges.  Any flag takes a dash-leading value (-1e-3,
+-20:20:2001) as a separate token, the same as --flag=value.  Tables are
+written column-wise, a block of rows at a time.  CSV output is
+deterministic: identical invocations produce bit-identical files (floats
+are written in shortest round-trip form).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .analysis import (
     Grid2D,
     auto_grid,
     auto_grid_2d,
+    coordinates,
     find_density_maxima,
     norm,
     peak_widths,
@@ -79,12 +82,10 @@ def _parse_grid(spec: str) -> Grid1D:
 
 def _parse_grid2(spec: str) -> Grid2D:
     specs = spec.split(",")
-    if len(specs) == 1:
-        axis = _parse_grid(specs[0])
-        return Grid2D(axis, axis)
-    if len(specs) == 2:
-        return Grid2D(_parse_grid(specs[0]), _parse_grid(specs[1]))
-    raise ValueError(f"2D grid spec must be one or two min:max:count blocks, got {spec!r}")
+    if len(specs) not in (1, 2):
+        raise ValueError(f"2D grid spec must be one or two min:max:count blocks, got {spec!r}")
+    axes = [_parse_grid(s) for s in specs]
+    return Grid2D(axes[0], axes[-1])  # one block: a square grid
 
 
 def _flag_type(parse, *extra):
@@ -126,8 +127,9 @@ def _write_table(
         Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
 
 
-def _write_field_table(args: argparse.Namespace, lift, taus, coords, names) -> None:
-    """Tabulate lift(*coords, tau) for each tau as tau, coordinate, re, im, density columns."""
+def _write_field_table(args: argparse.Namespace, lift, taus, names) -> None:
+    """Tabulate lift(*coords, tau) on args.grid per tau as tau, coordinate, re, im, density."""
+    coords = coordinates(args.grid)
     values = np.concatenate([lift(*coords, tau).ravel() for tau in taus])
     re = values.real
     im = values.imag
@@ -147,7 +149,7 @@ def _run_gen1d(args: argparse.Namespace) -> int:
     params = OscillatorParams(args.mass, args.omega)
     qn = QuantumNumbers1D(args.n)
     lift = lambda y, tau: lifted_eigenstate_1d(params, qn, y, tau)
-    _write_field_table(args, lift, args.tau, (args.grid.nodes,), ["y"])
+    _write_field_table(args, lift, args.tau, ["y"])
     return EXIT_OK
 
 
@@ -155,7 +157,7 @@ def _run_gen2d(args: argparse.Namespace) -> int:
     params = OscillatorParams(args.mass, args.omega)
     qn = QuantumNumbers2D(args.n_radial, args.l)
     lift = lambda y1, y2, tau: lifted_eigenstate_2d(params, qn, y1, y2, tau)
-    _write_field_table(args, lift, args.tau, args.grid.nodes(), ["y1", "y2"])
+    _write_field_table(args, lift, args.tau, ["y1", "y2"])
     return EXIT_OK
 
 
@@ -255,7 +257,7 @@ def _run_propagate(args: argparse.Namespace) -> int:
         "norm": norm(final),
         "l2_difference_vs_closed_form": math.sqrt(float(simpson(diff, x=y))),
     }
-    _write_field_table(args, lambda yy, tau: final.values, [args.to_tau], (y,), ["y"])
+    _write_field_table(args, lambda yy, tau: final.values, [args.to_tau], ["y"])
     print(json.dumps(summary))
     return EXIT_OK
 
@@ -342,21 +344,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_FLAGS = {"--grid", "--tau", "--alpha"}
+def _fuse_dash_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """Rewrite "--flag -value" as "--flag=-value" for each one-value flag of the parser.
 
-
-def _fuse_dash_values(argv: list[str]) -> list[str]:
-    # argparse reads "-20:20:2001" as an option; rewrite to --flag=value form
+    argparse takes a dash-leading value such as -1e-3 or -20:20:2001 for an
+    option; a token that starts with "--" or is an option is never a value.
+    """
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = [a for p in commands.choices.values() for a in p._actions]
+    options = {flag for a in actions for flag in a.option_strings}
+    one_value = {flag for a in actions if a.nargs is None for flag in a.option_strings}
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
+    for tok in argv:
+        is_value = tok.startswith("-") and not tok.startswith("--") and tok not in options
+        if is_value and out and out[-1] in one_value:
+            out[-1] += f"={tok}"
+        else:
+            out.append(tok)
     return out
 
 
@@ -371,7 +375,8 @@ def main(argv=None) -> int:
     try:
         # a range spec such as --tau 1e308:-1e308:3 overflows while it is parsed
         with np.errstate(over="raise", invalid="raise"):
-            args = build_parser().parse_args(_fuse_dash_values(argv))
+            parser = build_parser()
+            args = parser.parse_args(_fuse_dash_values(parser, argv))
             return args.run(args)
     except OscfreeError as exc:
         return _numerical_failure(exc)

@@ -14,10 +14,6 @@ class HalfPeriodError(OscfreeError, ValueError):
     """Oscillator-side time left the half-period window where cos(omega*t) > 0."""
 
 
-class QuadratureError(OscfreeError, RuntimeError):
-    """A quadrature did not stabilize to the requested tolerance."""
-
-
 class BoundaryDecayError(OscfreeError, RuntimeError):
     """Field does not decay at the grid edges, so periodic spectral propagation is invalid."""
 

@@ -111,13 +111,12 @@ def pull_back_wavefunction(chi, params: OscillatorParams, dimension: int, x, t: 
     chi is called as chi(y, tau) with y shaped (dimension, ...).  Valid
     only inside the half-period window |omega t| < pi/2.
     """
-    _check_half_period(params, t)
+    tau = osc_to_free_time(params, t)
     xa = np.asarray(x, dtype=float)
     if xa.shape[0] != dimension:
         raise ValueError(f"leading axis of x must have length {dimension}, got {xa.shape[0]}")
     omega = params.omega
     c = math.cos(omega * t)
-    tau = math.tan(omega * t) / omega
     x_sq = np.sum(xa * xa, axis=0)
     prefactor = c ** (-0.5 * dimension)
     phase = np.exp(-0.5j * params.mass * omega * math.tan(omega * t) * x_sq)

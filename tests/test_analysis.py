@@ -25,6 +25,7 @@ from oscfree.analysis import (
     ResidualReport,
     auto_grid,
     convergence_order,
+    coordinates,
     density_scaling_check,
     expectation_position,
     find_density_maxima,
@@ -174,7 +175,7 @@ class TestResidualExamples:
 
         axis = Grid1D(-10.0, 10.0, 101)
         grid = Grid2D(axis, axis)
-        y1, y2 = grid.nodes()
+        y1, y2 = coordinates(grid)
         assert np.abs(closed(y1, y2, 0.8) - product(y1, y2, 0.8)).max() < 1e-12
         r_closed = residual(closed, grid, 0.8, 1.0, axis.spacing)
         r_product = residual(product, grid, 0.8, 1.0, axis.spacing)

@@ -179,10 +179,15 @@ class TestActionIdentity:
         result = action_boundary_identity(fam, math.pi / 3, -0.5, 0.7)
         assert result.defect < 1e-8
 
-    def test_lhs_against_quad_oracle(self, params):
+    # a reversed interval, and endpoints at |omega t| = 1.5 near the window edge
+    @pytest.mark.parametrize(
+        "alpha, t1, t2",
+        [(0.8, -0.6, 1.2), (2.3, 1.1, -0.4), (0.3, -1.5, 1.5), (5.5, 1.5, -0.2)],
+        ids=["generic", "reversed", "window-edges", "window-edge-reversed"],
+    )
+    def test_lhs_against_quad_oracle(self, params, alpha, t1, t2):
         # independent adaptive quadrature of the oscillator Lagrangian
         fam = TrajectoryFamily(2.5, params)
-        alpha, t1, t2 = 0.8, -0.6, 1.2
         a = fam.amplitude
         m, omega = params.mass, params.omega
 

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import subprocess
@@ -22,6 +24,11 @@ GEN1D_GOLDEN_ARGS = [
     "--tau", "0,1,2", "--grid", "-20:20:201", "--format", "csv",
 ]
 ENVELOPE_GOLDEN_ARGS = ["envelope", "--energy-from-n", "2", "--tau", "-5:5:101"]
+GEN2D_GOLDEN_ARGS = [
+    "gen2d", "--l", "-2", "--n-radial", "1", "--mass", "1.3", "--omega", "0.7",
+    "--tau", "0,1.5", "--grid", "-8:8:15,-6:6:11",
+]
+PEAKS_GOLDEN_ARGS = ["peaks", "--n", "5", "--tau", "0,0.7,2", "--count", "4001"]
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -141,6 +148,11 @@ class TestPeaks:
             assert index == [0, 1, 2, 0, 1, 2]
             assert all(type(k) is int for k in index)
 
+    def test_matches_golden(self, tmp_path):
+        out = tmp_path / "peaks.csv"
+        assert main(PEAKS_GOLDEN_ARGS + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "peaks_n5.csv").read_bytes()
+
 
 class TestGen2D:
     def test_shape_contract(self, tmp_path):
@@ -162,6 +174,11 @@ class TestGen2D:
         assert code == 0
         _, rows = read_csv(out)
         assert len(rows) == 21 * 31
+
+    def test_matches_golden(self, tmp_path):
+        out = tmp_path / "field2.csv"
+        assert main(GEN2D_GOLDEN_ARGS + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "gen2d_l-2_nr1.csv").read_bytes()
 
     def test_radial_excitation_matches_closed_form(self, tmp_path):
         out = tmp_path / "field2.csv"
@@ -409,6 +426,47 @@ def test_column_writer_block_boundaries(tmp_path, rows):
     _assert_writer_matches_reference(tmp_path, columns)
 
 
+def _main_outcome(argv, out: Path, capsys):
+    """Exit code (or SystemExit code), stdout, stderr and the output file of one run."""
+    try:
+        code = main([*argv, "--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+
+# argparse reads -1e-3 as an option unless it is fused to its flag
+@pytest.mark.parametrize(
+    "args, flag, code",
+    [
+        (["propagate", "--n", "2", "--grid", "-20:20:101"], "--to-tau", 0),
+        (["verify", "--suite", "osc-residual", "--n", "1", "--refinements", "2"], "--time", 0),
+        (["verify", "--suite", "free-residual", "--refinements", "2"], "--tau", 0),
+        (["gen1d", "--n", "2", "--tau", "0", "--grid", "-4:4:5"], "--mass", 2),
+        (["gen1d", "--n", "2", "--tau", "0", "--grid", "-4:4:5"], "--omega", 2),
+        (["envelope", "--tau", "0"], "--energy", 2),
+    ],
+    ids=["propagate-to-tau", "verify-time", "verify-tau", "mass", "omega", "envelope-energy"],
+)
+def test_dash_leading_value_as_separate_token(tmp_path, capsys, args, flag, code):
+    separate = _main_outcome([*args, flag, "-1e-3"], tmp_path / "separate.out", capsys)
+    fused = _main_outcome([*args, f"{flag}=-1e-3"], tmp_path / "fused.out", capsys)
+    assert "expected one argument" not in separate[2]
+    assert separate[0] == code
+    assert separate == fused
+
+
+@pytest.mark.parametrize("option", ["--refinements", "--ref", "-h"])
+def test_option_is_never_taken_as_a_value(tmp_path, monkeypatch, capsys, option):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "free-residual", "--out", option, "2"])
+    assert exc.value.code == 2
+    assert "argument --out: expected one argument" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _mostly(good, bad):
     """Draw from good seven times in eight, else from bad."""
     return st.integers(0, 7).flatmap(lambda k: good if k else bad)
@@ -416,7 +474,7 @@ def _mostly(good, bad):
 
 NUMBERS = _mostly(
     st.sampled_from(["0.3", "0.8", "1", "2.5"]),
-    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e-200", "-1", "0", ""]),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e-200", "-1e-3", "-1", "0", ""]),
 )
 LEVELS = _mostly(st.integers(0, 40).map(str), st.sampled_from(["-1", "", "nan", "1e308"]))
 # bounded so that no example builds a large table or grid
@@ -438,7 +496,8 @@ SUITES = _mostly(
 
 # flags of each command with the values drawn for them; the first group is
 # always given, the second each with probability 1/2 (envelope also gets one
-# of its two exclusive energy flags)
+# of its two exclusive energy flags); each flag is given as --flag=value or
+# as --flag value
 COMMAND_FLAGS = {
     "gen1d": ({"--n": LEVELS, "--tau": RANGES, "--grid": GRIDS}, {}),
     "gen2d": ({"--l": LEVELS, "--tau": RANGES, "--grid": GRIDS_2D}, {"--n-radial": LEVELS}),
@@ -467,12 +526,19 @@ def test_exit_codes_over_random_arguments(data, command):
     flags.update((f, v) for f, v in {**common, **optional}.items() if data.draw(st.booleans()))
     with tempfile.TemporaryDirectory() as directory:
         out = Path(directory) / data.draw(_mostly(st.just("x.out"), st.just("missing/x.out")))
-        argv = [command, *(f"{f}={data.draw(v)}" for f, v in flags.items()), f"--out={out}"]
+        given = {**{f: data.draw(v) for f, v in flags.items()}, "--out": str(out)}
+        argv = [command]
+        for flag, value in given.items():
+            argv += [f"{flag}={value}"] if data.draw(st.booleans()) else [flag, value]
+        err = io.StringIO()
         try:
-            code = main(argv)
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
         except SystemExit as exc:
             code = exc.code
         assert code in {0, 2, 3, 4, 5}, argv
+        # no drawn value starts with "--", so each belongs to its flag
+        assert "expected one argument" not in err.getvalue(), argv
         if code in {2, 3, 5}:
             assert not out.exists(), argv
         if code == 4:
