@@ -24,6 +24,7 @@ from oscfree.analysis import (
     Grid2D,
     ResidualReport,
     auto_grid,
+    auto_grid_2d,
     convergence_order,
     coordinates,
     density_scaling_check,
@@ -217,6 +218,14 @@ class TestConvergenceOrder:
         with pytest.raises(ValueError):
             ResidualReport([0.1, 0.2], [1e-2, 1e-3], [1e-2, 1e-3], 2.0)
 
+    @pytest.mark.parametrize("refinements", [0, 1, -2])
+    def test_study_needs_two_refinements(self, refinements):
+        def solution(*args):
+            raise AssertionError("no grid may be sampled")
+
+        with pytest.raises(ValueError, match=f"need at least 2 refinements, got {refinements}"):
+            residual_study(solution, Grid1D(-5.0, 5.0, 101), 0.5, 1.0, refinements)
+
 
 class TestSpectralPropagation:
     def test_identity_at_tau_zero(self, params):
@@ -300,6 +309,35 @@ class TestNormsAndExpectations:
     def test_zero_field_norm(self):
         grid = Grid1D(-1.0, 1.0, 11)
         assert norm(ComplexField(grid, np.zeros(11, dtype=complex), 0.0)) == 0.0
+
+    # the unit-norm fields of acceptance criterion C06, with Simpson as the oracle
+    @pytest.mark.parametrize("tau", [0.0, 3.0])
+    def test_matches_simpson_1d(self, params, tau):
+        for n in range(11):
+            field = sample_field(lifted(params, n), auto_grid(params, n, tau, 20001), tau)
+            oracle = simpson(field.density(), x=field.grid.nodes)
+            assert abs(norm(field) - oracle) < 1e-12, n
+
+    @pytest.mark.parametrize("tau", [0.0, 3.0])
+    def test_matches_simpson_2d(self, params, tau):
+        for l in range(4):
+            qn = QuantumNumbers2D(0, l)
+            grid = auto_grid_2d(params, qn, tau, 1201)
+            field = sample_field(
+                lambda a, b, s: lifted_eigenstate_2d(params, qn, a, b, s), grid, tau
+            )
+            oracle = simpson(simpson(field.density(), x=grid.axis2.nodes), x=grid.axis1.nodes)
+            assert abs(norm(field) - oracle) < 1e-12, l
+
+    # the end nodes carry half weight; a bare cell-times-sum would count them fully
+    def test_constant_field_gives_length_or_area(self):
+        c = 1.7 - 0.4j
+        line = Grid1D(-1.3, 2.9, 7)
+        field = ComplexField(line, np.full(7, c), 0.0)
+        assert norm(field) == pytest.approx(abs(c) ** 2 * 4.2, rel=1e-14)
+        plane = Grid2D(line, Grid1D(0.5, 3.0, 11))
+        field = ComplexField(plane, np.full((7, 11), c), 0.0)
+        assert norm(field) == pytest.approx(abs(c) ** 2 * 4.2 * 2.5, rel=1e-14)
 
     def test_parity_gives_zero_expectation(self, params):
         for n in (0, 3):

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -343,6 +344,17 @@ class TestErrorPaths:
         assert captured.out == ""
         assert str(out) in captured.err
 
+    @pytest.mark.parametrize("refinements", ["0", "-2"])
+    def test_too_few_refinements_exits_2(self, tmp_path, capsys, refinements):
+        out = tmp_path / "r.json"
+        code = main(["verify", "--suite", "free-residual", "--refinements", refinements,
+                     "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "refinements" in captured.err
+        assert not out.exists()
+
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         # truncating the state mid-bulk violates the spectral decay precondition
         code = main(
@@ -555,3 +567,20 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+def test_import_loads_no_scipy():
+    # scipy.integrate alone takes most of a cold start; the runtime needs numpy only
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys, oscfree, oscfree.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
