@@ -19,10 +19,12 @@ import numpy as np
 from .classical import TrajectoryFamily
 from .errors import BoundaryDecayError, NonFiniteError, NormalizationError, PeakDetectionError
 from .oscillator import OscillatorParams, QuantumNumbers1D, QuantumNumbers2D, density_1d
-from .transform import lifted_eigenstate_1d
+from .transform import _stretch_sq, lifted_eigenstate_1d
 
 # ---------------------------------------------------------------------------
 # grids and sampled fields
+
+_POINT_BUDGET = 2**24  # most points of a grid (over all its axes) or of a range
 
 
 @dataclass(frozen=True)
@@ -36,8 +38,8 @@ class Grid1D:
     def __post_init__(self) -> None:
         if not -math.inf < self.y_min < self.y_max < math.inf:
             raise ValueError(f"need finite y_min < y_max, got [{self.y_min}, {self.y_max}]")
-        if self.count < 3:
-            raise ValueError(f"need at least 3 nodes, got {self.count}")
+        if not 3 <= self.count <= _POINT_BUDGET:
+            raise ValueError(f"need 3 to {_POINT_BUDGET} nodes, got {self.count}")
 
     @property
     def axes(self) -> tuple[Grid1D]:
@@ -62,6 +64,11 @@ class Grid2D:
 
     axis1: Grid1D
     axis2: Grid1D
+
+    def __post_init__(self) -> None:
+        if self.axis1.count * self.axis2.count > _POINT_BUDGET:
+            counts = f"{self.axis1.count} x {self.axis2.count}"
+            raise ValueError(f"need at most {_POINT_BUDGET} grid points, got {counts}")
 
     @property
     def axes(self) -> tuple[Grid1D, Grid1D]:
@@ -113,7 +120,7 @@ def auto_grid(params: OscillatorParams, n: int, tau: float, count: int) -> Grid1
     the grid.
     """
     fam = TrajectoryFamily.from_level(params, n)
-    stretch = math.sqrt(1.0 + (params.omega * tau) ** 2)
+    stretch = math.sqrt(_stretch_sq(params, tau))
     half = (fam.amplitude + 10.0 / math.sqrt(params.mass * params.omega)) * stretch
     return Grid1D(-half, half, count)
 
@@ -122,7 +129,7 @@ def auto_grid_2d(params: OscillatorParams, qn: QuantumNumbers2D, tau: float, cou
     """Square 2D analogue of auto_grid for the level (n_radial, l)."""
     mw = params.mass * params.omega
     r_turn = math.sqrt(2.0 * (2 * qn.n_radial + abs(qn.l) + 1) / mw)
-    stretch = math.sqrt(1.0 + (params.omega * tau) ** 2)
+    stretch = math.sqrt(_stretch_sq(params, tau))
     half = (r_turn + 10.0 / math.sqrt(mw)) * stretch
     axis = Grid1D(-half, half, count)
     return Grid2D(axis, axis)
@@ -281,7 +288,7 @@ def density_scaling_check(params: OscillatorParams, n: int, tau: float, grid: Gr
     """
     qn = QuantumNumbers1D(n)
     lhs = sample_field(lambda y, t: lifted_eigenstate_1d(params, qn, y, t), grid, tau).density()
-    s = math.sqrt(1.0 + (params.omega * tau) ** 2)
+    s = math.sqrt(_stretch_sq(params, tau))
     rhs = density_1d(params, qn, grid.nodes / s) / s
     return float(np.abs(lhs - rhs).max())
 
@@ -337,6 +344,14 @@ def find_density_maxima(field: ComplexField) -> PeakRecord:
                 f"maxima at {a} and {b} are closer than 3 grid spacings ({3 * h})"
             )
     return PeakRecord(field.time_label, positions, heights)
+
+
+def _lifted_peaks(params: OscillatorParams, n: int, tau: float, count: int):
+    """The lifted level n sampled on its auto grid at free time tau, and its density maxima."""
+    qn = QuantumNumbers1D(n)
+    grid = auto_grid(params, n, tau, count)
+    fld = sample_field(lambda y, s: lifted_eigenstate_1d(params, qn, y, s), grid, tau)
+    return fld, find_density_maxima(fld)
 
 
 def peak_widths(field: ComplexField, record: PeakRecord) -> list[float]:
@@ -399,29 +414,23 @@ def peak_trajectory_check(
         raise ValueError("need at least one tau")
     if 0.0 not in tau_list:
         raise ValueError("taus must include 0 (the baseline)")
-    qn = QuantumNumbers1D(n)
     natural = 1.0 / math.sqrt(params.mass * params.omega)
-
-    def detect(tau: float) -> tuple[PeakRecord, list[float]]:
-        grid = auto_grid(params, n, tau, count)
-        fld = sample_field(lambda y, s: lifted_eigenstate_1d(params, qn, y, s), grid, tau)
-        rec = find_density_maxima(fld)
-        return rec, peak_widths(fld, rec)
-
-    base_rec, base_widths = detect(0.0)
+    base_fld, base_rec = _lifted_peaks(params, n, 0.0, count)
+    base_widths = peak_widths(base_fld, base_rec)
     records = [base_rec]
     pos_err = 0.0
     width_err = 0.0
     for tau in tau_list:
         if tau == 0.0:
             continue
-        rec, widths = detect(tau)
+        fld, rec = _lifted_peaks(params, n, tau, count)
+        widths = peak_widths(fld, rec)
         records.append(rec)
         if len(rec.positions) != len(base_rec.positions):
             raise PeakDetectionError(
                 f"peak count changed from {len(base_rec.positions)} to {len(rec.positions)} at tau={tau}"
             )
-        stretch = math.sqrt(1.0 + (params.omega * tau) ** 2)
+        stretch = math.sqrt(_stretch_sq(params, tau))
         for p0, p in zip(base_rec.positions, rec.positions):
             expected = p0 * stretch
             scale = max(abs(expected), natural * stretch)
@@ -449,10 +458,7 @@ def semiclassical_gap(
         raise ValueError("levels must be strictly increasing")
     out: list[tuple[int, float]] = []
     for n in ns:
-        grid = auto_grid(params, n, 0.0, count)
-        qn = QuantumNumbers1D(n)
-        fld = sample_field(lambda y, s: lifted_eigenstate_1d(params, qn, y, s), grid, 0.0)
-        rec = find_density_maxima(fld)
+        _, rec = _lifted_peaks(params, n, 0.0, count)
         x_turn = TrajectoryFamily.from_level(params, n).amplitude
         out.append((n, (x_turn - rec.positions[-1]) / x_turn))
     return out

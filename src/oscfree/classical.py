@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateTangencyError
 from .oscillator import OscillatorParams, QuantumNumbers1D, energy_1d
-from .transform import osc_to_free_time
+from .transform import _stretch_sq, osc_to_free_space, osc_to_free_time
 
 _TWO_PI = 2.0 * math.pi
 
@@ -63,10 +63,7 @@ def free_trajectory(fam: TrajectoryFamily, alpha: float, tau):
 
 def envelope(fam: TrajectoryFamily, tau):
     """Both envelope branches +- A sqrt(1 + omega^2 tau^2) at free time tau."""
-    ta = np.asarray(tau, dtype=float)
-    # float_power rounds like the scalar ``**`` (libm pow), where an array
-    # ``** 2`` squares; so an array call gives each value's scalar-call bits
-    mag = fam.amplitude * np.sqrt(1.0 + np.float_power(fam.params.omega * ta, 2))
+    mag = fam.amplitude * np.sqrt(_stretch_sq(fam.params, tau))
     if np.ndim(tau) == 0:
         return float(mag), float(-mag)
     return mag, -mag
@@ -138,8 +135,8 @@ def action_boundary_identity(
     kinetic = 0.5 * m * dy_dtau**2 * (tau2 - tau1)
 
     def boundary(t: float) -> float:
-        y = a * math.cos(omega * t + alpha) / math.cos(omega * t)
-        return 0.25 * m * omega * math.sin(2.0 * omega * t) * y * y
+        y = osc_to_free_space(fam.params, t, oscillator_trajectory(fam, alpha, t))
+        return float(0.25 * m * omega * math.sin(2.0 * omega * t) * y * y)
 
     rhs = kinetic - (boundary(t2) - boundary(t1))
     return ActionIdentity(lhs, rhs, abs(lhs - rhs))

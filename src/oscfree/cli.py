@@ -4,14 +4,15 @@ Subcommands generate solution/density tables, classical envelopes and
 trajectories, peak tracks, spectral propagation, and residual
 verification reports, as CSV or JSON artifacts for external plotting.
 
-Exit codes: 0 ok, 2 usage error (a malformed flag value is named in the
-message), 3 numerical precondition failure (peak detection, boundary
-decay, half-period window, non-finite sampled values, a non-finite
-table, which is then not written, or a floating-point overflow, invalid
-operation or division by zero), 4 verification failure (a verify suite
-ran but its pass criterion did not hold), 5 I/O error (the output file
-could not be written).  Nothing is written on exit 2 or 3, and verify
-writes its --out report before printing it.
+Exit codes: 0 ok, 2 usage error (a malformed or non-finite flag value,
+named in the message, or a grid or range over the 2**24-point budget), 3
+numerical precondition failure (peak detection, boundary decay,
+half-period window, non-finite sampled values, a non-finite table, which
+is then not written, or a floating-point overflow, invalid operation or
+division by zero), 4 verification failure (a verify suite ran but its
+pass criterion did not hold), 5 I/O error (the output file could not be
+written).  Nothing is written on exit 2 or 3, and verify writes its
+--out report before printing it.
 
 Grid specs are `min:max:count`; tau lists are comma-separated values or
 `min:max:count` ranges.  Any flag takes a dash-leading value (-1e-3,
@@ -32,13 +33,14 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    _POINT_BUDGET,
     ComplexField,
     Grid1D,
     Grid2D,
+    _lifted_peaks,
     auto_grid,
     auto_grid_2d,
     coordinates,
-    find_density_maxima,
     norm,
     peak_widths,
     residual_study,
@@ -62,15 +64,22 @@ EXIT_IO = 5
 _CSV_BLOCK_ROWS = 4096
 
 
+def _parse_finite(spec: str) -> float:
+    value = float(spec)
+    if not math.isfinite(value):
+        raise ValueError(f"need a finite value, got {spec!r}")
+    return value
+
+
 def _parse_range(spec: str, what: str) -> list[float]:
     parts = spec.split(":")
     if len(parts) == 3:
-        lo, hi = float(parts[0]), float(parts[1])
+        lo, hi = _parse_finite(parts[0]), _parse_finite(parts[1])
         count = int(parts[2])
-        if count < 1:
-            raise ValueError(f"{what} range needs a positive count, got {count}")
-        return [float(v) for v in np.linspace(lo, hi, count)]
-    return [float(v) for v in spec.split(",")]
+        if not (1 <= count <= _POINT_BUDGET and math.isfinite(hi - lo)):
+            raise ValueError(f"{what} needs a finite span, 1 to {_POINT_BUDGET} values: {spec!r}")
+        return np.linspace(lo, hi, count).tolist()
+    return [_parse_finite(v) for v in spec.split(",")]
 
 
 def _parse_grid(spec: str) -> Grid1D:
@@ -162,12 +171,9 @@ def _run_gen2d(args: argparse.Namespace) -> int:
 
 def _run_peaks(args: argparse.Namespace) -> int:
     params = OscillatorParams(args.mass, args.omega)
-    qn = QuantumNumbers1D(args.n)
     per_tau = []
     for tau in args.tau:
-        grid = auto_grid(params, args.n, tau, args.count)
-        fld = sample_field(lambda yy, tt: lifted_eigenstate_1d(params, qn, yy, tt), grid, tau)
-        record = find_density_maxima(fld)
+        fld, record = _lifted_peaks(params, args.n, tau, args.count)
         widths = peak_widths(fld, record)
         k = len(widths)
         per_tau.append((np.full(k, tau), np.arange(k), record.positions, record.heights, widths))
@@ -263,6 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     tau_list = _flag_type(_parse_range, "tau")
+    finite = _flag_type(_parse_finite)
 
     def add_command(name: str, run, summary: str, with_format: bool = True):
         p = sub.add_parser(name, help=summary)
@@ -323,16 +330,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, default=1, help="angular momentum (2D suite)")
     p.add_argument("--n-radial", type=int, default=0)
     p.add_argument(
-        "--tau", type=float, default=0.5, help="free time of the residual check (default 0.5)"
+        "--tau", type=finite, default=0.5, help="free time of the residual check (default 0.5)"
     )
-    p.add_argument("--time", type=float, default=0.3, help="oscillator time (osc-residual)")
+    p.add_argument("--time", type=finite, default=0.3, help="oscillator time (osc-residual)")
     p.add_argument("--refinements", type=int, default=4)
     p.add_argument("--base-count", type=int, default=None, help="coarsest grid node count")
     p.add_argument("--out", help="also write the JSON report here")
 
     p = add_command("propagate", _run_propagate, "spectrally propagate a lifted state and compare")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--to-tau", type=float, required=True)
+    p.add_argument("--to-tau", type=finite, required=True)
     p.add_argument("--grid", type=_flag_type(_parse_grid), required=True)
     p.add_argument("--out", required=True)
     return parser
@@ -367,10 +374,9 @@ def _numerical_failure(exc: OscfreeError) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        # a range spec such as --tau 1e308:-1e308:3 overflows while it is parsed
+        parser = build_parser()
+        args = parser.parse_args(_fuse_dash_values(parser, argv))
         with np.errstate(over="raise", invalid="raise"):
-            parser = build_parser()
-            args = parser.parse_args(_fuse_dash_values(parser, argv))
             return args.run(args)
     except OscfreeError as exc:
         return _numerical_failure(exc)

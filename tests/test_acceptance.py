@@ -104,16 +104,15 @@ def test_c02_oscillator_equation_residual():
 
 
 def test_c03_round_trip_identity():
-    x = np.linspace(-12.0, 12.0, 10001)[None, :]
+    x = np.linspace(-12.0, 12.0, 10001)
     worst = 0.0
     for n in range(6):
         qn = QuantumNumbers1D(n)
-        psi = lambda xx, tt: eigenstate_1d(PARAMS, qn, xx[0], tt)
-        chi = lambda yy, ss: lift_wavefunction(psi, PARAMS, 1, yy, ss)
+        psi = lambda xx, tt: eigenstate_1d(PARAMS, qn, xx, tt)
+        back = pull_back_wavefunction(lift_wavefunction(psi, PARAMS), PARAMS)
         for t in (-1.4, -0.7, 0.0, 0.9, 1.4):
-            back = pull_back_wavefunction(chi, PARAMS, 1, x, t)
-            direct = eigenstate_1d(PARAMS, qn, x[0], t)
-            worst = max(worst, float(np.abs(back - direct).max()))
+            direct = eigenstate_1d(PARAMS, qn, x, t)
+            worst = max(worst, float(np.abs(back(x, t) - direct).max()))
     report(worst < 1e-12, f"C03 round-trip identity: max pointwise gap {worst:.2e} < 1e-12")
 
 

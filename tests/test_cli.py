@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -297,11 +298,60 @@ class TestErrorPaths:
         assert not out.exists()
 
     def test_non_finite_table_names_the_column(self, tmp_path, capsys):
+        # the classical amplitude sqrt(2E / (m omega^2)) overflows to inf
         out = tmp_path / "x.csv"
-        assert main(["envelope", "--energy", "1", "--tau", "inf", "--out", str(out)]) == 3
+        args = ["envelope", "--energy", "1e308", "--mass", "1e-300", "--tau", "0,1"]
+        assert main(args + ["--out", str(out)]) == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["type"] == "NonFiniteError"
-        assert repr("tau") in payload["error"]["message"]
+        assert repr("y_plus") in payload["error"]["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["gen1d", "--n", "2", "--grid", "-4:4:5", "--tau", "nan"], "--tau"),
+            (["gen1d", "--n", "2", "--grid", "-4:4:5", "--tau", "inf"], "--tau"),
+            (["gen2d", "--l", "1", "--grid", "-4:4:5", "--tau", "0,nan"], "--tau"),
+            (["peaks", "--n", "2", "--tau", "nan"], "--tau"),
+            (["peaks", "--n", "2", "--tau", "0:inf:3"], "--tau"),
+            (["envelope", "--energy", "1", "--tau", "nan"], "--tau"),
+            (["envelope", "--energy", "1", "--tau", "1e308:-1e308:3"], "--tau"),
+            (["envelope", "--energy", "1", "--tau", "0", "--alpha", "nan"], "--alpha"),
+            (["propagate", "--n", "2", "--grid", "-20:20:101", "--to-tau", "nan"], "--to-tau"),
+            (["verify", "--suite", "free-residual", "--tau", "nan"], "--tau"),
+            (["verify", "--suite", "osc-residual", "--time", "nan"], "--time"),
+        ],
+    )
+    def test_non_finite_time_is_usage_error(self, tmp_path, capsys, args, flag):
+        out = tmp_path / "x.out"
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    # each count is checked before anything of that size is allocated
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gen1d", "--n", "2", "--tau", "0", "--grid", "-1:1:1000000000000"],
+            ["gen2d", "--l", "1", "--tau", "0", "--grid", "-1:1:5000"],
+            ["envelope", "--energy", "1", "--tau", "0:1:1000000000000"],
+            ["peaks", "--n", "2", "--tau", "0", "--count", "1000000000000"],
+            ["verify", "--suite", "free-residual", "--refinements", "40"],
+            ["verify", "--suite", "free-residual-2d", "--refinements", "8"],
+        ],
+        ids=["grid", "grid-2d", "range", "peaks-count", "verify-1d", "verify-2d"],
+    )
+    def test_count_over_point_budget_is_usage_error(self, tmp_path, capsys, args):
+        out = tmp_path / "x.out"
+        try:
+            code = main(args + ["--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert "16777216" in capsys.readouterr().err
         assert not out.exists()
 
     # m omega^2 underflows to 0, so the classical amplitude divides by zero
@@ -489,9 +539,16 @@ NUMBERS = _mostly(
     st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e-200", "-1e-3", "-1", "0", ""]),
 )
 LEVELS = _mostly(st.integers(0, 40).map(str), st.sampled_from(["-1", "", "nan", "1e308"]))
-# bounded so that no example builds a large table or grid
-COUNTS = _mostly(st.sampled_from(["3", "21", "201"]), st.sampled_from(["-1", "0", "1", "2", ""]))
-RANGE_COUNTS = _mostly(st.sampled_from(["1", "3"]), st.sampled_from(["-1", "0"]))
+# far below the point budget, or one eighth of the time far above it, so
+# that no example builds a large table or grid
+HUGE = "1000000000000"
+COUNTS = _mostly(
+    _mostly(st.sampled_from(["3", "21", "201"]), st.sampled_from(["-1", "0", "1", "2", ""])),
+    st.just(HUGE),
+)
+RANGE_COUNTS = _mostly(
+    _mostly(st.sampled_from(["1", "3"]), st.sampled_from(["-1", "0"])), st.just(HUGE)
+)
 RANGES = st.one_of(
     NUMBERS,
     st.lists(NUMBERS, min_size=2, max_size=3).map(",".join),
@@ -502,6 +559,7 @@ GRIDS = _mostly(
     st.one_of(NUMBERS, st.tuples(NUMBERS, NUMBERS, COUNTS).map(":".join)),
 )
 GRIDS_2D = st.one_of(GRIDS, st.tuples(GRIDS, GRIDS).map(",".join))
+TIME_FLAGS = ("--tau", "--to-tau", "--time")
 SUITES = _mostly(
     st.sampled_from(["free-residual", "osc-residual", "free-residual-2d"]), st.just("none")
 )
@@ -549,6 +607,13 @@ def test_exit_codes_over_random_arguments(data, command):
         except SystemExit as exc:
             code = exc.code
         assert code in {0, 2, 3, 4, 5}, argv
+        # a non-finite time, or a count over the point budget in a value that
+        # is parsed with its flag, is a usage error whatever else was drawn
+        parts = {f: set(re.split("[,:]", v)) for f, v in given.items()}
+        if any(parts.get(f, set()) & {"nan", "inf", "-inf"} for f in TIME_FLAGS):
+            assert code == 2, argv
+        if any(HUGE in parts.get(f, set()) for f in ("--tau", "--alpha", "--grid")):
+            assert code == 2, argv
         # no drawn value starts with "--", so each belongs to its flag
         assert "expected one argument" not in err.getvalue(), argv
         if code in {2, 3, 5}:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from oscfree import (
@@ -22,6 +24,7 @@ from oscfree import (
     pull_back_wavefunction,
 )
 from oscfree.analysis import Grid1D, Grid2D, auto_grid, residual
+from oscfree.transform import _stretch_sq
 
 PI_HALF = math.pi ** -0.5
 
@@ -50,6 +53,24 @@ class TestTimeMaps:
         with pytest.raises(HalfPeriodError):
             osc_to_free_time(OscillatorParams(1, 2), -math.pi / 4)
         assert free_to_osc_time(params, 1e9) < math.pi / 2
+
+
+# omega * tau stays within 1e150, so the square cannot overflow
+@settings(max_examples=300, deadline=None)
+@given(
+    omega=st.floats(5e-324, 1e10),
+    taus=st.lists(
+        st.floats(-1e140, 1e140) | st.sampled_from([5e-324, -2.5e-310, -0.0]), max_size=12
+    ),
+)
+def test_stretch_sq_bits(omega, taus):
+    # the stretch of an array of times is each time's scalar stretch, bit for
+    # bit, and both are Python's 1 + (omega tau)**2; a scalar gives a float
+    params = OscillatorParams(1.0, omega)
+    scalar = [_stretch_sq(params, t) for t in taus]
+    assert all(type(s2) is float for s2 in scalar)
+    assert _stretch_sq(params, np.array(taus, dtype=float)).tolist() == scalar
+    assert scalar == [1.0 + (omega * t) ** 2 for t in taus]
 
 
 class TestSpaceMaps:
@@ -87,71 +108,73 @@ class TestSpaceMaps:
 class TestLiftAndPullBack:
     def test_lift_identity_at_tau_zero(self, params):
         qn = QuantumNumbers1D(3)
-        y = np.linspace(-4, 4, 41)[None, :]
-        psi = lambda x, t: eigenstate_1d(params, qn, x[0], t)
+        y = np.linspace(-4, 4, 41)
+        psi = lambda x, t: eigenstate_1d(params, qn, x, t)
         assert np.allclose(
-            lift_wavefunction(psi, params, 1, y, 0.0),
-            eigenstate_1d(params, qn, y[0], 0.0),
+            lift_wavefunction(psi, params)(y, 0.0),
+            eigenstate_1d(params, qn, y, 0.0),
             atol=1e-15,
         )
 
     def test_lifted_ground_state_density_decay(self, params):
         # |chi(0, tau)|^2 = rho_0(0) / sqrt(1 + tau^2)
-        psi = lambda x, t: eigenstate_1d(params, QuantumNumbers1D(0), x[0], t)
+        psi = lambda x, t: eigenstate_1d(params, QuantumNumbers1D(0), x, t)
         for tau in (0.0, 0.7, 3.0, 10.0):
-            chi = lift_wavefunction(psi, params, 1, np.zeros((1,)), tau)
+            chi = lift_wavefunction(psi, params)(0.0, tau)
             expected = PI_HALF / math.sqrt(1.0 + tau**2)
             assert abs(chi) ** 2 == pytest.approx(expected, rel=1e-13)
 
     def test_lift_preserves_norm(self, params):
         qn = QuantumNumbers1D(2)
-        psi = lambda x, t: eigenstate_1d(params, qn, x[0], t)
+        psi = lambda x, t: eigenstate_1d(params, qn, x, t)
         for tau in (0.0, 1.0, 5.0):
             grid = auto_grid(params, 2, tau, 8001)
-            chi = lift_wavefunction(psi, params, 1, grid.nodes[None, :], tau)
+            chi = lift_wavefunction(psi, params)(grid.nodes, tau)
             assert simpson(np.abs(chi) ** 2, x=grid.nodes) == pytest.approx(1.0, abs=1e-8)
-
-    def test_lift_checks_leading_axis(self, params):
-        psi = lambda x, t: eigenstate_1d(params, QuantumNumbers1D(0), x[0], t)
-        with pytest.raises(ValueError):
-            lift_wavefunction(psi, params, 2, np.zeros((1, 5)), 0.0)
 
     def test_pull_back_identity_at_time_zero(self, params):
         qn = QuantumNumbers1D(2)
-        x = np.linspace(-4, 4, 17)[None, :]
-        chi = lambda y, tau: lifted_eigenstate_1d(params, qn, y[0], tau)
+        x = np.linspace(-4, 4, 17)
+        chi = lambda y, tau: lifted_eigenstate_1d(params, qn, y, tau)
         assert np.allclose(
-            pull_back_wavefunction(chi, params, 1, x, 0.0),
-            lifted_eigenstate_1d(params, qn, x[0], 0.0),
+            pull_back_wavefunction(chi, params)(x, 0.0),
+            lifted_eigenstate_1d(params, qn, x, 0.0),
             atol=1e-15,
         )
 
     def test_pull_back_window_guard(self, params):
-        chi = lambda y, tau: lifted_eigenstate_1d(params, QuantumNumbers1D(0), y[0], tau)
+        chi = lambda y, tau: lifted_eigenstate_1d(params, QuantumNumbers1D(0), y, tau)
         with pytest.raises(HalfPeriodError):
-            pull_back_wavefunction(chi, params, 1, np.zeros((1,)), 1.6)
+            pull_back_wavefunction(chi, params)(0.0, 1.6)
 
     def test_round_trip_through_both_maps(self, params):
-        x = np.linspace(-12, 12, 10001)[None, :]
+        x = np.linspace(-12, 12, 10001)
         for n in range(6):
             qn = QuantumNumbers1D(n)
-            psi = lambda xx, tt: eigenstate_1d(params, qn, xx[0], tt)
-            chi = lambda yy, ss: lift_wavefunction(psi, params, 1, yy, ss)
+            psi = lambda xx, tt: eigenstate_1d(params, qn, xx, tt)
+            back = pull_back_wavefunction(lift_wavefunction(psi, params), params)
             for t in (-1.4, -0.7, 0.0, 0.9, 1.4):
-                back = pull_back_wavefunction(chi, params, 1, x, t)
-                direct = eigenstate_1d(params, qn, x[0], t)
-                assert np.abs(back - direct).max() < 1e-12
+                direct = eigenstate_1d(params, qn, x, t)
+                assert np.abs(back(x, t) - direct).max() < 1e-12
+
+    @pytest.mark.parametrize("n_radial, l", [(0, 2), (1, -1), (3, 4)])
+    def test_round_trip_2d(self, params, n_radial, l):
+        qn = QuantumNumbers2D(n_radial, l)
+        psi = lambda x1, x2, t: eigenstate_2d(params, qn, np.hypot(x1, x2), np.arctan2(x2, x1), t)
+        back = pull_back_wavefunction(lift_wavefunction(psi, params), params)
+        x1, x2 = np.meshgrid(np.linspace(-7, 7, 57), np.linspace(-6, 6, 49), indexing="ij")
+        for t in (-1.4, 0.0, 0.9):
+            assert np.abs(back(x1, x2, t) - psi(x1, x2, t)).max() < 1e-12
 
     def test_round_trip_other_direction(self, params):
-        y = np.linspace(-20, 20, 10001)[None, :]
+        y = np.linspace(-20, 20, 10001)
         for n in range(6):
             qn = QuantumNumbers1D(n)
-            chi = lambda yy, ss: lifted_eigenstate_1d(params, qn, yy[0], ss)
-            psi = lambda xx, tt: pull_back_wavefunction(chi, params, 1, xx, tt)
+            chi = lambda yy, ss: lifted_eigenstate_1d(params, qn, yy, ss)
+            forward = lift_wavefunction(pull_back_wavefunction(chi, params), params)
             for tau in (-3.0, 0.5, 2.0):
-                forward = lift_wavefunction(psi, params, 1, y, tau)
-                direct = lifted_eigenstate_1d(params, qn, y[0], tau)
-                assert np.abs(forward - direct).max() < 1e-12
+                direct = lifted_eigenstate_1d(params, qn, y, tau)
+                assert np.abs(forward(y, tau) - direct).max() < 1e-12
 
 
 class TestLiftedEigenstate1D:
@@ -181,9 +204,9 @@ class TestLiftedEigenstate1D:
         y = np.linspace(-20, 20, 10001)
         for n in range(6):
             qn = QuantumNumbers1D(n)
-            psi = lambda xx, tt: eigenstate_1d(params, qn, xx[0], tt)
+            chi = lift_wavefunction(lambda xx, tt: eigenstate_1d(params, qn, xx, tt), params)
             for tau in (0.0, 1.0, 5.0):
-                generic = lift_wavefunction(psi, params, 1, y[None, :], tau)
+                generic = chi(y, tau)
                 closed = lifted_eigenstate_1d(params, qn, y, tau)
                 assert np.abs(generic - closed).max() < 1e-14
 
@@ -213,14 +236,12 @@ class TestLiftedEigenstate2D:
     def test_matches_generic_lift(self, params, n_radial, l):
         qn = QuantumNumbers2D(n_radial, l)
 
-        def psi(x, t):
-            r = np.hypot(x[0], x[1])
-            phi = np.arctan2(x[1], x[0])
-            return eigenstate_2d(params, qn, r, phi, t)
+        def psi(x1, x2, t):
+            return eigenstate_2d(params, qn, np.hypot(x1, x2), np.arctan2(x2, x1), t)
 
         nodes = np.linspace(-8, 8, 41)
         y1, y2 = np.meshgrid(nodes, nodes, indexing="ij")
-        generic = lift_wavefunction(psi, params, 2, np.stack([y1, y2]), 1.5)
+        generic = lift_wavefunction(psi, params)(y1, y2, 1.5)
         closed = lifted_eigenstate_2d(params, qn, y1, y2, 1.5)
         assert np.abs(generic - closed).max() < 1e-14
 
