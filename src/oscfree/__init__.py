@@ -23,7 +23,6 @@ from .analysis import (
     find_density_maxima,
     norm,
     peak_trajectory_check,
-    peak_widths,
     residual,
     residual_study,
     sample_field,

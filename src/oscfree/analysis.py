@@ -295,15 +295,16 @@ def density_scaling_check(params: OscillatorParams, n: int, tau: float, grid: Gr
 
 @dataclass(frozen=True)
 class PeakRecord:
-    """Refined density-maximum positions and heights at one free time."""
+    """Density maxima at one free time: refined positions, heights, full widths at half maximum."""
 
     tau: float
     positions: list[float]
     heights: list[float]
+    widths: list[float]
 
     def __post_init__(self) -> None:
-        if len(self.positions) != len(self.heights):
-            raise ValueError("positions and heights must pair up")
+        if not len(self.positions) == len(self.heights) == len(self.widths):
+            raise ValueError("positions, heights and widths must pair up")
         if not all(a < b for a, b in zip(self.positions, self.positions[1:])):
             raise ValueError("positions must be strictly increasing")
         if not all(h > 0 for h in self.heights):
@@ -314,12 +315,16 @@ _PEAK_HEIGHT_FLOOR = 1e-12  # relative to the tallest peak, suppresses tail nois
 
 
 def find_density_maxima(field: ComplexField) -> PeakRecord:
-    """Locate strict interior local maxima of the sampled density.
+    """Locate and measure the strict interior local maxima of the sampled density.
 
-    Each maximum is refined by the vertex of the parabola through the
-    three surrounding nodes.  Maxima closer than three grid spacings are
-    reported as PeakDetectionError (the grid is too coarse to trust), as
-    is a field with no maxima at all.
+    Each maximum's position and height are the vertex of the parabola
+    through the three surrounding nodes.  Its full width at half maximum
+    joins the half-height crossings on either side, each interpolated
+    linearly between the two nodes around it and searched for between the
+    maximum's node and the neighbouring maxima's (or the grid ends).
+    PeakDetectionError is raised for a field with no maxima, for maxima
+    closer than three grid spacings (the grid is too coarse to trust) and
+    for a crossing that runs off the grid or into the neighbouring peak.
     """
     d = field.density()
     dmax = float(d.max())
@@ -331,59 +336,49 @@ def find_density_maxima(field: ComplexField) -> PeakRecord:
         raise PeakDetectionError("no interior density maxima found")
     h = field.grid.spacing
     y = field.grid.nodes
-    positions: list[float] = []
-    heights: list[float] = []
-    for j in idx:
-        denom = d[j + 1] - 2.0 * d[j] + d[j - 1]
-        offset = 0.5 * h * (d[j - 1] - d[j + 1]) / denom
-        positions.append(float(y[j] + offset))
-        heights.append(float(d[j] - (d[j + 1] - d[j - 1]) ** 2 / (8.0 * denom)))
-    for a, b in zip(positions, positions[1:]):
-        if b - a < 3.0 * h:
-            raise PeakDetectionError(
-                f"maxima at {a} and {b} are closer than 3 grid spacings ({3 * h})"
-            )
-    return PeakRecord(field.time_label, positions, heights)
+    below, at, above = d[idx - 1], d[idx], d[idx + 1]
+    denom = above - 2.0 * at + below
+    positions = y[idx] + 0.5 * h * (below - above) / denom
+    # float_power rounds like a scalar ** (libm pow), where an array ** 2 squares
+    heights = at - np.float_power(above - below, 2) / (8.0 * denom)
+    close = np.flatnonzero(np.diff(positions) < 3.0 * h)
+    if close.size:
+        a, b = positions[close[0]], positions[close[0] + 1]
+        raise PeakDetectionError(f"maxima at {a} and {b} are closer than 3 grid spacings ({3 * h})")
+    half = 0.5 * heights
+    ends = np.concatenate(([0], idx, [d.size - 1]))
+    lo = np.empty_like(idx)  # last node under half height at or left of each maximum
+    hi = np.empty_like(idx)  # first node under half height at or right of it
+    for k, j in enumerate(idx):
+        before = np.flatnonzero(d[ends[k] : j + 1] < half[k])
+        if before.size == 0:
+            raise PeakDetectionError(f"no left half-maximum crossing for peak at {positions[k]}")
+        after = np.flatnonzero(d[j : ends[k + 2] + 1] < half[k])
+        if after.size == 0:
+            raise PeakDetectionError(f"no right half-maximum crossing for peak at {positions[k]}")
+        lo[k], hi[k] = ends[k] + before[-1], j + after[0]
+    left = y[lo] + h * (half - d[lo]) / (d[lo + 1] - d[lo])
+    right = y[hi - 1] + h * (half - d[hi - 1]) / (d[hi] - d[hi - 1])
+    widths = right - left
+    return PeakRecord(field.time_label, positions.tolist(), heights.tolist(), widths.tolist())
 
 
-def _lifted_peaks(params: OscillatorParams, n: int, tau: float, count: int):
-    """The lifted level n sampled on its auto grid at free time tau, and its density maxima."""
+def _lifted_peaks(params: OscillatorParams, n: int, tau: float, count: int) -> PeakRecord:
+    """Density maxima of the lifted level n, sampled on its auto grid at free time tau.
+
+    Level n has n + 1 maxima; finding another number is a PeakDetectionError.
+    """
     qn = QuantumNumbers1D(n)
     grid = auto_grid(params, n, tau, count)
-    fld = sample_field(lambda y, s: lifted_eigenstate_1d(params, qn, y, s), grid, tau)
-    return fld, find_density_maxima(fld)
-
-
-def peak_widths(field: ComplexField, record: PeakRecord) -> list[float]:
-    """Full width at half maximum of each recorded peak.
-
-    Half-maximum crossings are found by linear interpolation on the
-    sampled density; a crossing that runs off the grid or into the
-    neighbouring peak is a detection failure.
-    """
-    d = field.density()
-    y = field.grid.nodes
-    h = field.grid.spacing
-    widths: list[float] = []
-    node_idx = [int(round((p - field.grid.y_min) / h)) for p in record.positions]
-    for k, (j, height) in enumerate(zip(node_idx, record.heights)):
-        half = 0.5 * height
-        lo_limit = node_idx[k - 1] if k > 0 else 0
-        hi_limit = node_idx[k + 1] if k + 1 < len(node_idx) else len(d) - 1
-        i = j
-        while i > lo_limit and d[i] >= half:
-            i -= 1
-        if d[i] >= half:
-            raise PeakDetectionError(f"no left half-maximum crossing for peak at {record.positions[k]}")
-        left = y[i] + h * (half - d[i]) / (d[i + 1] - d[i])
-        i = j
-        while i < hi_limit and d[i] >= half:
-            i += 1
-        if d[i] >= half:
-            raise PeakDetectionError(f"no right half-maximum crossing for peak at {record.positions[k]}")
-        right = y[i - 1] + h * (half - d[i - 1]) / (d[i] - d[i - 1])
-        widths.append(float(right - left))
-    return widths
+    record = find_density_maxima(
+        sample_field(lambda y, s: lifted_eigenstate_1d(params, qn, y, s), grid, tau)
+    )
+    if len(record.positions) != n + 1:
+        raise PeakDetectionError(
+            f"level {n} has {n + 1} density maxima, found {len(record.positions)} at tau={tau}"
+            f" on {count} nodes"
+        )
+    return record
 
 
 @dataclass(frozen=True)
@@ -415,27 +410,21 @@ def peak_trajectory_check(
     if 0.0 not in tau_list:
         raise ValueError("taus must include 0 (the baseline)")
     natural = 1.0 / math.sqrt(params.mass * params.omega)
-    base_fld, base_rec = _lifted_peaks(params, n, 0.0, count)
-    base_widths = peak_widths(base_fld, base_rec)
+    base_rec = _lifted_peaks(params, n, 0.0, count)
     records = [base_rec]
     pos_err = 0.0
     width_err = 0.0
     for tau in tau_list:
         if tau == 0.0:
             continue
-        fld, rec = _lifted_peaks(params, n, tau, count)
-        widths = peak_widths(fld, rec)
+        rec = _lifted_peaks(params, n, tau, count)
         records.append(rec)
-        if len(rec.positions) != len(base_rec.positions):
-            raise PeakDetectionError(
-                f"peak count changed from {len(base_rec.positions)} to {len(rec.positions)} at tau={tau}"
-            )
         stretch = math.sqrt(_stretch_sq(params, tau))
         for p0, p in zip(base_rec.positions, rec.positions):
             expected = p0 * stretch
             scale = max(abs(expected), natural * stretch)
             pos_err = max(pos_err, abs(p - expected) / scale)
-        for w0, w in zip(base_widths, widths):
+        for w0, w in zip(base_rec.widths, rec.widths):
             width_err = max(width_err, abs(w - w0 * stretch) / (w0 * stretch))
     return PeakLawReport(len(base_rec.positions), pos_err, width_err, records)
 
@@ -458,7 +447,7 @@ def semiclassical_gap(
         raise ValueError("levels must be strictly increasing")
     out: list[tuple[int, float]] = []
     for n in ns:
-        _, rec = _lifted_peaks(params, n, 0.0, count)
+        rec = _lifted_peaks(params, n, 0.0, count)
         x_turn = TrajectoryFamily.from_level(params, n).amplitude
         out.append((n, (x_turn - rec.positions[-1]) / x_turn))
     return out

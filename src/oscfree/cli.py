@@ -5,14 +5,15 @@ trajectories, peak tracks, spectral propagation, and residual
 verification reports, as CSV or JSON artifacts for external plotting.
 
 Exit codes: 0 ok, 2 usage error (a malformed or non-finite flag value,
-named in the message, or a grid or range over the 2**24-point budget), 3
-numerical precondition failure (peak detection, boundary decay,
-half-period window, non-finite sampled values, a non-finite table, which
-is then not written, or a floating-point overflow, invalid operation or
-division by zero), 4 verification failure (a verify suite ran but its
-pass criterion did not hold), 5 I/O error (the output file could not be
-written).  Nothing is written on exit 2 or 3, and verify writes its
---out report before printing it.
+named in the message, or a grid, range or table over the 2**24-point or
+2**24-row budget), 3 numerical precondition failure (peak detection,
+including a level that shows other than n + 1 maxima on its peaks grid,
+boundary decay, half-period window, non-finite sampled values, a
+non-finite table, which is then not written, or a floating-point
+overflow, invalid operation or division by zero), 4 verification failure
+(a verify suite ran but its pass criterion did not hold), 5 I/O error
+(the output file could not be written).  Nothing is written on exit 2 or
+3, and verify writes its --out report before printing it.
 
 Grid specs are `min:max:count`; tau lists are comma-separated values or
 `min:max:count` ranges.  Any flag takes a dash-leading value (-1e-3,
@@ -42,7 +43,6 @@ from .analysis import (
     auto_grid_2d,
     coordinates,
     norm,
-    peak_widths,
     residual_study,
     sample_field,
     spectral_propagate_free,
@@ -136,8 +136,16 @@ def _write_table(
         Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
 
 
+def _check_rows(taus: int, per_tau: int, what: str) -> None:
+    """Fail before anything is evaluated when a table of taus x per_tau rows is over the budget."""
+    if taus * per_tau > _POINT_BUDGET:
+        rows = f"{taus} taus x {per_tau} {what}"
+        raise ValueError(f"need at most {_POINT_BUDGET} table rows, got {rows}")
+
+
 def _write_field_table(args: argparse.Namespace, lift, taus, names) -> None:
     """Tabulate lift(*coords, tau) on args.grid per tau as tau, coordinate, re, im, density."""
+    _check_rows(len(taus), math.prod(axis.count for axis in args.grid.axes), "grid points")
     coords = coordinates(args.grid)
     values = np.concatenate([lift(*coords, tau).ravel() for tau in taus])
     re, im = values.real, values.imag
@@ -173,10 +181,9 @@ def _run_peaks(args: argparse.Namespace) -> int:
     params = OscillatorParams(args.mass, args.omega)
     per_tau = []
     for tau in args.tau:
-        fld, record = _lifted_peaks(params, args.n, tau, args.count)
-        widths = peak_widths(fld, record)
-        k = len(widths)
-        per_tau.append((np.full(k, tau), np.arange(k), record.positions, record.heights, widths))
+        rec = _lifted_peaks(params, args.n, tau, args.count)
+        k = len(rec.widths)
+        per_tau.append((np.full(k, tau), np.arange(k), rec.positions, rec.heights, rec.widths))
     header = ["tau", "peak_index", "position", "height", "fwhm"]
     columns = [np.concatenate(c) for c in zip(*per_tau)]
     _write_table(args.out, header, columns, args.format, "peaks")
@@ -191,6 +198,7 @@ def _run_envelope(args: argparse.Namespace) -> int:
         fam = TrajectoryFamily.from_level(params, args.energy_from_n)
     taus = np.array(args.tau)
     if args.alpha:
+        _check_rows(taus.size, len(args.alpha), "alphas")
         header = ["tau", "alpha", "y"]
         columns = [
             np.tile(taus, len(args.alpha)),

@@ -1,13 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from oscfree import (
     BoundaryDecayError,
     NonFiniteError,
     NormalizationError,
+    OscillatorParams,
     PeakDetectionError,
     QuantumNumbers1D,
     QuantumNumbers2D,
@@ -32,7 +36,6 @@ from oscfree.analysis import (
     find_density_maxima,
     norm,
     peak_trajectory_check,
-    peak_widths,
     residual,
     residual_study,
     sample_field,
@@ -415,6 +418,55 @@ class TestDensityScaling:
         assert density_scaling_check(params, 5, 4.0, grid) < 1e-12
 
 
+def reference_peaks(field):
+    """Positions, heights and widths of the density maxima, one peak and one node at a time.
+
+    The per-peak refinement and the node-by-node half-maximum walks that
+    find_density_maxima replaced, kept as its bit-exact reference.
+    """
+    d = field.density()
+    dmax = float(d.max())
+    if dmax == 0.0:
+        raise PeakDetectionError("flat zero field has no maxima")
+    floor = 1e-12 * dmax
+    idx = np.nonzero((d[1:-1] > d[:-2]) & (d[1:-1] > d[2:]) & (d[1:-1] > floor))[0] + 1
+    if idx.size == 0:
+        raise PeakDetectionError("no interior density maxima found")
+    h = field.grid.spacing
+    y = field.grid.nodes
+    positions, heights = [], []
+    for j in idx:
+        denom = d[j + 1] - 2.0 * d[j] + d[j - 1]
+        offset = 0.5 * h * (d[j - 1] - d[j + 1]) / denom
+        positions.append(float(y[j] + offset))
+        heights.append(float(d[j] - (d[j + 1] - d[j - 1]) ** 2 / (8.0 * denom)))
+    for a, b in zip(positions, positions[1:]):
+        if b - a < 3.0 * h:
+            raise PeakDetectionError(
+                f"maxima at {a} and {b} are closer than 3 grid spacings ({3 * h})"
+            )
+    widths = []
+    node_idx = [int(round((p - field.grid.y_min) / h)) for p in positions]
+    for k, (j, height) in enumerate(zip(node_idx, heights)):
+        half = 0.5 * height
+        lo_limit = node_idx[k - 1] if k > 0 else 0
+        hi_limit = node_idx[k + 1] if k + 1 < len(node_idx) else len(d) - 1
+        i = j
+        while i > lo_limit and d[i] >= half:
+            i -= 1
+        if d[i] >= half:
+            raise PeakDetectionError(f"no left half-maximum crossing for peak at {positions[k]}")
+        left = y[i] + h * (half - d[i]) / (d[i + 1] - d[i])
+        i = j
+        while i < hi_limit and d[i] >= half:
+            i += 1
+        if d[i] >= half:
+            raise PeakDetectionError(f"no right half-maximum crossing for peak at {positions[k]}")
+        right = y[i - 1] + h * (half - d[i - 1]) / (d[i] - d[i - 1])
+        widths.append(float(right - left))
+    return positions, heights, widths
+
+
 class TestPeaks:
     def test_single_gaussian_peak(self, params):
         for tau in (0.0, 2.0):
@@ -459,15 +511,52 @@ class TestPeaks:
         grid = auto_grid(params, 0, 0.0, 32001)
         field = sample_field(lifted(params, 0), grid, 0.0)
         record = find_density_maxima(field)
-        widths = peak_widths(field, record)
-        assert widths[0] == pytest.approx(FWHM_GAUSSIAN, abs=1e-6)
+        assert record.widths[0] == pytest.approx(FWHM_GAUSSIAN, abs=1e-6)
 
     def test_fwhm_broadens_with_tau(self, params):
         stretch = math.sqrt(1.0 + 4.0)
         grid = auto_grid(params, 0, 2.0, 32001)
         field = sample_field(lifted(params, 0), grid, 2.0)
-        widths = peak_widths(field, find_density_maxima(field))
+        widths = find_density_maxima(field).widths
         assert widths[0] == pytest.approx(FWHM_GAUSSIAN * stretch, rel=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(0, 40),
+        tau=st.floats(-5.0, 5.0),
+        count=st.integers(200, 20001),
+    )
+    def test_matches_per_peak_reference(self, n, tau, count):
+        params = OscillatorParams(1.0, 1.0)
+        field = sample_field(lifted(params, n), auto_grid(params, n, tau, count), tau)
+        try:
+            expected = reference_peaks(field)
+        except PeakDetectionError as exc:
+            with pytest.raises(PeakDetectionError, match=re.escape(str(exc))):
+                find_density_maxima(field)
+            return
+        record = find_density_maxima(field)
+        assert (record.positions, record.heights, record.widths) == expected
+
+    # densities on 11 nodes: a maximum at node 2 whose left flank stays above
+    # half height to the grid end, its mirror image, and two maxima four
+    # nodes apart with no half-height dip between them
+    @pytest.mark.parametrize(
+        "density, side",
+        [
+            ([0.8, 0.9, 1.0, 0.3, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], "left"),
+            ([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.1, 0.3, 1.0, 0.9, 0.8], "right"),
+            ([0.0, 0.1, 1.0, 0.8, 0.7, 0.8, 1.0, 0.1, 0.0, 0.0, 0.0], "right"),
+        ],
+        ids=["left-off-grid", "right-off-grid", "into-neighbour"],
+    )
+    def test_crossing_failures(self, density, side):
+        field = ComplexField(Grid1D(-1.0, 1.0, 11), np.sqrt(density).astype(complex), 0.0)
+        message = f"no {side} half-maximum crossing"
+        with pytest.raises(PeakDetectionError, match=message):
+            reference_peaks(field)
+        with pytest.raises(PeakDetectionError, match=message):
+            find_density_maxima(field)
 
 
 class TestPeakLaw:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oscfree import OscillatorParams, QuantumNumbers2D, lifted_eigenstate_2d
+from oscfree import OscillatorParams, QuantumNumbers2D, cli, lifted_eigenstate_2d
 from oscfree.cli import _CSV_BLOCK_ROWS, _write_table, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -154,6 +154,20 @@ class TestPeaks:
         out = tmp_path / "peaks.csv"
         assert main(PEAKS_GOLDEN_ARGS + ["--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "peaks_n5.csv").read_bytes()
+
+    # grids too coarse to resolve every maximum of the level
+    @pytest.mark.parametrize(
+        "args, found",
+        [(["--n", "6", "--tau", "0,1", "--count", "41"], 3),
+         (["--n", "2", "--tau", "0", "--count", "3"], 1)],
+    )
+    def test_missing_maxima_exit_3(self, tmp_path, capsys, args, found):
+        out = tmp_path / "peaks.csv"
+        assert main(["peaks", *args, "--out", str(out)]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "PeakDetectionError"
+        assert f"found {found} " in error["message"]
+        assert not out.exists()
 
 
 class TestGen2D:
@@ -331,7 +345,8 @@ class TestErrorPaths:
         assert f"argument {flag}: " in capsys.readouterr().err
         assert not out.exists()
 
-    # each count is checked before anything of that size is allocated
+    # each count, and the row count of a table, is checked before anything of
+    # that size is allocated or evaluated; the table cases are just over budget
     @pytest.mark.parametrize(
         "args",
         [
@@ -341,10 +356,18 @@ class TestErrorPaths:
             ["peaks", "--n", "2", "--tau", "0", "--count", "1000000000000"],
             ["verify", "--suite", "free-residual", "--refinements", "40"],
             ["verify", "--suite", "free-residual-2d", "--refinements", "8"],
+            ["gen1d", "--n", "2", "--tau", "0:1:2", "--grid", "-1:1:8388609"],
+            ["envelope", "--energy", "1", "--tau", "0:1:4097", "--alpha", "0:1:4097"],
         ],
-        ids=["grid", "grid-2d", "range", "peaks-count", "verify-1d", "verify-2d"],
+        ids=["grid", "grid-2d", "range", "peaks-count", "verify-1d", "verify-2d",
+             "table-rows", "trajectory-rows"],
     )
-    def test_count_over_point_budget_is_usage_error(self, tmp_path, capsys, args):
+    def test_count_over_point_budget_is_usage_error(self, tmp_path, monkeypatch, capsys, args):
+        def evaluated(*_):
+            raise AssertionError("an over-budget table was evaluated")
+
+        monkeypatch.setattr(cli, "lifted_eigenstate_1d", evaluated)
+        monkeypatch.setattr(cli, "free_trajectory", evaluated)
         out = tmp_path / "x.out"
         try:
             code = main(args + ["--out", str(out)])
