@@ -8,11 +8,46 @@ recurrences stay accurate.  Absolute precision still degrades for degree
 beyond roughly 200 because the polynomial values themselves grow, and
 they overflow from about degree 180 on wide grids; the CLI accepts any
 level and turns that overflow into a NonFiniteError (exit 3).
+
+Both recurrences run over blocks of ``_BLOCK`` points at a time, each
+step updating a few preallocated block buffers in place.  A step over
+the whole array would make several grid-sized temporaries, which on a
+grid of 10^5 points or more no longer fit in the core's cache; the block
+buffers stay in it for all n steps.  Each point sees the same operations
+in the same order as in the whole-array recurrence, so the result is
+bit-identical to it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# points per block: 128 KB per float64 buffer, so the few buffers of one
+# recurrence stay in a 2 MB L2 cache
+_BLOCK = 16384
+
+
+def _blockwise(x, buffers: int, recurrence):
+    """Evaluate ``recurrence`` on x, ``_BLOCK`` points at a time.
+
+    ``recurrence(x_block, *scratch)`` gets a 1-D slice of x (C order) and
+    ``buffers`` scratch arrays of the same length, reused from block to
+    block, and returns the block's values.  Returns an ndarray of x's
+    shape, or a float for a scalar x.
+    """
+    xa = np.asarray(x, dtype=float)
+    flat = xa.reshape(-1)
+    # a flat C-ordered output: the flat view of an array like a
+    # Fortran-ordered x would be a copy, and the block writes lost in it
+    out = np.empty(flat.size)
+    scratch = [np.empty(min(flat.size, _BLOCK)) for _ in range(buffers)]
+    for start in range(0, flat.size, _BLOCK):
+        block = flat[start:start + _BLOCK]
+        values = recurrence(block, *(buf[:block.size] for buf in scratch))
+        out[start:start + block.size] = values
+    if np.ndim(x) == 0:
+        return float(out[0])
+    return out.reshape(xa.shape)
 
 
 def hermite(n: int, x):
@@ -35,18 +70,22 @@ def hermite(n: int, x):
     """
     if n < 0:
         raise ValueError(f"Hermite degree must be nonnegative, got {n}")
-    xa = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(xa)
-    if n == 0:
-        out = h_prev
-    else:
-        h = 2.0 * xa
+
+    def recurrence(xb, x2, h, h_prev, tmp):
+        h_prev.fill(1.0)
+        if n == 0:
+            return h_prev
+        np.multiply(2.0, xb, out=x2)
+        np.copyto(h, x2)
         for k in range(1, n):
-            h, h_prev = 2.0 * xa * h - 2.0 * k * h_prev, h
-        out = h
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+            # 2x H_k - 2k H_{k-1} as 2x H_k + (-2k) H_{k-1}: the same bits
+            np.multiply(x2, h, out=tmp)
+            h_prev *= -(2.0 * k)
+            h_prev += tmp
+            h, h_prev = h_prev, h
+        return h
+
+    return _blockwise(x, 4, recurrence)
 
 
 def kummer_truncated(n: int, b: float, z):
@@ -75,13 +114,24 @@ def kummer_truncated(n: int, b: float, z):
     """
     if n < 0:
         raise ValueError(f"truncation index must be nonnegative, got {n}")
-    if b <= 0:
+    if not b > 0:
         raise ValueError(f"second parameter must be positive, got {b}")
-    za = np.asarray(z, dtype=float)
-    f_prev = np.ones_like(za)
-    f = f_prev if n == 0 else 1.0 - za / b
-    for k in range(1, n):
-        f, f_prev = f + (k * (f - f_prev) - za * f) / (b + k), f
-    if np.ndim(z) == 0:
-        return float(f)
-    return f
+
+    def recurrence(zb, f, f_prev, step, zf):
+        f_prev.fill(1.0)
+        if n == 0:
+            return f_prev
+        np.divide(zb, b, out=f)
+        np.subtract(1.0, f, out=f)
+        for k in range(1, n):
+            # F_k + (k (F_k - F_{k-1}) - z F_k) / (b + k)
+            np.subtract(f, f_prev, out=step)
+            step *= k
+            np.multiply(zb, f, out=zf)
+            step -= zf
+            step /= b + k
+            step += f
+            f, f_prev, step = step, f, f_prev
+        return f
+
+    return _blockwise(z, 4, recurrence)

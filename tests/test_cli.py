@@ -284,7 +284,7 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert not (tmp_path / "x.csv").exists()
 
-    # the Hermite recurrence overflows at this level (ROADMAP item 2); once it
+    # the Hermite recurrence overflows at this level (ROADMAP item 1); once it
     # is scaled, this failure goes away
     def test_non_finite_field_exits_3(self, tmp_path, capsys):
         code = main(["peaks", "--n", "250", "--tau", "0", "--count", "2001",
@@ -293,7 +293,7 @@ class TestErrorPaths:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["type"] == "NonFiniteError"
 
-    # the first two overflow in the Hermite/Kummer recurrences (ROADMAP item 2),
+    # the first two overflow in the Hermite/Kummer recurrences (ROADMAP item 1),
     # the third in the envelope's square; each fails where it overflows
     @pytest.mark.parametrize(
         "args",

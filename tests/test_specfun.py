@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.special import eval_genlaguerre, eval_hermite
 
-from oscfree.specfun import hermite, kummer_truncated
+from oscfree.specfun import _BLOCK, hermite, kummer_truncated
 
 
 def laguerre_recurrence(n: int, l: int, z: float) -> float:
@@ -17,6 +17,70 @@ def laguerre_recurrence(n: int, l: int, z: float) -> float:
     for k in range(1, n):
         prev, cur = cur, ((2 * k + l + 1 - z) * cur - (k + l) * prev) / (k + 1)
     return cur
+
+
+def reference_hermite(n: int, x):
+    """H_n(x) by the recurrence over the whole array at once, one new array per step.
+
+    The evaluation `hermite` replaced with its blocked, in-place one; kept
+    as the reference its bits must match.
+    """
+    xa = np.asarray(x, dtype=float)
+    h_prev = np.ones_like(xa)
+    if n == 0:
+        out = h_prev
+    else:
+        h = 2.0 * xa
+        for k in range(1, n):
+            h, h_prev = 2.0 * xa * h - 2.0 * k * h_prev, h
+        out = h
+    if np.ndim(x) == 0:
+        return float(out)
+    return out
+
+
+def reference_kummer(n: int, b: float, z):
+    """F(-n, b, z) by the recurrence over the whole array at once, one new array per step.
+
+    The evaluation `kummer_truncated` replaced with its blocked, in-place
+    one; kept as the reference its bits must match.
+    """
+    za = np.asarray(z, dtype=float)
+    f_prev = np.ones_like(za)
+    f = f_prev if n == 0 else 1.0 - za / b
+    for k in range(1, n):
+        f, f_prev = f + (k * (f - f_prev) - za * f) / (b + k), f
+    if np.ndim(z) == 0:
+        return float(f)
+    return f
+
+
+# block edges (one point short, exact, one over, two blocks and a tail)
+# and the 2-D layouts: C order, Fortran order and a strided view
+LAYOUTS = ["0-d", 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3, "c", "fortran", "strided"]
+
+
+def sample_input(layout, low: float, high: float, seed: int):
+    """Points in [low, high] shaped by `layout`, with +0.0 and -0.0 mixed in."""
+    rng = np.random.default_rng(seed)
+    if layout == "0-d":
+        return float(rng.choice([low, 0.0, -0.0, rng.uniform(low, high)]))
+    shape = (layout,) if isinstance(layout, int) else (150, 331)
+    values = rng.uniform(low, high, size=shape)
+    values.flat[::7] = 0.0
+    values.flat[::11] = -0.0
+    if layout == "fortran":
+        return np.asfortranarray(values)
+    if layout == "strided":
+        return values[:, ::3]
+    return values
+
+
+def assert_same_bits(ours, ref):
+    assert type(ours) is type(ref)
+    assert np.shape(ours) == np.shape(ref)
+    assert np.asarray(ours).dtype == np.asarray(ref).dtype
+    assert np.array_equal(np.asarray(ours).view(np.uint64), np.asarray(ref).view(np.uint64))
 
 
 class TestHermite:
@@ -61,6 +125,16 @@ class TestHermite:
         x = np.linspace(-1, 1, 7)
         assert hermite(3, x).shape == (7,)
         assert isinstance(hermite(3, 0.5), float)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=150),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_bits_match_whole_array_recurrence(self, n, layout, seed):
+        x = sample_input(layout, -20.0, 20.0, seed)
+        assert_same_bits(hermite(n, x), reference_hermite(n, x))
 
 
 class TestKummerTruncated:
@@ -112,8 +186,21 @@ class TestKummerTruncated:
             kummer_truncated(2, 0.0, 0.0)
         with pytest.raises(ValueError):
             kummer_truncated(2, -1.0, 0.0)
+        with pytest.raises(ValueError):
+            kummer_truncated(2, float("nan"), 1.0)
 
     def test_array_argument(self):
         z = np.array([0.0, 1.0, 2.0])
         out = kummer_truncated(1, 2.0, z)
         assert np.allclose(out, 1.0 - z / 2.0)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=60),
+        b=st.floats(min_value=1.0, max_value=8.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_bits_match_whole_array_recurrence(self, n, b, layout, seed):
+        z = sample_input(layout, 0.0, 500.0, seed)
+        assert_same_bits(kummer_truncated(n, b, z), reference_kummer(n, b, z))
