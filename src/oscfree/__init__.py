@@ -9,8 +9,8 @@ trajectories, action identity).
 
 from .analysis import (
     ComplexField,
+    Grid,
     Grid1D,
-    Grid2D,
     PeakLawReport,
     PeakRecord,
     ResidualReport,

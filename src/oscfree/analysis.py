@@ -1,16 +1,19 @@
 """Verification machinery: grids, PDE residuals, spectral oracle, norms, peaks.
 
-Everything here consumes closed-form evaluators (no time stepping).  Grids
-are tensor products of Grid1D axes, and fields, norms and residuals work on
-any number of axes: a solution is called as solution(*coords, t).  Residual
-time derivatives are central differences at t +- dt, with dt tied to the
-grid spacing so one parameter drives the convergence studies.  Integrals
-use the trapezoid rule: exponentially accurate for smooth fields negligible
-at the grid edges (auto_grid makes them so), second order otherwise.
+Everything here consumes closed-form evaluators (no time stepping).  A Grid
+is a tuple of Grid1D axes (a Grid1D is itself a 1D grid); fields, norms,
+residuals and the spectral oracle, periodic with its edge check on every
+axis, work on any number of axes: a solution is called as
+solution(*coords, t).  Residual time derivatives are central differences
+at t +- dt, with dt tied to the grid spacing so one parameter drives the
+convergence studies.  Integrals use the trapezoid rule: exponentially
+accurate for smooth fields negligible at the grid edges (auto_grid makes
+them so), second order otherwise.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -29,15 +32,16 @@ _POINT_BUDGET = 2**24  # most points of a grid (over all its axes) or of a range
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform 1D grid with count nodes spanning [y_min, y_max]."""
+    """Uniform 1D grid with count nodes spanning [y_min, y_max]: one axis, or a 1D grid."""
 
     y_min: float
     y_max: float
     count: int
 
     def __post_init__(self) -> None:
-        if not -math.inf < self.y_min < self.y_max < math.inf:
-            raise ValueError(f"need finite y_min < y_max, got [{self.y_min}, {self.y_max}]")
+        if not (self.y_min < self.y_max and math.isfinite(self.y_max - self.y_min)):
+            got = f"[{self.y_min}, {self.y_max}]"
+            raise ValueError(f"need finite y_min < y_max and y_max - y_min, got {got}")
         if not 3 <= self.count <= _POINT_BUDGET:
             raise ValueError(f"need 3 to {_POINT_BUDGET} nodes, got {self.count}")
 
@@ -59,29 +63,21 @@ class Grid1D:
 
 
 @dataclass(frozen=True)
-class Grid2D:
-    """Tensor-product grid from two 1D axes."""
+class Grid:
+    """Tensor-product grid of Grid1D axes, the first axis varying slowest."""
 
-    axis1: Grid1D
-    axis2: Grid1D
+    axes: tuple[Grid1D, ...]
 
     def __post_init__(self) -> None:
-        if self.axis1.count * self.axis2.count > _POINT_BUDGET:
-            counts = f"{self.axis1.count} x {self.axis2.count}"
+        if math.prod(axis.count for axis in self.axes) > _POINT_BUDGET:
+            counts = " x ".join(str(axis.count) for axis in self.axes)
             raise ValueError(f"need at most {_POINT_BUDGET} grid points, got {counts}")
 
-    @property
-    def axes(self) -> tuple[Grid1D, Grid1D]:
-        return (self.axis1, self.axis2)
-
-    def refined(self, factor: int) -> Grid2D:
-        return Grid2D(self.axis1.refined(factor), self.axis2.refined(factor))
+    def refined(self, factor: int) -> Grid:
+        return Grid(tuple(axis.refined(factor) for axis in self.axes))
 
 
-Grid = Grid1D | Grid2D
-
-
-def coordinates(grid: Grid) -> tuple[np.ndarray, ...]:
+def coordinates(grid: Grid1D | Grid) -> tuple[np.ndarray, ...]:
     """One coordinate array per axis, each shaped like the grid."""
     return tuple(np.meshgrid(*(axis.nodes for axis in grid.axes), indexing="ij"))
 
@@ -90,7 +86,7 @@ def coordinates(grid: Grid) -> tuple[np.ndarray, ...]:
 class ComplexField:
     """Complex wavefunction values sampled on a grid at one time."""
 
-    grid: Grid
+    grid: Grid1D | Grid
     values: np.ndarray
     time_label: float
 
@@ -107,32 +103,27 @@ class ComplexField:
         return self.values.real**2 + self.values.imag**2
 
 
-def sample_field(solution, grid: Grid, time: float) -> ComplexField:
+def sample_field(solution, grid: Grid1D | Grid, time: float) -> ComplexField:
     """Evaluate a closed-form solution(*coords, time) on the grid."""
     return ComplexField(grid, solution(*coordinates(grid), time), time)
 
 
-def auto_grid(params: OscillatorParams, n: int, tau: float, count: int) -> Grid1D:
-    """Symmetric grid wide enough for level n at free time tau.
-
-    Half-width is (turning point + 10 natural lengths), stretched by
-    sqrt(1 + omega^2 tau^2) so the spreading state never pushes mass off
-    the grid.
-    """
-    fam = TrajectoryFamily.from_level(params, n)
+def _auto_axis(params: OscillatorParams, turn: float, tau: float, count: int) -> Grid1D:
+    """Symmetric axis of half-width (turn + 10 natural lengths) * sqrt(1 + omega^2 tau^2)."""
     stretch = math.sqrt(_stretch_sq(params, tau))
-    half = (fam.amplitude + 10.0 / math.sqrt(params.mass * params.omega)) * stretch
+    half = (turn + 10.0 / math.sqrt(params.mass * params.omega)) * stretch
     return Grid1D(-half, half, count)
 
 
-def auto_grid_2d(params: OscillatorParams, qn: QuantumNumbers2D, tau: float, count: int) -> Grid2D:
-    """Square 2D analogue of auto_grid for the level (n_radial, l)."""
-    mw = params.mass * params.omega
-    r_turn = math.sqrt(2.0 * (2 * qn.n_radial + abs(qn.l) + 1) / mw)
-    stretch = math.sqrt(_stretch_sq(params, tau))
-    half = (r_turn + 10.0 / math.sqrt(mw)) * stretch
-    axis = Grid1D(-half, half, count)
-    return Grid2D(axis, axis)
+def auto_grid(params: OscillatorParams, n: int, tau: float, count: int) -> Grid1D:
+    """Symmetric grid wide enough for level n as it spreads up to free time tau."""
+    return _auto_axis(params, TrajectoryFamily.from_level(params, n).amplitude, tau, count)
+
+
+def auto_grid_2d(params: OscillatorParams, qn: QuantumNumbers2D, tau: float, count: int) -> Grid:
+    """Square 2D analogue of auto_grid for the level (n_radial, l), from its turning radius."""
+    r_turn = math.sqrt(2.0 * (2 * qn.n_radial + abs(qn.l) + 1) / (params.mass * params.omega))
+    return Grid((_auto_axis(params, r_turn, tau, count),) * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +131,7 @@ def auto_grid_2d(params: OscillatorParams, qn: QuantumNumbers2D, tau: float, cou
 
 
 def residual(
-    solution, grid: Grid, time: float, mass: float, dt: float, omega: float | None = None
+    solution, grid: Grid1D | Grid, time: float, mass: float, dt: float, omega: float | None = None
 ) -> tuple[float, float]:
     """Stencil residual of i d_t psi + (1/2m) lap psi - (m omega^2/2) |x|^2 psi = 0.
 
@@ -213,7 +204,12 @@ class ResidualReport:
 
 
 def residual_study(
-    solution, grid: Grid, time: float, mass: float, refinements: int = 4, omega: float | None = None
+    solution,
+    grid: Grid1D | Grid,
+    time: float,
+    mass: float,
+    refinements: int = 4,
+    omega: float | None = None,
 ) -> ResidualReport:
     """Residuals over successive spacing halvings, with dt = the smallest axis spacing."""
     if refinements < 2:
@@ -232,23 +228,26 @@ _BOUNDARY_DECAY = 1e-10
 
 
 def spectral_propagate_free(initial: ComplexField, tau: float, m: float) -> ComplexField:
-    """Exact free evolution of the sampled field, mode by mode.
+    """Exact free evolution of the sampled field, mode by mode, on any number of axes.
 
-    Treats the grid as periodic: each discrete Fourier mode k picks up
-    exp(-i k^2 tau / (2m)).  The initial data must be negligible at the
-    grid edges (magnitude below 1e-10 of the peak), otherwise the
-    periodization is meaningless and BoundaryDecayError is raised.
+    Treats the grid as periodic along every axis: each discrete Fourier mode
+    (k_1, ..., k_d) picks up exp(-i |k|^2 tau / (2m)).  The initial data must
+    be negligible on the first and last slab of every axis (magnitude below
+    1e-10 of the peak), otherwise the periodization is meaningless and
+    BoundaryDecayError is raised.
     """
     v = initial.values
     vmax = float(np.abs(v).max())
     if vmax > 0.0:
-        edge = max(abs(v[0]), abs(v[-1]))
+        edge = max(np.abs(np.take(v, [0, -1], axis=a)).max() for a in range(v.ndim))
         if edge > _BOUNDARY_DECAY * vmax:
             raise BoundaryDecayError(
                 f"boundary magnitude {edge:.3e} exceeds {_BOUNDARY_DECAY:.0e} of peak {vmax:.3e}"
             )
-    k = 2.0 * math.pi * np.fft.fftfreq(initial.grid.count, d=initial.grid.spacing)
-    evolved = np.fft.ifft(np.fft.fft(v) * np.exp(-0.5j * k**2 * tau / m))
+    k_sq = [(2.0 * math.pi * np.fft.fftfreq(a.count, d=a.spacing)) ** 2 for a in initial.grid.axes]
+    # summing sparse per-axis arrays makes |k|^2 the one full-size array (in 1D, the k^2 itself)
+    k_sq = functools.reduce(np.add, np.meshgrid(*k_sq, indexing="ij", sparse=True, copy=False))
+    evolved = np.fft.ifftn(np.fft.fftn(v) * np.exp(-0.5j * k_sq * tau / m))
     return ComplexField(initial.grid, evolved, initial.time_label + tau)
 
 

@@ -36,8 +36,8 @@ import numpy as np
 from .analysis import (
     _POINT_BUDGET,
     ComplexField,
+    Grid,
     Grid1D,
-    Grid2D,
     _lifted_peaks,
     auto_grid,
     auto_grid_2d,
@@ -89,12 +89,12 @@ def _parse_grid(spec: str) -> Grid1D:
     return Grid1D(float(parts[0]), float(parts[1]), int(parts[2]))
 
 
-def _parse_grid2(spec: str) -> Grid2D:
+def _parse_grid2(spec: str) -> Grid:
     specs = spec.split(",")
     if len(specs) not in (1, 2):
         raise ValueError(f"2D grid spec must be one or two min:max:count blocks, got {spec!r}")
     axes = [_parse_grid(s) for s in specs]
-    return Grid2D(axes[0], axes[-1])  # one block: a square grid
+    return Grid((axes[0], axes[-1]))  # one block: a square grid
 
 
 def _flag_type(parse, *extra):

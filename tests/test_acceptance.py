@@ -27,6 +27,7 @@ from oscfree import (
     turning_points,
 )
 from oscfree.analysis import (
+    ComplexField,
     Grid1D,
     auto_grid,
     auto_grid_2d,
@@ -175,6 +176,16 @@ def test_c07_spectral_oracle():
     closed = lifted_eigenstate_1d(PARAMS, qn, grid.nodes, 1.0)
     l2 = math.sqrt(float(simpson(np.abs(evolved.values - closed) ** 2, x=grid.nodes)))
     report(l2 < 1e-6, f"C07 spectral oracle: L2 gap to closed form {l2:.2e} < 1e-6")
+    # the non-separable 2D levels, propagated on 2D grids sized for the final time
+    params, tau = OscillatorParams(mass=1.3, omega=0.8), 1.5
+    for n_radial, l in [(0, 1), (2, -3), (5, 2)]:
+        qn2 = QuantumNumbers2D(n_radial, l)
+        solution = lambda y1, y2, s: lifted_eigenstate_2d(params, qn2, y1, y2, s)
+        grid2 = auto_grid_2d(params, qn2, tau, 257)
+        evolved = spectral_propagate_free(sample_field(solution, grid2, 0.0), tau, params.mass)
+        gap = evolved.values - sample_field(solution, grid2, tau).values
+        l2 = math.sqrt(norm(ComplexField(grid2, gap, tau)))
+        report(l2 < 1e-10, f"C07 2D spectral oracle ({n_radial}, {l}): L2 gap {l2:.2e} < 1e-10")
 
 
 def test_c08_ehrenfest():

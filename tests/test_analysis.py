@@ -19,13 +19,14 @@ from oscfree import (
     eigenstate_1d,
     eigenstate_2d,
     envelope,
+    lift_wavefunction,
     lifted_eigenstate_1d,
     lifted_eigenstate_2d,
 )
 from oscfree.analysis import (
     ComplexField,
+    Grid,
     Grid1D,
-    Grid2D,
     ResidualReport,
     auto_grid,
     auto_grid_2d,
@@ -68,10 +69,10 @@ def second_order_case(params, d, equation):
         qn = QuantumNumbers2D(0, 1)
         solution = lambda a, b, tau: lifted_eigenstate_2d(params, qn, a, b, tau)
         axis = Grid1D(-12.0, 12.0, 161)
-        return solution, Grid2D(axis, axis), 0.5, None
+        return solution, Grid((axis, axis)), 0.5, None
     qn = QuantumNumbers2D(1, 1)
     axis = Grid1D(-8.0, 8.0, 161)
-    return polar_eigenstate_2d(params, qn), Grid2D(axis, axis), 0.3, params.omega
+    return polar_eigenstate_2d(params, qn), Grid((axis, axis)), 0.3, params.omega
 
 
 def zero_case(d, equation):
@@ -81,7 +82,7 @@ def zero_case(d, equation):
     if d == 1:
         return zero, Grid1D(-5.0, 5.0, 101), omega
     axis = Grid1D(-3.0, 3.0, 31)
-    return zero, Grid2D(axis, axis), omega
+    return zero, Grid((axis, axis)), omega
 
 
 RESIDUAL_CASES = [(1, "free"), (1, "oscillator"), (2, "free"), (2, "oscillator")]
@@ -98,6 +99,11 @@ class TestGridsAndFields:
                 Grid1D(bound, 1.0, 5)
             with pytest.raises(ValueError):
                 Grid1D(-1.0, bound, 5)
+        with pytest.raises(ValueError, match="y_max - y_min"):
+            Grid1D(-1e308, 1e308, 11)  # finite bounds, span overflows to inf
+        for counts in ((5000, 5000), (257, 257, 257)):
+            with pytest.raises(ValueError, match=" x ".join(map(str, counts))):
+                Grid(tuple(Grid1D(-1.0, 1.0, c) for c in counts))
 
     def test_spacing_and_nodes(self):
         grid = Grid1D(-1.0, 1.0, 5)
@@ -113,7 +119,7 @@ class TestGridsAndFields:
         with pytest.raises(NonFiniteError):
             ComplexField(grid, np.array([0, 0, np.inf, 0, 0], dtype=complex), 0.0)
         with pytest.raises(ValueError):
-            ComplexField(Grid2D(grid, grid), np.zeros(5, dtype=complex), 0.0)
+            ComplexField(Grid((grid, grid)), np.zeros(5, dtype=complex), 0.0)
 
     def test_auto_grid_widens_with_tau(self, params):
         narrow = auto_grid(params, 2, 0.0, 101)
@@ -178,7 +184,7 @@ class TestResidualExamples:
             )
 
         axis = Grid1D(-10.0, 10.0, 101)
-        grid = Grid2D(axis, axis)
+        grid = Grid((axis, axis))
         y1, y2 = coordinates(grid)
         assert np.abs(closed(y1, y2, 0.8) - product(y1, y2, 0.8)).max() < 1e-12
         r_closed = residual(closed, grid, 0.8, 1.0, axis.spacing)
@@ -189,7 +195,7 @@ class TestResidualExamples:
         # omega turns the study into the oscillator equation in any dimension
         axis = Grid1D(-8.0, 8.0, 81)
         report = residual_study(
-            polar_eigenstate_2d(params, QuantumNumbers2D(1, 1)), Grid2D(axis, axis), 0.3,
+            polar_eigenstate_2d(params, QuantumNumbers2D(1, 1)), Grid((axis, axis)), 0.3,
             params.mass, refinements=3, omega=params.omega,
         )
         assert 1.8 <= report.fitted_order <= 2.2
@@ -228,6 +234,12 @@ class TestConvergenceOrder:
 
         with pytest.raises(ValueError, match=f"need at least 2 refinements, got {refinements}"):
             residual_study(solution, Grid1D(-5.0, 5.0, 101), 0.5, 1.0, refinements)
+
+
+def reference_propagate_1d(field, tau, m):
+    """The 1D-only propagator the N-axis one replaced, kept as a bit-level reference."""
+    k = 2.0 * math.pi * np.fft.fftfreq(field.grid.count, d=field.grid.spacing)
+    return np.fft.ifft(np.fft.fft(field.values) * np.exp(-0.5j * k**2 * tau / m))
 
 
 class TestSpectralPropagation:
@@ -276,11 +288,66 @@ class TestSpectralPropagation:
         ) / n
         assert np.abs(out.values - back).max() < 1e-10
 
+    @pytest.mark.parametrize("count", [4000, 4001])
+    @pytest.mark.parametrize("n, tau", [(2, 1.5), (3, -0.7), (60, 0.4)])
+    def test_1d_bits_match_reference(self, count, n, tau):
+        params = OscillatorParams(1.3, 0.8)
+        grid = auto_grid(params, n, tau, count)
+        field = sample_field(lifted(params, n), grid, 0.0)
+        out = spectral_propagate_free(field, tau, params.mass).values
+        assert out.tobytes() == reference_propagate_1d(field, tau, params.mass).tobytes()
+
+    def test_matches_direct_dft_oracle_2d(self):
+        # unequal counts and spacings pin which axis each k_a^2 belongs to
+        grid = Grid((Grid1D(-8.0, 8.0, 16), Grid1D(-5.0, 6.0, 12)))
+        y1, y2 = coordinates(grid)
+        values = np.exp(-(y1**2) - 1.5 * (y2 - 0.5) ** 2 + 0.3j * y1 - 0.7j * y2)
+        out = spectral_propagate_free(ComplexField(grid, values, 0.0), 0.6, 1.3)
+
+        def dft(n, sign):
+            j = np.arange(n)
+            return np.exp(sign * 2j * math.pi * np.outer(j, j) / n)
+
+        (n1, n2), (a1, a2) = values.shape, grid.axes
+        k1 = 2.0 * math.pi * np.fft.fftfreq(n1, d=a1.spacing)
+        k2 = 2.0 * math.pi * np.fft.fftfreq(n2, d=a2.spacing)
+        modes = dft(n1, -1) @ values @ dft(n2, -1).T
+        phase = np.exp(-0.5j * (k1[:, None] ** 2 + k2[None, :] ** 2) * 0.6 / 1.3)
+        back = dft(n1, 1) @ (modes * phase) @ dft(n2, 1).T / (n1 * n2)
+        assert np.abs(out.values - back).max() < 1e-10
+
+    def test_separable_3d_lift(self):
+        # a product of 1D levels solves the 3D oscillator, so its lift is a free 3D solution
+        params, levels, tau = OscillatorParams(1.3, 0.8), (0, 1, 2), 0.5
+
+        def psi(x1, x2, x3, t):
+            factors = zip(levels, (x1, x2, x3))
+            return math.prod(eigenstate_1d(params, QuantumNumbers1D(n), x, t) for n, x in factors)
+
+        chi = lift_wavefunction(psi, params)
+        grid = Grid(tuple(auto_grid(params, n, tau, 65) for n in levels))
+        closed = sample_field(chi, grid, tau)
+        out = spectral_propagate_free(sample_field(chi, grid, 0.0), tau, params.mass)
+        assert abs(norm(closed) - 1.0) < 1e-12
+        assert abs(norm(out) - 1.0) < 1e-12
+        assert math.sqrt(norm(ComplexField(grid, out.values - closed.values, tau))) < 1e-10
+
     def test_boundary_decay_enforced(self, params):
         grid = Grid1D(-2.0, 2.0, 101)
         field = sample_field(lifted(params, 2), grid, 0.0)
         with pytest.raises(BoundaryDecayError):
             spectral_propagate_free(field, 1.0, 1.0)
+
+    @pytest.mark.parametrize("decaying", [0, 1])
+    def test_boundary_decay_enforced_on_every_axis(self, decaying):
+        # decays along one axis only: the other axis's edge slabs carry the peak
+        axis = Grid1D(-8.0, 8.0, 33)
+        grid = Grid((axis, axis))
+        values = np.exp(-coordinates(grid)[decaying] ** 2).astype(complex)
+        with pytest.raises(BoundaryDecayError):
+            spectral_propagate_free(ComplexField(grid, values, 0.0), 1.0, 1.0)
+        both = values * values.T
+        spectral_propagate_free(ComplexField(grid, both, 0.0), 1.0, 1.0)
 
     def test_zero_field_passes_through(self):
         grid = Grid1D(-2.0, 2.0, 101)
@@ -305,7 +372,7 @@ class TestNormsAndExpectations:
         qn = QuantumNumbers2D(0, 2)
         axis = Grid1D(-14.0, 14.0, 1001)
         field = sample_field(
-            lambda a, b, tau: lifted_eigenstate_2d(params, qn, a, b, tau), Grid2D(axis, axis), 0.0
+            lambda a, b, tau: lifted_eigenstate_2d(params, qn, a, b, tau), Grid((axis, axis)), 0.0
         )
         assert norm(field) == pytest.approx(1.0, abs=1e-9)
 
@@ -329,7 +396,7 @@ class TestNormsAndExpectations:
             field = sample_field(
                 lambda a, b, s: lifted_eigenstate_2d(params, qn, a, b, s), grid, tau
             )
-            oracle = simpson(simpson(field.density(), x=grid.axis2.nodes), x=grid.axis1.nodes)
+            oracle = simpson(simpson(field.density(), x=grid.axes[1].nodes), x=grid.axes[0].nodes)
             assert abs(norm(field) - oracle) < 1e-12, l
 
     # the end nodes carry half weight; a bare cell-times-sum would count them fully
@@ -338,7 +405,7 @@ class TestNormsAndExpectations:
         line = Grid1D(-1.3, 2.9, 7)
         field = ComplexField(line, np.full(7, c), 0.0)
         assert norm(field) == pytest.approx(abs(c) ** 2 * 4.2, rel=1e-14)
-        plane = Grid2D(line, Grid1D(0.5, 3.0, 11))
+        plane = Grid((line, Grid1D(0.5, 3.0, 11)))
         field = ComplexField(plane, np.full((7, 11), c), 0.0)
         assert norm(field) == pytest.approx(abs(c) ** 2 * 4.2 * 2.5, rel=1e-14)
 

@@ -335,6 +335,9 @@ class TestErrorPaths:
             (["propagate", "--n", "2", "--grid", "-20:20:101", "--to-tau", "nan"], "--to-tau"),
             (["verify", "--suite", "free-residual", "--tau", "nan"], "--tau"),
             (["verify", "--suite", "osc-residual", "--time", "nan"], "--time"),
+            # finite bounds whose span overflows to inf
+            (["gen1d", "--n", "2", "--tau", "0", "--grid", "-1e308:1e308:11"], "--grid"),
+            (["gen2d", "--l", "1", "--tau", "0", "--grid", "-1:1:11,-1e308:1e308:11"], "--grid"),
         ],
     )
     def test_non_finite_time_is_usage_error(self, tmp_path, capsys, args, flag):

@@ -16,8 +16,8 @@ from oscfree import (
     norm_constant_2d,
 )
 from oscfree.analysis import (
+    Grid,
     Grid1D,
-    Grid2D,
     auto_grid,
     find_density_maxima,
     residual,
@@ -190,10 +190,10 @@ class TestEigenstate2D:
             return eigenstate_2d(params, qn, r, phi, 0.0) * np.exp(-1j * half_energy * t)
 
         axis = Grid1D(-8.0, 8.0, 161)
-        coarse = residual(wrong, Grid2D(axis, axis), 0.3, params.mass, axis.spacing, params.omega)
+        coarse = residual(wrong, Grid((axis, axis)), 0.3, params.mass, axis.spacing, params.omega)
         fine_axis = axis.refined(2)
         fine = residual(
-            wrong, Grid2D(fine_axis, fine_axis), 0.3, params.mass, fine_axis.spacing, params.omega
+            wrong, Grid((fine_axis, fine_axis)), 0.3, params.mass, fine_axis.spacing, params.omega
         )
         assert fine[0] > 0.1 * coarse[0]
         assert fine[0] > 1e-2

@@ -23,7 +23,7 @@ from oscfree import (
     osc_to_free_time,
     pull_back_wavefunction,
 )
-from oscfree.analysis import Grid1D, Grid2D, auto_grid, residual
+from oscfree.analysis import Grid, Grid1D, auto_grid, residual
 from oscfree.transform import _stretch_sq
 
 PI_HALF = math.pi ** -0.5
@@ -251,9 +251,9 @@ class TestLiftedEigenstate2D:
         qn = QuantumNumbers2D(1, 1)
         axis = Grid1D(-10.0, 10.0, 161)
         solution = lambda a, b, s: lifted_eigenstate_2d(params, qn, a, b, s)
-        coarse = residual(solution, Grid2D(axis, axis), 0.5, 1.0, dt=axis.spacing)
+        coarse = residual(solution, Grid((axis, axis)), 0.5, 1.0, dt=axis.spacing)
         fine_axis = axis.refined(2)
-        fine = residual(solution, Grid2D(fine_axis, fine_axis), 0.5, 1.0, dt=fine_axis.spacing)
+        fine = residual(solution, Grid((fine_axis, fine_axis)), 0.5, 1.0, dt=fine_axis.spacing)
         assert 3.6 <= coarse[0] / fine[0] <= 4.4
 
     def test_norm_constant_positive(self, params):
