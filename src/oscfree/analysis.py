@@ -77,6 +77,12 @@ class Grid:
         return Grid(tuple(axis.refined(factor) for axis in self.axes))
 
 
+def _one_axis(grid: Grid1D | Grid) -> Grid1D:
+    if len(grid.axes) != 1:
+        raise ValueError(f"need a one-axis grid, got {len(grid.axes)} axes")
+    return grid.axes[0]
+
+
 def coordinates(grid: Grid1D | Grid) -> tuple[np.ndarray, ...]:
     """One coordinate array per axis, each shaped like the grid."""
     return tuple(np.meshgrid(*(axis.nodes for axis in grid.axes), indexing="ij"))
@@ -268,27 +274,29 @@ norm_1d = norm  # one-axis alias
 
 def expectation_position(field: ComplexField) -> float:
     """Position expectation of a unit-norm field (norm checked to 1e-6); trapezoid rule, as norm."""
-    total = norm(field)
+    axis, total = _one_axis(field.grid), norm(field)
     if abs(total - 1.0) > 1e-6:
         raise NormalizationError(f"field norm {total} is not 1 within 1e-6")
-    return float(np.trapezoid(field.grid.nodes * field.density(), dx=field.grid.spacing))
+    return float(np.trapezoid(axis.nodes * field.density(), dx=axis.spacing))
 
 
 # ---------------------------------------------------------------------------
 # density laws: scaling, peaks, widths
 
 
-def density_scaling_check(params: OscillatorParams, n: int, tau: float, grid: Grid1D) -> float:
+def density_scaling_check(
+    params: OscillatorParams, n: int, tau: float, grid: Grid1D | Grid
+) -> float:
     """Max pointwise gap between the lifted density and the rescaled stationary one.
 
     The lifted state's density must equal
     (1 + omega^2 tau^2)^{-1/2} rho_n(y (1 + omega^2 tau^2)^{-1/2})
     identically; both sides are evaluated in closed form.
     """
-    qn = QuantumNumbers1D(n)
-    lhs = sample_field(lambda y, t: lifted_eigenstate_1d(params, qn, y, t), grid, tau).density()
+    qn, axis = QuantumNumbers1D(n), _one_axis(grid)
+    lhs = sample_field(lambda y, t: lifted_eigenstate_1d(params, qn, y, t), axis, tau).density()
     s = math.sqrt(_stretch_sq(params, tau))
-    rhs = density_1d(params, qn, grid.nodes / s) / s
+    rhs = density_1d(params, qn, axis.nodes / s) / s
     return float(np.abs(lhs - rhs).max())
 
 
@@ -325,6 +333,7 @@ def find_density_maxima(field: ComplexField) -> PeakRecord:
     closer than three grid spacings (the grid is too coarse to trust) and
     for a crossing that runs off the grid or into the neighbouring peak.
     """
+    axis = _one_axis(field.grid)
     d = field.density()
     dmax = float(d.max())
     if dmax == 0.0:
@@ -333,8 +342,7 @@ def find_density_maxima(field: ComplexField) -> PeakRecord:
     idx = np.nonzero((d[1:-1] > d[:-2]) & (d[1:-1] > d[2:]) & (d[1:-1] > floor))[0] + 1
     if idx.size == 0:
         raise PeakDetectionError("no interior density maxima found")
-    h = field.grid.spacing
-    y = field.grid.nodes
+    h, y = axis.spacing, axis.nodes
     below, at, above = d[idx - 1], d[idx], d[idx + 1]
     denom = above - 2.0 * at + below
     positions = y[idx] + 0.5 * h * (below - above) / denom
@@ -411,8 +419,7 @@ def peak_trajectory_check(
     natural = 1.0 / math.sqrt(params.mass * params.omega)
     base_rec = _lifted_peaks(params, n, 0.0, count)
     records = [base_rec]
-    pos_err = 0.0
-    width_err = 0.0
+    pos_err = width_err = 0.0
     for tau in tau_list:
         if tau == 0.0:
             continue

@@ -17,10 +17,10 @@ overflow, invalid operation or division by zero), 4 verification failure
 
 Grid specs are `min:max:count`; tau lists are comma-separated values or
 `min:max:count` ranges.  Any flag takes a dash-leading value (-1e-3,
--20:20:2001) as a separate token, the same as --flag=value.  Tables are
-written column-wise, a block of rows at a time.  CSV output is
-deterministic: identical invocations produce bit-identical files (floats
-are written in shortest round-trip form).
+-20:20:2001) as a separate token, the same as --flag=value.  CSV and JSON
+tables are written by one chunked pass over the cells (the JSON bytes equal
+json.dumps of the whole table), deterministically: identical invocations
+give bit-identical files, floats in shortest round-trip form.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
 EXIT_IO = 5
 
-_CSV_BLOCK_ROWS = 4096
+_BLOCK_ROWS = 4096
 
 
 def _parse_finite(spec: str) -> float:
@@ -110,30 +110,33 @@ def _flag_type(parse, *extra):
 
 
 def _write_table(
-    path: str, header: list[str], columns: list[np.ndarray], fmt: str, command: str
+    path: str, header: list[str], blocks: list[list[np.ndarray]], fmt: str, command: str
 ) -> None:
-    """Write one 1-D array per column; a non-finite float column fails before path is opened."""
-    for name, column in zip(header, columns):
-        if column.dtype.kind == "f" and not np.isfinite(column).all():
+    """Write a table given as blocks of rows, each block one 1-D array per column.
+
+    Every float column of every block is checked before path is opened: a non-finite
+    table writes nothing.  repr is the float and int text of csv.writer and json alike,
+    so one chunked pass of repr cells serves both formats and only the framing differs.
+    """
+    for k, name in enumerate(header):
+        if not all(np.isfinite(b[k]).all() for b in blocks if b[k].dtype.kind == "f"):
             raise NonFiniteError(
                 f"{command}: column {name!r} has non-finite values; no table written"
             )
-    if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            f.write(",".join(header) + "\n")
-            # repr is csv.writer's float format; formatting in blocks bounds the
-            # memory held by the cell strings
-            for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-                cells = [map(repr, c[start : start + _CSV_BLOCK_ROWS].tolist()) for c in columns]
-                f.write("\n".join(map(",".join, zip(*cells))) + "\n")
-    else:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": command,
-            "columns": header,
-            "rows": list(zip(*[c.tolist() for c in columns])),
-        }
-        Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
+    meta = json.dumps({"schema_version": SCHEMA_VERSION, "command": command, "columns": header})
+    # head, cell and row separators, chunk close, leads of the first and later chunks, tail
+    head, cell, row, close, lead, later, tail = {
+        "csv": (",".join(header) + "\n", ",", "\n", "\n", "", "", ""),
+        "json": (meta[:-1] + ', "rows": [', ", ", "], [", "]", "[", ", [", "]}\n"),
+    }[fmt]
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(head)
+        for block in blocks:
+            for start in range(0, len(block[0]), _BLOCK_ROWS):
+                cells = [map(repr, c[start : start + _BLOCK_ROWS].tolist()) for c in block]
+                f.write(lead + row.join(map(cell.join, zip(*cells))) + close)
+                lead = later
+        f.write(tail)
 
 
 def _check_rows(taus: int, per_tau: int, what: str) -> None:
@@ -146,19 +149,15 @@ def _check_rows(taus: int, per_tau: int, what: str) -> None:
 def _write_field_table(args: argparse.Namespace, lift, taus, names) -> None:
     """Tabulate lift(*coords, tau) on args.grid per tau as tau, coordinate, re, im, density."""
     _check_rows(len(taus), math.prod(axis.count for axis in args.grid.axes), "grid points")
-    coords = coordinates(args.grid)
-    values = np.concatenate([lift(*coords, tau).ravel() for tau in taus])
-    re, im = values.real, values.imag
-    columns = [
-        np.repeat(taus, coords[0].size),
-        *(np.tile(c.ravel(), len(taus)) for c in coords),
-        re,
-        im,
+    coords = [c.ravel() for c in coordinates(args.grid)]
+    blocks = []
+    for tau in taus:
+        values = lift(*coords, tau)
+        re, im = values.real, values.imag
         # density written as re^2 + im^2 so re-reading the table reproduces it exactly
-        re * re + im * im,
-    ]
+        blocks.append([np.full(coords[0].size, tau), *coords, re, im, re * re + im * im])
     header = ["tau", *names, "re", "im", "density"]
-    _write_table(args.out, header, columns, args.format, args.command)
+    _write_table(args.out, header, blocks, args.format, args.command)
 
 
 def _run_gen1d(args: argparse.Namespace) -> int:
@@ -179,14 +178,13 @@ def _run_gen2d(args: argparse.Namespace) -> int:
 
 def _run_peaks(args: argparse.Namespace) -> int:
     params = OscillatorParams(args.mass, args.omega)
-    per_tau = []
+    blocks = []
     for tau in args.tau:
         rec = _lifted_peaks(params, args.n, tau, args.count)
-        k = len(rec.widths)
-        per_tau.append((np.full(k, tau), np.arange(k), rec.positions, rec.heights, rec.widths))
+        measured = map(np.array, (rec.positions, rec.heights, rec.widths))
+        blocks.append([np.full(len(rec.widths), tau), np.arange(len(rec.widths)), *measured])
     header = ["tau", "peak_index", "position", "height", "fwhm"]
-    columns = [np.concatenate(c) for c in zip(*per_tau)]
-    _write_table(args.out, header, columns, args.format, "peaks")
+    _write_table(args.out, header, blocks, args.format, "peaks")
     return EXIT_OK
 
 
@@ -200,15 +198,11 @@ def _run_envelope(args: argparse.Namespace) -> int:
     if args.alpha:
         _check_rows(taus.size, len(args.alpha), "alphas")
         header = ["tau", "alpha", "y"]
-        columns = [
-            np.tile(taus, len(args.alpha)),
-            np.repeat(args.alpha, taus.size),
-            np.concatenate([free_trajectory(fam, alpha, taus) for alpha in args.alpha]),
-        ]
+        blocks = [[taus, np.full(taus.size, a), free_trajectory(fam, a, taus)] for a in args.alpha]
     else:
         header = ["tau", "y_plus", "y_minus"]
-        columns = [taus, *envelope(fam, taus)]
-    _write_table(args.out, header, columns, args.format, "envelope")
+        blocks = [[taus, *envelope(fam, taus)]]
+    _write_table(args.out, header, blocks, args.format, "envelope")
     return EXIT_OK
 
 
@@ -278,6 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     tau_list = _flag_type(_parse_range, "tau")
     finite = _flag_type(_parse_finite)
+    grid = _flag_type(_parse_grid)
 
     def add_command(name: str, run, summary: str, with_format: bool = True):
         p = sub.add_parser(name, help=summary)
@@ -291,9 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("gen1d", _run_gen1d, "sample a lifted 1D eigenstate on a grid")
     p.add_argument("--n", type=int, required=True, help="1D level")
     p.add_argument("--tau", type=tau_list, required=True, help="free times: a,b,c or min:max:count")
-    p.add_argument(
-        "--grid", type=_flag_type(_parse_grid), required=True, help="grid spec min:max:count"
-    )
+    p.add_argument("--grid", type=grid, required=True, help="grid spec min:max:count")
     p.add_argument("--out", required=True)
 
     p = add_command("gen2d", _run_gen2d, "sample a lifted 2D eigenstate on a grid")
@@ -348,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("propagate", _run_propagate, "spectrally propagate a lifted state and compare")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--to-tau", type=finite, required=True)
-    p.add_argument("--grid", type=_flag_type(_parse_grid), required=True)
+    p.add_argument("--grid", type=grid, required=True)
     p.add_argument("--out", required=True)
     return parser
 

@@ -485,6 +485,29 @@ class TestDensityScaling:
         assert density_scaling_check(params, 5, 4.0, grid) < 1e-12
 
 
+class TestOneAxisGrid:
+    """A one-axis Grid is a 1D grid for the 1D analysis functions; more axes are a ValueError."""
+
+    def test_matches_grid1d(self, params):
+        axis = auto_grid(params, 3, 1.2, 4001)
+        line, wrapped = (sample_field(lifted(params, 3), g, 1.2) for g in (axis, Grid((axis,))))
+        assert find_density_maxima(wrapped) == find_density_maxima(line)
+        assert expectation_position(wrapped).hex() == expectation_position(line).hex()
+        gaps = [density_scaling_check(params, 3, 1.2, g).hex() for g in (axis, Grid((axis,)))]
+        assert gaps[0] == gaps[1]
+
+    def test_two_axis_grid_raises(self, params):
+        qn = QuantumNumbers2D(0, 1)
+        grid = Grid((Grid1D(-8.0, 8.0, 101), Grid1D(-6.0, 6.0, 81)))
+        field = sample_field(lambda a, b, t: lifted_eigenstate_2d(params, qn, a, b, t), grid, 0.0)
+        with pytest.raises(ValueError, match="one-axis grid, got 2 axes"):
+            find_density_maxima(field)
+        with pytest.raises(ValueError, match="one-axis grid, got 2 axes"):
+            expectation_position(field)
+        with pytest.raises(ValueError, match="one-axis grid, got 2 axes"):
+            density_scaling_check(params, 1, 0.0, grid)
+
+
 def reference_peaks(field):
     """Positions, heights and widths of the density maxima, one peak and one node at a time.
 

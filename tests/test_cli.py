@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oscfree import OscillatorParams, QuantumNumbers2D, cli, lifted_eigenstate_2d
-from oscfree.cli import _CSV_BLOCK_ROWS, _write_table, main
+from oscfree.cli import _BLOCK_ROWS, _write_table, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -155,6 +156,11 @@ class TestPeaks:
         assert main(PEAKS_GOLDEN_ARGS + ["--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "peaks_n5.csv").read_bytes()
 
+    def test_matches_golden_json(self, tmp_path):
+        out = tmp_path / "peaks.json"
+        assert main(PEAKS_GOLDEN_ARGS + ["--format", "json", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "peaks_n5.json").read_bytes()
+
     # grids too coarse to resolve every maximum of the level
     @pytest.mark.parametrize(
         "args, found",
@@ -195,6 +201,11 @@ class TestGen2D:
         out = tmp_path / "field2.csv"
         assert main(GEN2D_GOLDEN_ARGS + ["--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "gen2d_l-2_nr1.csv").read_bytes()
+
+    def test_matches_golden_json(self, tmp_path):
+        out = tmp_path / "field2.json"
+        assert main(GEN2D_GOLDEN_ARGS + ["--format", "json", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "gen2d_l-2_nr1.json").read_bytes()
 
     def test_radial_excitation_matches_closed_form(self, tmp_path):
         out = tmp_path / "field2.csv"
@@ -475,11 +486,18 @@ def _per_row_reference(directory: Path, header, columns, fmt: str) -> bytes:
     return path.read_bytes()
 
 
-def _assert_writer_matches_reference(directory: Path, columns) -> None:
+def _blocks(columns, cuts=()):
+    """The columns as blocks of rows, cut before each of the sorted row indices in cuts."""
+    bounds = [0, *cuts, len(columns[0])]
+    return [[c[a:b] for c in columns] for a, b in zip(bounds, bounds[1:])]
+
+
+def _assert_writer_matches_reference(directory: Path, columns, cuts=()) -> None:
+    """Write the columns as blocks cut at cuts; compare with the per-row writer's whole table."""
     header = [f"c{k}" for k in range(len(columns))]
     for fmt in ("csv", "json"):
         path = directory / f"table.{fmt}"
-        _write_table(str(path), header, columns, fmt, "test")
+        _write_table(str(path), header, _blocks(columns, cuts), fmt, "test")
         assert path.read_bytes() == _per_row_reference(directory, header, columns, fmt)
 
 
@@ -500,18 +518,48 @@ def test_column_writer_matches_per_row_writer(data, rows, n_float):
     columns = [data.draw(arrays(np.float64, rows, elements=elements)) for _ in range(n_float)]
     index = data.draw(arrays(np.int64, rows, elements=st.integers(-(2**62), 2**62)))
     columns.insert(data.draw(st.integers(0, n_float)), index)
+    # repeated cuts and cuts at 0 or rows give empty blocks
+    cuts = sorted(data.draw(st.lists(st.integers(0, rows), max_size=6)))
     with tempfile.TemporaryDirectory() as directory:
-        _assert_writer_matches_reference(Path(directory), columns)
+        _assert_writer_matches_reference(Path(directory), columns, cuts)
 
 
 @pytest.mark.parametrize(
     "rows",
-    [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1, 3 * _CSV_BLOCK_ROWS + 7],
+    [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7],
 )
 def test_column_writer_block_boundaries(tmp_path, rows):
     rng = np.random.default_rng(rows)
     columns = [np.arange(rows), rng.standard_normal(rows), rng.uniform(-1e300, 1e300, rows)]
     _assert_writer_matches_reference(tmp_path, columns)
+
+
+# two empty blocks, 5 rows, blocks one row short of, exactly and one row over the chunk
+# size, a block of three chunks, another empty block and a last block of 3 rows
+STRADDLING_CUTS = [0, 0, 5, _BLOCK_ROWS + 4, 2 * _BLOCK_ROWS + 4, 3 * _BLOCK_ROWS + 5,
+                   5 * _BLOCK_ROWS + 6, 5 * _BLOCK_ROWS + 6]
+
+
+def test_column_writer_blocks_straddle_chunks(tmp_path):
+    rows = 5 * _BLOCK_ROWS + 9
+    rng = np.random.default_rng(7)
+    columns = [rng.uniform(-4, 4, rows), np.arange(rows) - rows // 2, rng.standard_normal(rows)]
+    _assert_writer_matches_reference(tmp_path, columns, STRADDLING_CUTS)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_memory_is_bounded_by_the_chunk(tmp_path, fmt):
+    """A 100k-row x 6-column table, handed over in ten blocks, peaks under 8 MiB of new memory."""
+    rows = 100_000
+    columns = list(np.random.default_rng(3).standard_normal((6, rows)))
+    blocks = _blocks(columns, range(rows // 10, rows, rows // 10))
+    tracemalloc.start()
+    try:
+        _write_table(str(tmp_path / f"t.{fmt}"), [f"c{k}" for k in range(6)], blocks, fmt, "t")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"{fmt} writer peaked at {peak / 2**20:.1f} MiB"
 
 
 def _main_outcome(argv, out: Path, capsys):
