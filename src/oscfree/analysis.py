@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,9 +69,14 @@ class Grid:
     axes: tuple[Grid1D, ...]
 
     def __post_init__(self) -> None:
-        if math.prod(axis.count for axis in self.axes) > _POINT_BUDGET:
+        if self.count > _POINT_BUDGET:
             counts = " x ".join(str(axis.count) for axis in self.axes)
             raise ValueError(f"need at most {_POINT_BUDGET} grid points, got {counts}")
+
+    @property
+    def count(self) -> int:
+        """Number of grid points, as Grid1D.count is for a one-axis grid."""
+        return math.prod(axis.count for axis in self.axes)
 
     def refined(self, factor: int) -> Grid:
         return Grid(tuple(axis.refined(factor) for axis in self.axes))
@@ -268,8 +273,9 @@ def norm(field: ComplexField) -> float:
     return float(total)
 
 
-sample_field_1d = sample_field  # one-axis alias
-norm_1d = norm  # one-axis alias
+# one-axis aliases kept because perfbench calls them; they go with ROADMAP item 2
+sample_field_1d = sample_field
+norm_1d = norm
 
 
 def expectation_position(field: ComplexField) -> float:
@@ -395,7 +401,6 @@ class PeakLawReport:
     peak_count: int
     max_position_rel_error: float
     max_fwhm_rel_error: float
-    records: list[PeakRecord] = field(repr=False, default_factory=list)
 
 
 def peak_trajectory_check(
@@ -418,13 +423,11 @@ def peak_trajectory_check(
         raise ValueError("taus must include 0 (the baseline)")
     natural = 1.0 / math.sqrt(params.mass * params.omega)
     base_rec = _lifted_peaks(params, n, 0.0, count)
-    records = [base_rec]
     pos_err = width_err = 0.0
     for tau in tau_list:
         if tau == 0.0:
             continue
         rec = _lifted_peaks(params, n, tau, count)
-        records.append(rec)
         stretch = math.sqrt(_stretch_sq(params, tau))
         for p0, p in zip(base_rec.positions, rec.positions):
             expected = p0 * stretch
@@ -432,7 +435,7 @@ def peak_trajectory_check(
             pos_err = max(pos_err, abs(p - expected) / scale)
         for w0, w in zip(base_rec.widths, rec.widths):
             width_err = max(width_err, abs(w - w0 * stretch) / (w0 * stretch))
-    return PeakLawReport(len(base_rec.positions), pos_err, width_err, records)
+    return PeakLawReport(len(base_rec.positions), pos_err, width_err)
 
 
 def semiclassical_gap(

@@ -16,7 +16,8 @@ overflow, invalid operation or division by zero), 4 verification failure
 3, and verify writes its --out report before printing it.
 
 Grid specs are `min:max:count`; tau lists are comma-separated values or
-`min:max:count` ranges.  Any flag takes a dash-leading value (-1e-3,
+`min:max:count` ranges.  Every option but --help takes one value, so any
+long flag, abbreviated or not, takes a dash-leading value (-1e-3,
 -20:20:2001) as a separate token, the same as --flag=value.  CSV and JSON
 tables are written by one chunked pass over the cells (the JSON bytes equal
 json.dumps of the whole table), deterministically: identical invocations
@@ -82,19 +83,21 @@ def _parse_range(spec: str, what: str) -> list[float]:
     return [_parse_finite(v) for v in spec.split(",")]
 
 
-def _parse_grid(spec: str) -> Grid1D:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid spec must be min:max:count, got {spec!r}")
-    return Grid1D(float(parts[0]), float(parts[1]), int(parts[2]))
+def _parse_grid(spec: str, dims: int) -> Grid:
+    """A dims-axis Grid from comma-separated min:max:count blocks, one per axis.
 
-
-def _parse_grid2(spec: str) -> Grid:
-    specs = spec.split(",")
-    if len(specs) not in (1, 2):
+    One block serves every axis (a square grid in 2D); a 1D spec is one block.
+    """
+    blocks = spec.split(",") if dims == 2 else [spec]
+    if len(blocks) not in (1, dims):
         raise ValueError(f"2D grid spec must be one or two min:max:count blocks, got {spec!r}")
-    axes = [_parse_grid(s) for s in specs]
-    return Grid((axes[0], axes[-1]))  # one block: a square grid
+    axes = []
+    for block in blocks:
+        parts = block.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"grid spec must be min:max:count, got {block!r}")
+        axes.append(Grid1D(float(parts[0]), float(parts[1]), int(parts[2])))
+    return Grid(tuple(axes * (dims // len(axes))))
 
 
 def _flag_type(parse, *extra):
@@ -148,7 +151,7 @@ def _check_rows(taus: int, per_tau: int, what: str) -> None:
 
 def _write_field_table(args: argparse.Namespace, lift, taus, names) -> None:
     """Tabulate lift(*coords, tau) on args.grid per tau as tau, coordinate, re, im, density."""
-    _check_rows(len(taus), math.prod(axis.count for axis in args.grid.axes), "grid points")
+    _check_rows(len(taus), args.grid.count, "grid points")
     coords = [c.ravel() for c in coordinates(args.grid)]
     blocks = []
     for tau in taus:
@@ -160,24 +163,21 @@ def _write_field_table(args: argparse.Namespace, lift, taus, names) -> None:
     _write_table(args.out, header, blocks, args.format, args.command)
 
 
-def _run_gen1d(args: argparse.Namespace) -> int:
-    params = OscillatorParams(args.mass, args.omega)
+def _run_gen1d(args: argparse.Namespace, params: OscillatorParams) -> int:
     qn = QuantumNumbers1D(args.n)
     lift = lambda y, tau: lifted_eigenstate_1d(params, qn, y, tau)
     _write_field_table(args, lift, args.tau, ["y"])
     return EXIT_OK
 
 
-def _run_gen2d(args: argparse.Namespace) -> int:
-    params = OscillatorParams(args.mass, args.omega)
+def _run_gen2d(args: argparse.Namespace, params: OscillatorParams) -> int:
     qn = QuantumNumbers2D(args.n_radial, args.l)
     lift = lambda y1, y2, tau: lifted_eigenstate_2d(params, qn, y1, y2, tau)
     _write_field_table(args, lift, args.tau, ["y1", "y2"])
     return EXIT_OK
 
 
-def _run_peaks(args: argparse.Namespace) -> int:
-    params = OscillatorParams(args.mass, args.omega)
+def _run_peaks(args: argparse.Namespace, params: OscillatorParams) -> int:
     blocks = []
     for tau in args.tau:
         rec = _lifted_peaks(params, args.n, tau, args.count)
@@ -188,8 +188,7 @@ def _run_peaks(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_envelope(args: argparse.Namespace) -> int:
-    params = OscillatorParams(args.mass, args.omega)
+def _run_envelope(args: argparse.Namespace, params: OscillatorParams) -> int:
     if args.energy_from_n is None:
         fam = TrajectoryFamily(args.energy, params)
     else:
@@ -206,8 +205,7 @@ def _run_envelope(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_verify(args: argparse.Namespace) -> int:
-    params = OscillatorParams(args.mass, args.omega)
+def _run_verify(args: argparse.Namespace, params: OscillatorParams) -> int:
     base_count = args.base_count
     if base_count is None:
         base_count = 101 if args.suite == "free-residual-2d" else 501
@@ -245,12 +243,11 @@ def _run_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if passed else EXIT_VERIFICATION
 
 
-def _run_propagate(args: argparse.Namespace) -> int:
-    params = OscillatorParams(args.mass, args.omega)
+def _run_propagate(args: argparse.Namespace, params: OscillatorParams) -> int:
     qn = QuantumNumbers1D(args.n)
     initial = sample_field(lambda yy, s: lifted_eigenstate_1d(params, qn, yy, s), args.grid, 0.0)
     final = spectral_propagate_free(initial, args.to_tau, params.mass)
-    closed = lifted_eigenstate_1d(params, qn, args.grid.nodes, args.to_tau)
+    closed = lifted_eigenstate_1d(params, qn, *coordinates(args.grid), args.to_tau)
     diff = ComplexField(args.grid, final.values - closed, args.to_tau)
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -272,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     tau_list = _flag_type(_parse_range, "tau")
     finite = _flag_type(_parse_finite)
-    grid = _flag_type(_parse_grid)
+    grid = _flag_type(_parse_grid, 1)
 
     def add_command(name: str, run, summary: str, with_format: bool = True):
         p = sub.add_parser(name, help=summary)
@@ -295,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=tau_list, required=True)
     p.add_argument(
         "--grid",
-        type=_flag_type(_parse_grid2),
+        type=_flag_type(_parse_grid, 2),
         required=True,
         help="one or two min:max:count blocks (comma-separated)",
     )
@@ -346,20 +343,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fuse_dash_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Rewrite "--flag -value" as "--flag=-value" for each one-value flag of the parser.
+def _fuse_dash_values(argv: list[str]) -> list[str]:
+    """Rewrite "--flag -value" as "--flag=-value": argparse takes -1e-3 for an option.
 
-    argparse takes a dash-leading value such as -1e-3 or -20:20:2001 for an
-    option; a token that starts with "--" or is an option is never a value.
+    Every option but -h/--help takes one value, so a one-dash token other than -h
+    is the value of the long flag, full or abbreviated, just before it, unless that
+    flag already holds "=value" or is a prefix of --help ("--" included).
     """
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = [a for p in commands.choices.values() for a in p._actions]
-    options = {flag for a in actions for flag in a.option_strings}
-    one_value = {flag for a in actions if a.nargs is None for flag in a.option_strings}
     out: list[str] = []
     for tok in argv:
-        is_value = tok.startswith("-") and not tok.startswith("--") and tok not in options
-        if is_value and out and out[-1] in one_value:
+        is_value = tok.startswith("-") and not tok.startswith("--") and tok != "-h"
+        flag = out[-1] if out else ""
+        if is_value and flag.startswith("--") and "=" not in flag and not "--help".startswith(flag):
             out[-1] += f"={tok}"
         else:
             out.append(tok)
@@ -375,10 +370,10 @@ def _numerical_failure(exc: OscfreeError) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        parser = build_parser()
-        args = parser.parse_args(_fuse_dash_values(parser, argv))
+        args = build_parser().parse_args(_fuse_dash_values(argv))
+        params = OscillatorParams(args.mass, args.omega)
         with np.errstate(over="raise", invalid="raise"):
-            return args.run(args)
+            return args.run(args, params)
     except OscfreeError as exc:
         return _numerical_failure(exc)
     except ArithmeticError as exc:

@@ -495,10 +495,12 @@ class TestOneAxisGrid:
         assert expectation_position(wrapped).hex() == expectation_position(line).hex()
         gaps = [density_scaling_check(params, 3, 1.2, g).hex() for g in (axis, Grid((axis,)))]
         assert gaps[0] == gaps[1]
+        assert Grid((axis,)).count == axis.count == 4001
 
     def test_two_axis_grid_raises(self, params):
         qn = QuantumNumbers2D(0, 1)
         grid = Grid((Grid1D(-8.0, 8.0, 101), Grid1D(-6.0, 6.0, 81)))
+        assert grid.count == 101 * 81
         field = sample_field(lambda a, b, t: lifted_eigenstate_2d(params, qn, a, b, t), grid, 0.0)
         with pytest.raises(ValueError, match="one-axis grid, got 2 axes"):
             find_density_maxima(field)

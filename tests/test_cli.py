@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -591,6 +592,36 @@ def test_dash_leading_value_as_separate_token(tmp_path, capsys, args, flag, code
     assert "expected one argument" not in separate[2]
     assert separate[0] == code
     assert separate == fused
+
+
+# argparse accepts an abbreviated long flag; it takes a dash-leading value by the same rule
+@pytest.mark.parametrize(
+    "args, short, full, value",
+    [
+        (["propagate", "--n", "2", "--grid", "-20:20:101"], "--to", "--to-tau", "-1e-3"),
+        (["gen1d", "--n", "2", "--tau", "0"], "--gr", "--grid", "-4:4:5"),
+        (["verify", "--suite", "osc-residual", "--n", "1", "--refinements", "2"],
+         "--ti", "--time", "-1e-3"),
+    ],
+    ids=["propagate-to", "gen1d-gr", "verify-ti"],
+)
+def test_abbreviated_flag_takes_dash_leading_value(tmp_path, capsys, args, short, full, value):
+    separate = _main_outcome([*args, short, value], tmp_path / "separate.out", capsys)
+    fused = _main_outcome([*args, f"{full}={value}"], tmp_path / "fused.out", capsys)
+    assert "expected one argument" not in separate[2]
+    assert separate[0] == 0
+    assert separate == fused
+
+
+def test_every_option_but_help_takes_one_value():
+    # cli._fuse_dash_values fuses a dash-leading token onto the long flag before
+    # it, which is right only while every option but --help takes one value
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, command in commands.choices.items():
+        for action in command._actions:
+            if action.option_strings and "--help" not in action.option_strings:
+                assert action.nargs is None, (name, action.option_strings)
 
 
 @pytest.mark.parametrize("option", ["--refinements", "--ref", "-h"])
