@@ -12,8 +12,15 @@ boundary decay, half-period window, non-finite sampled values, a
 non-finite table, which is then not written, or a floating-point
 overflow, invalid operation or division by zero), 4 verification failure
 (a verify suite ran but its pass criterion did not hold), 5 I/O error
-(the output file could not be written).  Nothing is written on exit 2 or
-3, and verify writes its --out report before printing it.
+(the output file could not be written).  An existing --out that is not a
+regular file (a directory, /dev/stdout, /dev/null, a FIFO) is a usage error.
+
+--out is replaced whole: rows go to a temporary file in the directory of
+--out (symlinks resolved, so a symlinked --out is written through), which
+is renamed over --out once the last row is written, and removed on any
+failure.  So nothing is written on exit 2, 3 or 5 and an existing --out
+keeps its bytes, while a table is evaluated and written one tau at a time.
+verify writes its --out report before printing it.
 
 Grid specs are `min:max:count`; tau lists are comma-separated values or
 `min:max:count` ranges.  Every option but --help takes one value, so any
@@ -21,16 +28,19 @@ long flag, abbreviated or not, takes a dash-leading value (-1e-3,
 -20:20:2001) as a separate token, the same as --flag=value.  CSV and JSON
 tables are written by one chunked pass over the cells (the JSON bytes equal
 json.dumps of the whole table), deterministically: identical invocations
-give bit-identical files, floats in shortest round-trip form.
+give bit-identical files, floats in shortest round-trip form.  Each tau and
+grid coordinate is formatted once, however many rows repeat it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
-from pathlib import Path
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -112,31 +122,69 @@ def _flag_type(parse, *extra):
     return convert
 
 
-def _write_table(
-    path: str, header: list[str], blocks: list[list[np.ndarray]], fmt: str, command: str
-) -> None:
-    """Write a table given as blocks of rows, each block one 1-D array per column.
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A text file that replaces path when the with-block completes without error.
 
-    Every float column of every block is checked before path is opened: a non-finite
-    table writes nothing.  repr is the float and int text of csv.writer and json alike,
-    so one chunked pass of repr cells serves both formats and only the framing differs.
+    It is a temporary file beside path's target (symlinks resolved, so a symlinked
+    path is written through), os.replace'd over the target, so path is never seen
+    half written.  An existing non-regular target (a directory, /dev/stdout, a FIFO)
+    is refused with a ValueError.  On any failure the temporary file is removed, and
+    an OSError names path, not it.  Its mode is 0o666 less the umask, as for open().
     """
-    for k, name in enumerate(header):
-        if not all(np.isfinite(b[k]).all() for b in blocks if b[k].dtype.kind == "f"):
-            raise NonFiniteError(
-                f"{command}: column {name!r} has non-finite values; no table written"
-            )
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ValueError(f"--out {path!r} is not a regular file; nothing written")
+    target = os.path.realpath(path)
+    head, name = os.path.split(target)
+    tmp = os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    try:
+        with open(fd, "w", newline="", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, target)
+    except OSError as exc:
+        os.unlink(tmp)
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _write_table(
+    path: str, header: list[str], blocks: Iterable[list], fmt: str, command: str
+) -> None:
+    """Write a table given as an iterable of blocks of rows, one column per header name.
+
+    A column is a 1-D array, whose cells are formatted here, or a list of cells already
+    formatted as str.  Blocks are taken one at a time: each block's float array columns
+    are checked before any of its rows are written, and a non-finite one ends the write
+    with path untouched (see _replacing).  repr is the float and int text of csv.writer
+    and json alike, so one chunked pass of repr cells serves both formats and only the
+    framing differs.
+    """
     meta = json.dumps({"schema_version": SCHEMA_VERSION, "command": command, "columns": header})
     # head, cell and row separators, chunk close, leads of the first and later chunks, tail
     head, cell, row, close, lead, later, tail = {
         "csv": (",".join(header) + "\n", ",", "\n", "\n", "", "", ""),
         "json": (meta[:-1] + ', "rows": [', ", ", "], [", "]", "[", ", [", "]}\n"),
     }[fmt]
-    with open(path, "w", newline="", encoding="utf-8") as f:
+    with _replacing(path) as f:
         f.write(head)
         for block in blocks:
+            for name, c in zip(header, block):
+                if isinstance(c, np.ndarray) and c.dtype.kind == "f" and not np.isfinite(c).all():
+                    raise NonFiniteError(
+                        f"{command}: column {name!r} has non-finite values; no table written"
+                    )
             for start in range(0, len(block[0]), _BLOCK_ROWS):
-                cells = [map(repr, c[start : start + _BLOCK_ROWS].tolist()) for c in block]
+                stop = start + _BLOCK_ROWS
+                cells = [
+                    c[start:stop] if isinstance(c, list) else map(repr, c[start:stop].tolist())
+                    for c in block
+                ]
                 f.write(lead + row.join(map(cell.join, zip(*cells))) + close)
                 lead = later
         f.write(tail)
@@ -149,18 +197,39 @@ def _check_rows(taus: int, per_tau: int, what: str) -> None:
         raise ValueError(f"need at most {_POINT_BUDGET} table rows, got {rows}")
 
 
+def _coordinate_text(grid: Grid) -> list[list[str]]:
+    """Each axis's column of the grid's points in ij order, every node repr'd once.
+
+    Axis k repeats each node once per point of the later axes, and the whole run once
+    per point of the earlier ones; the lists share the node strings.
+    """
+    counts = [axis.count for axis in grid.axes]
+    columns = []
+    for k, axis in enumerate(grid.axes):
+        inner, outer = math.prod(counts[k + 1 :]), math.prod(counts[:k])
+        text = list(map(repr, axis.nodes.tolist()))
+        columns.append([t for t in text for _ in range(inner)] * outer)
+    return columns
+
+
 def _write_field_table(args: argparse.Namespace, lift, taus, names) -> None:
-    """Tabulate lift(*coords, tau) on args.grid per tau as tau, coordinate, re, im, density."""
+    """Tabulate lift(*coords, tau) on args.grid per tau as tau, coordinate, re, im, density.
+
+    Each tau is lifted only once the rows of the one before it are written.
+    """
     _check_rows(len(taus), args.grid.count, "grid points")
     coords = [c.ravel() for c in coordinates(args.grid)]
-    blocks = []
-    for tau in taus:
-        values = lift(*coords, tau)
-        re, im = values.real, values.imag
-        # density written as re^2 + im^2 so re-reading the table reproduces it exactly
-        blocks.append([np.full(coords[0].size, tau), *coords, re, im, re * re + im * im])
+    text = _coordinate_text(args.grid)
+
+    def blocks():
+        for tau in taus:
+            values = lift(*coords, tau)
+            re, im = values.real, values.imag
+            # density written as re^2 + im^2 so re-reading the table reproduces it exactly
+            yield [[repr(tau)] * args.grid.count, *text, re, im, re * re + im * im]
+
     header = ["tau", *names, "re", "im", "density"]
-    _write_table(args.out, header, blocks, args.format, args.command)
+    _write_table(args.out, header, blocks(), args.format, args.command)
 
 
 def _run_gen1d(args: argparse.Namespace, params: OscillatorParams) -> int:
@@ -197,7 +266,10 @@ def _run_envelope(args: argparse.Namespace, params: OscillatorParams) -> int:
     if args.alpha:
         _check_rows(taus.size, len(args.alpha), "alphas")
         header = ["tau", "alpha", "y"]
-        blocks = [[taus, np.full(taus.size, a), free_trajectory(fam, a, taus)] for a in args.alpha]
+        text = list(map(repr, args.tau))
+        blocks = (
+            [text, [repr(a)] * taus.size, free_trajectory(fam, a, taus)] for a in args.alpha
+        )
     else:
         header = ["tau", "y_plus", "y_minus"]
         blocks = [[taus, *envelope(fam, taus)]]
@@ -238,7 +310,8 @@ def _run_verify(args: argparse.Namespace, params: OscillatorParams) -> int:
     }
     text = json.dumps(payload)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        with _replacing(args.out) as f:
+            f.write(text + "\n")
     print(text)
     return EXIT_OK if passed else EXIT_VERIFICATION
 

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -18,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oscfree import OscillatorParams, QuantumNumbers2D, cli, lifted_eigenstate_2d
+from oscfree import (
+    OscillatorParams, QuantumNumbers1D, QuantumNumbers2D, cli, lifted_eigenstate_2d,
+)
 from oscfree.cli import _BLOCK_ROWS, _write_table, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -276,6 +279,23 @@ class TestVerify:
         assert json.loads(capsys.readouterr().out)["pass"] is False
 
 
+def _assert_exit_3_writes_nothing(tmp_path: Path, capsys, args) -> str:
+    """Run args into a fresh and a pre-existing --out: exit 3, no table, no temp file left.
+
+    Returns the error message of the second run.
+    """
+    out = tmp_path / "x.csv"
+    for old in (None, b"old bytes\n"):
+        if old is not None:
+            out.write_bytes(old)
+        assert main(args + ["--out", str(out)]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "NonFiniteError"
+        assert (out.read_bytes() if out.exists() else None) == old
+        assert list(tmp_path.iterdir()) == ([] if old is None else [out])
+    return error["message"]
+
+
 class TestErrorPaths:
     def test_unknown_flag_for_command(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -317,11 +337,23 @@ class TestErrorPaths:
         ids=["gen2d-n-radial-300", "gen1d-n-300", "envelope-tau-1e200"],
     )
     def test_non_finite_table_exits_3_and_writes_nothing(self, tmp_path, capsys, args):
-        out = tmp_path / "x.csv"
-        assert main(args + ["--out", str(out)]) == 3
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["error"]["type"] == "NonFiniteError"
-        assert not out.exists()
+        _assert_exit_3_writes_nothing(tmp_path, capsys, args)
+
+    def test_later_non_finite_tau_exits_3_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # the first two taus are finite and their rows written before the third is
+        # lifted; the fourth is never lifted
+        lift, calls = cli.lifted_eigenstate_1d, []
+
+        def inf_at_third_tau(params, qn, y, tau):
+            calls.append(tau)
+            values = lift(params, qn, y, tau)
+            return values * np.inf if tau == 2.0 else values
+
+        monkeypatch.setattr(cli, "lifted_eigenstate_1d", inf_at_third_tau)
+        args = ["gen1d", "--n", "2", "--tau", "0,1,2,3", "--grid", "-20:20:5001"]
+        message = _assert_exit_3_writes_nothing(tmp_path, capsys, args)
+        assert calls == [0.0, 1.0, 2.0, 0.0, 1.0, 2.0]
+        assert repr("re") in message
 
     def test_non_finite_table_names_the_column(self, tmp_path, capsys):
         # the classical amplitude sqrt(2E / (m omega^2)) overflows to inf
@@ -420,8 +452,9 @@ class TestErrorPaths:
         code = main(["gen1d", "--n", "2", "--tau", "0", "--grid", "-4:4:5", "--out", str(out)])
         assert code == 5
         err = capsys.readouterr().err
-        assert err.startswith("oscfree: error:") and str(out) in err
-        assert err.count("\n") == 1
+        # the message names --out, not the temporary file written beside it
+        assert err == f"oscfree: error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_report_exits_5_before_stdout(self, tmp_path, capsys):
         out = tmp_path / "missing" / "r.json"
@@ -469,7 +502,92 @@ class TestPropagate:
         assert len(rows) == 801
 
 
-def _per_row_reference(directory: Path, header, columns, fmt: str) -> bytes:
+GEN1D_SMALL_ARGS = ["gen1d", "--n", "2", "--tau", "0,1", "--grid", "-8:8:41"]
+VERIFY_SMALL_ARGS = ["verify", "--suite", "free-residual", "--refinements", "2"]
+
+
+class TestOutputFile:
+    """--out is replaced whole: a temporary file beside it is renamed over it on success."""
+
+    @pytest.mark.parametrize("args", [GEN1D_SMALL_ARGS, VERIFY_SMALL_ARGS], ids=["table", "report"])
+    def test_replaces_an_existing_file(self, tmp_path, capsys, args):
+        fresh, out = tmp_path / "fresh.out", tmp_path / "x.out"
+        assert main(args + ["--out", str(fresh)]) == 0
+        out.write_text("a longer stale file than any report of the run\n" * 1000)
+        assert main(args + ["--out", str(out)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.out", "x.out"]
+
+    def test_io_error_mid_table_keeps_the_old_file(self, tmp_path, monkeypatch, capsys):
+        lift = cli.lifted_eigenstate_1d
+
+        def disk_full_at_second_tau(params, qn, y, tau):
+            if tau == 1.0:
+                raise OSError(28, "No space left on device", "elsewhere")
+            return lift(params, qn, y, tau)
+
+        monkeypatch.setattr(cli, "lifted_eigenstate_1d", disk_full_at_second_tau)
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"old bytes\n")
+        assert main(GEN1D_SMALL_ARGS + ["--out", str(out)]) == 5
+        assert capsys.readouterr().err == (
+            f"oscfree: error: [Errno 28] No space left on device: {str(out)!r}\n"
+        )
+        assert out.read_bytes() == b"old bytes\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_mode_follows_the_umask(self, tmp_path):
+        out = tmp_path / "x.csv"
+        old = os.umask(0o027)
+        try:
+            assert main(GEN1D_SMALL_ARGS + ["--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode & 0o777 == 0o640
+
+    @pytest.mark.parametrize("args", [GEN1D_SMALL_ARGS, VERIFY_SMALL_ARGS], ids=["table", "report"])
+    def test_symlink_is_written_through(self, tmp_path, capsys, args):
+        fresh = tmp_path / "fresh.out"
+        assert main(args + ["--out", str(fresh)]) == 0
+        (tmp_path / "real").mkdir()
+        target, link = tmp_path / "real" / "x.out", tmp_path / "link.out"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert main(args + ["--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == fresh.read_bytes()
+        assert [p.name for p in target.parent.iterdir()] == ["x.out"]
+
+    def test_dangling_symlink_creates_its_target(self, tmp_path):
+        target, link = tmp_path / "x.csv", tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(GEN1D_SMALL_ARGS + ["--out", str(link)]) == 0
+        assert link.is_symlink() and target.is_file()
+
+    @pytest.mark.parametrize("args", [GEN1D_SMALL_ARGS, VERIFY_SMALL_ARGS], ids=["table", "report"])
+    @pytest.mark.parametrize("kind", ["fifo", "directory", "symlink-to-fifo"])
+    def test_non_regular_target_is_refused(self, tmp_path, capsys, args, kind):
+        out = tmp_path / "x.out"
+        if kind == "directory":
+            out.mkdir()
+        else:
+            os.mkfifo(tmp_path / "fifo")
+            if kind == "fifo":
+                out = tmp_path / "fifo"
+            else:
+                out.symlink_to(tmp_path / "fifo")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(args + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"oscfree: error: --out {str(out)!r} is not a regular file; nothing written\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert out.is_dir() if kind == "directory" else stat.S_ISFIFO(out.stat().st_mode)
+
+
+def _per_row_reference(directory: Path, header, columns, fmt: str, command="test") -> bytes:
     """The per-row csv.writer / json.dumps path the column-wise writer replaced."""
     rows = [
         [int(c[i]) if c.dtype.kind == "i" else float(c[i]) for c in columns]
@@ -482,23 +600,26 @@ def _per_row_reference(directory: Path, header, columns, fmt: str) -> bytes:
             writer.writerow(header)
             writer.writerows(rows)
     else:
-        payload = {"schema_version": 1, "command": "test", "columns": header, "rows": rows}
+        payload = {"schema_version": 1, "command": command, "columns": header, "rows": rows}
         path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
     return path.read_bytes()
 
 
-def _blocks(columns, cuts=()):
-    """The columns as blocks of rows, cut before each of the sorted row indices in cuts."""
+def _blocks(columns, cuts=(), text=()):
+    """The columns as a generator of blocks of rows, cut before each of the sorted row
+    indices in cuts; the columns indexed in text are handed over as lists of repr cells."""
     bounds = [0, *cuts, len(columns[0])]
-    return [[c[a:b] for c in columns] for a, b in zip(bounds, bounds[1:])]
+    for a, b in zip(bounds, bounds[1:]):
+        yield [list(map(repr, c[a:b].tolist())) if k in text else c[a:b]
+               for k, c in enumerate(columns)]
 
 
-def _assert_writer_matches_reference(directory: Path, columns, cuts=()) -> None:
+def _assert_writer_matches_reference(directory: Path, columns, cuts=(), text=()) -> None:
     """Write the columns as blocks cut at cuts; compare with the per-row writer's whole table."""
     header = [f"c{k}" for k in range(len(columns))]
     for fmt in ("csv", "json"):
         path = directory / f"table.{fmt}"
-        _write_table(str(path), header, _blocks(columns, cuts), fmt, "test")
+        _write_table(str(path), header, _blocks(columns, cuts, text), fmt, "test")
         assert path.read_bytes() == _per_row_reference(directory, header, columns, fmt)
 
 
@@ -521,8 +642,10 @@ def test_column_writer_matches_per_row_writer(data, rows, n_float):
     columns.insert(data.draw(st.integers(0, n_float)), index)
     # repeated cuts and cuts at 0 or rows give empty blocks
     cuts = sorted(data.draw(st.lists(st.integers(0, rows), max_size=6)))
+    # columns handed over already formatted, as the field tables hand over tau and coordinates
+    text = data.draw(st.sets(st.integers(0, n_float)))
     with tempfile.TemporaryDirectory() as directory:
-        _assert_writer_matches_reference(Path(directory), columns, cuts)
+        _assert_writer_matches_reference(Path(directory), columns, cuts, text)
 
 
 @pytest.mark.parametrize(
@@ -545,7 +668,58 @@ def test_column_writer_blocks_straddle_chunks(tmp_path):
     rows = 5 * _BLOCK_ROWS + 9
     rng = np.random.default_rng(7)
     columns = [rng.uniform(-4, 4, rows), np.arange(rows) - rows // 2, rng.standard_normal(rows)]
-    _assert_writer_matches_reference(tmp_path, columns, STRADDLING_CUTS)
+    for text in ((), (0, 1)):  # all arrays, then the first two columns as repr cells
+        _assert_writer_matches_reference(tmp_path, columns, STRADDLING_CUTS, text)
+
+
+# axis specs: some end on -0.0 (a -0.0 node that np.unique would merge with 0.0), some start
+# on it (linspace then gives 0.0); counts of a few nodes, or 1D counts and 2D products
+# that straddle the writer's chunk
+AXIS_ENDS = st.sampled_from([("-6", "4"), ("-2.5", "-0.0"), ("-0.0", "1"), ("-3", "3")])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    data=st.data(),
+    dims=st.sampled_from([1, 2]),
+    taus=st.lists(st.sampled_from(["0", "-0.0", "0.5", "1.5", "-2.25"]), min_size=1, max_size=4),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_field_table_matches_per_row_reference(data, dims, taus, fmt):
+    if dims == 1:
+        counts = [data.draw(st.one_of(
+            st.integers(3, 40), st.sampled_from([_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+        ))]
+    else:
+        counts = data.draw(st.one_of(
+            st.lists(st.integers(3, 9), min_size=2, max_size=2),
+            st.sampled_from([[64, 64], [63, 65], [65, 63], [64, 65]]),
+        ))
+    spec = ",".join(f"{lo}:{hi}:{n}" for (lo, hi), n in zip(data.draw(
+        st.lists(AXIS_ENDS, min_size=dims, max_size=dims)), counts))
+    grid = cli._parse_grid(spec, dims)
+    params, tau_values = OscillatorParams(1.3, 0.7), [float(t) for t in taus]
+    coords = [c.ravel() for c in cli.coordinates(grid)]
+    if dims == 1:
+        command, names = ["gen1d", "--n", "3"], ["y"]
+        lifts = [cli.lifted_eigenstate_1d(params, QuantumNumbers1D(3), *coords, t)
+                 for t in tau_values]
+    else:
+        command, names = ["gen2d", "--l", "-2", "--n-radial", "1"], ["y1", "y2"]
+        lifts = [lifted_eigenstate_2d(params, QuantumNumbers2D(1, -2), *coords, t)
+                 for t in tau_values]
+    values = np.concatenate(lifts)
+    re, im = values.real, values.imag
+    columns = [np.repeat(tau_values, grid.count), *(np.tile(c, len(taus)) for c in coords),
+               re, im, re * re + im * im]
+    header = ["tau", *names, "re", "im", "density"]
+    with tempfile.TemporaryDirectory() as directory:
+        out = Path(directory) / f"table.{fmt}"
+        argv = [*command, "--mass", "1.3", "--omega", "0.7", f"--tau={','.join(taus)}",
+                f"--grid={spec}", "--format", fmt, "--out", str(out)]
+        assert main(argv) == 0
+        expected = _per_row_reference(Path(directory), header, columns, fmt, command[0])
+        assert out.read_bytes() == expected
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -561,6 +735,24 @@ def test_writer_memory_is_bounded_by_the_chunk(tmp_path, fmt):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, f"{fmt} writer peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_field_table_memory_does_not_grow_with_taus(tmp_path):
+    """The traced peak of a gen1d table is the same for 4 taus as for 40, one tau lifted at a time.
+
+    Measured about 1.0 MiB for both; blocks built for every tau before writing peaked at
+    1.2 and 3.3 MiB.
+    """
+    peaks = {}
+    for taus in (4, 4, 40):  # the first run also traces one-time allocations
+        args = ["gen1d", "--n", "2", "--tau", f"0:5:{taus}", "--grid", "-20:20:2001"]
+        tracemalloc.start()
+        try:
+            assert main(args + ["--out", str(tmp_path / "t.csv")]) == 0
+            peaks[taus] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[40] < 1.25 * peaks[4], {k: f"{v / 2**20:.2f} MiB" for k, v in peaks.items()}
 
 
 def _main_outcome(argv, out: Path, capsys):
@@ -725,6 +917,8 @@ def test_exit_codes_over_random_arguments(data, command):
             assert not out.exists(), argv
         if code == 4:
             assert out.exists(), argv
+        # no temporary file is left beside --out, whatever the exit
+        assert set(os.listdir(directory)) <= {"x.out"}, argv
 
 
 def test_module_entry_point(tmp_path):
