@@ -6,9 +6,11 @@ residuals and the spectral oracle, periodic with its edge check on every
 axis, work on any number of axes: a solution is called as
 solution(*coords, t).  Residual time derivatives are central differences
 at t +- dt, with dt tied to the grid spacing so one parameter drives the
-convergence studies.  Integrals use the trapezoid rule: exponentially
-accurate for smooth fields negligible at the grid edges (auto_grid makes
-them so), second order otherwise.
+convergence studies.  A residual streams axis 0 in slabs of about 2^16
+points, so beyond a slab's worth of samples and temporaries its memory
+grows by one float (|resid|^2) per interior point.  Integrals use the
+trapezoid rule: exponentially accurate for smooth fields negligible at the
+grid edges (auto_grid makes them so), second order otherwise.
 """
 
 from __future__ import annotations
@@ -93,6 +95,16 @@ def coordinates(grid: Grid1D | Grid) -> tuple[np.ndarray, ...]:
     return tuple(np.meshgrid(*(axis.nodes for axis in grid.axes), indexing="ij"))
 
 
+def _checked_samples(values, shape: tuple[int, ...]) -> np.ndarray:
+    """values as a complex array, checked to have the given shape and finite entries."""
+    v = np.asarray(values, dtype=complex)
+    if v.shape != shape:
+        raise ValueError(f"values shape {v.shape} does not match grid shape {shape}")
+    if not np.all(np.isfinite(v)):
+        raise NonFiniteError("field contains non-finite values")
+    return v
+
+
 @dataclass(frozen=True)
 class ComplexField:
     """Complex wavefunction values sampled on a grid at one time."""
@@ -102,13 +114,8 @@ class ComplexField:
     time_label: float
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=complex)
         shape = tuple(axis.count for axis in self.grid.axes)
-        if v.shape != shape:
-            raise ValueError(f"values shape {v.shape} does not match grid shape {shape}")
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteError("field contains non-finite values")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _checked_samples(self.values, shape))
 
     def density(self) -> np.ndarray:
         return self.values.real**2 + self.values.imag**2
@@ -141,6 +148,9 @@ def auto_grid_2d(params: OscillatorParams, qn: QuantumNumbers2D, tau: float, cou
 # residuals and convergence
 
 
+_SLAB = 2**16  # grid points per residual slab of axis 0, halo rows included
+
+
 def residual(
     solution, grid: Grid1D | Grid, time: float, mass: float, dt: float, omega: float | None = None
 ) -> tuple[float, float]:
@@ -149,25 +159,41 @@ def residual(
     omega=None drops the potential (free equation).  Central differences in t
     (t +- dt) and along each axis, at interior nodes only; the samples pass the
     checks of a ComplexField.  Returns (max norm, discrete L2 norm).
+
+    Axis 0 is walked in slabs of about _SLAB points, each with a one-row halo,
+    so only |resid|^2 is held on the whole interior: memory grows by one float
+    per interior point.  Elementwise arithmetic gives the same bits on a slab
+    as on the whole grid, and one np.sum over |resid|^2 keeps its pairwise
+    summation, so both norms are those of a whole-grid evaluation.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    coords = coordinates(grid)
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    nodes = [axis.nodes for axis in grid.axes]
     times = (time, time + dt, time - dt)
-    psi0, psip, psim = (ComplexField(grid, solution(*coords, t), t).values for t in times)
-    inner = (slice(1, -1),) * len(coords)
-    lap = 0.0
-    for k, axis in enumerate(grid.axes):
-        up = inner[:k] + (slice(2, None),) + inner[k + 1 :]
-        down = inner[:k] + (slice(None, -2),) + inner[k + 1 :]
-        lap = lap + (psi0[up] - 2.0 * psi0[inner] + psi0[down]) / axis.spacing**2
-    resid = 1j * (psip[inner] - psim[inner]) / (2.0 * dt) + lap / (2.0 * mass)
-    if omega is not None:
-        r_sq = sum(c[inner] ** 2 for c in coords)
-        resid = resid - 0.5 * mass * omega**2 * r_sq * psi0[inner]
-    mags = np.abs(resid)
+    inner = (slice(1, -1),) * len(nodes)
+    sq = np.empty(tuple(axis.count - 2 for axis in grid.axes))
+    rows = max(1, _SLAB // math.prod(axis.count for axis in grid.axes[1:]))
+    peaks = []
+    for start in range(0, len(sq), rows):
+        stop = min(start + rows, len(sq))
+        # interior rows start + 1 .. stop of axis 0, with one halo row on either side
+        coords = np.meshgrid(nodes[0][start : stop + 2], *nodes[1:], indexing="ij")
+        shape = coords[0].shape
+        psi0, psip, psim = (_checked_samples(solution(*coords, t), shape) for t in times)
+        lap = 0.0
+        for k, axis in enumerate(grid.axes):
+            up = inner[:k] + (slice(2, None),) + inner[k + 1 :]
+            down = inner[:k] + (slice(None, -2),) + inner[k + 1 :]
+            lap = lap + (psi0[up] - 2.0 * psi0[inner] + psi0[down]) / axis.spacing**2
+        resid = 1j * (psip[inner] - psim[inner]) / (2.0 * dt) + lap / (2.0 * mass)
+        if omega is not None:
+            r_sq = sum(c[inner] ** 2 for c in coords)
+            resid = resid - 0.5 * mass * omega**2 * r_sq * psi0[inner]
+        mags = np.abs(resid)
+        peaks.append(mags.max())
+        np.square(mags, out=sq[start:stop])
     cell = math.prod(axis.spacing for axis in grid.axes)
-    return float(mags.max()), float(math.sqrt(cell * float(np.sum(mags**2))))
+    return float(np.max(peaks)), float(math.sqrt(cell * float(np.sum(sq))))
 
 
 def convergence_order(residual_pairs) -> float:

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from oscfree import (
     lifted_eigenstate_1d,
     lifted_eigenstate_2d,
 )
+from oscfree import analysis
 from oscfree.analysis import (
     ComplexField,
     Grid,
@@ -136,7 +138,7 @@ class TestResidual:
 
     def test_rejects_bad_dt(self, d, equation):
         zero, grid, omega = zero_case(d, equation)
-        for dt in (0.0, -0.01):
+        for dt in (0.0, -0.01, math.nan, math.inf):
             with pytest.raises(ValueError):
                 residual(zero, grid, 0.5, 1.0, dt, omega)
 
@@ -199,6 +201,135 @@ class TestResidualExamples:
             params.mass, refinements=3, omega=params.omega,
         )
         assert 1.8 <= report.fitted_order <= 2.2
+
+
+def reference_residual(solution, grid, time, mass, dt, omega=None):
+    """The whole-grid residual the slab walk replaced, kept verbatim as the bit reference."""
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    coords = coordinates(grid)
+    times = (time, time + dt, time - dt)
+    psi0, psip, psim = (ComplexField(grid, solution(*coords, t), t).values for t in times)
+    inner = (slice(1, -1),) * len(coords)
+    lap = 0.0
+    for k, axis in enumerate(grid.axes):
+        up = inner[:k] + (slice(2, None),) + inner[k + 1 :]
+        down = inner[:k] + (slice(None, -2),) + inner[k + 1 :]
+        lap = lap + (psi0[up] - 2.0 * psi0[inner] + psi0[down]) / axis.spacing**2
+    resid = 1j * (psip[inner] - psim[inner]) / (2.0 * dt) + lap / (2.0 * mass)
+    if omega is not None:
+        r_sq = sum(c[inner] ** 2 for c in coords)
+        resid = resid - 0.5 * mass * omega**2 * r_sq * psi0[inner]
+    mags = np.abs(resid)
+    cell = math.prod(axis.spacing for axis in grid.axes)
+    return float(mags.max()), float(math.sqrt(cell * float(np.sum(mags**2))))
+
+
+SLAB_PARAMS = OscillatorParams(1.3, 0.8)
+
+
+def product_eigenstate(levels):
+    """Separable oscillator eigenstate in len(levels) dimensions, one 1D level per axis."""
+
+    def psi(*args):
+        *xs, t = args
+        factors = zip(levels, xs)
+        return math.prod(eigenstate_1d(SLAB_PARAMS, QuantumNumbers1D(n), x, t) for n, x in factors)
+
+    return psi
+
+
+def slab_case(name):
+    """Solution, grid, time and omega of a residual checked slab by slab against the reference.
+
+    Every grid's axis-0 interior is odd, so slabs of 4 rows leave a ragged last slab.
+    """
+    p = SLAB_PARAMS
+    rect = Grid((Grid1D(-9.0, 9.0, 43), Grid1D(-7.5, 8.0, 31)))
+    box = Grid((Grid1D(-6.0, 6.0, 13), Grid1D(-5.0, 5.5, 11), Grid1D(-4.0, 4.0, 9)))
+    if name == "1d-free-n0":
+        return lifted(p, 0), auto_grid(p, 0, 0.7, 301), 0.7, None
+    if name == "1d-free-n7":
+        return lifted(p, 7), auto_grid(p, 7, 1.9, 301), 1.9, None
+    if name == "1d-osc-n2":
+        return product_eigenstate((2,)), auto_grid(p, 2, 0.0, 301), 0.3, p.omega
+    if name.startswith("2d-free"):
+        qn = QuantumNumbers2D(*{"2d-free-(1,-2)": (1, -2), "2d-free-(3,4)": (3, 4)}[name])
+        return lambda a, b, tau: lifted_eigenstate_2d(p, qn, a, b, tau), rect, 0.6, None
+    if name == "2d-osc":
+        return polar_eigenstate_2d(p, QuantumNumbers2D(1, 1)), rect, 0.3, p.omega
+    if name == "3d-free":
+        return lift_wavefunction(product_eigenstate((0, 1, 2)), p), box, 0.5, None
+    assert name == "3d-osc"
+    return product_eigenstate((1, 0, 2)), box, 0.3, p.omega
+
+
+SLAB_CASES = [
+    "1d-free-n0", "1d-free-n7", "1d-osc-n2", "2d-free-(1,-2)", "2d-free-(3,4)", "2d-osc",
+    "3d-free", "3d-osc",
+]
+
+
+def set_slab_rows(monkeypatch, grid, rows):
+    """Make residual walk axis 0 of grid in slabs of rows interior rows."""
+    monkeypatch.setattr(analysis, "_SLAB", rows * math.prod(a.count for a in grid.axes[1:]))
+
+
+class TestSlabResidual:
+    @pytest.mark.parametrize("rows", [1, 4, "whole"])
+    @pytest.mark.parametrize("name", SLAB_CASES)
+    def test_bits_match_whole_grid_reference(self, monkeypatch, name, rows):
+        solution, grid, time, omega = slab_case(name)
+        interior = grid.axes[0].count - 2
+        if rows == "whole":
+            rows = 2 * interior  # one slab, larger than the grid
+        else:
+            assert rows == 1 or interior % rows != 0  # several slabs, the last ragged
+        set_slab_rows(monkeypatch, grid, rows)
+        dt = min(axis.spacing for axis in grid.axes)
+        ref = reference_residual(solution, grid, time, SLAB_PARAMS.mass, dt, omega)
+        ours = residual(solution, grid, time, SLAB_PARAMS.mass, dt, omega)
+        assert ref[0] > 0.0 and all(type(x) is float for x in ours)
+        assert np.array_equal(np.array(ours).view(np.uint64), np.array(ref).view(np.uint64))
+
+    def test_memory_grows_by_one_float_per_interior_point(self, params):
+        # at 401^2 and 801^2 only |resid|^2 grows with the grid; the slab
+        # samples and temporaries stay about 2^16 points each
+        qn = QuantumNumbers2D(0, 1)
+        solution = lambda a, b, tau: lifted_eigenstate_2d(params, qn, a, b, tau)
+        base = auto_grid_2d(params, qn, 0.5, 101)
+        residual(solution, base.refined(4), 0.5, params.mass, 0.05)  # untraced warm-up
+        peaks = {}
+        for factor in (4, 8):
+            grid = base.refined(factor)
+            tracemalloc.start()
+            try:
+                residual(solution, grid, 0.5, params.mass, grid.axes[0].spacing)
+                peaks[factor] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] - peaks[4] <= 8 * (799**2 - 399**2) + 2**20
+
+    def test_wrong_shape_raises_value_error(self):
+        axis = Grid1D(-3.0, 3.0, 31)
+        for grid in (axis, Grid((axis, axis))):
+            with pytest.raises(ValueError, match="does not match grid shape"):
+                residual(lambda *args: 0j, grid, 0.5, 1.0, 0.01)
+
+    def test_non_finite_in_last_slab_raises(self, monkeypatch):
+        grid = Grid((Grid1D(-3.0, 3.0, 31), Grid1D(-2.0, 2.0, 21)))
+        set_slab_rows(monkeypatch, grid, 4)
+        calls = []
+
+        def last_row_nan(a, b, t):
+            calls.append(a.shape)
+            return np.where(a == 3.0, np.nan, 0.0).astype(complex)
+
+        with pytest.raises(NonFiniteError, match="^field contains non-finite values$"):
+            residual(last_row_nan, grid, 0.5, 1.0, 0.01)
+        # 29 interior rows: seven clean 4-row slabs of three samples each, then
+        # the first sample of the ragged 1-row slab and its two halo rows
+        assert len(calls) == 3 * 7 + 1 and calls[-1] == (1 + 2, 21)
 
 
 class TestConvergenceOrder:

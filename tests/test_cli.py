@@ -36,6 +36,11 @@ GEN2D_GOLDEN_ARGS = [
     "--tau", "0,1.5", "--grid", "-8:8:15,-6:6:11",
 ]
 PEAKS_GOLDEN_ARGS = ["peaks", "--n", "5", "--tau", "0,0.7,2", "--count", "4001"]
+# the finest grid, 401^2, spans three residual slabs, the last one ragged
+VERIFY_GOLDEN_ARGS = [
+    "verify", "--suite", "free-residual-2d", "--l", "-2", "--n-radial", "1", "--mass", "1.3",
+    "--omega", "0.7", "--tau", "0.6", "--refinements", "3",
+]
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -277,6 +282,13 @@ class TestVerify:
         )
         assert code == 4
         assert json.loads(capsys.readouterr().out)["pass"] is False
+
+    def test_matches_golden(self, tmp_path, capsys):
+        out = tmp_path / "verify.json"
+        assert main(VERIFY_GOLDEN_ARGS + ["--out", str(out)]) == 0
+        golden = (GOLDEN_DIR / "verify_2d_l-2_nr1.json").read_bytes()
+        assert out.read_bytes() == golden
+        assert capsys.readouterr().out.encode() == golden
 
 
 def _assert_exit_3_writes_nothing(tmp_path: Path, capsys, args) -> str:
