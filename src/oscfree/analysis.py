@@ -6,11 +6,11 @@ residuals and the spectral oracle, periodic with its edge check on every
 axis, work on any number of axes: a solution is called as
 solution(*coords, t).  Residual time derivatives are central differences
 at t +- dt, with dt tied to the grid spacing so one parameter drives the
-convergence studies.  A residual streams axis 0 in slabs of about 2^16
-points, so beyond a slab's worth of samples and temporaries its memory
-grows by one float (|resid|^2) per interior point.  Integrals use the
-trapezoid rule: exponentially accurate for smooth fields negligible at the
-grid edges (auto_grid makes them so), second order otherwise.
+convergence studies.  Residuals and the CLI's field tables walk axis 0 in
+slabs of about 2^16 points (one walker, _slabs): a residual's memory grows
+by one float (|resid|^2) per interior point, a table's not at all.  Integrals
+use the trapezoid rule: exponentially accurate for smooth fields negligible
+at the grid edges (auto_grid makes them so), second order otherwise.
 """
 
 from __future__ import annotations
@@ -148,7 +148,20 @@ def auto_grid_2d(params: OscillatorParams, qn: QuantumNumbers2D, tau: float, cou
 # residuals and convergence
 
 
-_SLAB = 2**16  # grid points per residual slab of axis 0, halo rows included
+_SLAB = 2**16  # grid points per slab of axis 0, halo rows aside
+
+
+def _slabs(nodes, halo: int):
+    """Axis-0 slabs (start, stop, coords) of the grid of 1-D node sequences nodes.
+
+    start .. stop spans about _SLAB points' worth of axis-0 rows, halo rows at the axis ends
+    aside; coords is the ij meshgrid of those rows, halo more each side, and the later axes.
+    """
+    rows = max(1, _SLAB // math.prod(len(axis) for axis in nodes[1:]))
+    count = len(nodes[0]) - 2 * halo
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        yield start, stop, np.meshgrid(nodes[0][start : stop + 2 * halo], *nodes[1:], indexing="ij")
 
 
 def residual(
@@ -160,11 +173,11 @@ def residual(
     (t +- dt) and along each axis, at interior nodes only; the samples pass the
     checks of a ComplexField.  Returns (max norm, discrete L2 norm).
 
-    Axis 0 is walked in slabs of about _SLAB points, each with a one-row halo,
-    so only |resid|^2 is held on the whole interior: memory grows by one float
-    per interior point.  Elementwise arithmetic gives the same bits on a slab
-    as on the whole grid, and one np.sum over |resid|^2 keeps its pairwise
-    summation, so both norms are those of a whole-grid evaluation.
+    Axis 0 is walked in the slabs of _slabs with a one-row halo, so only |resid|^2 is
+    held on the whole interior: memory grows by one float per interior point.
+    Elementwise arithmetic gives the same bits on a slab as on the whole grid, and one
+    np.sum over |resid|^2 keeps its pairwise summation, so both norms are those of a
+    whole-grid evaluation.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -172,14 +185,10 @@ def residual(
     times = (time, time + dt, time - dt)
     inner = (slice(1, -1),) * len(nodes)
     sq = np.empty(tuple(axis.count - 2 for axis in grid.axes))
-    rows = max(1, _SLAB // math.prod(axis.count for axis in grid.axes[1:]))
     peaks = []
-    for start in range(0, len(sq), rows):
-        stop = min(start + rows, len(sq))
-        # interior rows start + 1 .. stop of axis 0, with one halo row on either side
-        coords = np.meshgrid(nodes[0][start : stop + 2], *nodes[1:], indexing="ij")
-        shape = coords[0].shape
-        psi0, psip, psim = (_checked_samples(solution(*coords, t), shape) for t in times)
+    # interior rows start + 1 .. stop of axis 0, with one halo row on either side
+    for start, stop, coords in _slabs(nodes, 1):
+        psi0, psip, psim = (_checked_samples(solution(*coords, t), coords[0].shape) for t in times)
         lap = 0.0
         for k, axis in enumerate(grid.axes):
             up = inner[:k] + (slice(2, None),) + inner[k + 1 :]

@@ -19,7 +19,8 @@ regular file (a directory, /dev/stdout, /dev/null, a FIFO) is a usage error.
 --out (symlinks resolved, so a symlinked --out is written through), which
 is renamed over --out once the last row is written, and removed on any
 failure.  So nothing is written on exit 2, 3 or 5 and an existing --out
-keeps its bytes, while a table is evaluated and written one tau at a time.
+keeps its bytes, while a table is lifted and written one axis-0 slab of one
+tau at a time, so its memory grows neither with the taus nor with the grid.
 verify writes its --out report before printing it.
 
 Grid specs are `min:max:count`; tau lists are comma-separated values or
@@ -28,8 +29,8 @@ long flag, abbreviated or not, takes a dash-leading value (-1e-3,
 -20:20:2001) as a separate token, the same as --flag=value.  CSV and JSON
 tables are written by one chunked pass over the cells (the JSON bytes equal
 json.dumps of the whole table), deterministically: identical invocations
-give bit-identical files, floats in shortest round-trip form.  Each tau and
-grid coordinate is formatted once, however many rows repeat it.
+give bit-identical files, floats in shortest round-trip form, and each tau
+and grid node is formatted once, however many rows repeat it.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .analysis import (
     Grid,
     Grid1D,
     _lifted_peaks,
+    _slabs,
     auto_grid,
     auto_grid_2d,
     coordinates,
@@ -197,36 +199,25 @@ def _check_rows(taus: int, per_tau: int, what: str) -> None:
         raise ValueError(f"need at most {_POINT_BUDGET} table rows, got {rows}")
 
 
-def _coordinate_text(grid: Grid) -> list[list[str]]:
-    """Each axis's column of the grid's points in ij order, every node repr'd once.
-
-    Axis k repeats each node once per point of the later axes, and the whole run once
-    per point of the earlier ones; the lists share the node strings.
-    """
-    counts = [axis.count for axis in grid.axes]
-    columns = []
-    for k, axis in enumerate(grid.axes):
-        inner, outer = math.prod(counts[k + 1 :]), math.prod(counts[:k])
-        text = list(map(repr, axis.nodes.tolist()))
-        columns.append([t for t in text for _ in range(inner)] * outer)
-    return columns
-
-
 def _write_field_table(args: argparse.Namespace, lift, taus, names) -> None:
-    """Tabulate lift(*coords, tau) on args.grid per tau as tau, coordinate, re, im, density.
+    """Tabulate lift(rows, *coords, tau) on args.grid per tau as tau, coordinate, re, im, density.
 
-    Each tau is lifted only once the rows of the one before it are written.
+    One block per tau per axis-0 slab of analysis._slabs: lift gets the slab's row slice and
+    coordinates once the rows before it are written.  Each node is repr'd once.
     """
     _check_rows(len(taus), args.grid.count, "grid points")
-    coords = [c.ravel() for c in coordinates(args.grid)]
-    text = _coordinate_text(args.grid)
+    nodes = [axis.nodes for axis in args.grid.axes]
+    text = [np.array(list(map(repr, n.tolist())), dtype=object) for n in nodes]
 
     def blocks():
         for tau in taus:
-            values = lift(*coords, tau)
-            re, im = values.real, values.imag
-            # density written as re^2 + im^2 so re-reading the table reproduces it exactly
-            yield [[repr(tau)] * args.grid.count, *text, re, im, re * re + im * im]
+            tau_text = repr(tau)
+            for (start, stop, coords), (*_, words) in zip(_slabs(nodes, 0), _slabs(text, 0)):
+                values = lift(slice(start, stop), *coords, tau).ravel()
+                re, im = values.real, values.imag
+                # density written as re^2 + im^2 so re-reading the table reproduces it exactly
+                text_columns = (w.ravel().tolist() for w in words)
+                yield [[tau_text] * re.size, *text_columns, re, im, re * re + im * im]
 
     header = ["tau", *names, "re", "im", "density"]
     _write_table(args.out, header, blocks(), args.format, args.command)
@@ -234,14 +225,14 @@ def _write_field_table(args: argparse.Namespace, lift, taus, names) -> None:
 
 def _run_gen1d(args: argparse.Namespace, params: OscillatorParams) -> int:
     qn = QuantumNumbers1D(args.n)
-    lift = lambda y, tau: lifted_eigenstate_1d(params, qn, y, tau)
+    lift = lambda rows, y, tau: lifted_eigenstate_1d(params, qn, y, tau)
     _write_field_table(args, lift, args.tau, ["y"])
     return EXIT_OK
 
 
 def _run_gen2d(args: argparse.Namespace, params: OscillatorParams) -> int:
     qn = QuantumNumbers2D(args.n_radial, args.l)
-    lift = lambda y1, y2, tau: lifted_eigenstate_2d(params, qn, y1, y2, tau)
+    lift = lambda rows, y1, y2, tau: lifted_eigenstate_2d(params, qn, y1, y2, tau)
     _write_field_table(args, lift, args.tau, ["y1", "y2"])
     return EXIT_OK
 
@@ -329,7 +320,7 @@ def _run_propagate(args: argparse.Namespace, params: OscillatorParams) -> int:
         "norm": norm(final),
         "l2_difference_vs_closed_form": math.sqrt(norm(diff)),
     }
-    _write_field_table(args, lambda yy, tau: final.values, [args.to_tau], ["y"])
+    _write_field_table(args, lambda rows, yy, tau: final.values[rows], [args.to_tau], ["y"])
     print(json.dumps(summary))
     return EXIT_OK
 

@@ -4,10 +4,10 @@ Physicists' Hermite polynomials and the truncated (terminating) Kummer
 confluent hypergeometric function, both by three-term recurrences in the
 degree rather than explicit coefficient sums: the alternating sums
 cancel catastrophically already at moderate degree, while the
-recurrences stay accurate.  Absolute precision still degrades for degree
-beyond roughly 200 because the polynomial values themselves grow, and
-they overflow from about degree 180 on wide grids; the CLI accepts any
-level and turns that overflow into a NonFiniteError (exit 3).
+recurrences stay accurate: eigenstates to degree 170 and weighted Kummer
+polynomials to degree 150 agree with 40-digit mpmath within 1e-13 of their
+scale (tests/test_specfun.py).  The limit is overflow from about degree
+170 on wide grids, which the CLI turns into a NonFiniteError (exit 3).
 
 Both recurrences run over blocks of ``_BLOCK`` points at a time, each
 step updating a few preallocated block buffers in place.  A step over

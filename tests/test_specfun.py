@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_genlaguerre, eval_hermite
 
+from oscfree import OscillatorParams, QuantumNumbers1D, eigenstate_1d
 from oscfree.specfun import _BLOCK, hermite, kummer_truncated
 
 
@@ -204,3 +205,35 @@ class TestKummerTruncated:
     def test_bits_match_whole_array_recurrence(self, n, b, layout, seed):
         z = sample_input(layout, 0.0, 500.0, seed)
         assert_same_bits(kummer_truncated(n, b, z), reference_kummer(n, b, z))
+
+
+class TestAgainstMpmath:
+    """Pointwise agreement with 40-digit mpmath up to the degrees where the values overflow.
+
+    Measured: eigenstates within 2.9e-14 to 8.2e-14 of max |psi|, the weighted Kummer
+    polynomials within 1.4e-15 and 3.8e-15 of their maximum; the 40-digit references
+    round to the same floats as 100- and 200-digit ones.
+    """
+
+    @pytest.mark.parametrize("n", [50, 100, 150, 170])
+    def test_eigenstate_1d(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        x = np.linspace(-1.0, 1.0, 301) * (math.sqrt(2 * n + 1) + 6.0)  # turning point + 6
+        ours = eigenstate_1d(OscillatorParams(1.0, 1.0), QuantumNumbers1D(n), x, 0.0)
+        with mpmath.workdps(40):
+            scale = mpmath.pi ** -0.25 / mpmath.sqrt(mpmath.mpf(2) ** n * mpmath.factorial(n))
+            ref = np.array([
+                float(scale * mpmath.hermite(n, v) * mpmath.exp(-mpmath.mpf(v) ** 2 / 2)) for v in x
+            ])
+        assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n, b", [(50, 3.0), (150, 5.0)])
+    def test_kummer_truncated(self, n, b):
+        mpmath = pytest.importorskip("mpmath")
+        # z = r^2 out to 6 past the turning radius r^2 = 2 (2n + b) of the 2D level
+        z = np.linspace(0.0, 1.0, 301) * (math.sqrt(2 * (2 * n + b)) + 6.0) ** 2
+        weight = np.exp(-z / 2) * z ** ((b - 1) / 2)
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.hyp1f1(-n, b, v)) for v in z])
+        error = np.abs(weight * (kummer_truncated(n, b, z) - ref)).max()
+        assert error <= 1e-12 * np.abs(weight * ref).max()
