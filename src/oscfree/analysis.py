@@ -6,9 +6,10 @@ residuals and the spectral oracle, periodic with its edge check on every
 axis, work on any number of axes: a solution is called as
 solution(*coords, t).  Residual time derivatives are central differences
 at t +- dt, with dt tied to the grid spacing so one parameter drives the
-convergence studies.  Residuals and the CLI's field tables walk axis 0 in
-slabs of about 2^16 points (one walker, _slabs): a residual's memory grows
-by one float (|resid|^2) per interior point, a table's not at all.  Integrals
+convergence studies.  Every grid evaluation (sampled fields, residuals
+and the CLI's field tables) walks axis 0 in slabs of about 2^14 points, cut
+by one walker, _slabs: a field's memory is its values, a residual's grows by
+one float (|resid|^2) per interior point, a table's not at all.  Integrals
 use the trapezoid rule: exponentially accurate for smooth fields negligible
 at the grid edges (auto_grid makes them so), second order otherwise.
 """
@@ -121,9 +122,30 @@ class ComplexField:
         return self.values.real**2 + self.values.imag**2
 
 
+# grid points per slab of axis 0, halo rows aside: the few slab-sized buffers of
+# the Hermite and Kummer recurrences then stay in a 2 MB L2 cache for all n steps
+_SLAB = 2**14
+
+
+def _slabs(nodes, halo: int):
+    """Axis-0 slabs (start, stop, coords) of the grid of 1-D node sequences nodes.
+
+    start .. stop spans about _SLAB points' worth of axis-0 rows, halo rows at the axis ends
+    aside; coords is the ij meshgrid of those rows, halo more each side, and the later axes.
+    """
+    rows = max(1, _SLAB // math.prod(len(axis) for axis in nodes[1:]))
+    count = len(nodes[0]) - 2 * halo
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        yield start, stop, np.meshgrid(nodes[0][start : stop + 2 * halo], *nodes[1:], indexing="ij")
+
+
 def sample_field(solution, grid: Grid1D | Grid, time: float) -> ComplexField:
-    """Evaluate a closed-form solution(*coords, time) on the grid."""
-    return ComplexField(grid, solution(*coordinates(grid), time), time)
+    """Evaluate a closed-form solution(*coords, time) on the grid, slab by slab of _slabs."""
+    values = np.empty(tuple(axis.count for axis in grid.axes), dtype=complex)
+    for start, stop, coords in _slabs([axis.nodes for axis in grid.axes], 0):
+        values[start:stop] = _checked_samples(solution(*coords, time), coords[0].shape)
+    return ComplexField(grid, values, time)
 
 
 def _auto_axis(params: OscillatorParams, turn: float, tau: float, count: int) -> Grid1D:
@@ -146,22 +168,6 @@ def auto_grid_2d(params: OscillatorParams, qn: QuantumNumbers2D, tau: float, cou
 
 # ---------------------------------------------------------------------------
 # residuals and convergence
-
-
-_SLAB = 2**16  # grid points per slab of axis 0, halo rows aside
-
-
-def _slabs(nodes, halo: int):
-    """Axis-0 slabs (start, stop, coords) of the grid of 1-D node sequences nodes.
-
-    start .. stop spans about _SLAB points' worth of axis-0 rows, halo rows at the axis ends
-    aside; coords is the ij meshgrid of those rows, halo more each side, and the later axes.
-    """
-    rows = max(1, _SLAB // math.prod(len(axis) for axis in nodes[1:]))
-    count = len(nodes[0]) - 2 * halo
-    for start in range(0, count, rows):
-        stop = min(start + rows, count)
-        yield start, stop, np.meshgrid(nodes[0][start : stop + 2 * halo], *nodes[1:], indexing="ij")
 
 
 def residual(
@@ -257,13 +263,19 @@ def residual_study(
     refinements: int = 4,
     omega: float | None = None,
 ) -> ResidualReport:
-    """Residuals over successive spacing halvings, with dt = the smallest axis spacing."""
+    """Residuals over successive spacing halvings, with dt = the smallest axis spacing.
+
+    An L2 residual that underflowed to zero leaves no log-log slope to fit: NonFiniteError.
+    """
     if refinements < 2:
         raise ValueError(f"need at least 2 refinements, got {refinements}")
     grids = [grid.refined(2**k) for k in range(refinements)]
     spacings = [min(axis.spacing for axis in g.axes) for g in grids]
     norms = [residual(solution, g, time, mass, h, omega) for g, h in zip(grids, spacings)]
     linfs, l2s = map(list, zip(*norms))
+    for h, l2 in zip(spacings, l2s):
+        if l2 == 0.0:
+            raise NonFiniteError(f"L2 residual underflowed to zero at spacing {h}; no order to fit")
     return ResidualReport(spacings, linfs, l2s, convergence_order(zip(spacings, l2s)))
 
 

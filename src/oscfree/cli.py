@@ -9,8 +9,9 @@ named in the message, or a grid, range or table over the 2**24-point or
 2**24-row budget), 3 numerical precondition failure (peak detection,
 including a level that shows other than n + 1 maxima on its peaks grid,
 boundary decay, half-period window, non-finite sampled values, a
-non-finite table, which is then not written, or a floating-point
-overflow, invalid operation or division by zero), 4 verification failure
+non-finite table, which is then not written, a verify residual that
+underflowed to zero, or a floating-point overflow, invalid operation or
+division by zero), 4 verification failure
 (a verify suite ran but its pass criterion did not hold), 5 I/O error
 (the output file could not be written).  An existing --out that is not a
 regular file (a directory, /dev/stdout, /dev/null, a FIFO) is a usage error.
@@ -54,7 +55,6 @@ from .analysis import (
     _slabs,
     auto_grid,
     auto_grid_2d,
-    coordinates,
     norm,
     residual_study,
     sample_field,
@@ -309,9 +309,9 @@ def _run_verify(args: argparse.Namespace, params: OscillatorParams) -> int:
 
 def _run_propagate(args: argparse.Namespace, params: OscillatorParams) -> int:
     qn = QuantumNumbers1D(args.n)
-    initial = sample_field(lambda yy, s: lifted_eigenstate_1d(params, qn, yy, s), args.grid, 0.0)
-    final = spectral_propagate_free(initial, args.to_tau, params.mass)
-    closed = lifted_eigenstate_1d(params, qn, *coordinates(args.grid), args.to_tau)
+    chi = lambda yy, s: lifted_eigenstate_1d(params, qn, yy, s)
+    final = spectral_propagate_free(sample_field(chi, args.grid, 0.0), args.to_tau, params.mass)
+    closed = sample_field(chi, args.grid, args.to_tau).values
     diff = ComplexField(args.grid, final.values - closed, args.to_tau)
     summary = {
         "schema_version": SCHEMA_VERSION,

@@ -27,7 +27,7 @@ class PeakDetectionError(OscfreeError, RuntimeError):
 
 
 class NonFiniteError(OscfreeError, ValueError):
-    """A sampled field or residual evaluation produced inf or nan values."""
+    """A sampled field or residual evaluation produced inf or nan values, or underflowed to zero."""
 
 
 class DegenerateTangencyError(OscfreeError, ValueError):

@@ -9,45 +9,17 @@ polynomials to degree 150 agree with 40-digit mpmath within 1e-13 of their
 scale (tests/test_specfun.py).  The limit is overflow from about degree
 170 on wide grids, which the CLI turns into a NonFiniteError (exit 3).
 
-Both recurrences run over blocks of ``_BLOCK`` points at a time, each
-step updating a few preallocated block buffers in place.  A step over
-the whole array would make several grid-sized temporaries, which on a
-grid of 10^5 points or more no longer fit in the core's cache; the block
-buffers stay in it for all n steps.  Each point sees the same operations
-in the same order as in the whole-array recurrence, so the result is
-bit-identical to it.
+Both recurrences update a few preallocated buffers in place over the whole
+array they are given.  Callers bound that size: every grid evaluation hands
+over one axis-0 slab of analysis._slabs at a time, so the buffers stay in a
+2 MB L2 cache for all n steps.  A direct call on a large array loses that:
+hermite(120, x) on 400001 points takes about 0.13 s, against 0.06 s in
+2**14-point pieces (one Xeon core with 2 MB of L2, numpy 2.4).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# points per block: 128 KB per float64 buffer, so the few buffers of one
-# recurrence stay in a 2 MB L2 cache
-_BLOCK = 16384
-
-
-def _blockwise(x, buffers: int, recurrence):
-    """Evaluate ``recurrence`` on x, ``_BLOCK`` points at a time.
-
-    ``recurrence(x_block, *scratch)`` gets a 1-D slice of x (C order) and
-    ``buffers`` scratch arrays of the same length, reused from block to
-    block, and returns the block's values.  Returns an ndarray of x's
-    shape, or a float for a scalar x.
-    """
-    xa = np.asarray(x, dtype=float)
-    flat = xa.reshape(-1)
-    # a flat C-ordered output: the flat view of an array like a
-    # Fortran-ordered x would be a copy, and the block writes lost in it
-    out = np.empty(flat.size)
-    scratch = [np.empty(min(flat.size, _BLOCK)) for _ in range(buffers)]
-    for start in range(0, flat.size, _BLOCK):
-        block = flat[start:start + _BLOCK]
-        values = recurrence(block, *(buf[:block.size] for buf in scratch))
-        out[start:start + block.size] = values
-    if np.ndim(x) == 0:
-        return float(out[0])
-    return out.reshape(xa.shape)
 
 
 def hermite(n: int, x):
@@ -70,22 +42,18 @@ def hermite(n: int, x):
     """
     if n < 0:
         raise ValueError(f"Hermite degree must be nonnegative, got {n}")
-
-    def recurrence(xb, x2, h, h_prev, tmp):
-        h_prev.fill(1.0)
-        if n == 0:
-            return h_prev
-        np.multiply(2.0, xb, out=x2)
-        np.copyto(h, x2)
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    h = h_prev = np.ones(xa.shape)
+    if n > 0:
+        x2 = 2.0 * xa
+        h, tmp = x2.copy(), np.empty(xa.shape)
         for k in range(1, n):
             # 2x H_k - 2k H_{k-1} as 2x H_k + (-2k) H_{k-1}: the same bits
             np.multiply(x2, h, out=tmp)
             h_prev *= -(2.0 * k)
             h_prev += tmp
             h, h_prev = h_prev, h
-        return h
-
-    return _blockwise(x, 4, recurrence)
+    return float(h[0]) if np.ndim(x) == 0 else h
 
 
 def kummer_truncated(n: int, b: float, z):
@@ -116,22 +84,17 @@ def kummer_truncated(n: int, b: float, z):
         raise ValueError(f"truncation index must be nonnegative, got {n}")
     if not b > 0:
         raise ValueError(f"second parameter must be positive, got {b}")
-
-    def recurrence(zb, f, f_prev, step, zf):
-        f_prev.fill(1.0)
-        if n == 0:
-            return f_prev
-        np.divide(zb, b, out=f)
-        np.subtract(1.0, f, out=f)
+    za = np.atleast_1d(np.asarray(z, dtype=float))
+    f = f_prev = np.ones(za.shape)
+    if n > 0:
+        f, step, zf = 1.0 - za / b, np.empty(za.shape), np.empty(za.shape)
         for k in range(1, n):
             # F_k + (k (F_k - F_{k-1}) - z F_k) / (b + k)
             np.subtract(f, f_prev, out=step)
             step *= k
-            np.multiply(zb, f, out=zf)
+            np.multiply(za, f, out=zf)
             step -= zf
             step /= b + k
             step += f
             f, f_prev, step = step, f, f_prev
-        return f
-
-    return _blockwise(z, 4, recurrence)
+    return float(f[0]) if np.ndim(z) == 0 else f

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -294,7 +295,7 @@ class TestSlabResidual:
 
     def test_memory_grows_by_one_float_per_interior_point(self, params):
         # at 401^2 and 801^2 only |resid|^2 grows with the grid; the slab
-        # samples and temporaries stay about 2^16 points each
+        # samples and temporaries stay about 2^14 points each
         qn = QuantumNumbers2D(0, 1)
         solution = lambda a, b, tau: lifted_eigenstate_2d(params, qn, a, b, tau)
         base = auto_grid_2d(params, qn, 0.5, 101)
@@ -330,6 +331,54 @@ class TestSlabResidual:
         # 29 interior rows: seven clean 4-row slabs of three samples each, then
         # the first sample of the ragged 1-row slab and its two halo rows
         assert len(calls) == 3 * 7 + 1 and calls[-1] == (1 + 2, 21)
+
+
+def sample_case(dims, count):
+    """Solution, grid (count nodes per axis) and time of a field sampled slab by slab."""
+    p = SLAB_PARAMS
+    if dims == 1:
+        return lifted(p, 40), auto_grid(p, 40, 1.3, count), 1.3
+    qn = QuantumNumbers2D(2, -3)
+    solution = lambda a, b, tau: lifted_eigenstate_2d(p, qn, a, b, tau)
+    return solution, auto_grid_2d(p, qn, 0.6, count), 0.6
+
+
+class TestSlabSampleField:
+    @pytest.mark.parametrize("rows", [1, 4, "default"])
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_bits_match_whole_grid_reference(self, dims, rows):
+        # the default slab is 2^14 points, so its grids are larger to span several slabs
+        count = {1: 40003, 2: 301}[dims] if rows == "default" else 43
+        solution, grid, time = sample_case(dims, count)
+        per_row = math.prod(axis.count for axis in grid.axes[1:])
+        points = analysis._SLAB if rows == "default" else rows * per_row
+        slab_rows = points // per_row
+        assert count > slab_rows and (slab_rows == 1 or count % slab_rows)  # last slab ragged
+        ref = np.asarray(solution(*coordinates(grid), time), dtype=complex)
+        with mock.patch.object(analysis, "_SLAB", points):
+            field = sample_field(solution, grid, time)
+        assert field.values.shape == ref.shape and field.time_label == time
+        assert np.array_equal(field.values.view(np.uint64), ref.view(np.uint64))
+
+    def test_wrong_shape_raises_value_error(self):
+        axis = Grid1D(-3.0, 3.0, 31)
+        for grid in (axis, Grid((axis, axis))):
+            with pytest.raises(ValueError, match="does not match grid shape"):
+                sample_field(lambda *args: 0j, grid, 0.5)
+
+    def test_non_finite_in_later_slab_raises(self):
+        grid = Grid((Grid1D(-3.0, 3.0, 31), Grid1D(-2.0, 2.0, 21)))
+        calls = []
+
+        def last_row_inf(a, b, t):
+            calls.append(a.shape)
+            return np.where(a == 3.0, np.inf, 0.0).astype(complex)
+
+        with mock.patch.object(analysis, "_SLAB", 4 * 21):
+            with pytest.raises(NonFiniteError, match="^field contains non-finite values$"):
+                sample_field(last_row_inf, grid, 0.5)
+        # 31 rows: seven clean 4-row slabs, then the ragged 3-row slab with the inf
+        assert calls == [(4, 21)] * 7 + [(3, 21)]
 
 
 class TestConvergenceOrder:

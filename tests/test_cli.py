@@ -22,6 +22,7 @@ from hypothesis.extra.numpy import arrays
 
 from oscfree import (
     OscillatorParams, QuantumNumbers1D, QuantumNumbers2D, analysis, cli, lifted_eigenstate_2d,
+    transform,
 )
 from oscfree.cli import _BLOCK_ROWS, _write_table, main
 
@@ -37,6 +38,10 @@ GEN2D_GOLDEN_ARGS = [
     "--tau", "0,1.5", "--grid", "-8:8:15,-6:6:11",
 ]
 PEAKS_GOLDEN_ARGS = ["peaks", "--n", "5", "--tau", "0,0.7,2", "--count", "4001"]
+# 200001 nodes span 13 slabs of analysis._slabs, the last one ragged
+PEAKS_SLABS_GOLDEN_ARGS = [
+    "peaks", "--n", "40", "--tau", "0,1.3", "--count", "200001", "--format", "json",
+]
 # the finest grid, 401^2, spans three residual slabs, the last one ragged
 VERIFY_GOLDEN_ARGS = [
     "verify", "--suite", "free-residual-2d", "--l", "-2", "--n-radial", "1", "--mass", "1.3",
@@ -171,6 +176,11 @@ class TestPeaks:
         assert main(PEAKS_GOLDEN_ARGS + ["--format", "json", "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "peaks_n5.json").read_bytes()
 
+    def test_matches_multi_slab_golden(self, tmp_path):
+        out = tmp_path / "peaks.json"
+        assert main(PEAKS_SLABS_GOLDEN_ARGS + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "peaks_n40_200001.json").read_bytes()
+
     # grids too coarse to resolve every maximum of the level
     @pytest.mark.parametrize(
         "args, found",
@@ -283,6 +293,15 @@ class TestVerify:
         )
         assert code == 4
         assert json.loads(capsys.readouterr().out)["pass"] is False
+
+    @pytest.mark.parametrize("suite", ["free-residual", "free-residual-2d"])
+    def test_underflowed_residual_exits_3(self, tmp_path, capsys, suite):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--suite", suite, "--mass", "1e-300", "--out", str(out)]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "NonFiniteError"
+        assert "residual underflowed to zero" in error["message"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_matches_golden(self, tmp_path, capsys):
         out = tmp_path / "verify.json"
@@ -732,7 +751,7 @@ def test_field_table_matches_per_row_reference(data, dims, taus, fmt, slab):
         st.lists(AXIS_ENDS, min_size=dims, max_size=dims)), counts))
     grid = cli._parse_grid(spec, dims)
     params, tau_values = OscillatorParams(1.3, 0.7), [float(t) for t in taus]
-    coords = [c.ravel() for c in cli.coordinates(grid)]
+    coords = [c.ravel() for c in analysis.coordinates(grid)]
     if dims == 1:
         command, names = ["gen1d", "--n", "3"], ["y"]
         lifts = [cli.lifted_eigenstate_1d(params, QuantumNumbers1D(3), *coords, t)
@@ -794,8 +813,8 @@ def test_field_table_memory_does_not_grow_with_taus(tmp_path):
 def test_field_table_memory_does_not_grow_with_the_grid(tmp_path):
     """The traced peak of a one-tau gen2d table is the same at 801^2 points as at 401^2.
 
-    Each is lifted and written one axis-0 slab of about 2^16 points at a time.  Measured
-    about 9.6 and 9.5 MiB; lifted whole, as before the slab walker, 14.8 and 58.9 MiB.
+    Each is lifted and written one axis-0 slab of about 2^14 points at a time.  Measured
+    about 3.0 and 3.1 MiB; lifted whole, as before the slab walker, 14.8 and 58.9 MiB.
     """
     def gen2d(count):
         args = ["gen2d", "--l", "1", "--tau", "0.5", "--grid", f"-12:12:{count}"]
@@ -811,6 +830,29 @@ def test_field_table_memory_does_not_grow_with_the_grid(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[801] < 1.25 * peaks[401], {k: f"{v / 2**20:.2f} MiB" for k, v in peaks.items()}
+
+
+def test_hermite_sees_at_most_one_slab(tmp_path, monkeypatch, capsys):
+    """peaks and verify hand the Hermite recurrence one slab of analysis._slabs at a time.
+
+    A slab is _SLAB points, plus a halo row on either side for a residual; so the
+    recurrence buffers stay cache-sized however large the grid.
+    """
+    sizes, hermite = [], transform.hermite
+
+    def recording(n, x):
+        sizes.append(np.size(x))
+        return hermite(n, x)
+
+    monkeypatch.setattr(transform, "hermite", recording)
+    peaks = ["peaks", "--n", "40", "--tau", "0,1.3", "--count", "200001"]
+    assert main(peaks + ["--out", str(tmp_path / "p.csv")]) == 0
+    assert max(sizes) == analysis._SLAB and sum(sizes) == 2 * 200001
+    sizes.clear()
+    assert main(["verify", "--suite", "free-residual", "--refinements", "5"]) == 0
+    capsys.readouterr()
+    # three samples (t, t +- dt) of the grids of 501 to 8001 nodes
+    assert max(sizes) <= analysis._SLAB + 2 and sum(sizes) == 3 * (501 + 1001 + 2001 + 4001 + 8001)
 
 
 def _main_outcome(argv, out: Path, capsys):

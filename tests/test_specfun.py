@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_genlaguerre, eval_hermite
 
 from oscfree import OscillatorParams, QuantumNumbers1D, eigenstate_1d
-from oscfree.specfun import _BLOCK, hermite, kummer_truncated
+from oscfree.analysis import _SLAB
+from oscfree.specfun import hermite, kummer_truncated
 
 
 def laguerre_recurrence(n: int, l: int, z: float) -> float:
@@ -23,8 +24,8 @@ def laguerre_recurrence(n: int, l: int, z: float) -> float:
 def reference_hermite(n: int, x):
     """H_n(x) by the recurrence over the whole array at once, one new array per step.
 
-    The evaluation `hermite` replaced with its blocked, in-place one; kept
-    as the reference its bits must match.
+    The bit reference for `hermite`, whose in-place buffer updates must not
+    change a single result.
     """
     xa = np.asarray(x, dtype=float)
     h_prev = np.ones_like(xa)
@@ -43,8 +44,8 @@ def reference_hermite(n: int, x):
 def reference_kummer(n: int, b: float, z):
     """F(-n, b, z) by the recurrence over the whole array at once, one new array per step.
 
-    The evaluation `kummer_truncated` replaced with its blocked, in-place
-    one; kept as the reference its bits must match.
+    The bit reference for `kummer_truncated`, whose in-place buffer updates
+    must not change a single result.
     """
     za = np.asarray(z, dtype=float)
     f_prev = np.ones_like(za)
@@ -56,9 +57,10 @@ def reference_kummer(n: int, b: float, z):
     return f
 
 
-# block edges (one point short, exact, one over, two blocks and a tail)
-# and the 2-D layouts: C order, Fortran order and a strided view
-LAYOUTS = ["0-d", 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3, "c", "fortran", "strided"]
+# sizes around the slab every grid evaluation hands over (one point short, exact,
+# one over, two slabs and a tail) and the 2-D layouts: C order, Fortran order and a
+# strided view
+LAYOUTS = ["0-d", 1, _SLAB - 1, _SLAB, _SLAB + 1, 2 * _SLAB + 3, "c", "fortran", "strided"]
 
 
 def sample_input(layout, low: float, high: float, seed: int):
