@@ -9,15 +9,19 @@ at t +- dt, with dt tied to the grid spacing so one parameter drives the
 convergence studies.  Every grid evaluation (sampled fields, residuals
 and the CLI's field tables) walks axis 0 in slabs of about 2^14 points, cut
 by one walker, _slabs: a field's memory is its values, a residual's grows by
-one float (|resid|^2) per interior point, a table's not at all.  Integrals
+one float (|resid|^2) per interior point, a table's not at all.  Sampled
+fields and residuals run their slabs on a thread pool (_map_slabs), with the
+bits and errors of a serial walk; tables stay on the calling thread.  Integrals
 use the trapezoid rule: exponentially accurate for smooth fields negligible
 at the grid edges (auto_grid makes them so), second order otherwise.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,11 +144,66 @@ def _slabs(nodes, halo: int):
         yield start, stop, np.meshgrid(nodes[0][start : stop + 2 * halo], *nodes[1:], indexing="ij")
 
 
+_in_slab = contextvars.ContextVar("in_slab", default=False)
+
+
+@functools.cache
+def _slab_pool():
+    """(pool, workers) of _map_slabs, made on first use.
+
+    A worker per CPU of the process's affinity mask (taskset -c 0 gives one), at most 4,
+    as each running slab holds a few MB of temporaries.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(4, cpus or 1)
+    return ThreadPoolExecutor(workers, thread_name_prefix="oscfree-slab"), workers
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_slab_pool.cache_clear)  # a forked child has no threads
+
+
+def _map_slabs(fn, nodes, halo: int) -> list:
+    """[fn(start, stop, coords) for each slab of _slabs(nodes, halo)], slabs run concurrently.
+
+    Slabs keep the caller's context (np.errstate); at most two per worker are in flight.
+    Results come in slab order and the first failing slab's error is raised, as by a serial
+    loop, once no slab runs (slabs not started are dropped).  A call from inside a slab runs
+    inline, so it cannot deadlock a full pool.
+    """
+    slabs = _slabs(nodes, halo)
+    if _in_slab.get():
+        return [fn(*slab) for slab in slabs]
+    context = contextvars.copy_context()
+    context.run(_in_slab.set, True)
+    pool, workers = _slab_pool()
+    pending, results = [], []
+    try:
+        for slab in slabs:
+            pending.append(pool.submit(context.copy().run, fn, *slab))
+            if len(pending) == 2 * workers:
+                results.append(pending.pop(0).result())
+        while pending:
+            results.append(pending.pop(0).result())
+    finally:
+        for future in pending:
+            if not future.cancel():
+                future.exception()  # waits for a running slab; a later slab's error is dropped
+    return results
+
+
 def sample_field(solution, grid: Grid1D | Grid, time: float) -> ComplexField:
-    """Evaluate a closed-form solution(*coords, time) on the grid, slab by slab of _slabs."""
+    """Evaluate a closed-form solution(*coords, time) on the grid, its slabs concurrently.
+
+    Each slab of _map_slabs writes its own rows; bits and errors are those of a serial walk.
+    """
     values = np.empty(tuple(axis.count for axis in grid.axes), dtype=complex)
-    for start, stop, coords in _slabs([axis.nodes for axis in grid.axes], 0):
+
+    def slab(start, stop, coords):
         values[start:stop] = _checked_samples(solution(*coords, time), coords[0].shape)
+
+    _map_slabs(slab, [axis.nodes for axis in grid.axes], 0)
     return ComplexField(grid, values, time)
 
 
@@ -179,21 +238,20 @@ def residual(
     (t +- dt) and along each axis, at interior nodes only; the samples pass the
     checks of a ComplexField.  Returns (max norm, discrete L2 norm).
 
-    Axis 0 is walked in the slabs of _slabs with a one-row halo, so only |resid|^2 is
-    held on the whole interior: memory grows by one float per interior point.
-    Elementwise arithmetic gives the same bits on a slab as on the whole grid, and one
-    np.sum over |resid|^2 keeps its pairwise summation, so both norms are those of a
-    whole-grid evaluation.
+    Axis 0 is walked in the slabs of _map_slabs with a one-row halo, so only |resid|^2 is
+    held on the whole interior: memory grows by one float per interior point.  Slabs run
+    concurrently, each writing its own rows, with the errors of a serial walk.  Elementwise
+    arithmetic gives the same bits on a slab as on the whole grid, and one np.sum over
+    |resid|^2 keeps its pairwise summation, so both norms are those of a whole grid.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    nodes = [axis.nodes for axis in grid.axes]
     times = (time, time + dt, time - dt)
-    inner = (slice(1, -1),) * len(nodes)
+    inner = (slice(1, -1),) * len(grid.axes)
     sq = np.empty(tuple(axis.count - 2 for axis in grid.axes))
-    peaks = []
+
     # interior rows start + 1 .. stop of axis 0, with one halo row on either side
-    for start, stop, coords in _slabs(nodes, 1):
+    def slab(start, stop, coords):
         psi0, psip, psim = (_checked_samples(solution(*coords, t), coords[0].shape) for t in times)
         lap = 0.0
         for k, axis in enumerate(grid.axes):
@@ -205,8 +263,10 @@ def residual(
             r_sq = sum(c[inner] ** 2 for c in coords)
             resid = resid - 0.5 * mass * omega**2 * r_sq * psi0[inner]
         mags = np.abs(resid)
-        peaks.append(mags.max())
         np.square(mags, out=sq[start:stop])
+        return mags.max()
+
+    peaks = _map_slabs(slab, [axis.nodes for axis in grid.axes], 1)
     cell = math.prod(axis.spacing for axis in grid.axes)
     return float(np.max(peaks)), float(math.sqrt(cell * float(np.sum(sq))))
 

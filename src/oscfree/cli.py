@@ -22,6 +22,8 @@ is renamed over --out once the last row is written, and removed on any
 failure.  So nothing is written on exit 2, 3 or 5 and an existing --out
 keeps its bytes, while a table is lifted and written one axis-0 slab of one
 tau at a time, so its memory grows neither with the taus nor with the grid.
+Tables stay on the calling thread; peaks, verify and propagate's comparison
+sample on analysis's slab thread pool, with the bits of a serial walk.
 verify writes its --out report before printing it.
 
 Grid specs are `min:max:count`; tau lists are comma-separated values or
@@ -203,7 +205,8 @@ def _write_field_table(args: argparse.Namespace, lift, taus, names) -> None:
     """Tabulate lift(rows, *coords, tau) on args.grid per tau as tau, coordinate, re, im, density.
 
     One block per tau per axis-0 slab of analysis._slabs: lift gets the slab's row slice and
-    coordinates once the rows before it are written.  Each node is repr'd once.
+    coordinates once the rows before it are written.  Each node is repr'd once.  Unlike
+    sample_field, this stays on one thread: repr and str.join, under the GIL, take the time.
     """
     _check_rows(len(taus), args.grid.count, "grid points")
     nodes = [axis.nodes for axis in args.grid.axes]

@@ -1,6 +1,11 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
+from time import sleep
 from unittest import mock
 
 import numpy as np
@@ -329,8 +334,9 @@ class TestSlabResidual:
         with pytest.raises(NonFiniteError, match="^field contains non-finite values$"):
             residual(last_row_nan, grid, 0.5, 1.0, 0.01)
         # 29 interior rows: seven clean 4-row slabs of three samples each, then
-        # the first sample of the ragged 1-row slab and its two halo rows
-        assert len(calls) == 3 * 7 + 1 and calls[-1] == (1 + 2, 21)
+        # the first sample of the ragged 1-row slab and its two halo rows; slabs
+        # run concurrently, so only the count and shapes are fixed, not the order
+        assert len(calls) == 3 * 7 + 1 and calls.count((1 + 2, 21)) == 1
 
 
 def sample_case(dims, count):
@@ -343,22 +349,27 @@ def sample_case(dims, count):
     return solution, auto_grid_2d(p, qn, 0.6, count), 0.6
 
 
+def assert_sample_field_bits(dims, rows):
+    """sample_field in slabs of rows rows (or the default slab) has the bits of a whole grid."""
+    # the default slab is 2^14 points, so its grids are larger to span several slabs
+    count = {1: 40003, 2: 301}[dims] if rows == "default" else 43
+    solution, grid, time = sample_case(dims, count)
+    per_row = math.prod(axis.count for axis in grid.axes[1:])
+    points = analysis._SLAB if rows == "default" else rows * per_row
+    slab_rows = points // per_row
+    assert count > slab_rows and (slab_rows == 1 or count % slab_rows)  # last slab ragged
+    ref = np.asarray(solution(*coordinates(grid), time), dtype=complex)
+    with mock.patch.object(analysis, "_SLAB", points):
+        field = sample_field(solution, grid, time)
+    assert field.values.shape == ref.shape and field.time_label == time
+    assert np.array_equal(field.values.view(np.uint64), ref.view(np.uint64))
+
+
 class TestSlabSampleField:
     @pytest.mark.parametrize("rows", [1, 4, "default"])
     @pytest.mark.parametrize("dims", [1, 2])
     def test_bits_match_whole_grid_reference(self, dims, rows):
-        # the default slab is 2^14 points, so its grids are larger to span several slabs
-        count = {1: 40003, 2: 301}[dims] if rows == "default" else 43
-        solution, grid, time = sample_case(dims, count)
-        per_row = math.prod(axis.count for axis in grid.axes[1:])
-        points = analysis._SLAB if rows == "default" else rows * per_row
-        slab_rows = points // per_row
-        assert count > slab_rows and (slab_rows == 1 or count % slab_rows)  # last slab ragged
-        ref = np.asarray(solution(*coordinates(grid), time), dtype=complex)
-        with mock.patch.object(analysis, "_SLAB", points):
-            field = sample_field(solution, grid, time)
-        assert field.values.shape == ref.shape and field.time_label == time
-        assert np.array_equal(field.values.view(np.uint64), ref.view(np.uint64))
+        assert_sample_field_bits(dims, rows)
 
     def test_wrong_shape_raises_value_error(self):
         axis = Grid1D(-3.0, 3.0, 31)
@@ -377,8 +388,121 @@ class TestSlabSampleField:
         with mock.patch.object(analysis, "_SLAB", 4 * 21):
             with pytest.raises(NonFiniteError, match="^field contains non-finite values$"):
                 sample_field(last_row_inf, grid, 0.5)
-        # 31 rows: seven clean 4-row slabs, then the ragged 3-row slab with the inf
-        assert calls == [(4, 21)] * 7 + [(3, 21)]
+        # 31 rows: seven clean 4-row slabs, then the ragged 3-row slab with the inf;
+        # slabs run concurrently, so calls may come in any order
+        assert sorted(calls, reverse=True) == [(4, 21)] * 7 + [(3, 21)]
+
+
+@pytest.mark.parametrize("slab_workers", [1, 2, 3], indirect=True)
+class TestSlabPool:
+    """Slabs evaluated on pools of 1 to 3 workers give the bits and errors of a serial walk."""
+
+    @pytest.fixture(autouse=True)
+    def fast_switching(self):
+        """Switch threads often, so that a lost or misplaced slab write would show."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        yield
+        sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("rows", [1, 4, "default"])
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_sample_field_bits(self, slab_workers, dims, rows):
+        assert_sample_field_bits(dims, rows)
+
+    @pytest.mark.parametrize("rows", [1, 4, "default"])
+    @pytest.mark.parametrize("name", ["1d-free-n7", "2d-free-(1,-2)", "3d-osc"])
+    def test_residual_bits(self, slab_workers, monkeypatch, name, rows):
+        solution, grid, time, omega = slab_case(name)
+        if rows == "default":
+            while grid.count < 3 * analysis._SLAB:  # several default slabs
+                grid = grid.refined(2)
+        else:
+            set_slab_rows(monkeypatch, grid, rows)
+        dt = min(axis.spacing for axis in grid.axes)
+        ref = reference_residual(solution, grid, time, SLAB_PARAMS.mass, dt, omega)
+        ours = residual(solution, grid, time, SLAB_PARAMS.mass, dt, omega)
+        assert np.array_equal(np.array(ours).view(np.uint64), np.array(ref).view(np.uint64))
+
+    def test_workers_keep_the_callers_errstate(self, slab_workers):
+        # exp overflows past y = 709.78: in slabs 14 to 16 of 17
+        grid = Grid1D(0.0, 800.0, 801)
+        with mock.patch.object(analysis, "_SLAB", 50), np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                sample_field(lambda y, t: np.exp(y).astype(complex), grid, 0.0)
+
+    def test_first_failing_slab_raises_and_no_slab_runs_after(self, slab_workers):
+        grid = Grid1D(0.0, 39.0, 40)  # ten 4-node slabs: node y is in slab int(y) // 4
+        log = []
+
+        def solution(y, t):
+            # slab 3 outlasts slab 2, and slab 5 fails first in time where it runs
+            k = int(y[0]) // 4
+            sleep({2: 0.05, 3: 0.1, 5: 0.0}.get(k, 0.02))
+            log.append(k)
+            if k in (2, 5):
+                raise NonFiniteError("slab 2") if k == 2 else ValueError("slab 5")
+            return np.zeros_like(y, dtype=complex)
+
+        with mock.patch.object(analysis, "_SLAB", 4):
+            with pytest.raises(NonFiniteError, match="^slab 2$"):
+                sample_field(solution, grid, 0.0)
+        seen = list(log)
+        sleep(0.3)
+        assert log == seen
+        # slabs 0 to 2, and no further than two slabs per worker in flight
+        assert {0, 1, 2} <= set(seen) <= set(range(2 + 2 * slab_workers))
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports oscfree from this checkout."""
+    src = Path(analysis.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-W", "ignore::DeprecationWarning", "-c", code],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+
+
+SLAB_SCRIPT = """
+import os, sys, time
+import numpy as np
+from oscfree import analysis
+from oscfree.analysis import Grid1D, sample_field
+analysis._SLAB = 4
+grid = Grid1D(-1.0, 1.0, 41)
+ones = lambda y, t: np.ones_like(y, dtype=complex)
+"""
+
+
+def test_nested_sample_field_does_not_deadlock():
+    # every worker of a full pool runs an outer slab, so inner slabs must not wait for one
+    code = SLAB_SCRIPT + """
+def outer(y, t):
+    return np.full_like(y, sample_field(ones, grid, t).values.sum(), dtype=complex)
+sys.exit(0 if (sample_field(outer, grid, 0.0).values == 41).all() else 1)
+"""
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_evaluates_slabs():
+    # the child inherits the pool object but none of its threads
+    code = SLAB_SCRIPT + """
+sample_field(ones, grid, 0.0)
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if (sample_field(ones, grid, 0.0).values == 1).all() else 1)
+deadline = time.monotonic() + 30
+while not (status := os.waitpid(pid, os.WNOHANG))[0]:
+    if time.monotonic() > deadline:
+        os.kill(pid, 9)
+        sys.exit("forked child hung")
+    time.sleep(0.01)
+sys.exit(os.waitstatus_to_exitcode(status[1]))
+"""
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestConvergenceOrder:

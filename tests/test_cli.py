@@ -310,6 +310,10 @@ class TestVerify:
         assert out.read_bytes() == golden
         assert capsys.readouterr().out.encode() == golden
 
+    @pytest.mark.parametrize("slab_workers", [1, 2, 3], indirect=True)
+    def test_matches_golden_at_any_worker_count(self, tmp_path, capsys, slab_workers):
+        self.test_matches_golden(tmp_path, capsys)
+
 
 def _assert_exit_3_writes_nothing(tmp_path: Path, capsys, args) -> str:
     """Run args into a fresh and a pre-existing --out: exit 3, no table, no temp file left.
@@ -1033,18 +1037,26 @@ def test_module_entry_point(tmp_path):
     assert out.exists()
 
 
-def test_import_loads_no_scipy():
-    # scipy.integrate alone takes most of a cold start; the runtime needs numpy only
+def _after_import(probe: str) -> str:
+    """stdout of probe run in a fresh interpreter that has imported oscfree and oscfree.cli."""
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = (
-        "import sys, oscfree, oscfree.cli; "
-        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", "import sys, threading, oscfree, oscfree.cli; " + probe],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # scipy.integrate alone takes most of a cold start; the runtime needs numpy only
+    probe = "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    assert _after_import(probe) == "[]"
+
+
+def test_import_starts_no_slab_pool():
+    # the pool and concurrent.futures come with the first grid evaluation
+    probe = "print('concurrent.futures' in sys.modules, threading.active_count())"
+    assert _after_import(probe) == "False 1"
