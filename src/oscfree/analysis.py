@@ -7,11 +7,14 @@ axis, work on any number of axes: a solution is called as
 solution(*coords, t).  Residual time derivatives are central differences
 at t +- dt, with dt tied to the grid spacing so one parameter drives the
 convergence studies.  Every grid evaluation (sampled fields, residuals
-and the CLI's field tables) walks axis 0 in slabs of about 2^14 points, cut
+and the CLI's field tables) walks axis 0 in slabs of about 2^15 points, cut
 by one walker, _slabs: a field's memory is its values, a residual's grows by
 one float (|resid|^2) per interior point, a table's not at all.  Sampled
 fields and residuals run their slabs on a thread pool (_map_slabs), with the
-bits and errors of a serial walk; tables stay on the calling thread.  Integrals
+bits and errors of a serial walk; tables stay on the calling thread.  The
+slab size is set from both sides (see _SLAB): small enough that the special
+function recurrences work in L2 cache, large enough that each of their numpy
+calls outlasts a handoff of the interpreter lock between workers.  Integrals
 use the trapezoid rule: exponentially accurate for smooth fields negligible
 at the grid edges (auto_grid makes them so), second order otherwise.
 """
@@ -126,22 +129,28 @@ class ComplexField:
         return self.values.real**2 + self.values.imag**2
 
 
-# grid points per slab of axis 0, halo rows aside: the few slab-sized buffers of
-# the Hermite and Kummer recurrences then stay in a 2 MB L2 cache for all n steps
-_SLAB = 2**14
+# grid points per slab of axis 0, halo rows aside.  Two bounds set it, both measured (2-vCPU
+# Xeon, 2 MB L2, numpy 2.4): the four 8-byte buffers of the Hermite and Kummer recurrences,
+# 1 MB, stay in L2 for all n steps; and each of their 3n numpy calls, about 16 us, outlasts a
+# handoff of the GIL between two slab workers.  hermite(120) on two threads against one ran
+# 0.45x as fast over 2^12-point calls, 0.97x over 2^14 (8 us a call) and 1.56x over 2^15.
+# At 2^16 the buffers fill L2, and perfbench verify-residual's peak RSS rose 8% over 2^15.
+_SLAB = 2**15
 
 
 def _slabs(nodes, halo: int):
     """Axis-0 slabs (start, stop, coords) of the grid of 1-D node sequences nodes.
 
     start .. stop spans about _SLAB points' worth of axis-0 rows, halo rows at the axis ends
-    aside; coords is the ij meshgrid of those rows, halo more each side, and the later axes.
+    aside; coords() builds the ij meshgrid of those rows, halo more each side, and the later
+    axes, so a slab holds its coordinates only once it is evaluated.
     """
     rows = max(1, _SLAB // math.prod(len(axis) for axis in nodes[1:]))
     count = len(nodes[0]) - 2 * halo
     for start in range(0, count, rows):
         stop = min(start + rows, count)
-        yield start, stop, np.meshgrid(nodes[0][start : stop + 2 * halo], *nodes[1:], indexing="ij")
+        rows_here = nodes[0][start : stop + 2 * halo]
+        yield start, stop, functools.partial(np.meshgrid, rows_here, *nodes[1:], indexing="ij")
 
 
 _in_slab = contextvars.ContextVar("in_slab", default=False)
@@ -152,7 +161,8 @@ def _slab_pool():
     """(pool, workers) of _map_slabs, made on first use.
 
     A worker per CPU of the process's affinity mask (taskset -c 0 gives one), at most 4,
-    as each running slab holds a few MB of temporaries.
+    as each running slab holds up to about 3.5 MB: a 2D residual slab peaks near 107 bytes
+    per point (tests/test_analysis.py, TestSlabMemory), 3.5 MB at 2^15 points.
     """
     from concurrent.futures import ThreadPoolExecutor
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -167,21 +177,25 @@ if hasattr(os, "register_at_fork"):
 def _map_slabs(fn, nodes, halo: int) -> list:
     """[fn(start, stop, coords) for each slab of _slabs(nodes, halo)], slabs run concurrently.
 
-    Slabs keep the caller's context (np.errstate); at most two per worker are in flight.
+    Slabs keep the caller's context (np.errstate); at most two per worker are in flight, and
+    a slab builds its coordinates when it starts, so a queued one holds none.
     Results come in slab order and the first failing slab's error is raised, as by a serial
     loop, once no slab runs (slabs not started are dropped).  A call from inside a slab runs
     inline, so it cannot deadlock a full pool.
     """
+    def run(start, stop, coords):
+        return fn(start, stop, coords())
+
     slabs = _slabs(nodes, halo)
     if _in_slab.get():
-        return [fn(*slab) for slab in slabs]
+        return [run(*slab) for slab in slabs]
     context = contextvars.copy_context()
     context.run(_in_slab.set, True)
     pool, workers = _slab_pool()
     pending, results = [], []
     try:
         for slab in slabs:
-            pending.append(pool.submit(context.copy().run, fn, *slab))
+            pending.append(pool.submit(context.copy().run, run, *slab))
             if len(pending) == 2 * workers:
                 results.append(pending.pop(0).result())
         while pending:
@@ -240,31 +254,38 @@ def residual(
 
     Axis 0 is walked in the slabs of _map_slabs with a one-row halo, so only |resid|^2 is
     held on the whole interior: memory grows by one float per interior point.  Slabs run
-    concurrently, each writing its own rows, with the errors of a serial walk.  Elementwise
+    concurrently, each writing its own rows, with the errors of a serial walk; a slab samples
+    t + dt, t - dt, then t, and raises the first failing sample's error.  Elementwise
     arithmetic gives the same bits on a slab as on the whole grid, and one np.sum over
     |resid|^2 keeps its pairwise summation, so both norms are those of a whole grid.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    times = (time, time + dt, time - dt)
     inner = (slice(1, -1),) * len(grid.axes)
     sq = np.empty(tuple(axis.count - 2 for axis in grid.axes))
 
-    # interior rows start + 1 .. stop of axis 0, with one halo row on either side
+    # interior rows start + 1 .. stop of axis 0, with one halo row on either side.  The t +- dt
+    # samples come first and are dropped once they make the time term, so at most two
+    # samples are held at once; |resid| is squared in place in sq
     def slab(start, stop, coords):
-        psi0, psip, psim = (_checked_samples(solution(*coords, t), coords[0].shape) for t in times)
+        sample = lambda t: _checked_samples(solution(*coords, t), coords[0].shape)
+        psip, psim = sample(time + dt), sample(time - dt)
+        resid = 1j * (psip[inner] - psim[inner]) / (2.0 * dt)
+        del psip, psim
+        psi0 = sample(time)
         lap = 0.0
         for k, axis in enumerate(grid.axes):
             up = inner[:k] + (slice(2, None),) + inner[k + 1 :]
             down = inner[:k] + (slice(None, -2),) + inner[k + 1 :]
             lap = lap + (psi0[up] - 2.0 * psi0[inner] + psi0[down]) / axis.spacing**2
-        resid = 1j * (psip[inner] - psim[inner]) / (2.0 * dt) + lap / (2.0 * mass)
+        resid = resid + lap / (2.0 * mass)
         if omega is not None:
             r_sq = sum(c[inner] ** 2 for c in coords)
             resid = resid - 0.5 * mass * omega**2 * r_sq * psi0[inner]
-        mags = np.abs(resid)
-        np.square(mags, out=sq[start:stop])
-        return mags.max()
+        mags = np.abs(resid, out=sq[start:stop])
+        peak = mags.max()
+        np.square(mags, out=mags)
+        return peak
 
     peaks = _map_slabs(slab, [axis.nodes for axis in grid.axes], 1)
     cell = math.prod(axis.spacing for axis in grid.axes)
@@ -365,7 +386,17 @@ def spectral_propagate_free(initial: ComplexField, tau: float, m: float) -> Comp
     k_sq = [(2.0 * math.pi * np.fft.fftfreq(a.count, d=a.spacing)) ** 2 for a in initial.grid.axes]
     # summing sparse per-axis arrays makes |k|^2 the one full-size array (in 1D, the k^2 itself)
     k_sq = functools.reduce(np.add, np.meshgrid(*k_sq, indexing="ij", sparse=True, copy=False))
-    evolved = np.fft.ifftn(np.fft.fftn(v) * np.exp(-0.5j * k_sq * tau / m))
+    # two grid-sized complex buffers: the phase, made and exponentiated in place, and the
+    # spectrum, multiplied in place as spectrum * phase (complex products round by operand
+    # order) and transformed back in place; out= spares fftn an array per axis
+    phase = -0.5j * k_sq
+    del k_sq
+    phase *= tau
+    phase /= m
+    spectrum = np.fft.fftn(v, out=np.empty_like(v))
+    spectrum *= np.exp(phase, out=phase)
+    del phase
+    evolved = np.fft.ifftn(spectrum, out=spectrum)
     return ComplexField(initial.grid, evolved, initial.time_label + tau)
 
 

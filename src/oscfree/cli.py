@@ -216,10 +216,10 @@ def _write_field_table(args: argparse.Namespace, lift, taus, names) -> None:
         for tau in taus:
             tau_text = repr(tau)
             for (start, stop, coords), (*_, words) in zip(_slabs(nodes, 0), _slabs(text, 0)):
-                values = lift(slice(start, stop), *coords, tau).ravel()
+                values = lift(slice(start, stop), *coords(), tau).ravel()
                 re, im = values.real, values.imag
                 # density written as re^2 + im^2 so re-reading the table reproduces it exactly
-                text_columns = (w.ravel().tolist() for w in words)
+                text_columns = (w.ravel().tolist() for w in words())
                 yield [[tau_text] * re.size, *text_columns, re, im, re * re + im * im]
 
     header = ["tau", *names, "re", "im", "density"]

@@ -146,11 +146,16 @@ def lifted_eigenstate_1d(params: OscillatorParams, qn: QuantumNumbers1D, y, tau:
     """
     mw = params.mass * params.omega
     ya = np.asarray(y, dtype=float)
-    y_sq = ya * ya
     s2 = _stretch_sq(params, tau)
-    exponent = _log_norm_1d(params, qn.n) - 0.25 * math.log(s2) - 0.5 * mw * y_sq / s2
-    exponent = exponent + 1j * _dressing_phase(params, tau, y_sq, energy_1d(params, qn))
-    out = np.exp(exponent) * hermite(qn.n, math.sqrt(mw / s2) * ya)
+    # the recurrence runs before any complex temporary exists, and the product is taken in
+    # place in the operand order exp(...) * H_n (complex products round by operand order)
+    h = hermite(qn.n, math.sqrt(mw / s2) * ya)
+    y_sq = ya * ya
+    out = np.exp(
+        _log_norm_1d(params, qn.n) - 0.25 * math.log(s2) - 0.5 * mw * y_sq / s2
+        + 1j * _dressing_phase(params, tau, y_sq, energy_1d(params, qn))
+    )
+    out *= h
     if np.ndim(y) == 0:
         return complex(out)
     return out
@@ -184,14 +189,19 @@ def lifted_eigenstate_2d(params: OscillatorParams, qn: QuantumNumbers2D, y1, y2,
     r_sq = y1a * y1a + y2a * y2a
     s2 = _stretch_sq(params, tau)
     z = mw * r_sq / s2
-    exponent = -0.5 * z + 1j * _dressing_phase(params, tau, r_sq, energy_2d(params, qn))
-    out = (
-        norm_constant_2d(params, qn)
-        * s2 ** (-0.5 * (labs + 1))
-        * (y1a + 1j * math.copysign(1.0, qn.l) * y2a) ** labs
-        * kummer_truncated(qn.n_radial, labs + 1.0, z)
-        * np.exp(exponent)
-    )
+    # as in lifted_eigenstate_1d: the recurrence first, each real buffer dropped once used,
+    # then the products in place in the operand order of P * (y1 + i y2)^|l| * F * exp(...)
+    kummer = kummer_truncated(qn.n_radial, labs + 1.0, z)
+    exponent = 1j * _dressing_phase(params, tau, r_sq, energy_2d(params, qn))
+    del r_sq
+    exponent += -0.5 * z
+    del z
+    exponent = np.exp(exponent)
+    out = y1a + 1j * math.copysign(1.0, qn.l) * y2a
+    out **= labs
+    out *= norm_constant_2d(params, qn) * s2 ** (-0.5 * (labs + 1))
+    out *= kummer
+    out *= exponent
     if np.ndim(y1) == 0 and np.ndim(y2) == 0:
         return complex(out)
     return out

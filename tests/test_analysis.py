@@ -1,11 +1,14 @@
+import functools
 import math
 import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from time import sleep
+from time import monotonic, sleep
 from unittest import mock
 
 import numpy as np
@@ -300,7 +303,7 @@ class TestSlabResidual:
 
     def test_memory_grows_by_one_float_per_interior_point(self, params):
         # at 401^2 and 801^2 only |resid|^2 grows with the grid; the slab
-        # samples and temporaries stay about 2^14 points each
+        # samples and temporaries stay about _SLAB (2^15) points each
         qn = QuantumNumbers2D(0, 1)
         solution = lambda a, b, tau: lifted_eigenstate_2d(params, qn, a, b, tau)
         base = auto_grid_2d(params, qn, 0.5, 101)
@@ -351,7 +354,7 @@ def sample_case(dims, count):
 
 def assert_sample_field_bits(dims, rows):
     """sample_field in slabs of rows rows (or the default slab) has the bits of a whole grid."""
-    # the default slab is 2^14 points, so its grids are larger to span several slabs
+    # the default slab is 2^15 points, so its grids are larger to span several slabs
     count = {1: 40003, 2: 301}[dims] if rows == "default" else 43
     solution, grid, time = sample_case(dims, count)
     per_row = math.prod(axis.count for axis in grid.axes[1:])
@@ -454,6 +457,92 @@ class TestSlabPool:
         assert {0, 1, 2} <= set(seen) <= set(range(2 + 2 * slab_workers))
 
 
+def test_queued_slabs_hold_no_coordinates():
+    """On a 1-worker pool, a slab queued behind a blocked one has built no coordinates."""
+    grid = Grid1D(0.0, 39.0, 40)  # ten 4-node slabs
+    started, release, built, submitted = threading.Event(), threading.Event(), [], []
+    meshgrid = np.meshgrid
+
+    def counting_meshgrid(*args, **kwargs):
+        built.append(args[0][0])
+        return meshgrid(*args, **kwargs)
+
+    def solution(y, t):
+        started.set()
+        assert release.wait(30)  # the first slab holds the only worker
+        return np.zeros_like(y, dtype=complex)
+
+    with ThreadPoolExecutor(1) as pool:
+        def submit(*args):
+            submitted.append(args)
+            return ThreadPoolExecutor.submit(pool, *args)
+
+        with mock.patch.object(pool, "submit", submit), \
+                mock.patch.object(analysis, "_slab_pool", lambda: (pool, 1)), \
+                mock.patch.object(analysis, "_SLAB", 4), \
+                mock.patch.object(np, "meshgrid", counting_meshgrid):
+            caller = threading.Thread(target=sample_field, args=(solution, grid, 0.0))
+            caller.start()
+            try:
+                deadline = monotonic() + 30
+                while len(submitted) < 2 and monotonic() < deadline:
+                    sleep(0.005)
+                assert started.is_set() and len(submitted) == 2  # slab 1 waits in the queue
+                assert built == [0.0]  # only the running slab 0 has its coordinates
+            finally:
+                release.set()
+                caller.join(30)
+    assert not caller.is_alive()
+    assert built == [4.0 * k for k in range(10)]
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while fn() runs, after an untraced warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSlabMemory:
+    """Guards against a slab temporary coming back: each bound sits a little above the
+    traced peak measured when it was set (numpy 2.4, 2^15-point slabs)."""
+
+    def test_lifted_1d_at_n120(self):
+        # measured 52 B/pt: the Hermite recurrence runs before the complex temporaries exist
+        # (80 B/pt when it ran after them)
+        y = np.linspace(-25.0, 25.0, analysis._SLAB)
+        peak = traced_peak(lambda: lifted_eigenstate_1d(SLAB_PARAMS, QuantumNumbers1D(120), y, 0.7))
+        assert peak / y.size < 56
+
+    @pytest.mark.parametrize("n_radial, l", [(1, -2), (3, 4)])
+    def test_residual_2d_slab(self, n_radial, l):
+        # one slab of a 2D residual, |resid|^2 included: measured 107 B/pt; 136 B/pt with
+        # three samples held through the stencil and the 2D recurrence run after the
+        # complex factors, at 2^14-point slabs
+        qn = QuantumNumbers2D(n_radial, l)
+        grid = auto_grid_2d(SLAB_PARAMS, qn, 0.6, math.isqrt(analysis._SLAB))
+        solution = lambda a, b, tau: lifted_eigenstate_2d(SLAB_PARAMS, qn, a, b, tau)
+        dt = grid.axes[0].spacing
+        peak = traced_peak(lambda: residual(solution, grid, 0.6, SLAB_PARAMS.mass, dt))
+        assert peak / grid.count < 110
+
+    @pytest.mark.parametrize("dims, count", [(1, 2**18), (2, 201), (3, 33)])
+    def test_spectral_propagation(self, dims, count):
+        # measured 2.0 grid-sized complex arrays (the phase and the spectrum) in any
+        # dimension; 3.5 when the phase took several temporaries and fftn one per axis
+        if dims == 1:
+            grid = auto_grid(SLAB_PARAMS, 60, 0.4, count)
+            field, tau = sample_field(lifted(SLAB_PARAMS, 60), grid, 0.0), 0.4
+        else:
+            field, tau = spectral_case(dims, count)
+        peak = traced_peak(lambda: spectral_propagate_free(field, tau, SLAB_PARAMS.mass))
+        assert peak / field.values.nbytes < 2.1
+
+
 def run_python(code: str) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter that imports oscfree from this checkout."""
     src = Path(analysis.__file__).resolve().parents[1]
@@ -546,7 +635,34 @@ def reference_propagate_1d(field, tau, m):
     return np.fft.ifft(np.fft.fft(field.values) * np.exp(-0.5j * k**2 * tau / m))
 
 
+def reference_propagate(field, tau, m):
+    """spectral_propagate_free's transform as one expression, the bit reference on any grid."""
+    k_sq = [(2.0 * math.pi * np.fft.fftfreq(a.count, d=a.spacing)) ** 2 for a in field.grid.axes]
+    k_sq = functools.reduce(np.add, np.meshgrid(*k_sq, indexing="ij", sparse=True, copy=False))
+    return np.fft.ifftn(np.fft.fftn(field.values) * np.exp(-0.5j * k_sq * tau / m))
+
+
+def spectral_case(dims, count):
+    """A field that decays to the edges of a grid of dims axes (counts from count up), and tau."""
+    p, tau = SLAB_PARAMS, 0.9
+    if dims == 2:
+        qn = QuantumNumbers2D(1, -2)
+        grid = auto_grid_2d(p, qn, tau, count)
+        grid = Grid((grid.axes[0], Grid1D(grid.axes[1].y_min, grid.axes[1].y_max, count + 5)))
+        solution = lambda a, b, t: lifted_eigenstate_2d(p, qn, a, b, t)
+    else:
+        grid = Grid(tuple(auto_grid(p, n, tau, count + 3 * n) for n in (0, 1, 2)))
+        solution = lift_wavefunction(product_eigenstate((0, 1, 2)), p)
+    return sample_field(solution, grid, 0.0), tau
+
+
 class TestSpectralPropagation:
+    @pytest.mark.parametrize("dims, count", [(2, 128), (2, 201), (3, 24), (3, 33)])
+    def test_bits_match_reference(self, dims, count):
+        field, tau = spectral_case(dims, count)
+        out = spectral_propagate_free(field, tau, SLAB_PARAMS.mass).values
+        assert out.tobytes() == reference_propagate(field, tau, SLAB_PARAMS.mass).tobytes()
+
     def test_identity_at_tau_zero(self, params):
         grid = auto_grid(params, 2, 0.0, 1001)
         field = sample_field(lifted(params, 2), grid, 0.0)

@@ -38,11 +38,11 @@ GEN2D_GOLDEN_ARGS = [
     "--tau", "0,1.5", "--grid", "-8:8:15,-6:6:11",
 ]
 PEAKS_GOLDEN_ARGS = ["peaks", "--n", "5", "--tau", "0,0.7,2", "--count", "4001"]
-# 200001 nodes span 13 slabs of analysis._slabs, the last one ragged
+# 200001 nodes span 7 slabs of analysis._slabs (2^15 points), the last one ragged
 PEAKS_SLABS_GOLDEN_ARGS = [
     "peaks", "--n", "40", "--tau", "0,1.3", "--count", "200001", "--format", "json",
 ]
-# the finest grid, 401^2, spans three residual slabs, the last one ragged
+# the finest grid, 401^2, spans five residual slabs of 81 rows, the last one ragged
 VERIFY_GOLDEN_ARGS = [
     "verify", "--suite", "free-residual-2d", "--l", "-2", "--n-radial", "1", "--mass", "1.3",
     "--omega", "0.7", "--tau", "0.6", "--refinements", "3",
@@ -817,8 +817,9 @@ def test_field_table_memory_does_not_grow_with_taus(tmp_path):
 def test_field_table_memory_does_not_grow_with_the_grid(tmp_path):
     """The traced peak of a one-tau gen2d table is the same at 801^2 points as at 401^2.
 
-    Each is lifted and written one axis-0 slab of about 2^14 points at a time.  Measured
-    about 3.0 and 3.1 MiB; lifted whole, as before the slab walker, 14.8 and 58.9 MiB.
+    Each is lifted and written one axis-0 slab of about 2^15 points at a time.  Measured
+    about 4.2 and 4.1 MiB (3.0 and 3.1 at 2^14-point slabs); lifted whole, as before the
+    slab walker, 14.8 and 58.9 MiB.
     """
     def gen2d(count):
         args = ["gen2d", "--l", "1", "--tau", "0.5", "--grid", f"-12:12:{count}"]

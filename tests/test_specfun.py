@@ -58,9 +58,10 @@ def reference_kummer(n: int, b: float, z):
 
 
 # sizes around the slab every grid evaluation hands over (one point short, exact,
-# one over, two slabs and a tail) and the 2-D layouts: C order, Fortran order and a
-# strided view
-LAYOUTS = ["0-d", 1, _SLAB - 1, _SLAB, _SLAB + 1, 2 * _SLAB + 3, "c", "fortran", "strided"]
+# one over, two slabs and a tail), the same around the earlier 2^14-point slab, and
+# the 2-D layouts: C order, Fortran order and a strided view
+SIZES = [2**14 - 1, 2**14, 2**14 + 1, 2**15 + 3, _SLAB - 1, _SLAB, _SLAB + 1, 2 * _SLAB + 3]
+LAYOUTS = ["0-d", 1, *SIZES, "c", "fortran", "strided"]
 
 
 def sample_input(layout, low: float, high: float, seed: int):

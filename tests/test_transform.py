@@ -23,8 +23,11 @@ from oscfree import (
     osc_to_free_time,
     pull_back_wavefunction,
 )
+from oscfree import analysis
 from oscfree.analysis import Grid, Grid1D, auto_grid, residual
-from oscfree.transform import _stretch_sq
+from oscfree.oscillator import _log_norm_1d, energy_1d, energy_2d
+from oscfree.specfun import hermite, kummer_truncated
+from oscfree.transform import _dressing_phase, _stretch_sq
 
 PI_HALF = math.pi ** -0.5
 
@@ -177,7 +180,64 @@ class TestLiftAndPullBack:
                 assert np.abs(forward(y, tau) - direct).max() < 1e-12
 
 
+def reference_lifted_1d(params, qn, y, tau):
+    """lifted_eigenstate_1d as one expression, the bit reference for its in-place evaluation."""
+    mw, ya, s2 = params.mass * params.omega, np.asarray(y, dtype=float), _stretch_sq(params, tau)
+    out = np.exp(
+        _log_norm_1d(params, qn.n) - 0.25 * math.log(s2) - 0.5 * mw * (ya * ya) / s2
+        + 1j * _dressing_phase(params, tau, ya * ya, energy_1d(params, qn))
+    ) * hermite(qn.n, math.sqrt(mw / s2) * ya)
+    return complex(out) if np.ndim(y) == 0 else out
+
+
+def reference_lifted_2d(params, qn, y1, y2, tau):
+    """lifted_eigenstate_2d as one expression, the bit reference for its in-place evaluation."""
+    mw, labs, s2 = params.mass * params.omega, abs(qn.l), _stretch_sq(params, tau)
+    y1a, y2a = np.asarray(y1, dtype=float), np.asarray(y2, dtype=float)
+    r_sq = y1a * y1a + y2a * y2a
+    out = (
+        norm_constant_2d(params, qn)
+        * s2 ** (-0.5 * (labs + 1))
+        * (y1a + 1j * math.copysign(1.0, qn.l) * y2a) ** labs
+        * kummer_truncated(qn.n_radial, labs + 1.0, mw * r_sq / s2)
+        * np.exp(-0.5 * (mw * r_sq / s2)
+                 + 1j * _dressing_phase(params, tau, r_sq, energy_2d(params, qn)))
+    )
+    return complex(out) if np.ndim(y1) == 0 and np.ndim(y2) == 0 else out
+
+
+# a scalar, one point, a ragged count and more than two slabs of analysis._slabs
+LIFT_SIZES = ["0-d", 1, 3001, "slabs"]
+LIFT_PARAMS = OscillatorParams(1.3, 0.8)
+
+
+def lift_points(size, half: float, seed: int):
+    """Points in [-half, half] of the given size, with +0.0 and -0.0 mixed in."""
+    rng = np.random.default_rng(seed)
+    if size == "0-d":
+        return float(rng.uniform(-half, half))
+    values = rng.uniform(-half, half, size=2 * analysis._SLAB + 3 if size == "slabs" else size)
+    values[::7], values[::11] = 0.0, -0.0
+    return values
+
+
+def assert_same_complex_bits(ours, ref):
+    assert type(ours) is type(ref) and np.shape(ours) == np.shape(ref)
+    ours, ref = np.atleast_1d(ours), np.atleast_1d(ref)
+    assert ours.dtype == ref.dtype == complex
+    assert np.array_equal(ours.view(np.uint64), ref.view(np.uint64))
+
+
 class TestLiftedEigenstate1D:
+    @pytest.mark.parametrize("tau", [0.0, -0.7, 2.5])
+    @pytest.mark.parametrize("n", [0, 1, 40, 120])
+    @pytest.mark.parametrize("size", LIFT_SIZES)
+    def test_bits_match_reference(self, size, n, tau):
+        qn = QuantumNumbers1D(n)
+        y = lift_points(size, 25.0, n)
+        ours = lifted_eigenstate_1d(LIFT_PARAMS, qn, y, tau)
+        assert_same_complex_bits(ours, reference_lifted_1d(LIFT_PARAMS, qn, y, tau))
+
     def test_reduces_to_eigenstate_at_tau_zero(self, params):
         y = np.linspace(-6, 6, 201)
         qn = QuantumNumbers1D(2)
@@ -212,6 +272,15 @@ class TestLiftedEigenstate1D:
 
 
 class TestLiftedEigenstate2D:
+    @pytest.mark.parametrize("tau", [0.0, -0.7, 2.5])
+    @pytest.mark.parametrize("n_radial, l", [(0, 0), (0, 1), (0, -1), (1, -2), (3, 4)])
+    @pytest.mark.parametrize("size", LIFT_SIZES)
+    def test_bits_match_reference(self, size, n_radial, l, tau):
+        qn = QuantumNumbers2D(n_radial, l)
+        y1, y2 = lift_points(size, 9.0, 10 * n_radial + l + 5), lift_points(size, 8.0, 7 - l)
+        ours = lifted_eigenstate_2d(LIFT_PARAMS, qn, y1, y2, tau)
+        assert_same_complex_bits(ours, reference_lifted_2d(LIFT_PARAMS, qn, y1, y2, tau))
+
     def test_reduces_to_ground_state_at_tau_zero(self, params):
         qn = QuantumNumbers2D(0, 0)
         val = lifted_eigenstate_2d(params, qn, 0.7, -0.4, 0.0)
