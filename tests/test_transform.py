@@ -146,9 +146,13 @@ class TestLiftAndPullBack:
         )
 
     def test_pull_back_window_guard(self, params):
-        chi = lambda y, tau: lifted_eigenstate_1d(params, QuantumNumbers1D(0), y, tau)
-        with pytest.raises(HalfPeriodError):
-            pull_back_wavefunction(chi, params)(0.0, 1.6)
+        # 1D and 2D, either side of the window: refused before chi is called
+        calls = []
+        chi = lambda *args: calls.append(args)
+        for args in [(0.0, 1.6), (0.0, -1.6), (np.zeros(3), np.ones(3), 1.6), (0.5, -0.5, -2.0)]:
+            with pytest.raises(HalfPeriodError):
+                pull_back_wavefunction(chi, params)(*args)
+        assert calls == []
 
     def test_round_trip_through_both_maps(self, params):
         x = np.linspace(-12, 12, 10001)
@@ -226,6 +230,89 @@ def assert_same_complex_bits(ours, ref):
     ours, ref = np.atleast_1d(ours), np.atleast_1d(ref)
     assert ours.dtype == ref.dtype == complex
     assert np.array_equal(ours.view(np.uint64), ref.view(np.uint64))
+
+
+def reference_lift(psi, params):
+    """lift_wavefunction with its dressing as one expression, the bit reference for it."""
+
+    def chi(*args):
+        *y, tau = args
+        return (
+            _stretch_sq(params, tau) ** (-0.25 * len(y))
+            * np.exp(1j * _dressing_phase(params, tau, sum(np.square(c) for c in y), 0.0))
+            * psi(*[free_to_osc_space(params, tau, c) for c in y], free_to_osc_time(params, tau))
+        )
+
+    return chi
+
+
+def reference_pull_back(chi, params):
+    """pull_back_wavefunction with its dressing as one expression, the bit reference for it."""
+
+    def psi(*args):
+        *x, t = args
+        tau = osc_to_free_time(params, t)
+        y = [osc_to_free_space(params, t, v) for v in x]
+        return (
+            _stretch_sq(params, tau) ** (0.25 * len(y))
+            * np.exp(-1j * _dressing_phase(params, tau, sum(np.square(c) for c in y), 0.0))
+            * chi(*y, tau)
+        )
+
+    return psi
+
+
+def dressing_cases(params):
+    """(oscillator psi, free chi) pairs in 1, 2 and 3 dimensions; 2D goes through polar psi."""
+    levels, qn2 = [QuantumNumbers1D(n) for n in (3, 1, 0)], QuantumNumbers2D(1, -2)
+
+    def psi_2d(x1, x2, t):
+        return eigenstate_2d(params, qn2, np.hypot(x1, x2), np.arctan2(x2, x1), t)
+
+    def psi_3d(*args):  # a product of 1D levels, one per axis
+        *x, t = args
+        return math.prod(eigenstate_1d(params, qn, c, t) for qn, c in zip(levels, x))
+
+    def chi_3d(*args):
+        *y, tau = args
+        return math.prod(lifted_eigenstate_1d(params, qn, c, tau) for qn, c in zip(levels, y))
+
+    return {
+        1: (lambda x, t: eigenstate_1d(params, levels[0], x, t),
+            lambda y, tau: lifted_eigenstate_1d(params, levels[0], y, tau)),
+        2: (psi_2d, lambda y1, y2, tau: lifted_eigenstate_2d(params, qn2, y1, y2, tau)),
+        3: (psi_3d, chi_3d),
+    }
+
+
+# per dimension: a ragged grid, and one of more than 2^15 points, where numpy elides temporaries
+DRESSING_SHAPES = {
+    "ragged": {1: (3001,), 2: (57, 43), 3: (13, 11, 7)},
+    "elided": {1: (2**16 + 3,), 2: (259, 131), 3: (37, 33, 29)},
+}
+
+
+def dressing_points(dim, size, seed):
+    """dim coordinates, floats for size "0-d", else meshgrids of DRESSING_SHAPES[size][dim]."""
+    rng = np.random.default_rng(seed)
+    if size == "0-d":
+        return [float(v) for v in rng.uniform(-4.0, 4.0, dim)]
+    axes = [np.sort(rng.uniform(-6.0, 6.0, count)) for count in DRESSING_SHAPES[size][dim]]
+    return np.meshgrid(*axes, indexing="ij")
+
+
+@pytest.mark.parametrize("time", [-1.3, 0.0, 0.6])
+@pytest.mark.parametrize("size", ["0-d", "ragged", "elided"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_dressing_bits_match_reference(dim, size, time):
+    # the generic lift and pull-back, both directions of the one dressing, keep their bits;
+    # time is tau for the lift and t for the pull-back (|omega t| < pi/2 at omega 0.8)
+    psi, chi = dressing_cases(LIFT_PARAMS)[dim]
+    coords = dressing_points(dim, size, seed=dim)
+    lifted = lift_wavefunction(psi, LIFT_PARAMS)(*coords, time)
+    assert_same_complex_bits(lifted, reference_lift(psi, LIFT_PARAMS)(*coords, time))
+    pulled = pull_back_wavefunction(chi, LIFT_PARAMS)(*coords, time)
+    assert_same_complex_bits(pulled, reference_pull_back(chi, LIFT_PARAMS)(*coords, time))
 
 
 class TestLiftedEigenstate1D:
