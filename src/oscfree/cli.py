@@ -16,24 +16,15 @@ division by zero), 4 verification failure
 (the output file could not be written).  An existing --out that is not a
 regular file (a directory, /dev/stdout, /dev/null, a FIFO) is a usage error.
 
---out is replaced whole: rows go to a temporary file in the directory of
---out (symlinks resolved, so a symlinked --out is written through), which
-is renamed over --out once the last row is written, and removed on any
-failure.  So nothing is written on exit 2, 3 or 5 and an existing --out
-keeps its bytes, while a table is lifted and written one axis-0 slab of one
-tau at a time, so its memory grows neither with the taus nor with the grid.
-Tables stay on the calling thread; peaks, verify and propagate's comparison
-sample on analysis's slab thread pool, with the bits of a serial walk.
-verify writes its --out report before printing it.
+--out is replaced whole, so nothing is written on exit 2, 3 or 5 (see
+_replacing); verify writes its --out report before printing it.  Tables are
+written deterministically in the CSV or JSON format of _write_table, field
+tables one slab of one tau at a time (_write_field_table).
 
 Grid specs are `min:max:count`; tau lists are comma-separated values or
 `min:max:count` ranges.  Every option but --help takes one value, so any
 long flag, abbreviated or not, takes a dash-leading value (-1e-3,
--20:20:2001) as a separate token, the same as --flag=value.  CSV and JSON
-tables are written by one chunked pass over the cells (the JSON bytes equal
-json.dumps of the whole table), deterministically: identical invocations
-give bit-identical files, floats in shortest round-trip form, and each tau
-and grid node is formatted once, however many rows repeat it.
+-20:20:2001) as a separate token, the same as --flag=value.
 """
 
 from __future__ import annotations

@@ -10,14 +10,8 @@ scale (tests/test_specfun.py).  The limit is overflow from about degree
 170 on wide grids, which the CLI turns into a NonFiniteError (exit 3).
 
 Both recurrences update four preallocated buffers in place over the whole
-array they are given.  Callers bound that size: every grid evaluation hands
-over one axis-0 slab of analysis._slabs, 2**15 points, at a time.  The size
-is measured from both sides (2-vCPU Xeon, 2 MB of L2, numpy 2.4).  The
-buffers, 1 MB, stay in L2 for all n steps: hermite(120, x) on 400001 points
-takes about 0.13 s in one call, against 0.06 s in 2**15-point pieces.  And
-each of a step's three numpy calls does about 16 us of work, longer than a
-handoff of the interpreter lock between two slab workers: at 2**14 points
-(8 us a call) two threads ran hermite no faster than one, at 2**15 1.56x.
+array they are given; grid evaluations hand over one axis-0 slab at a time,
+sized for these buffers (see analysis._SLAB).
 """
 
 from __future__ import annotations

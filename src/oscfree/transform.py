@@ -90,6 +90,12 @@ def _dressing_phase(params: OscillatorParams, tau: float, y_sq, energy: float):
     return 0.5 * params.mass * params.omega**2 * tau * y_sq / _stretch_sq(params, tau) - energy * t
 
 
+def _dressing(params: OscillatorParams, y, tau: float, sign: int):
+    """(s^2)^{-sign d/4} exp(sign i m omega^2 tau |y|^2 / (2 s^2)): sign 1 lifts, -1 pulls back."""
+    phase = _dressing_phase(params, tau, sum(np.square(c) for c in y), 0.0)
+    return _stretch_sq(params, tau) ** (-0.25 * sign * len(y)) * np.exp(sign * 1j * phase)
+
+
 def lift_wavefunction(psi, params: OscillatorParams):
     """Dress an oscillator solution psi(*x, t) into the free-particle solution chi(*y, tau).
 
@@ -99,10 +105,8 @@ def lift_wavefunction(psi, params: OscillatorParams):
 
     def chi(*args):
         *y, tau = args
-        phase = np.exp(1j * _dressing_phase(params, tau, sum(np.square(c) for c in y), 0.0))
         x = [free_to_osc_space(params, tau, c) for c in y]
-        prefactor = _stretch_sq(params, tau) ** (-0.25 * len(x))
-        return prefactor * phase * psi(*x, free_to_osc_time(params, tau))
+        return _dressing(params, y, tau, 1) * psi(*x, free_to_osc_time(params, tau))
 
     return chi
 
@@ -118,8 +122,7 @@ def pull_back_wavefunction(chi, params: OscillatorParams):
         *x, t = args
         tau = osc_to_free_time(params, t)
         y = [osc_to_free_space(params, t, v) for v in x]
-        phase = np.exp(-1j * _dressing_phase(params, tau, sum(np.square(c) for c in y), 0.0))
-        return _stretch_sq(params, tau) ** (0.25 * len(y)) * phase * chi(*y, tau)
+        return _dressing(params, y, tau, -1) * chi(*y, tau)
 
     return psi
 
@@ -127,8 +130,8 @@ def pull_back_wavefunction(chi, params: OscillatorParams):
 def lifted_eigenstate_1d(params: OscillatorParams, qn: QuantumNumbers1D, y, tau: float):
     """Closed-form free-particle solution obtained by lifting the 1D level n.
 
-    Single combined expression; agrees with lift_wavefunction applied to
-    eigenstate_1d to machine precision (two code paths, one answer).
+    One exp of the norm, stretch and dressing, times H_n in place; agrees with
+    lift_wavefunction applied to eigenstate_1d to machine precision (two code paths, one answer).
 
     Parameters
     ----------

@@ -292,9 +292,9 @@ DRESSING_SHAPES = {
 }
 
 
-def dressing_points(dim, size, seed):
+def dressing_points(dim, size):
     """dim coordinates, floats for size "0-d", else meshgrids of DRESSING_SHAPES[size][dim]."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(dim)
     if size == "0-d":
         return [float(v) for v in rng.uniform(-4.0, 4.0, dim)]
     axes = [np.sort(rng.uniform(-6.0, 6.0, count)) for count in DRESSING_SHAPES[size][dim]]
@@ -308,7 +308,7 @@ def test_dressing_bits_match_reference(dim, size, time):
     # the generic lift and pull-back, both directions of the one dressing, keep their bits;
     # time is tau for the lift and t for the pull-back (|omega t| < pi/2 at omega 0.8)
     psi, chi = dressing_cases(LIFT_PARAMS)[dim]
-    coords = dressing_points(dim, size, seed=dim)
+    coords = dressing_points(dim, size)
     lifted = lift_wavefunction(psi, LIFT_PARAMS)(*coords, time)
     assert_same_complex_bits(lifted, reference_lift(psi, LIFT_PARAMS)(*coords, time))
     pulled = pull_back_wavefunction(chi, LIFT_PARAMS)(*coords, time)
