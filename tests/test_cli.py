@@ -42,6 +42,10 @@ PEAKS_GOLDEN_ARGS = ["peaks", "--n", "5", "--tau", "0,0.7,2", "--count", "4001"]
 PEAKS_SLABS_GOLDEN_ARGS = [
     "peaks", "--n", "40", "--tau", "0,1.3", "--count", "200001", "--format", "json",
 ]
+# the largest level and grid of perfbench's peaks-highn workload, 13 slabs a tau
+PEAKS_HIGH_N_GOLDEN_ARGS = [
+    "peaks", "--n", "120", "--tau", "0,0.25,1.73", "--count", "400001", "--format", "json",
+]
 # the finest grid, 401^2, spans five residual slabs of 81 rows, the last one ragged
 VERIFY_GOLDEN_ARGS = [
     "verify", "--suite", "free-residual-2d", "--l", "-2", "--n-radial", "1", "--mass", "1.3",
@@ -180,6 +184,11 @@ class TestPeaks:
         out = tmp_path / "peaks.json"
         assert main(PEAKS_SLABS_GOLDEN_ARGS + ["--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "peaks_n40_200001.json").read_bytes()
+
+    def test_matches_high_n_golden(self, tmp_path):
+        out = tmp_path / "peaks.json"
+        assert main(PEAKS_HIGH_N_GOLDEN_ARGS + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "peaks_n120_400001.json").read_bytes()
 
     # grids too coarse to resolve every maximum of the level
     @pytest.mark.parametrize(
