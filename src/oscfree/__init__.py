@@ -21,6 +21,7 @@ from .analysis import (
     density_scaling_check,
     expectation_position,
     find_density_maxima,
+    level_extrema,
     norm,
     peak_trajectory_check,
     residual,

@@ -1,4 +1,4 @@
-"""Verification machinery: grids, PDE residuals, spectral oracle, norms, peaks.
+"""Verification machinery: grids, PDE residuals, spectral oracle, norms, exact maxima, peaks.
 
 Everything here consumes closed-form evaluators (no time stepping).  A Grid
 is a tuple of Grid1D axes (a Grid1D is itself a 1D grid); fields, norms,
@@ -12,9 +12,11 @@ comment says why that many), cut by one walker, _slabs: a field's memory is
 its values, a residual's grows by one float (|resid|^2) per interior point, a
 table's not at all.  Sampled fields and residuals run their slabs on a thread
 pool (_map_slabs), with the bits and errors of a serial walk; tables stay on
-the calling thread.  Integrals use the trapezoid rule: exponentially accurate
-for smooth fields negligible at the grid edges (auto_grid makes them so),
-second order otherwise.
+the calling thread.  A lifted level's peaks come from the few nodes around its
+exact maxima and half-height points (level_extrema), with the bits of a scan of
+the whole grid, which stays as the fallback.  Integrals use the trapezoid rule:
+exponentially accurate for smooth fields negligible at the grid edges (auto_grid
+makes them so), second order otherwise.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 from .classical import TrajectoryFamily
 from .errors import BoundaryDecayError, NonFiniteError, NormalizationError, PeakDetectionError
 from .oscillator import OscillatorParams, QuantumNumbers1D, QuantumNumbers2D, density_1d
+from .specfun import hermite
 from .transform import _stretch_sq, lifted_eigenstate_1d
 
 # ---------------------------------------------------------------------------
@@ -464,6 +467,22 @@ class PeakRecord:
 _PEAK_HEIGHT_FLOOR = 1e-12  # relative to the tallest peak, suppresses tail noise
 
 
+def _parabola_vertices(y, h, below, at, above):
+    """(positions, heights) of the vertices of the parabolas through below, at, above.
+
+    below, at and above are the values at y - h, y and y + h.
+    """
+    denom = above - 2.0 * at + below
+    positions = y + 0.5 * h * (below - above) / denom
+    # float_power rounds like a scalar ** (libm pow), where an array ** 2 squares
+    return positions, at - np.float_power(above - below, 2) / (8.0 * denom)
+
+
+def _half_crossings(y, h, half, d, d_next):
+    """Where the line from (y, d) to (y + h, d_next) reaches half."""
+    return y + h * (half - d) / (d_next - d)
+
+
 def find_density_maxima(field: ComplexField) -> PeakRecord:
     """Locate and measure the strict interior local maxima of the sampled density.
 
@@ -486,11 +505,7 @@ def find_density_maxima(field: ComplexField) -> PeakRecord:
     if idx.size == 0:
         raise PeakDetectionError("no interior density maxima found")
     h, y = axis.spacing, axis.nodes
-    below, at, above = d[idx - 1], d[idx], d[idx + 1]
-    denom = above - 2.0 * at + below
-    positions = y[idx] + 0.5 * h * (below - above) / denom
-    # float_power rounds like a scalar ** (libm pow), where an array ** 2 squares
-    heights = at - np.float_power(above - below, 2) / (8.0 * denom)
+    positions, heights = _parabola_vertices(y[idx], h, d[idx - 1], d[idx], d[idx + 1])
     close = np.flatnonzero(np.diff(positions) < 3.0 * h)
     if close.size:
         a, b = positions[close[0]], positions[close[0] + 1]
@@ -507,28 +522,244 @@ def find_density_maxima(field: ComplexField) -> PeakRecord:
         if after.size == 0:
             raise PeakDetectionError(f"no right half-maximum crossing for peak at {positions[k]}")
         lo[k], hi[k] = ends[k] + before[-1], j + after[0]
-    left = y[lo] + h * (half - d[lo]) / (d[lo + 1] - d[lo])
-    right = y[hi - 1] + h * (half - d[hi - 1]) / (d[hi] - d[hi - 1])
+    left = _half_crossings(y[lo], h, half, d[lo], d[lo + 1])
+    right = _half_crossings(y[hi - 1], h, half, d[hi - 1], d[hi])
     widths = right - left
     return PeakRecord(field.time_label, positions.tolist(), heights.tolist(), widths.tolist())
 
 
-def _lifted_peaks(params: OscillatorParams, n: int, tau: float, count: int) -> PeakRecord:
-    """Density maxima of the lifted level n, sampled on its auto grid at free time tau.
+# ---------------------------------------------------------------------------
+# exact maxima of a level, and peaks from them
+
+_RESCALE = 2.0**500  # _hermite_functions scales its values by 2^-500 once they pass this
+
+
+def _hermite_functions(n: int, xi: np.ndarray):
+    """(p, p_prev, e) with psi_k(xi) = p_k 2^(500 e) exp(-xi^2 / 2) pi^(-1/4) for k = n, n - 1.
+
+    The normalized Hermite-function recurrence
+    psi_{k+1} = sqrt(2 / (k + 1)) xi psi_k - sqrt(k / (k + 1)) psi_{k-1}, run without its
+    Gaussian.  Every 8 steps both values are scaled by 2^-500 (exactly) wherever either has
+    passed 2^500, and e counts the scalings: a step grows them by at most sqrt(2)|xi| + 1,
+    so no n overflows.
+    """
+    p_prev, p, tmp, e = np.zeros_like(xi), np.ones_like(xi), np.empty_like(xi), np.zeros_like(xi)
+    for k in range(n):
+        np.multiply(xi, p, out=tmp)
+        tmp *= math.sqrt(2.0 / (k + 1))
+        p_prev *= -math.sqrt(k / (k + 1))
+        p_prev += tmp
+        p, p_prev = p_prev, p
+        if k % 8 == 7 or k == n - 1:
+            big = np.maximum(np.abs(p), np.abs(p_prev)) > _RESCALE
+            p[big] /= _RESCALE
+            p_prev[big] /= _RESCALE
+            e[big] += 1.0
+    return p, p_prev, e
+
+
+def _bracketed_roots(fn, lo, hi, rising):
+    """The root of fn in each bracket (lo, hi), by Newton steps kept inside the bracket.
+
+    fn(x) returns (value, slope) at the points x; in each bracket value changes sign once,
+    rising (a bool per bracket) or falling.  Each step shrinks the bracket to the side of
+    the root; a Newton step that would leave it bisects instead.  Stops once no point moves
+    by more than 4 ulps of max(|x|, 1).
+    """
+    x = 0.5 * (lo + hi)
+    tol = 4.0 * np.finfo(float).eps
+    for _ in range(200):
+        value, slope = fn(x)
+        left = (value < 0) == rising
+        lo, hi = np.where(left, x, lo), np.where(left, hi, x)
+        step = x - value / slope
+        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        done = np.all(np.abs(step - x) <= tol * np.maximum(np.abs(x), 1.0))
+        x = step
+        if done:
+            break
+    return x
+
+
+def level_extrema(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The maxima of the level-n density and their half-height points, in xi = sqrt(m omega) x.
+
+    Returns (maxima, left, right), each n + 1 increasing floats: the maxima of rho_n, and for
+    each the point on its left and on its right where rho_n falls to half its maximum.  At
+    free time tau the lifted density has these points times s / sqrt(m omega),
+    s = sqrt(1 + omega^2 tau^2).
+
+    The n zeros and n + 1 maxima of psi_n alternate inside the turning points
+    +-sqrt(2n + 1), and neighbours are at least pi / (2 sqrt(2n + 1)) apart (Sturm
+    comparison: psi_n'' = -(2n + 1 - xi^2) psi_n).  So on a grid of that span with cells
+    half as long, the sign of psi_n (of psi_n') changes exactly across the cells that hold a
+    zero (a maximum), one each.  In its cell a zero is the root of psi_n, monotone there
+    (slope sqrt(2n) psi_{n-1}), and a maximum the root of
+    psi_n'/psi_n = sqrt(2n) psi_{n-1}/psi_n - xi, which falls there (slope
+    xi^2 - 2n - 1 - (psi_n'/psi_n)^2).  Each half-height point lies between a maximum and the
+    zero beside it, or 1 past the turning point for the outer two, where
+    log rho_n - log rho_max + ln 2 (slope 2 psi_n'/psi_n) rises or falls through 0 once.
+    All are solved by _bracketed_roots on _hermite_functions, which no n overflows, in O(n)
+    memory and O(n^2) time.
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    edge, root_2n = math.sqrt(2.0 * n + 1.0), math.sqrt(2.0 * n)
+    with np.errstate(all="ignore"):  # zeros of psi_n are never evaluated where a ratio needs it
+        nodes = np.linspace(-edge, edge, 2 + int(8.0 * edge * edge / math.pi))
+        p, p_prev, _ = _hermite_functions(n, nodes)
+        signs = np.signbit(p), np.signbit(root_2n * p_prev - nodes * p)
+        zero_cells, max_cells = (np.flatnonzero(a[1:] != a[:-1]) for a in signs)
+        cells = np.concatenate((zero_cells, max_cells))
+        is_zero = np.arange(2 * n + 1) < n
+        rising = is_zero & ~signs[0][cells + 1]
+
+        def zero_or_maximum(x):
+            p, p_prev, _ = _hermite_functions(n, x)
+            f = root_2n * p_prev / p - x
+            slope = np.where(is_zero, root_2n * p_prev, x * x - (2.0 * n + 1.0) - f * f)
+            return np.where(is_zero, p, f), slope
+
+        roots = _bracketed_roots(zero_or_maximum, nodes[cells], nodes[cells + 1], rising)
+        zeros, maxima = roots[:n], roots[n:]
+        p_max, _, e_max = _hermite_functions(n, maxima)
+        x_max, p_max, e_max = (np.tile(a, 2) for a in (maxima, p_max, e_max))
+
+        def half_height(x):
+            p, p_prev, e = _hermite_functions(n, x)
+            log_ratio = np.log(np.abs(p / p_max)) + (e - e_max) * (500.0 * math.log(2.0))
+            value = 2.0 * log_ratio - (x - x_max) * (x + x_max) + math.log(2.0)
+            return value, 2.0 * (root_2n * p_prev / p - x)
+
+        lo = np.concatenate(([-edge - 1.0], zeros, maxima))
+        hi = np.concatenate((maxima, zeros, [edge + 1.0]))
+        crossings = _bracketed_roots(half_height, lo, hi, np.repeat([True, False], n + 1))
+    return maxima, crossings[: n + 1], crossings[n + 1 :]
+
+
+_WINDOW = 3  # nodes either side of each exact point that _windowed_peaks evaluates
+
+
+def _windowed_peaks(
+    params: OscillatorParams, qn: QuantumNumbers1D, tau: float, grid: Grid1D, points: np.ndarray
+) -> PeakRecord | None:
+    """_scanned_peaks's record from the nodes near the exact points only, or None.
+
+    points are level_extrema's maxima, left and right half-height points, in xi.  At free
+    time tau the lifted density is s^-1 rho_n(y / s) (C04), so they sit at
+    y = s xi / sqrt(m omega).  The field is evaluated on the _WINDOW nodes either side of
+    each, taken from grid.nodes, so every value has the bits of the scan's (the lift is
+    elementwise arithmetic and complex exp); positions, heights and widths then come from
+    find_density_maxima's own expressions.  None, for the caller to scan, when an
+    evaluation overflows or is not finite, or when a check below fails.
+
+    Why the checks give the scan's record: psi_n'' = (xi^2 - 2n - 1) psi_n, so |psi_n| is
+    concave on each lobe inside the turning points and convex and falling to 0 outside.
+    The density therefore rises strictly from each zero of psi_n to its lobe's maximum and
+    falls strictly to the next zero, and the sampled density follows it node by node:
+    away from a maximum, neighbouring values differ by far more than their rounding.  So
+    the scan's strict maxima are one per lobe, each the top of its window, checked here to
+    rise strictly to it, fall strictly after it and clear the height floor (dmax, the
+    largest node value, is one of them).  From one maximum's node to the next, the density
+    rises through half height once, on the later lobe's near flank (falls once, on the
+    earlier lobe's far flank).  So the scan's last node under half height left of a
+    maximum (first, right of it) is the one in the window around the exact crossing,
+    checked to lie between the neighbouring maxima's nodes and to be followed (preceded)
+    by a node at or above half height.
+    """
+    n, y, h = qn.n, grid.nodes, grid.spacing
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            scale = math.sqrt(_stretch_sq(params, tau) / (params.mass * params.omega))
+            centre = np.rint((points * scale - grid.y_min) / h).astype(int)
+            nodes = centre[:, None] + np.arange(-_WINDOW, _WINDOW + 1)
+            if nodes.min() < 0 or nodes.max() >= grid.count:
+                return None
+            values = lifted_eigenstate_1d(params, qn, y[nodes], tau)
+    except FloatingPointError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    d = values.real**2 + values.imag**2
+    (top_nodes, left_nodes, right_nodes), (top_d, left_d, right_d) = (
+        np.split(a, 3) for a in (nodes, d)
+    )
+    rows, last = np.arange(n + 1), 2 * _WINDOW
+    top = top_d.argmax(axis=1)
+    steps = np.diff(top_d, axis=1)
+    unimodal = np.where(np.arange(last) < top[:, None], steps > 0, steps < 0).all()
+    if not (unimodal and np.all((top > 0) & (top < last))):
+        return None
+    idx = top_nodes[rows, top]
+    below, at, above = top_d[rows, top - 1], top_d[rows, top], top_d[rows, top + 1]
+    if not np.all(at > _PEAK_HEIGHT_FLOOR * float(top_d.max())):
+        return None
+    positions, heights = _parabola_vertices(y[idx], h, below, at, above)
+    if np.any(np.diff(positions) < 3.0 * h):
+        return None
+    half = 0.5 * heights
+    ends = np.concatenate(([0], idx, [grid.count - 1]))[:, None]
+    # the last node under half height from the previous maximum's node to this one's
+    inside = (left_nodes >= ends[:-2]) & (left_nodes <= ends[1:-1])
+    under = inside & (left_d < half[:, None])
+    lo = last - under[:, ::-1].argmax(axis=1)
+    if not np.all(under[rows, lo] & (lo < last) & inside[rows, np.minimum(lo + 1, last)]):
+        return None
+    left = _half_crossings(y[left_nodes[rows, lo]], h, half, left_d[rows, lo], left_d[rows, lo + 1])
+    # the first node under half height from this maximum's node to the next one's
+    inside = (right_nodes >= ends[1:-1]) & (right_nodes <= ends[2:])
+    under = inside & (right_d < half[:, None])
+    hi = under.argmax(axis=1)
+    if not np.all(under[rows, hi] & (hi > 0) & inside[rows, np.maximum(hi - 1, 0)]):
+        return None
+    right = _half_crossings(
+        y[right_nodes[rows, hi - 1]], h, half, right_d[rows, hi - 1], right_d[rows, hi]
+    )
+    return PeakRecord(tau, positions.tolist(), heights.tolist(), (right - left).tolist())
+
+
+def _scanned_peaks(
+    params: OscillatorParams, qn: QuantumNumbers1D, tau: float, grid: Grid1D
+) -> PeakRecord:
+    """find_density_maxima of the lifted level sampled on every node of grid at free time tau.
 
     Level n has n + 1 maxima; finding another number is a PeakDetectionError.
     """
-    qn = QuantumNumbers1D(n)
-    grid = auto_grid(params, n, tau, count)
     record = find_density_maxima(
         sample_field(lambda y, s: lifted_eigenstate_1d(params, qn, y, s), grid, tau)
     )
-    if len(record.positions) != n + 1:
+    if len(record.positions) != qn.n + 1:
         raise PeakDetectionError(
-            f"level {n} has {n + 1} density maxima, found {len(record.positions)} at tau={tau}"
-            f" on {count} nodes"
+            f"level {qn.n} has {qn.n + 1} density maxima, found {len(record.positions)}"
+            f" at tau={tau} on {grid.count} nodes"
         )
     return record
+
+
+def _lifted_peaks(params: OscillatorParams, n: int, taus, count: int) -> list[PeakRecord]:
+    """The density maxima of the lifted level n on its auto grid, one record per free time.
+
+    The record at each tau is _scanned_peaks's, bit for bit.  It comes from the nodes near
+    the exact maxima and half-height points of level_extrema (_windowed_peaks), computed
+    once here, and from the scan wherever those nodes do not settle it; the scan is the only
+    path that raises.  The outer peaks' nodes lie near the turning points, so where H_n
+    overflows there (from n = 203) the exact points are not computed: those nodes could
+    not be evaluated, and level_extrema's time grows as n^2.
+    """
+    qn = QuantumNumbers1D(n)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            hermite(n, math.sqrt(2.0 * n + 1.0))
+    except FloatingPointError:
+        points = None
+    else:
+        points = np.concatenate(level_extrema(n))
+    records = []
+    for tau in taus:
+        grid = auto_grid(params, n, tau, count)
+        record = None if points is None else _windowed_peaks(params, qn, tau, grid, points)
+        records.append(_scanned_peaks(params, qn, tau, grid) if record is None else record)
+    return records
 
 
 @dataclass(frozen=True)
@@ -559,12 +790,10 @@ def peak_trajectory_check(
     if 0.0 not in tau_list:
         raise ValueError("taus must include 0 (the baseline)")
     natural = 1.0 / math.sqrt(params.mass * params.omega)
-    base_rec = _lifted_peaks(params, n, 0.0, count)
+    later = [tau for tau in tau_list if tau != 0.0]
+    base_rec, *recs = _lifted_peaks(params, n, [0.0, *later], count)
     pos_err = width_err = 0.0
-    for tau in tau_list:
-        if tau == 0.0:
-            continue
-        rec = _lifted_peaks(params, n, tau, count)
+    for tau, rec in zip(later, recs):
         stretch = math.sqrt(_stretch_sq(params, tau))
         for p0, p in zip(base_rec.positions, rec.positions):
             expected = p0 * stretch
@@ -580,7 +809,8 @@ def semiclassical_gap(
 ) -> list[tuple[int, float]]:
     """Relative gap between the outermost density maximum and the turning point.
 
-    For each level n the stationary density is scanned on a fine grid;
+    For each level n the outermost maximum is the one _lifted_peaks finds on the level's
+    auto grid of count nodes at tau = 0, whose bits are those of a scan of that grid;
     gap_ratio = (x_turn - y_outer) / x_turn measures how far inside the
     classically allowed region the outermost maximum sits.
     """
@@ -593,7 +823,7 @@ def semiclassical_gap(
         raise ValueError("levels must be strictly increasing")
     out: list[tuple[int, float]] = []
     for n in ns:
-        rec = _lifted_peaks(params, n, 0.0, count)
+        (rec,) = _lifted_peaks(params, n, [0.0], count)
         x_turn = TrajectoryFamily.from_level(params, n).amplitude
         out.append((n, (x_turn - rec.positions[-1]) / x_turn))
     return out

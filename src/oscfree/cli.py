@@ -233,10 +233,9 @@ def _run_gen2d(args: argparse.Namespace, params: OscillatorParams) -> int:
 
 def _run_peaks(args: argparse.Namespace, params: OscillatorParams) -> int:
     blocks = []
-    for tau in args.tau:
-        rec = _lifted_peaks(params, args.n, tau, args.count)
+    for rec in _lifted_peaks(params, args.n, args.tau, args.count):
         measured = map(np.array, (rec.positions, rec.heights, rec.widths))
-        blocks.append([np.full(len(rec.widths), tau), np.arange(len(rec.widths)), *measured])
+        blocks.append([np.full(len(rec.widths), rec.tau), np.arange(len(rec.widths)), *measured])
     header = ["tau", "peak_index", "position", "height", "fwhm"]
     _write_table(args.out, header, blocks, args.format, "peaks")
     return EXIT_OK

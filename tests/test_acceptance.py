@@ -4,6 +4,7 @@ Each test prints one [PASS]/[FAIL] line (visible under pytest -s) and
 asserts the same condition, so a plain pytest run is the gate.
 """
 
+import json
 import math
 from pathlib import Path
 
@@ -33,6 +34,8 @@ from oscfree.analysis import (
     auto_grid_2d,
     density_scaling_check,
     expectation_position,
+    find_density_maxima,
+    level_extrema,
     norm,
     peak_trajectory_check,
     residual_study,
@@ -311,4 +314,55 @@ def test_c13_cli_determinism(tmp_path):
         identical and golden_gen and golden_env,
         f"C13 CLI determinism: reruns bit-identical ({identical}), "
         f"golden files match ({golden_gen}, {golden_env})",
+    )
+
+
+# (mass, omega, n, count or a fixed box): the two golden sizes, perfbench peaks-highn's two
+# (mass and omega inside its box), and a box that does not stretch with tau, each with
+# its position and width bounds, a little above the errors measured at tau 0.5, 1 and 2
+# (4.3e-6 and 1.3e-6, 1.7e-9 and 5.9e-9, 3.1e-10 and 2.3e-9, 9.9e-8 and 9.1e-8)
+C14_CASES = [
+    (1.0, 1.0, 5, 4001, 5e-6, 2e-6),
+    (1.0, 1.0, 40, 200001, 2e-9, 7e-9),
+    (1.1, 0.9, 40, 200001, 2e-9, 7e-9),
+    (1.1, 0.9, 120, 400001, 4e-10, 3e-9),
+    (1.0, 1.0, 5, Grid1D(-20.0, 20.0, 32001), 1.2e-7, 1.1e-7),
+]
+
+
+def test_c14_peaks_at_the_exact_maxima(tmp_path):
+    taus = (0.5, 1.0, 2.0)
+    results = []
+    for mass, omega, n, count, pos_bound, width_bound in C14_CASES:
+        params = OscillatorParams(mass, omega)
+        if isinstance(count, Grid1D):
+            qn = QuantumNumbers1D(n)
+            lifted = lambda y, s: lifted_eigenstate_1d(params, qn, y, s)
+            records = [find_density_maxima(sample_field(lifted, count, tau)) for tau in taus]
+            found = [(r.positions, r.widths) for r in records]
+            where = f"a fixed box of {count.count}"
+        else:
+            out = tmp_path / "peaks.json"
+            args = ["peaks", "--mass", str(mass), "--omega", str(omega), "--n", str(n),
+                    "--tau", ",".join(map(str, taus)), "--count", str(count)]
+            assert main(args + ["--format", "json", "--out", str(out)]) == 0
+            rows = np.array(json.loads(out.read_text())["rows"])
+            found = [(rows[rows[:, 0] == tau, 2], rows[rows[:, 0] == tau, 4]) for tau in taus]
+            where = f"{count}"
+        maxima, left, right = level_extrema(n)
+        pos_err = width_err = 0.0
+        for tau, (positions, widths) in zip(taus, found):
+            scale = math.sqrt((1.0 + (omega * tau) ** 2) / (mass * omega))
+            exact, exact_widths = maxima * scale, (right - left) * scale
+            floor = np.maximum(np.abs(exact), scale)  # one stretched natural length
+            pos_err = max(pos_err, float(np.max(np.abs(positions - exact) / floor)))
+            width_err = max(width_err, float(np.max(np.abs(widths - exact_widths) / exact_widths)))
+        results.append((
+            pos_err < pos_bound and width_err < width_bound,
+            f"n={n} on {where} nodes: position err {pos_err:.1e} < {pos_bound:.1e}, "
+            f"width err {width_err:.1e} < {width_bound:.1e}",
+        ))
+    report(
+        all(ok for ok, _ in results),
+        "C14 peaks at the exact maxima: " + "; ".join(label for _, label in results),
     )

@@ -11,6 +11,7 @@ from pathlib import Path
 from time import monotonic, sleep
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +47,7 @@ from oscfree.analysis import (
     density_scaling_check,
     expectation_position,
     find_density_maxima,
+    level_extrema,
     norm,
     peak_trajectory_check,
     residual,
@@ -1050,6 +1052,42 @@ class TestPeaks:
         record = find_density_maxima(field)
         assert (record.positions, record.heights, record.widths) == expected
 
+    # n up to 150, as perfbench's semiclassical gap; grids from 3 nodes, where the scan fails,
+    # to perfbench's 400001
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(0, 150),
+        mass=st.floats(0.5, 2.0),
+        omega=st.floats(0.5, 2.0),
+        tau=st.floats(-5.0, 5.0),
+        count=st.one_of(st.integers(3, 2000), st.integers(3, 400001)),
+    )
+    def test_lifted_peaks_match_the_scan(self, n, mass, omega, tau, count):
+        params = OscillatorParams(mass, omega)
+        field = sample_field(lifted(params, n), auto_grid(params, n, tau, count), tau)
+        try:
+            expected = find_density_maxima(field)
+            if len(expected.positions) != n + 1:
+                raise PeakDetectionError(
+                    f"level {n} has {n + 1} density maxima, found {len(expected.positions)}"
+                    f" at tau={tau} on {count} nodes"
+                )
+        except PeakDetectionError as exc:
+            with pytest.raises(PeakDetectionError, match=re.escape(str(exc))):
+                analysis._lifted_peaks(params, n, [tau], count)
+            return
+        (record,) = analysis._lifted_peaks(params, n, [tau], count)
+        assert record == expected
+
+    # perfbench peaks-highn draws mass and omega from [0.8, 1.25] and taus from [0, 2]
+    @pytest.mark.parametrize("mass, omega", [(0.8, 0.8), (0.8, 1.25), (1.25, 0.8), (1.25, 1.25)])
+    def test_perfbench_inputs_are_not_scanned(self, mass, omega):
+        params = OscillatorParams(mass, omega)
+        with mock.patch.object(analysis, "_scanned_peaks", side_effect=AssertionError("scanned")):
+            assert len(analysis._lifted_peaks(params, 40, np.linspace(0, 2, 9), 200001)) == 9
+            assert len(analysis._lifted_peaks(params, 120, [0.0, 1.0, 2.0], 400001)) == 3
+            assert len(semiclassical_gap(params, [10, 40, 80, 120, 150], count=100001)) == 5
+
     # densities on 11 nodes: a maximum at node 2 whose left flank stays above
     # half height to the grid end, its mirror image, and two maxima four
     # nodes apart with no half-height dip between them
@@ -1069,6 +1107,51 @@ class TestPeaks:
             reference_peaks(field)
         with pytest.raises(PeakDetectionError, match=message):
             find_density_maxima(field)
+
+
+class TestLevelExtrema:
+    def test_ground_state(self):
+        maxima, left, right = level_extrema(0)
+        half = math.sqrt(math.log(2.0))  # exp(-xi^2) halves there
+        assert maxima.tolist() == [0.0]
+        assert left[0] == pytest.approx(-half, abs=1e-15)
+        assert right[0] == pytest.approx(half, abs=1e-15)
+
+    # measured up to 1.8e-15 in xi and 1.9e-14 off the half ratio, at n = 150
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 40, 80, 150])
+    def test_against_mpmath(self, n):
+        maxima, left, right = level_extrema(n)
+        log_slope = lambda x: 2 * n * mpmath.hermite(n - 1, x) / mpmath.hermite(n, x) - x
+        rho = lambda x: mpmath.hermite(n, x) ** 2 * mpmath.exp(-x * x)
+        with mpmath.workdps(40):
+            for x_max, x_left, x_right in zip(maxima, left, right):
+                root = mpmath.findroot(log_slope, mpmath.mpf(float(x_max)))
+                assert abs(float(root) - x_max) < 4e-15
+                for x in (x_left, x_right):
+                    assert abs(float(rho(mpmath.mpf(float(x))) / rho(root)) - 0.5) < 3e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 150])
+    def test_interlaces_with_the_zeros(self, n):
+        maxima, left, right = level_extrema(n)
+        zeros, _ = np.polynomial.hermite.hermgauss(n)
+        outer = math.sqrt(2 * n + 1) + 1.0
+        below = np.append(-outer, zeros)
+        above = np.append(zeros, outer)
+        assert np.all((below < left) & (left < maxima) & (maxima < right) & (right < above))
+
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_high_levels(self, n):
+        maxima, left, right = level_extrema(n)
+        assert maxima.shape == left.shape == right.shape == (n + 1,)
+        assert np.all(np.isfinite(maxima)) and np.all(np.diff(maxima) > 0)
+        assert np.all((left < maxima) & (maxima < right))
+        # rho_n is even; measured within 1.2e-16 of the mirror image at n = 2000
+        assert np.abs(maxima + maxima[::-1]).max() < 1e-15
+        assert np.abs(left + right[::-1]).max() < 1e-15
+
+    def test_rejects_negative_level(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            level_extrema(-1)
 
 
 class TestPeakLaw:

@@ -204,6 +204,48 @@ class TestPeaks:
         assert f"found {found} " in error["message"]
         assert not out.exists()
 
+    # the nodes around the exact maxima settle the golden inputs; the coarse grids of
+    # test_missing_maxima_exit_3 and level 250, whose Hermite factor overflows, are scanned,
+    # and the scan raises as it always has
+    @pytest.mark.parametrize(
+        "args, code, error, scanned",
+        [(PEAKS_GOLDEN_ARGS, 0, None, False),
+         (PEAKS_SLABS_GOLDEN_ARGS, 0, None, False),
+         (PEAKS_HIGH_N_GOLDEN_ARGS, 0, None, False),
+         (["peaks", "--n", "6", "--tau", "0,1", "--count", "41"], 3, "PeakDetectionError", True),
+         (["peaks", "--n", "2", "--tau", "0", "--count", "3"], 3, "PeakDetectionError", True),
+         (["peaks", "--n", "250", "--tau", "0", "--count", "2001"], 3, "NonFiniteError", True)],
+        ids=["golden", "golden-n40", "golden-n120", "coarse-n6", "coarse-n2", "overflow-n250"],
+    )
+    def test_scans_only_what_the_exact_maxima_do_not_settle(
+        self, tmp_path, capsys, args, code, error, scanned
+    ):
+        scan = mock.Mock(wraps=analysis._scanned_peaks)
+        with mock.patch.object(analysis, "_scanned_peaks", scan):
+            assert main(args + ["--out", str(tmp_path / "p.out")]) == code
+        assert scan.called == scanned
+        if error is not None:
+            assert json.loads(capsys.readouterr().out)["error"]["type"] == error
+
+    # the full scan overflows in the far tails from about n = 170; the peaks themselves,
+    # inside the turning points, stay finite to n = 202.  Measured errors: 1.5e-7 in
+    # position and 4.0e-6 in width, at n = 200
+    @pytest.mark.parametrize("n", [180, 200])
+    def test_high_levels_match_the_exact_maxima(self, tmp_path, n):
+        out = tmp_path / "peaks.json"
+        assert main(["peaks", "--n", str(n), "--tau", "0,1", "--format", "json",
+                     "--out", str(out)]) == 0
+        rows = np.array(json.loads(out.read_text())["rows"])
+        maxima, left, right = analysis.level_extrema(n)
+        for tau in (0.0, 1.0):
+            block = rows[rows[:, 0] == tau]
+            stretch = math.sqrt(1.0 + tau * tau)
+            assert block[:, 1].tolist() == list(range(n + 1))
+            scale = np.maximum(np.abs(maxima), 1.0) * stretch
+            assert np.max(np.abs(block[:, 2] - maxima * stretch) / scale) < 2e-7
+            widths = (right - left) * stretch
+            assert np.max(np.abs(block[:, 4] - widths) / widths) < 5e-6
+
 
 class TestGen2D:
     def test_shape_contract(self, tmp_path):
@@ -850,7 +892,9 @@ def test_hermite_sees_at_most_one_slab(tmp_path, monkeypatch, capsys):
     """peaks and verify hand the Hermite recurrence one slab of analysis._slabs at a time.
 
     A slab is _SLAB points, plus a halo row on either side for a residual; so the
-    recurrence buffers stay cache-sized however large the grid.
+    recurrence buffers stay cache-sized however large the grid.  peaks evaluates only the
+    7 nodes around each of the level's 3(n + 1) exact maxima and half-height points, in one
+    call a tau; where those do not settle the peaks, it scans the grid in slabs.
     """
     sizes, hermite = [], transform.hermite
 
@@ -861,6 +905,11 @@ def test_hermite_sees_at_most_one_slab(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(transform, "hermite", recording)
     peaks = ["peaks", "--n", "40", "--tau", "0,1.3", "--count", "200001"]
     assert main(peaks + ["--out", str(tmp_path / "p.csv")]) == 0
+    assert sizes == [7 * 3 * 41] * 2
+    sizes.clear()
+    with monkeypatch.context() as scan_only:
+        scan_only.setattr(analysis, "_windowed_peaks", lambda *args: None)
+        assert main(peaks + ["--out", str(tmp_path / "p.csv")]) == 0
     assert max(sizes) == analysis._SLAB and sum(sizes) == 2 * 200001
     sizes.clear()
     assert main(["verify", "--suite", "free-residual", "--refinements", "5"]) == 0
