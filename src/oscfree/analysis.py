@@ -11,10 +11,11 @@ and the CLI's field tables) walks axis 0 in slabs of about _SLAB points (its
 comment says why that many), cut by one walker, _slabs: a field's memory is
 its values, a residual's grows by one float (|resid|^2) per interior point, a
 table's not at all.  Sampled fields and residuals run their slabs on a thread
-pool (_map_slabs), with the bits and errors of a serial walk; tables stay on
-the calling thread.  A lifted level's peaks come from the few nodes around its
-exact maxima and half-height points (level_extrema), with the bits of a scan of
-the whole grid, which stays as the fallback.  Integrals use the trapezoid rule:
+pool (_map_slabs), with the bits and errors of a serial walk; a large table's
+slabs are formatted in forked processes instead (cli._write_field_table).  A
+lifted level's peaks come from the few nodes around its exact maxima and
+half-height points (level_extrema), with the bits of a scan of the whole grid,
+which stays as the fallback.  Integrals use the trapezoid rule:
 exponentially accurate for smooth fields negligible at the grid edges (auto_grid
 makes them so), second order otherwise.
 """
@@ -158,18 +159,30 @@ def _slabs(nodes, halo: int):
 _in_slab = contextvars.ContextVar("in_slab", default=False)
 
 
+def _workers() -> int:
+    """A worker per CPU of the process's affinity mask (taskset -c 0 gives one), at most 4.
+
+    It sizes the slab pool and the CLI's field-table part writers.  At most 4, as each
+    running slab holds up to about 3.5 MB: a 2D residual slab peaks near 107 bytes per point
+    (tests/test_analysis.py, TestSlabMemory), 3.5 MB at 2^15 points.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(4, cpus or 1)
+
+
 @functools.cache
 def _slab_pool():
-    """(pool, workers) of _map_slabs, made on first use.
-
-    A worker per CPU of the process's affinity mask (taskset -c 0 gives one), at most 4,
-    as each running slab holds up to about 3.5 MB: a 2D residual slab peaks near 107 bytes
-    per point (tests/test_analysis.py, TestSlabMemory), 3.5 MB at 2^15 points.
-    """
+    """(pool, workers) of _map_slabs, made on first use with _workers() threads."""
     from concurrent.futures import ThreadPoolExecutor
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(4, cpus or 1)
+    workers = _workers()
     return ThreadPoolExecutor(workers, thread_name_prefix="oscfree-slab"), workers
+
+
+def _close_slab_pool() -> None:
+    """Join the slab pool's threads, if it was made; the next _map_slabs makes a new pool."""
+    if _slab_pool.cache_info().currsize:
+        _slab_pool()[0].shutdown()
+        _slab_pool.cache_clear()
 
 
 if hasattr(os, "register_at_fork"):

@@ -19,7 +19,9 @@ regular file (a directory, /dev/stdout, /dev/null, a FIFO) is a usage error.
 --out is replaced whole, so nothing is written on exit 2, 3 or 5 (see
 _replacing); verify writes its --out report before printing it.  Tables are
 written deterministically in the CSV or JSON format of _write_table, field
-tables one slab of one tau at a time (_write_field_table).
+tables one slab of one tau at a time (_write_field_table); a large field table
+is cut into runs formatted by forked processes into part files, joined in
+order, with the bytes and errors of one writer (_part_writers).
 
 Grid specs are `min:max:count`; tau lists are comma-separated values or
 `min:max:count` ranges.  Every option but --help takes one value, so any
@@ -44,8 +46,10 @@ from .analysis import (
     ComplexField,
     Grid,
     Grid1D,
+    _close_slab_pool,
     _lifted_peaks,
     _slabs,
+    _workers,
     auto_grid,
     auto_grid_2d,
     norm,
@@ -68,6 +72,7 @@ EXIT_VERIFICATION = 4
 EXIT_IO = 5
 
 _BLOCK_ROWS = 4096
+_PART_ROWS = 2**16  # fewest table rows cut into runs for forked part writers (_part_count)
 
 
 def _parse_finite(spec: str) -> float:
@@ -148,8 +153,15 @@ def _replacing(path: str):
         raise
 
 
+def _check_finite(command: str, header: list[str], block: list) -> None:
+    """Raise NonFiniteError naming the first float array column of block with a non-finite cell."""
+    for name, c in zip(header, block):
+        if isinstance(c, np.ndarray) and c.dtype.kind == "f" and not np.isfinite(c).all():
+            raise NonFiniteError(f"{command}: column {name!r} has non-finite values; no table written")
+
+
 def _write_table(
-    path: str, header: list[str], blocks: Iterable[list], fmt: str, command: str
+    path: str, header: list[str], blocks: Iterable[list], fmt: str, command: str, parts=()
 ) -> None:
     """Write a table given as an iterable of blocks of rows, one column per header name.
 
@@ -158,7 +170,10 @@ def _write_table(
     are checked before any of its rows are written, and a non-finite one ends the write
     with path untouched (see _replacing).  repr is the float and int text of csv.writer
     and json alike, so one chunked pass of repr cells serves both formats and only the
-    framing differs.
+    framing differs.  parts are more iterables of blocks, each continuing the rows of the
+    one before it (so blocks must hold a row if there are parts); each is formatted by a
+    forked child of _part_writers while this process formats blocks, with the bytes and
+    the first error, in row order, of one writer.
     """
     meta = json.dumps({"schema_version": SCHEMA_VERSION, "command": command, "columns": header})
     # head, cell and row separators, chunk close, leads of the first and later chunks, tail
@@ -166,14 +181,10 @@ def _write_table(
         "csv": (",".join(header) + "\n", ",", "\n", "\n", "", "", ""),
         "json": (meta[:-1] + ', "rows": [', ", ", "], [", "]", "[", ", [", "]}\n"),
     }[fmt]
-    with _replacing(path) as f:
-        f.write(head)
+
+    def write(f, blocks, lead: str) -> None:
         for block in blocks:
-            for name, c in zip(header, block):
-                if isinstance(c, np.ndarray) and c.dtype.kind == "f" and not np.isfinite(c).all():
-                    raise NonFiniteError(
-                        f"{command}: column {name!r} has non-finite values; no table written"
-                    )
+            _check_finite(command, header, block)
             for start in range(0, len(block[0]), _BLOCK_ROWS):
                 stop = start + _BLOCK_ROWS
                 cells = [
@@ -182,7 +193,124 @@ def _write_table(
                 ]
                 f.write(lead + row.join(map(cell.join, zip(*cells))) + close)
                 lead = later
+
+    directory = os.path.dirname(os.path.realpath(path))
+    with _replacing(path) as f, _part_writers(
+        parts, lambda part_file, part: write(part_file, part, later), directory
+    ) as join:
+        f.write(head)
+        write(f, blocks, lead)
+        join(f)
         f.write(tail)
+
+
+@contextlib.contextmanager
+def _part_writers(parts, write, directory: str):
+    """Yield join(f), which appends to f, in order, the text that write(file, part) gives.
+
+    On entry each part gets a child, forked to write it into its own part file in
+    directory.  The file is unlinked as soon as it is made, so none outlives the run, and
+    the child always ends with os._exit, its exception pickled to this process through a
+    pipe.  join(f) takes the parts in order: it reaps the part's child and raises its
+    exception, or appends its file to f, so no cell text crosses the pipe.  A part whose
+    child could not be started is written to f in place.  On exit, every child not yet
+    reaped is killed and reaped.
+    """
+    import errno
+    import pickle
+    import signal
+
+    children = []  # (part, [pid, pipe read end, part file] or None); pid None once reaped
+    try:
+        for part in parts:
+            try:
+                children.append((part, _fork_part(write, part, directory)))
+            except OSError:
+                children.append((part, None))
+
+        def join(f) -> None:
+            for part, child in children:
+                if child is None:
+                    write(f, part)
+                    continue
+                pid, pipe, fd = child
+                with open(pipe, "rb", closefd=False) as reader:
+                    error = reader.read()
+                status = os.waitpid(pid, 0)[1]
+                child[0] = None
+                if error:
+                    raise pickle.loads(error)
+                if status:
+                    code = os.waitstatus_to_exitcode(status)
+                    raise ChildProcessError(errno.ECHILD, f"a table part writer exited with {code}")
+                f.flush()
+                offset, size = 0, os.fstat(fd).st_size
+                while offset < size:
+                    offset += os.copy_file_range(fd, f.fileno(), size - offset, offset)
+
+        yield join
+    finally:
+        for _, child in children:
+            if child is not None:
+                pid, pipe, fd = child
+                if pid is not None:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                os.close(pipe)
+                os.close(fd)
+
+
+def _fork_part(write, part, directory: str) -> list:
+    """[pid, pipe read end, part file descriptor] of a child forked to write(file, part).
+
+    The part file is made in directory and unlinked at once.  The child writes its
+    exception, pickled, to the pipe, and ends with os._exit whatever happens.
+    """
+    name = os.path.join(directory, f".oscfree.{os.urandom(8).hex()}.part")
+    fds = [os.open(name, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)]
+    try:
+        os.unlink(name)
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        raise
+    fd, pipe, pipe_in = fds
+    if pid == 0:
+        status = 1
+        try:
+            os.close(pipe)
+            with open(fd, "w", newline="", encoding="utf-8") as f:
+                write(f, part)
+            status = 0
+        except BaseException as exc:
+            import pickle
+            with open(pipe_in, "wb") as writer:
+                writer.write(pickle.dumps(exc))
+        finally:
+            os._exit(status)
+    os.close(pipe_in)
+    return [pid, pipe, fd]
+
+
+def _part_count(rows: int) -> int:
+    """The number of processes that format a table of that many rows: _workers(), or 1.
+
+    1 below _PART_ROWS rows, where os.fork or os.copy_file_range is missing, and where a
+    thread outlives the slab pool, since a forked child would inherit its locks in
+    whatever state they are.
+    """
+    if rows < _PART_ROWS or not (hasattr(os, "fork") and hasattr(os, "copy_file_range")):
+        return 1
+    workers = _workers()
+    if workers > 1:
+        import threading
+
+        _close_slab_pool()
+        if threading.active_count() > 1:
+            return 1
+    return workers
 
 
 def _check_rows(taus: int, per_tau: int, what: str) -> None:
@@ -196,25 +324,47 @@ def _write_field_table(args: argparse.Namespace, lift, taus, names) -> None:
     """Tabulate lift(rows, *coords, tau) on args.grid per tau as tau, coordinate, re, im, density.
 
     One block per tau per axis-0 slab of analysis._slabs: lift gets the slab's row slice and
-    coordinates once the rows before it are written.  Each node is repr'd once.  Unlike
-    sample_field, this stays on one thread: repr and str.join, under the GIL, take the time.
+    coordinates, and the slab's re, im and density are checked before any of its rows are
+    written.  Its text and density columns are built per chunk of _BLOCK_ROWS rows, so a
+    table holds one slab's values and one chunk's text.  Each node is repr'd once.  The
+    blocks are cut into _part_count runs of about equal rows, and all runs but the first
+    are formatted by forked children (_write_table): repr and str.join, under the GIL, take
+    the time, and lifting is under 1% of it.
     """
     _check_rows(len(taus), args.grid.count, "grid points")
+    rows = len(taus) * args.grid.count
     nodes = [axis.nodes for axis in args.grid.axes]
     text = [np.array(list(map(repr, n.tolist())), dtype=object) for n in nodes]
-
-    def blocks():
-        for tau in taus:
-            tau_text = repr(tau)
-            for (start, stop, coords), (*_, words) in zip(_slabs(nodes, 0), _slabs(text, 0)):
-                values = lift(slice(start, stop), *coords(), tau).ravel()
-                re, im = values.real, values.imag
-                # density written as re^2 + im^2 so re-reading the table reproduces it exactly
-                text_columns = (w.ravel().tolist() for w in words())
-                yield [[tau_text] * re.size, *text_columns, re, im, re * re + im * im]
-
     header = ["tau", *names, "re", "im", "density"]
-    _write_table(args.out, header, blocks(), args.format, args.command)
+    per_row = args.grid.count // len(nodes[0])
+
+    def slab_blocks(tau, start, stop, coords):
+        values = lift(slice(start, stop), *coords(), tau).ravel()
+        re, im = values.real, values.imag
+        # density written as re^2 + im^2 so re-reading the table reproduces it exactly
+        _check_finite(args.command, header[-3:], [re, im, re * re + im * im])
+        shape, tau_text = (stop - start, *map(len, nodes[1:])), repr(tau)
+        for a in range(0, values.size, _BLOCK_ROWS):
+            b = min(a + _BLOCK_ROWS, values.size)
+            at = np.unravel_index(np.arange(a, b), shape)
+            words = [t[i].tolist() for t, i in zip(text, (at[0] + start, *at[1:]))]
+            # copies, so the last block written keeps no slab alive while the next is lifted
+            r, i = re[a:b].copy(), im[a:b].copy()
+            yield [[tau_text] * (b - a), *words, r, i, r * r + i * i]
+
+    def blocks(run):
+        for tau, slab in run:
+            yield from slab_blocks(tau, *slab)
+
+    k, runs, done = _part_count(rows), [[]], 0
+    for tau in taus:
+        for slab in _slabs(nodes, 0):
+            if done >= rows * len(runs) / k:
+                runs.append([])
+            runs[-1].append((tau, slab))
+            done += (slab[1] - slab[0]) * per_row
+    first, *parts = map(blocks, runs)
+    _write_table(args.out, header, first, args.format, args.command, parts)
 
 
 def _run_gen1d(args: argparse.Namespace, params: OscillatorParams) -> int:

@@ -1,16 +1,20 @@
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
 import os
 import re
+import signal
 import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -847,12 +851,13 @@ def test_writer_memory_is_bounded_by_the_chunk(tmp_path, fmt):
     assert peak < 8 * 2**20, f"{fmt} writer peaked at {peak / 2**20:.1f} MiB"
 
 
-def test_field_table_memory_does_not_grow_with_taus(tmp_path):
+def test_field_table_memory_does_not_grow_with_taus(tmp_path, monkeypatch):
     """The traced peak of a gen1d table is the same for 4 taus as for 40, one tau lifted at a time.
 
     Measured about 1.0 MiB for both; blocks built for every tau before writing peaked at
-    1.2 and 3.3 MiB.
+    1.2 and 3.3 MiB.  One writer: tracemalloc does not see forked part writers.
     """
+    monkeypatch.setattr(cli, "_workers", lambda: 1)
     peaks = {}
     for taus in (4, 4, 40):  # the first run also traces one-time allocations
         args = ["gen1d", "--n", "2", "--tau", f"0:5:{taus}", "--grid", "-20:20:2001"]
@@ -865,13 +870,15 @@ def test_field_table_memory_does_not_grow_with_taus(tmp_path):
     assert peaks[40] < 1.25 * peaks[4], {k: f"{v / 2**20:.2f} MiB" for k, v in peaks.items()}
 
 
-def test_field_table_memory_does_not_grow_with_the_grid(tmp_path):
+def test_field_table_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
     """The traced peak of a one-tau gen2d table is the same at 801^2 points as at 401^2.
 
-    Each is lifted and written one axis-0 slab of about 2^15 points at a time.  Measured
-    about 4.2 and 4.1 MiB (3.0 and 3.1 at 2^14-point slabs); lifted whole, as before the
-    slab walker, 14.8 and 58.9 MiB.
+    Each is lifted and written one axis-0 slab of about 2^15 points at a time, on one
+    writer.  Measured about 2.8 MiB for both (4.2 and 4.1 MiB with each slab's text built
+    whole); lifted whole, as before the slab walker, 14.8 and 58.9 MiB.
     """
+    monkeypatch.setattr(cli, "_workers", lambda: 1)
+
     def gen2d(count):
         args = ["gen2d", "--l", "1", "--tau", "0.5", "--grid", f"-12:12:{count}"]
         assert main(args + ["--out", str(tmp_path / "t.csv")]) == 0
@@ -886,6 +893,176 @@ def test_field_table_memory_does_not_grow_with_the_grid(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[801] < 1.25 * peaks[401], {k: f"{v / 2**20:.2f} MiB" for k, v in peaks.items()}
+
+
+def test_field_table_memory_does_not_grow_with_the_slab(tmp_path, monkeypatch):
+    """Past the lift of one slab, a one-tau gen2d table's traced peak is the same at any _SLAB.
+
+    Text and density columns are built per chunk of _BLOCK_ROWS rows, so only the lift grows
+    with the slab.  Measured on 401^2 points: 1.31 MiB over one slab's lift at 2^13-point
+    slabs and 0.76 MiB at 2^16; with each slab's text built whole, 1.31 and 3.57 MiB.
+    """
+    monkeypatch.setattr(cli, "_workers", lambda: 1)
+    args = ["gen2d", "--l", "1", "--tau", "0.5", "--grid", "-12:12:401"]
+    nodes = [np.linspace(-12.0, 12.0, 401)] * 2
+    assert main(args + ["--out", str(tmp_path / "t.csv")]) == 0  # one-time allocations
+    excess = {}
+    for points in (2**13, 2**16):
+        monkeypatch.setattr(analysis, "_SLAB", points)
+        coords = next(analysis._slabs(nodes, 0))[2]
+        peaks = []
+        for run in (
+            lambda: main(args + ["--out", str(tmp_path / "t.csv")]),
+            lambda: lifted_eigenstate_2d(OscillatorParams(1, 1), QuantumNumbers2D(0, 1),
+                                         *coords(), 0.5),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        excess[points] = peaks[0] - peaks[1]
+    assert excess[2**16] < excess[2**13] + 2**19, {
+        k: f"{v / 2**20:.2f} MiB" for k, v in excess.items()
+    }
+
+
+# tables cut into runs at tau boundaries and inside a tau: with 2^13-point slabs, two taus of
+# 8751 gen1d rows in slabs of 8192 and 559 rows, of 107^2 or 101 x 91 gen2d rows in slabs
+# of 76 and 31 or of 90 and 11 axis-0 rows
+PART_CASES = {
+    "gen1d-csv": ["gen1d", "--n", "3", "--tau", "0,1.5", "--grid", "-20:20:8751"],
+    "gen1d-json": ["gen1d", "--n", "3", "--tau", "0,1.5", "--grid", "-20:20:8751",
+                   "--format", "json"],
+    "gen2d-csv": ["gen2d", "--l", "1", "--tau", "0,0.5", "--grid", "-12:12:107"],
+    "gen2d-json": ["gen2d", "--l", "-2", "--n-radial", "1", "--tau", "0,1",
+                   "--grid", "-12:12:101,-9:9:91", "--format", "json"],
+    "propagate": ["propagate", "--n", "2", "--to-tau", "0.7", "--grid", "-20:20:17501"],
+}
+
+
+@pytest.fixture
+def small_parts(monkeypatch):
+    """Slabs of 2^13 points, two chunks of the writer, and runs from 2^13 table rows."""
+    monkeypatch.setattr(analysis, "_SLAB", 2**13)
+    monkeypatch.setattr(cli, "_PART_ROWS", 2**13)
+
+
+@pytest.mark.parametrize("case", PART_CASES)
+def test_part_writers_give_the_one_writer_bytes(tmp_path, monkeypatch, capsys, small_parts, case):
+    outcomes = []
+    for workers in (1, 2, 3, 4):
+        monkeypatch.setattr(cli, "_workers", lambda: workers)
+        outcomes.append(_main_outcome(PART_CASES[case], tmp_path / f"t{workers}", capsys))
+    assert outcomes[0][0] == 0
+    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t1", "t2", "t3", "t4"]
+
+
+def test_part_writers_give_the_first_error_in_row_order(
+    tmp_path, monkeypatch, capsys, small_parts
+):
+    """Non-finite slabs in later runs: exit 3 with the one-writer message, nothing written.
+
+    Four slabs; im is inf in slab 2 and re in slab 3, so every run from the one holding
+    slab 2 fails, and the message names 'im' however the runs are cut.
+    """
+    lift = cli.lifted_eigenstate_1d
+
+    def failing(params, qn, y, tau):
+        values = lift(params, qn, y, tau)
+        if tau == 1.5 and y[0] == -20.0:
+            return np.full_like(values, complex(0.0, np.inf))
+        return np.full_like(values, np.inf) if tau == 1.5 and y[-1] == 20.0 else values
+
+    monkeypatch.setattr(cli, "lifted_eigenstate_1d", failing)
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"old bytes\n")
+    outcomes = []
+    for workers in (1, 2, 3, 4):
+        monkeypatch.setattr(cli, "_workers", lambda: workers)
+        outcomes.append(_main_outcome(PART_CASES["gen1d-csv"], out, capsys))
+        assert list(tmp_path.iterdir()) == [out]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    code, stdout, stderr, data = outcomes[0]
+    assert (code, stderr, data) == (3, "", b"old bytes\n")
+    assert repr("im") in json.loads(stdout)["error"]["message"]
+    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+
+
+def test_part_writers_stop_when_the_first_run_fails(tmp_path, monkeypatch, capsys, small_parts):
+    lift = cli.lifted_eigenstate_1d
+
+    def failing(params, qn, y, tau):
+        values = lift(params, qn, y, tau)
+        return np.full_like(values, np.nan) if tau == 0.0 and y[0] == -20.0 else values
+
+    monkeypatch.setattr(cli, "lifted_eigenstate_1d", failing)
+    monkeypatch.setattr(cli, "_workers", lambda: 4)
+    code, stdout, _, data = _main_outcome(PART_CASES["gen1d-csv"], tmp_path / "x.csv", capsys)
+    assert (code, data) == (3, None)
+    assert repr("re") in json.loads(stdout)["error"]["message"]
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_killed_part_writer_exits_5(tmp_path, monkeypatch, capsys, small_parts):
+    lift, parent = cli.lifted_eigenstate_1d, os.getpid()
+
+    def killed_in_a_child(params, qn, y, tau):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return lift(params, qn, y, tau)
+
+    monkeypatch.setattr(cli, "lifted_eigenstate_1d", killed_in_a_child)
+    monkeypatch.setattr(cli, "_workers", lambda: 2)
+    out = tmp_path / "x.csv"
+    code, stdout, stderr, data = _main_outcome(PART_CASES["gen1d-csv"], out, capsys)
+    assert (code, stdout, data) == (5, "", None)
+    assert stderr == (
+        f"oscfree: error: [Errno {errno.ECHILD}] a table part writer exited with "
+        f"{-signal.SIGKILL}: {str(out)!r}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_part_writers_fork_only_without_threads(tmp_path, monkeypatch, capsys):
+    """The slab pool is shut down before a fork, and any other thread keeps one writer.
+
+    Python 3.12 warns when fork runs in a process with threads, and a forked child would
+    inherit their locks in whatever state they are.
+    """
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(threading.active_count())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(cli, "_workers", lambda: 2)
+    grid = analysis.Grid((analysis.Grid1D(-1.0, 1.0, 3 * analysis._SLAB),))
+    analysis.sample_field(lambda y, t: np.ones_like(y, dtype=complex), grid, 0.0)
+    assert threading.active_count() > 1  # the slab pool's threads
+    # over _PART_ROWS rows at the default slab size
+    args = ["gen1d", "--n", "3", "--tau", "0,1.5", "--grid", "-20:20:35001"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first = _main_outcome(args, tmp_path / "forked.csv", capsys)
+    assert forks == [1]
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait, args=(60,))
+    waiting.start()
+    try:
+        second = _main_outcome(args, tmp_path / "threaded.csv", capsys)
+    finally:
+        release.set()
+        waiting.join(60)
+    assert not waiting.is_alive()
+    assert forks == [1]
+    assert first == second and first[0] == 0
 
 
 def test_hermite_sees_at_most_one_slab(tmp_path, monkeypatch, capsys):
