@@ -125,6 +125,28 @@ class TestGridsAndFields:
         fine = grid.refined(2)
         assert fine.count == 9 and fine.spacing == 0.25
 
+    # counts 3 to 400001 (perfbench's peaks grid), symmetric and asymmetric spans, and spans
+    # whose spacing underflows to 0; every node, the last (linspace's y_max) included
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid=st.one_of(
+            st.builds(
+                Grid1D,
+                st.floats(-1e3, 0.0),
+                st.floats(1e-3, 1e3),
+                st.one_of(st.integers(3, 50), st.integers(3, 400001)),
+            ),
+            st.builds(lambda c, y: Grid1D(-y, y, c), st.integers(3, 400001), st.floats(1e-6, 1e6)),
+            st.builds(Grid1D, st.just(0.0), st.sampled_from([5e-324, 1e-323]), st.integers(3, 9)),
+            st.sampled_from([Grid1D(-20.3, 7.1, 3), Grid1D(0.1, 37.9, 400001)]),
+        ),
+    )
+    def test_nodes_at_has_the_bits_of_nodes(self, grid):
+        idx = np.arange(grid.count)
+        assert grid.nodes_at(idx).tobytes() == grid.nodes.tobytes()
+        windows = np.stack((idx[::-1], idx))  # _windowed_peaks gathers 2-D windows
+        assert grid.nodes_at(windows).tobytes() == grid.nodes[windows].tobytes()
+
     def test_field_validation(self):
         grid = Grid1D(-1.0, 1.0, 5)
         with pytest.raises(ValueError):
@@ -1117,8 +1139,9 @@ class TestLevelExtrema:
         assert left[0] == pytest.approx(-half, abs=1e-15)
         assert right[0] == pytest.approx(half, abs=1e-15)
 
-    # measured up to 1.8e-15 in xi and 1.9e-14 off the half ratio, at n = 150
-    @pytest.mark.parametrize("n", [1, 2, 5, 17, 40, 80, 150])
+    # measured up to 1.8e-15 in xi and 1.3e-14 off the half ratio, at n = 150; n = 120 is
+    # perfbench's peaks level
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 40, 80, 120, 150])
     def test_against_mpmath(self, n):
         maxima, left, right = level_extrema(n)
         log_slope = lambda x: 2 * n * mpmath.hermite(n - 1, x) / mpmath.hermite(n, x) - x
@@ -1145,9 +1168,18 @@ class TestLevelExtrema:
         assert maxima.shape == left.shape == right.shape == (n + 1,)
         assert np.all(np.isfinite(maxima)) and np.all(np.diff(maxima) > 0)
         assert np.all((left < maxima) & (maxima < right))
-        # rho_n is even; measured within 1.2e-16 of the mirror image at n = 2000
-        assert np.abs(maxima + maxima[::-1]).max() < 1e-15
-        assert np.abs(left + right[::-1]).max() < 1e-15
+        # rho_n is even, and the points at xi < 0 are those at xi > 0 mirrored
+        assert np.array_equal(maxima, -maxima[::-1])
+        assert np.array_equal(left, -right[::-1])
+
+    # one Hermite recurrence per call: Newton steps run on its Taylor tables
+    @pytest.mark.parametrize("n", [0, 1, 40, 150, 2000])
+    def test_runs_one_recurrence(self, n):
+        with mock.patch.object(
+            analysis, "_hermite_functions", wraps=analysis._hermite_functions
+        ) as spy:
+            level_extrema(n)
+        assert spy.call_count == 1
 
     def test_rejects_negative_level(self):
         with pytest.raises(ValueError, match="nonnegative"):

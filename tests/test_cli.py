@@ -231,6 +231,18 @@ class TestPeaks:
         if error is not None:
             assert json.loads(capsys.readouterr().out)["error"]["type"] == error
 
+    # the nodes around the exact maxima are gathered (Grid1D.nodes_at), not taken from a
+    # linspace of the whole grid at every tau
+    def test_windowed_peaks_never_build_the_grid(self, tmp_path, monkeypatch):
+        def nodes(grid):
+            raise AssertionError(f"{grid} built all its nodes")
+
+        monkeypatch.setattr(analysis.Grid1D, "nodes", property(nodes))
+        monkeypatch.setattr(analysis, "_scanned_peaks", mock.Mock(side_effect=AssertionError))
+        out = tmp_path / "peaks.json"
+        assert main(PEAKS_HIGH_N_GOLDEN_ARGS + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "peaks_n120_400001.json").read_bytes()
+
     # the full scan overflows in the far tails from about n = 170; the peaks themselves,
     # inside the turning points, stay finite to n = 202.  Measured errors: 1.5e-7 in
     # position and 4.0e-6 in width, at n = 200
@@ -871,11 +883,11 @@ def test_field_table_memory_does_not_grow_with_taus(tmp_path, monkeypatch):
 
 
 def test_field_table_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
-    """The traced peak of a one-tau gen2d table is the same at 801^2 points as at 401^2.
+    """The traced peak of a one-tau gen2d table is the same at 501^2 points as at 251^2.
 
     Each is lifted and written one axis-0 slab of about 2^15 points at a time, on one
-    writer.  Measured about 2.8 MiB for both (4.2 and 4.1 MiB with each slab's text built
-    whole); lifted whole, as before the slab walker, 14.8 and 58.9 MiB.
+    writer.  Measured 2.7 and 2.9 MiB; lifted whole (_SLAB = 2^24), 4.1 and 15.6 MiB.  Both
+    grids are at least two slabs: 201^2, under two, peaked at 2.3 MiB, 1.23x under 401^2.
     """
     monkeypatch.setattr(cli, "_workers", lambda: 1)
 
@@ -883,16 +895,16 @@ def test_field_table_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
         args = ["gen2d", "--l", "1", "--tau", "0.5", "--grid", f"-12:12:{count}"]
         assert main(args + ["--out", str(tmp_path / "t.csv")]) == 0
 
-    gen2d(401)  # untraced warm-up for one-time allocations
+    gen2d(251)  # untraced warm-up for one-time allocations
     peaks = {}
-    for count in (401, 801):
+    for count in (251, 501):
         tracemalloc.start()
         try:
             gen2d(count)
             peaks[count] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[801] < 1.25 * peaks[401], {k: f"{v / 2**20:.2f} MiB" for k, v in peaks.items()}
+    assert peaks[501] < 1.25 * peaks[251], {k: f"{v / 2**20:.2f} MiB" for k, v in peaks.items()}
 
 
 def test_field_table_memory_does_not_grow_with_the_slab(tmp_path, monkeypatch):
