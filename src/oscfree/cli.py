@@ -20,8 +20,9 @@ regular file (a directory, /dev/stdout, /dev/null, a FIFO) is a usage error.
 _replacing); verify writes its --out report before printing it.  Tables are
 written deterministically in the CSV or JSON format of _write_table, field
 tables one slab of one tau at a time (_write_field_table); a large field table
-is cut into runs formatted by forked processes into part files, joined in
-order, with the bytes and errors of one writer (_part_writers).
+is cut into runs of equal rows, formatted by forked processes into part files
+that hold their text or their writer's error, joined in order, with the bytes
+and errors of one writer (_part_writers).
 
 Grid specs are `min:max:count`; tau lists are comma-separated values or
 `min:max:count` ranges.  Every option but --help takes one value, so any
@@ -73,6 +74,7 @@ EXIT_IO = 5
 
 _BLOCK_ROWS = 4096
 _PART_ROWS = 2**16  # fewest table rows cut into runs for forked part writers (_part_count)
+_PART_RAISED = 3  # exit status of a part writer that left its exception in its part file
 
 
 def _parse_finite(spec: str) -> float:
@@ -171,9 +173,10 @@ def _write_table(
     with path untouched (see _replacing).  repr is the float and int text of csv.writer
     and json alike, so one chunked pass of repr cells serves both formats and only the
     framing differs.  parts are more iterables of blocks, each continuing the rows of the
-    one before it (so blocks must hold a row if there are parts); each is formatted by a
-    forked child of _part_writers while this process formats blocks, with the bytes and
-    the first error, in row order, of one writer.
+    one before it (so blocks must hold a row if there are parts); each is formatted into a
+    part file by a forked child of _part_writers while this process formats blocks, and
+    the files are appended in order, so the bytes and the first error in row order are
+    those of one writer.
     """
     meta = json.dumps({"schema_version": SCHEMA_VERSION, "command": command, "columns": header})
     # head, cell and row separators, chunk close, leads of the first and later chunks, tail
@@ -209,18 +212,17 @@ def _part_writers(parts, write, directory: str):
     """Yield join(f), which appends to f, in order, the text that write(file, part) gives.
 
     On entry each part gets a child, forked to write it into its own part file in
-    directory.  The file is unlinked as soon as it is made, so none outlives the run, and
-    the child always ends with os._exit, its exception pickled to this process through a
-    pipe.  join(f) takes the parts in order: it reaps the part's child and raises its
-    exception, or appends its file to f, so no cell text crosses the pipe.  A part whose
-    child could not be started is written to f in place.  On exit, every child not yet
-    reaped is killed and reaped.
+    directory (_fork_part).  The file is unlinked as soon as it is made, so none outlives
+    the run.  join(f) takes the parts in order: it reaps the part's child, then raises the
+    exception the child left in its file, or a ChildProcessError for any other failure, or
+    appends the file to f.  A part whose child could not be started is written to f in
+    place.  On exit, every child not yet reaped is killed and reaped.
     """
     import errno
     import pickle
     import signal
 
-    children = []  # (part, [pid, pipe read end, part file] or None); pid None once reaped
+    children = []  # (part, [pid, part file] or None); pid None once reaped
     try:
         for part in parts:
             try:
@@ -233,18 +235,16 @@ def _part_writers(parts, write, directory: str):
                 if child is None:
                     write(f, part)
                     continue
-                pid, pipe, fd = child
-                with open(pipe, "rb", closefd=False) as reader:
-                    error = reader.read()
-                status = os.waitpid(pid, 0)[1]
+                pid, fd = child
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 child[0] = None
-                if error:
-                    raise pickle.loads(error)
-                if status:
-                    code = os.waitstatus_to_exitcode(status)
+                size = os.fstat(fd).st_size
+                if code == _PART_RAISED:
+                    raise pickle.loads(os.pread(fd, size, 0))
+                if code:
                     raise ChildProcessError(errno.ECHILD, f"a table part writer exited with {code}")
                 f.flush()
-                offset, size = 0, os.fstat(fd).st_size
+                offset = 0
                 while offset < size:
                     offset += os.copy_file_range(fd, f.fileno(), size - offset, offset)
 
@@ -252,46 +252,44 @@ def _part_writers(parts, write, directory: str):
     finally:
         for _, child in children:
             if child is not None:
-                pid, pipe, fd = child
+                pid, fd = child
                 if pid is not None:
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
-                os.close(pipe)
                 os.close(fd)
 
 
 def _fork_part(write, part, directory: str) -> list:
-    """[pid, pipe read end, part file descriptor] of a child forked to write(file, part).
+    """[pid, part file descriptor] of a child forked to write(file, part) into the part file.
 
-    The part file is made in directory and unlinked at once.  The child writes its
-    exception, pickled, to the pipe, and ends with os._exit whatever happens.
+    The part file is made in directory and unlinked at once.  The child ends with os._exit
+    whatever happens: 0 with its text in the file, _PART_RAISED with the file holding
+    only its exception, pickled, or 1 where that could not be written.
     """
     name = os.path.join(directory, f".oscfree.{os.urandom(8).hex()}.part")
-    fds = [os.open(name, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)]
+    fd = os.open(name, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
     try:
         os.unlink(name)
-        fds += os.pipe()
         pid = os.fork()
     except OSError:
-        for fd in fds:
-            os.close(fd)
+        os.close(fd)
         raise
-    fd, pipe, pipe_in = fds
     if pid == 0:
         status = 1
         try:
-            os.close(pipe)
-            with open(fd, "w", newline="", encoding="utf-8") as f:
+            with open(fd, "w", newline="", encoding="utf-8", closefd=False) as f:
                 write(f, part)
             status = 0
         except BaseException as exc:
             import pickle
-            with open(pipe_in, "wb") as writer:
-                writer.write(pickle.dumps(exc))
+            os.ftruncate(fd, 0)
+            with open(fd, "wb", closefd=False) as f:
+                f.seek(0)
+                f.write(pickle.dumps(exc))
+            status = _PART_RAISED
         finally:
             os._exit(status)
-    os.close(pipe_in)
-    return [pid, pipe, fd]
+    return [pid, fd]
 
 
 def _part_count(rows: int) -> int:
@@ -323,13 +321,15 @@ def _check_rows(taus: int, per_tau: int, what: str) -> None:
 def _write_field_table(args: argparse.Namespace, lift, taus, names) -> None:
     """Tabulate lift(rows, *coords, tau) on args.grid per tau as tau, coordinate, re, im, density.
 
-    One block per tau per axis-0 slab of analysis._slabs: lift gets the slab's row slice and
-    coordinates, and the slab's re, im and density are checked before any of its rows are
-    written.  Its text and density columns are built per chunk of _BLOCK_ROWS rows, so a
+    Blocks come per tau per axis-0 slab of analysis._slabs: lift gets the slab's row slice
+    and coordinates, and the slab's re, im and density are checked before any of its rows
+    are written.  Its text and density columns are built per chunk of _BLOCK_ROWS rows, so a
     table holds one slab's values and one chunk's text.  Each node is repr'd once.  The
-    blocks are cut into _part_count runs of about equal rows, and all runs but the first
-    are formatted by forked children (_write_table): repr and str.join, under the GIL, take
-    the time, and lifting is under 1% of it.
+    rows are cut into _part_count runs of equal rows, give or take one, and all runs but the
+    first are formatted by forked children (_write_table): repr and str.join, under the
+    GIL, take the time, and lifting is under 1% of it.  A slab with rows in two runs is
+    lifted and checked whole by both, and each writes its own rows, so the first failing
+    slab in row order fails the first run that holds it.
     """
     _check_rows(len(taus), args.grid.count, "grid points")
     rows = len(taus) * args.grid.count
@@ -338,32 +338,30 @@ def _write_field_table(args: argparse.Namespace, lift, taus, names) -> None:
     header = ["tau", *names, "re", "im", "density"]
     per_row = args.grid.count // len(nodes[0])
 
-    def slab_blocks(tau, start, stop, coords):
+    def slab_blocks(tau, start, stop, coords, first, last):
         values = lift(slice(start, stop), *coords(), tau).ravel()
         re, im = values.real, values.imag
         # density written as re^2 + im^2 so re-reading the table reproduces it exactly
         _check_finite(args.command, header[-3:], [re, im, re * re + im * im])
         shape, tau_text = (stop - start, *map(len, nodes[1:])), repr(tau)
-        for a in range(0, values.size, _BLOCK_ROWS):
-            b = min(a + _BLOCK_ROWS, values.size)
+        for a in range(first, last, _BLOCK_ROWS):
+            b = min(a + _BLOCK_ROWS, last)
             at = np.unravel_index(np.arange(a, b), shape)
             words = [t[i].tolist() for t, i in zip(text, (at[0] + start, *at[1:]))]
             # copies, so the last block written keeps no slab alive while the next is lifted
             r, i = re[a:b].copy(), im[a:b].copy()
             yield [[tau_text] * (b - a), *words, r, i, r * r + i * i]
 
-    def blocks(run):
-        for tau, slab in run:
-            yield from slab_blocks(tau, *slab)
+    def blocks(lo, hi):  # table rows lo to hi
+        for t, tau in enumerate(taus):
+            for start, stop, coords in _slabs(nodes, 0):
+                at = (t * len(nodes[0]) + start) * per_row
+                first, last = max(lo - at, 0), min(hi - at, (stop - start) * per_row)
+                if first < last:
+                    yield from slab_blocks(tau, start, stop, coords, first, last)
 
-    k, runs, done = _part_count(rows), [[]], 0
-    for tau in taus:
-        for slab in _slabs(nodes, 0):
-            if done >= rows * len(runs) / k:
-                runs.append([])
-            runs[-1].append((tau, slab))
-            done += (slab[1] - slab[0]) * per_row
-    first, *parts = map(blocks, runs)
+    k = _part_count(rows)
+    first, *parts = (blocks(rows * j // k, rows * (j + 1) // k) for j in range(k))
     _write_table(args.out, header, first, args.format, args.command, parts)
 
 

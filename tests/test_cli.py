@@ -911,12 +911,13 @@ def test_field_table_memory_does_not_grow_with_the_slab(tmp_path, monkeypatch):
     """Past the lift of one slab, a one-tau gen2d table's traced peak is the same at any _SLAB.
 
     Text and density columns are built per chunk of _BLOCK_ROWS rows, so only the lift grows
-    with the slab.  Measured on 401^2 points: 1.31 MiB over one slab's lift at 2^13-point
-    slabs and 0.76 MiB at 2^16; with each slab's text built whole, 1.31 and 3.57 MiB.
+    with the slab.  363^2 points are the fewest that hold two whole slabs at 2^16 points.
+    Measured: 1.39 MiB over one slab's lift at 2^13-point slabs and 0.74 MiB at 2^16; with
+    each slab's text built whole, 1.62 and 4.93 MiB.
     """
     monkeypatch.setattr(cli, "_workers", lambda: 1)
-    args = ["gen2d", "--l", "1", "--tau", "0.5", "--grid", "-12:12:401"]
-    nodes = [np.linspace(-12.0, 12.0, 401)] * 2
+    args = ["gen2d", "--l", "1", "--tau", "0.5", "--grid", "-12:12:363"]
+    nodes = [np.linspace(-12.0, 12.0, 363)] * 2
     assert main(args + ["--out", str(tmp_path / "t.csv")]) == 0  # one-time allocations
     excess = {}
     for points in (2**13, 2**16):
@@ -1039,6 +1040,71 @@ def test_killed_part_writer_exits_5(tmp_path, monkeypatch, capsys, small_parts):
         f"{-signal.SIGKILL}: {str(out)!r}\n"
     )
     assert list(tmp_path.iterdir()) == []
+
+
+def test_unpicklable_part_writer_error_exits_5(tmp_path, monkeypatch, capsys, small_parts):
+    """A child whose exception cannot be pickled exits 1, read as a failed part writer."""
+    lift, parent = cli.lifted_eigenstate_1d, os.getpid()
+
+    class Unpicklable(Exception):  # a local class: pickle cannot name it
+        pass
+
+    def raising_in_a_child(params, qn, y, tau):
+        if os.getpid() != parent:
+            raise Unpicklable("raised in a part writer")
+        return lift(params, qn, y, tau)
+
+    monkeypatch.setattr(cli, "lifted_eigenstate_1d", raising_in_a_child)
+    monkeypatch.setattr(cli, "_workers", lambda: 2)
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"old bytes\n")
+    code, stdout, stderr, data = _main_outcome(PART_CASES["gen1d-csv"], out, capsys)
+    assert (code, stdout, data) == (5, "", b"old bytes\n")
+    assert stderr == (
+        f"oscfree: error: [Errno {errno.ECHILD}] a table part writer exited with 1: "
+        f"{str(out)!r}\n"
+    )
+    assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts /proc/self/fd")
+def test_part_writers_leave_no_descriptor_open(tmp_path, monkeypatch, capsys, small_parts):
+    """Each child's one descriptor, its part file, is closed after a write, an error or a kill."""
+    lift, parent = cli.lifted_eigenstate_1d, os.getpid()
+    failure = {}
+
+    def failing(params, qn, y, tau):
+        if os.getpid() != parent and failure.get("kill"):
+            os.kill(os.getpid(), signal.SIGKILL)
+        values = lift(params, qn, y, tau)
+        return np.full_like(values, np.inf) if failure.get("inf") and tau == 1.5 else values
+
+    monkeypatch.setattr(cli, "lifted_eigenstate_1d", failing)
+    monkeypatch.setattr(cli, "_workers", lambda: 3)
+    before = len(os.listdir("/proc/self/fd"))
+    for case, code in (({}, 0), ({"inf": True}, 3), ({"kill": True}, 5)):
+        failure.update(case)
+        assert _main_outcome(PART_CASES["gen1d-csv"], tmp_path / "x.csv", capsys)[0] == code
+        assert len(os.listdir("/proc/self/fd")) == before, case
+        failure.clear()
+
+
+def test_one_tau_table_runs_differ_by_at_most_a_row(monkeypatch):
+    """Runs are cut at equal row ranges, not at slab boundaries.
+
+    The table's 100001 rows span four slabs, the last ragged; cut at slabs, its two runs
+    were 65536 and 34465 rows.
+    """
+    runs = []
+
+    def counting(path, header, blocks, fmt, command, parts=()):
+        runs.extend(sum(len(block[0]) for block in run) for run in (blocks, *parts))
+
+    monkeypatch.setattr(cli, "_write_table", counting)
+    monkeypatch.setattr(cli, "_workers", lambda: 2)
+    args = ["gen1d", "--n", "3", "--tau", "0.5", "--grid", "-20:20:100001", "--out", "unused"]
+    assert main(args) == 0
+    assert sum(runs) == 100001 and len(runs) == 2 and max(runs) - min(runs) <= 1, runs
 
 
 def test_part_writers_fork_only_without_threads(tmp_path, monkeypatch, capsys):
