@@ -33,6 +33,7 @@ import numpy as np
 from .classical import TrajectoryFamily
 from .errors import BoundaryDecayError, NonFiniteError, NormalizationError, PeakDetectionError
 from .oscillator import OscillatorParams, QuantumNumbers1D, QuantumNumbers2D, density_1d
+from .specfun import hermite
 from .transform import _stretch_sq, lifted_eigenstate_1d
 
 # ---------------------------------------------------------------------------
@@ -815,15 +816,22 @@ def _lifted_peaks(params: OscillatorParams, n: int, taus, count: int) -> list[Pe
     The record at each tau is _scanned_peaks's, bit for bit.  It comes from the nodes near
     the exact maxima and half-height points of level_extrema (_windowed_peaks), computed
     once here, and from the scan wherever those nodes do not settle it; the scan is the only
-    path that raises.  From n = 203, H_n overflows at the outer peaks' nodes near the turning
-    points, so every tau is scanned, and the scan raises.
+    path that raises.  The outer peaks' nodes lie near the turning points, so where H_n
+    overflows there (from n = 203) the exact points are not computed: the check below ends at
+    the first overflow, under 1 ms, where level_extrema takes O(n^2) (a minute at n = 10^5).
     """
     qn = QuantumNumbers1D(n)
-    points = np.concatenate(level_extrema(n))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            hermite(n, math.sqrt(2.0 * n + 1.0))
+    except FloatingPointError:
+        points = None
+    else:
+        points = np.concatenate(level_extrema(n))
     records = []
     for tau in taus:
         grid = auto_grid(params, n, tau, count)
-        record = _windowed_peaks(params, qn, tau, grid, points)
+        record = None if points is None else _windowed_peaks(params, qn, tau, grid, points)
         records.append(_scanned_peaks(params, qn, tau, grid) if record is None else record)
     return records
 

@@ -283,9 +283,7 @@ def _fork_part(write, part, directory: str) -> list:
         except BaseException as exc:
             import pickle
             os.ftruncate(fd, 0)
-            with open(fd, "wb", closefd=False) as f:
-                f.seek(0)
-                f.write(pickle.dumps(exc))
+            os.pwrite(fd, pickle.dumps(exc), 0)
             status = _PART_RAISED
         finally:
             os._exit(status)

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -230,6 +231,19 @@ class TestPeaks:
         assert scan.called == scanned
         if error is not None:
             assert json.loads(capsys.readouterr().out)["error"]["type"] == error
+
+    # H_n overflows at the turning point within about 100 scalar steps at this n, so a level
+    # far past n = 202 goes straight to the scan and never runs level_extrema's O(n^2) recurrence
+    # on O(n) nodes (by extrapolation, hours and over 1 GB at n = 10^6)
+    def test_huge_level_exits_3_without_the_exact_maxima(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        extrema = mock.Mock(side_effect=AssertionError("level_extrema ran"))
+        start = time.perf_counter()
+        with mock.patch.object(analysis, "level_extrema", extrema):
+            assert main(["peaks", "--n", "1000000", "--tau", "0", "--out", str(out)]) == 3
+        assert time.perf_counter() - start < 10.0
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "NonFiniteError"
+        assert not out.exists()
 
     # the nodes around the exact maxima are gathered (Grid1D.nodes_at), not taken from a
     # linspace of the whole grid at every tau
@@ -1069,7 +1083,7 @@ def test_unpicklable_part_writer_error_exits_5(tmp_path, monkeypatch, capsys, sm
 
 @pytest.mark.skipif(sys.platform != "linux", reason="counts /proc/self/fd")
 def test_part_writers_leave_no_descriptor_open(tmp_path, monkeypatch, capsys, small_parts):
-    """Each child's one descriptor, its part file, is closed after a write, an error or a kill."""
+    """This process closes every part file it made after a write, an error or a kill."""
     lift, parent = cli.lifted_eigenstate_1d, os.getpid()
     failure = {}
 
