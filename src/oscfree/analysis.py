@@ -33,7 +33,7 @@ import numpy as np
 from .classical import TrajectoryFamily
 from .errors import BoundaryDecayError, NonFiniteError, NormalizationError, PeakDetectionError
 from .oscillator import OscillatorParams, QuantumNumbers1D, QuantumNumbers2D, density_1d
-from .specfun import hermite
+from .specfun import hermite_scaled
 from .transform import _stretch_sq, lifted_eigenstate_1d
 
 # ---------------------------------------------------------------------------
@@ -556,33 +556,6 @@ def find_density_maxima(field: ComplexField) -> PeakRecord:
 # ---------------------------------------------------------------------------
 # exact maxima of a level, and peaks from them
 
-_RESCALE = 2.0**500  # _hermite_functions scales its values by 2^-500 once they pass this
-
-
-def _hermite_functions(n: int, xi: np.ndarray):
-    """(p, p_prev, e) with psi_k(xi) = p_k 2^(500 e) exp(-xi^2 / 2) pi^(-1/4) for k = n, n - 1.
-
-    The normalized Hermite-function recurrence
-    psi_{k+1} = sqrt(2 / (k + 1)) xi psi_k - sqrt(k / (k + 1)) psi_{k-1}, run without its
-    Gaussian.  Every 8 steps both values are scaled by 2^-500 (exactly) wherever either has
-    passed 2^500, and e counts the scalings: a step grows them by at most sqrt(2)|xi| + 1,
-    so no n overflows.
-    """
-    p_prev, p, tmp, e = np.zeros_like(xi), np.ones_like(xi), np.empty_like(xi), np.zeros_like(xi)
-    for k in range(n):
-        np.multiply(xi, p, out=tmp)
-        tmp *= math.sqrt(2.0 / (k + 1))
-        p_prev *= -math.sqrt(k / (k + 1))
-        p_prev += tmp
-        p, p_prev = p_prev, p
-        if k % 8 == 7 or k == n - 1:
-            big = np.maximum(np.abs(p), np.abs(p_prev)) > _RESCALE
-            p[big] /= _RESCALE
-            p_prev[big] /= _RESCALE
-            e[big] += 1.0
-    return p, p_prev, e
-
-
 def _bracketed_roots(fn, lo, hi, rising):
     """The root of fn in each bracket (lo, hi), by Newton steps kept inside the bracket.
 
@@ -612,18 +585,20 @@ _TAYLOR_TERMS = 16
 
 
 def _taylor_evaluator(n: int, xi: np.ndarray):
-    """evaluate(x) = (p, p', e) of H_n at x in [0, xi[-1]], from one run of _hermite_functions.
+    """evaluate(x) = (p, p', e) with H_n(x) = p 2^e at x in [0, xi[-1]], from one hermite_scaled.
 
-    xi are the nodes j h, j = 0, 1, ...  About each, p = p_n (H_n scaled as
-    _hermite_functions scales it there, by 2^(-500 e)) has the Taylor series sum a_k u^k:
-    a_0 = p, a_1 = p' = sqrt(2n) p_{n-1}, and H_n'' = 2 xi H_n' - 2n H_n gives
-    a_{k+2} = (2 xi (k+1) a_{k+1} + 2 (k-n) a_k) / ((k+2)(k+1)).  It ends at k = n, and
-    min(n + 1, _TAYLOR_TERMS) terms are kept.  A point x is summed by Horner about its
-    nearest node (|u| <= h / 2), so the recurrence is never run again.
+    xi are the nodes j h, j = 0, 1, ...  About each, p = H_n 2^-e (hermite_scaled's pair,
+    scaled again, exactly, so that max(|p|, |p_{n-1}|) is in [1/2, 1) and the coefficients
+    have headroom) has the Taylor series sum a_k u^k: a_0 = p, a_1 = p' = 2n p_{n-1}, and
+    H_n'' = 2 xi H_n' - 2n H_n gives a_{k+2} = (2 xi (k+1) a_{k+1} + 2 (k-n) a_k) / ((k+2)(k+1)).
+    It ends at k = n, and min(n + 1, _TAYLOR_TERMS) terms are kept.  A point x is summed by
+    Horner about its nearest node (|u| <= h / 2), so the recurrence is never run again.
     """
     h, last, terms = xi[1], xi.size - 1, min(n + 1, _TAYLOR_TERMS)
-    p, p_prev, e = _hermite_functions(n, xi)
-    a = [p, math.sqrt(2.0 * n) * p_prev][:terms]
+    p, p_prev, e = hermite_scaled(n, xi)
+    _, shift = np.frexp(np.maximum(np.abs(p), np.abs(p_prev)))
+    p, p_prev, e = np.ldexp(p, -shift), np.ldexp(p_prev, -shift), e + shift
+    a = [p, 2.0 * n * p_prev][:terms]
     for k in range(terms - 2):
         a.append((2.0 * (k + 1) * xi * a[k + 1] + 2.0 * (k - n) * a[k]) / ((k + 2) * (k + 1)))
     slopes = [(k + 1) * a_k for k, a_k in enumerate(a[1:])] + [np.zeros_like(xi)]
@@ -656,19 +631,18 @@ def level_extrema(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     zero (n odd) or a maximum (n even), and the rest are solved on xi > 0 and mirrored:
     the result is exactly symmetric.  On nodes from 0 with cells half as long as that bound,
     the sign of psi_n (of psi_n') changes exactly across the cells past the first that hold
-    a zero (a maximum), one each.  In its cell a zero is the root of psi_n, monotone there
-    (slope sqrt(2n) psi_{n-1}), and a maximum the root of
-    psi_n'/psi_n = sqrt(2n) psi_{n-1}/psi_n - xi, which falls there (slope
-    xi^2 - 2n - 1 - (psi_n'/psi_n)^2).  Each half-height point lies between a maximum and the
-    zero beside it, or 1 past the turning point for the outer one, where
-    log rho_n - log rho_max + ln 2 (slope 2 psi_n'/psi_n) rises or falls through 0 once.
+    a zero (a maximum), one each.  In its cell a zero is the root of H_n, monotone there
+    (slope 2n H_{n-1}), and a maximum the root of psi_n'/psi_n = 2n H_{n-1}/H_n - xi, which
+    falls there (slope xi^2 - 2n - 1 - (psi_n'/psi_n)^2).  Each half-height point lies
+    between a maximum and the zero beside it, or 1 past the turning point for the outer one,
+    where log rho_n - log rho_max + ln 2 (slope 2 psi_n'/psi_n) rises or falls through 0 once.
     All are solved by _bracketed_roots on the local Taylor series of _taylor_evaluator, from
-    one run of _hermite_functions (which no n overflows) on the nodes out to 1 past the
-    turning point.  That run is the cost: O(n) numpy calls over O(n) nodes, so O(n) memory
-    and O(n^2) arithmetic; 1.2 ms at n = 120 and 27 ms at n = 2000 (2-vCPU Xeon).
+    one run of hermite_scaled (which no n overflows) on the nodes out to 1 past the turning
+    point.  That run is the cost: O(n) numpy calls over O(n) nodes, so O(n) memory and
+    O(n^2) arithmetic; 1.8 ms at n = 120, 32 ms at n = 2000 and 0.5 s at MAX_LEVEL_1D
+    (2-vCPU Xeon).  A level past MAX_LEVEL_1D is a ValueError, raised before any of it.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    QuantumNumbers1D(n)  # a level in 0 .. MAX_LEVEL_1D
     edge, odd = math.sqrt(2.0 * n + 1.0), n % 2
     h = 2.0 * edge / (1 + int(8.0 * edge * edge / math.pi))
     xi = np.arange(math.ceil((edge + 1.0) / h) + 1) * h
@@ -697,7 +671,7 @@ def level_extrema(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
         def half_height(x):
             p, dp, e = evaluate(x)
-            log_ratio = np.log(np.abs(p / p_max)) + (e - e_max) * (500.0 * math.log(2.0))
+            log_ratio = np.log(np.abs(p / p_max)) + (e - e_max) * math.log(2.0)
             value = 2.0 * log_ratio - (x - x_max) * (x + x_max) + math.log(2.0)
             return value, 2.0 * (dp / p - x)
 
@@ -816,22 +790,14 @@ def _lifted_peaks(params: OscillatorParams, n: int, taus, count: int) -> list[Pe
     The record at each tau is _scanned_peaks's, bit for bit.  It comes from the nodes near
     the exact maxima and half-height points of level_extrema (_windowed_peaks), computed
     once here, and from the scan wherever those nodes do not settle it; the scan is the only
-    path that raises.  The outer peaks' nodes lie near the turning points, so where H_n
-    overflows there (from n = 203) the exact points are not computed: the check below ends at
-    the first overflow, under 1 ms, where level_extrema takes O(n^2) (a minute at n = 10^5).
+    path that raises.  A level past MAX_LEVEL_1D is a ValueError, raised before any of it.
     """
     qn = QuantumNumbers1D(n)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            hermite(n, math.sqrt(2.0 * n + 1.0))
-    except FloatingPointError:
-        points = None
-    else:
-        points = np.concatenate(level_extrema(n))
+    points = np.concatenate(level_extrema(n))
     records = []
     for tau in taus:
         grid = auto_grid(params, n, tau, count)
-        record = None if points is None else _windowed_peaks(params, qn, tau, grid, points)
+        record = _windowed_peaks(params, qn, tau, grid, points)
         records.append(_scanned_peaks(params, qn, tau, grid) if record is None else record)
     return records
 
@@ -895,6 +861,7 @@ def semiclassical_gap(
         raise ValueError("levels must be >= 1")
     if not all(a < b for a, b in zip(ns, ns[1:])):
         raise ValueError("levels must be strictly increasing")
+    QuantumNumbers1D(ns[-1])  # the largest level within MAX_LEVEL_1D, before any evaluation
     out: list[tuple[int, float]] = []
     for n in ns:
         (rec,) = _lifted_peaks(params, n, [0.0], count)

@@ -5,14 +5,14 @@ trajectories, peak tracks, spectral propagation, and residual
 verification reports, as CSV or JSON artifacts for external plotting.
 
 Exit codes: 0 ok, 2 usage error (a malformed or non-finite flag value,
-named in the message, or a grid, range or table over the 2**24-point or
-2**24-row budget), 3 numerical precondition failure (peak detection,
-including a level that shows other than n + 1 maxima on its peaks grid,
-boundary decay, half-period window, non-finite sampled values, a
-non-finite table, which is then not written, a verify residual that
-underflowed to zero, or a floating-point overflow, invalid operation or
-division by zero), 4 verification failure
-(a verify suite ran but its pass criterion did not hold), 5 I/O error
+named in the message, a grid, range or table over the 2**24-point or
+2**24-row budget, or a 1D --n over oscillator.MAX_LEVEL_1D), 3 numerical
+precondition failure (peak detection, including a level that shows other
+than n + 1 maxima on its peaks grid, boundary decay, half-period window,
+non-finite sampled values, a non-finite table, which is then not written,
+a verify residual that underflowed to zero, or a floating-point overflow,
+invalid operation or division by zero), 4 verification failure (a verify
+suite ran but its pass criterion did not hold), 5 I/O error
 (the output file could not be written).  An existing --out that is not a
 regular file (a directory, /dev/stdout, /dev/null, a FIFO) is a usage error.
 

@@ -4,10 +4,12 @@ Physicists' Hermite polynomials and the truncated (terminating) Kummer
 confluent hypergeometric function, both by three-term recurrences in the
 degree rather than explicit coefficient sums: the alternating sums
 cancel catastrophically already at moderate degree, while the
-recurrences stay accurate: eigenstates to degree 170 and weighted Kummer
+recurrences stay accurate: eigenstates to degree 5000 and weighted Kummer
 polynomials to degree 150 agree with 40-digit mpmath within 1e-13 of their
-scale (tests/test_specfun.py).  The limit is overflow from about degree
-170 on wide grids, which the CLI turns into a NonFiniteError (exit 3).
+scale (tests/test_specfun.py).  The Hermite recurrence, hermite_scaled, carries
+a power-of-two exponent per point, so no degree overflows it; the Kummer one
+overflows on wide grids at high degree (gen2d --n-radial 300), which the CLI
+turns into a NonFiniteError (exit 3).
 
 Both recurrences update four preallocated buffers in place over the whole
 array they are given; grid evaluations hand over one axis-0 slab at a time,
@@ -16,41 +18,63 @@ sized for these buffers (see analysis._SLAB).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
-def hermite(n: int, x):
-    """Physicists' Hermite polynomial H_n(x).
+def hermite_scaled(n: int, x):
+    """(h, h_prev, e) with H_n(x) = h 2^e and H_{n-1}(x) = h_prev 2^e (H_{-1} = 0).
 
-    Uses the three-term recurrence H_0 = 1, H_1 = 2x,
-    H_{k+1} = 2x H_k - 2k H_{k-1}.
-
-    Parameters
-    ----------
-    n : int
-        Degree, n >= 0.
-    x : float or ndarray
-        Evaluation points.
-
-    Returns
-    -------
-    float or ndarray
-        H_n evaluated at x, scalar in / scalar out.
+    The three-term recurrence H_0 = 1, H_1 = 2x, H_{k+1} = 2x H_k - 2k H_{k-1}, with a check
+    every 8 steps and at the end: wherever |h| or |h_prev| has passed 2^L, both are divided
+    by 2^L, exactly, and e grows by L.  One step
+    grows max(|h|, |h_prev|) by at most g = 2 max|x| + 2n + 2, so with L = 1023 - 8 ceil(log2 g)
+    no value overflows between two checks, and none ends above 2^L: no degree overflows.
+    The checks start only once Cramer's bound, |H_k(x)| <= 1.0865 sqrt(2^k k!) exp(x^2 / 2)
+    (A&S 22.14.17), lets a value pass 2^L, so a degree and grid that cannot get there run
+    the bare recurrence.  Where max|x| is not finite or leaves no such L (g > 2^63), the
+    recurrence runs unscaled.  h and h_prev are shaped like x (0-d for a scalar x); e is 0
+    until a check scales a value, then an int array shaped like x.
     """
     if n < 0:
         raise ValueError(f"Hermite degree must be nonnegative, got {n}")
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    h = h_prev = np.ones(xa.shape)
-    if n > 0:
-        x2 = 2.0 * xa
-        h, tmp = x2.copy(), np.empty(xa.shape)
-        for k in range(1, n):
-            # 2x H_k - 2k H_{k-1} as 2x H_k + (-2k) H_{k-1}: the same bits
-            np.multiply(x2, h, out=tmp)
-            h_prev *= -(2.0 * k)
-            h_prev += tmp
-            h, h_prev = h_prev, h
-    return float(h[0]) if np.ndim(x) == 0 else h
+    xa = np.asarray(x, dtype=float)
+    h, h_prev, e = np.ones(xa.shape), np.zeros(xa.shape), 0
+    if n == 0 or xa.size == 0:
+        return h, h_prev, e
+    x_max = float(np.maximum(xa.max(), -xa.min()))
+    g = 2.0 * x_max + 2.0 * n + 2.0
+    limit_exp = 1023 - 8 * math.ceil(math.log2(g)) if g <= 2.0**63 else math.inf
+    bits = 0.12 + 0.5 + 0.5 * x_max * x_max / math.log(2.0)  # log2 of Cramer's bound on H_1
+    x2 = 2.0 * xa
+    h, h_prev, tmp = np.multiply(xa, 2.0, out=h_prev), h, np.empty(xa.shape)  # H_1, H_0
+    for k in range(1, n):
+        # 2x H_k - 2k H_{k-1} as 2x H_k + (-2k) H_{k-1}: the same bits
+        np.multiply(x2, h, out=tmp)
+        h_prev *= -(2.0 * k)
+        h_prev += tmp
+        h, h_prev = h_prev, h
+        bits += 0.5 * (1.0 + math.log2(k + 1))  # Cramer's bound on H_{k+1}
+        if bits > limit_exp and (k % 8 == 7 or k == n - 1):
+            limit = 2.0**limit_exp
+            if max(h.max(), -h.min(), h_prev.max(), -h_prev.min()) > limit:
+                big = np.abs(h) > limit
+                big |= np.abs(h_prev) > limit
+                np.multiply(h, 1.0 / limit, out=h, where=big)
+                np.multiply(h_prev, 1.0 / limit, out=h_prev, where=big)
+                e = e + limit_exp * big
+    return h, h_prev, e
+
+
+def hermite(n: int, x):
+    """Physicists' Hermite polynomial H_n(x) of degree n >= 0, scalar in / scalar out.
+
+    hermite_scaled's h 2^e: it overflows to inf only where H_n itself passes the largest float.
+    """
+    h, e = hermite_scaled(n, x)[::2]
+    h = np.ldexp(h, e)
+    return float(h) if np.ndim(x) == 0 else h
 
 
 def kummer_truncated(n: int, b: float, z):

@@ -39,7 +39,7 @@ from .oscillator import (
     energy_2d,
     norm_constant_2d,
 )
-from .specfun import hermite, kummer_truncated
+from .specfun import hermite_scaled, kummer_truncated
 
 
 def _check_half_period(params: OscillatorParams, t: float) -> None:
@@ -152,10 +152,10 @@ def lifted_eigenstate_1d(params: OscillatorParams, qn: QuantumNumbers1D, y, tau:
     s2 = _stretch_sq(params, tau)
     # the recurrence runs before any complex temporary exists, and the product is taken in
     # place in the operand order exp(...) * H_n (complex products round by operand order)
-    h = hermite(qn.n, math.sqrt(mw / s2) * ya)
+    h, e = hermite_scaled(qn.n, math.sqrt(mw / s2) * ya)[::2]
     y_sq = ya * ya
     out = np.exp(
-        _log_norm_1d(params, qn.n) - 0.25 * math.log(s2) - 0.5 * mw * y_sq / s2
+        _log_norm_1d(params, qn.n) + e * math.log(2.0) - 0.25 * math.log(s2) - 0.5 * mw * y_sq / s2
         + 1j * _dressing_phase(params, tau, y_sq, energy_1d(params, qn))
     )
     out *= h

@@ -56,6 +56,7 @@ from oscfree.analysis import (
     semiclassical_gap,
     spectral_propagate_free,
 )
+from oscfree.oscillator import MAX_LEVEL_1D
 
 FWHM_GAUSSIAN = 2.0 * math.sqrt(math.log(2.0))  # of exp(-y^2)
 
@@ -928,6 +929,12 @@ class TestDensityScaling:
         grid = auto_grid(params, 5, 4.0, 4001)
         assert density_scaling_check(params, 5, 4.0, grid) < 1e-12
 
+    # measured 1.9e-14 to 2.8e-14; 0.15 at n = 120 and 150 while density_1d underflowed
+    @pytest.mark.parametrize("n", [120, 150, 500])
+    def test_machine_level_at_high_levels(self, params, n):
+        grid = auto_grid(params, n, 0.7, 40001)
+        assert density_scaling_check(params, n, 0.7, grid) < 1e-12
+
 
 class TestOneAxisGrid:
     """A one-axis Grid is a 1D grid for the 1D analysis functions; more axes are a ValueError."""
@@ -1175,15 +1182,18 @@ class TestLevelExtrema:
     # one Hermite recurrence per call: Newton steps run on its Taylor tables
     @pytest.mark.parametrize("n", [0, 1, 40, 150, 2000])
     def test_runs_one_recurrence(self, n):
-        with mock.patch.object(
-            analysis, "_hermite_functions", wraps=analysis._hermite_functions
-        ) as spy:
+        with mock.patch.object(analysis, "hermite_scaled", wraps=analysis.hermite_scaled) as spy:
             level_extrema(n)
         assert spy.call_count == 1
 
     def test_rejects_negative_level(self):
         with pytest.raises(ValueError, match="nonnegative"):
             level_extrema(-1)
+
+    def test_rejects_levels_past_the_cap(self):
+        with mock.patch.object(analysis, "hermite_scaled", side_effect=AssertionError("ran")):
+            with pytest.raises(ValueError, match=f"at most {MAX_LEVEL_1D}"):
+                level_extrema(MAX_LEVEL_1D + 1)
 
 
 class TestPeakLaw:
@@ -1247,6 +1257,16 @@ class TestSemiclassicalGap:
         values = [g for _, g in gaps]
         assert all(v > 0 for v in values)
         assert values[0] > values[1] > values[2]
+
+    def test_gaps_positive_and_decreasing_to_n_1000(self, params):
+        values = [g for _, g in semiclassical_gap(params, [150, 203, 250, 500, 1000])]
+        assert all(v > 0 for v in values)
+        assert all(a > b for a, b in zip(values, values[1:]))
+
+    def test_rejects_levels_past_the_cap_before_any_evaluation(self, params):
+        with mock.patch.object(analysis, "_lifted_peaks", side_effect=AssertionError("ran")):
+            with pytest.raises(ValueError, match=f"at most {MAX_LEVEL_1D}"):
+                semiclassical_gap(params, [10, MAX_LEVEL_1D + 1])
 
     def test_validation(self, params):
         with pytest.raises(ValueError):

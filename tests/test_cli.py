@@ -30,6 +30,7 @@ from oscfree import (
     transform,
 )
 from oscfree.cli import _BLOCK_ROWS, _write_table, main
+from oscfree.oscillator import MAX_LEVEL_1D
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -209,9 +210,9 @@ class TestPeaks:
         assert f"found {found} " in error["message"]
         assert not out.exists()
 
-    # the nodes around the exact maxima settle the golden inputs; the coarse grids of
-    # test_missing_maxima_exit_3 and level 250, whose Hermite factor overflows, are scanned,
-    # and the scan raises as it always has
+    # the nodes around the exact maxima settle the golden inputs and level 250, where H_n
+    # once overflowed; the coarse grids of test_missing_maxima_exit_3 are scanned, and the
+    # scan raises as it always has
     @pytest.mark.parametrize(
         "args, code, error, scanned",
         [(PEAKS_GOLDEN_ARGS, 0, None, False),
@@ -219,8 +220,8 @@ class TestPeaks:
          (PEAKS_HIGH_N_GOLDEN_ARGS, 0, None, False),
          (["peaks", "--n", "6", "--tau", "0,1", "--count", "41"], 3, "PeakDetectionError", True),
          (["peaks", "--n", "2", "--tau", "0", "--count", "3"], 3, "PeakDetectionError", True),
-         (["peaks", "--n", "250", "--tau", "0", "--count", "2001"], 3, "NonFiniteError", True)],
-        ids=["golden", "golden-n40", "golden-n120", "coarse-n6", "coarse-n2", "overflow-n250"],
+         (["peaks", "--n", "250", "--tau", "0"], 0, None, False)],
+        ids=["golden", "golden-n40", "golden-n120", "coarse-n6", "coarse-n2", "n250"],
     )
     def test_scans_only_what_the_exact_maxima_do_not_settle(
         self, tmp_path, capsys, args, code, error, scanned
@@ -232,17 +233,18 @@ class TestPeaks:
         if error is not None:
             assert json.loads(capsys.readouterr().out)["error"]["type"] == error
 
-    # H_n overflows at the turning point within about 100 scalar steps at this n, so a level
-    # far past n = 202 goes straight to the scan and never runs level_extrema's O(n^2) recurrence
-    # on O(n) nodes (by extrapolation, hours and over 1 GB at n = 10^6)
-    def test_huge_level_exits_3_without_the_exact_maxima(self, tmp_path, capsys):
+    # a level past MAX_LEVEL_1D is a usage error before anything is evaluated, so it never
+    # runs level_extrema's O(n^2) recurrence on O(n) nodes (by extrapolation, hours at n = 10^6)
+    def test_huge_level_exits_2_without_the_exact_maxima(self, tmp_path, capsys):
         out = tmp_path / "p.csv"
         extrema = mock.Mock(side_effect=AssertionError("level_extrema ran"))
         start = time.perf_counter()
         with mock.patch.object(analysis, "level_extrema", extrema):
-            assert main(["peaks", "--n", "1000000", "--tau", "0", "--out", str(out)]) == 3
+            assert main(["peaks", "--n", "1000000", "--tau", "0", "--out", str(out)]) == 2
         assert time.perf_counter() - start < 10.0
-        assert json.loads(capsys.readouterr().out)["error"]["type"] == "NonFiniteError"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"n must be at most {MAX_LEVEL_1D}, got 1000000" in captured.err
         assert not out.exists()
 
     # the nodes around the exact maxima are gathered (Grid1D.nodes_at), not taken from a
@@ -433,27 +435,36 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert not (tmp_path / "x.csv").exists()
 
-    # the Hermite recurrence overflows at this level (ROADMAP item 1); once it
-    # is scaled, this failure goes away
-    def test_non_finite_field_exits_3(self, tmp_path, capsys):
+    # a lift that returns inf: the exact maxima's nodes are not settled, and the scan of the
+    # sampled field raises
+    def test_non_finite_field_exits_3(self, tmp_path, monkeypatch, capsys):
+        lift = analysis.lifted_eigenstate_1d
+        monkeypatch.setattr(analysis, "lifted_eigenstate_1d", lambda *args: lift(*args) * np.inf)
         code = main(["peaks", "--n", "250", "--tau", "0", "--count", "2001",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["type"] == "NonFiniteError"
 
-    # the first two overflow in the Hermite/Kummer recurrences (ROADMAP item 1),
-    # the third in the envelope's square; each fails where it overflows
+    # gen2d overflows in the Kummer recurrence (ROADMAP item 1) and the envelope in its
+    # square, each where it overflows; gen1d at n = 300, finite since H_n is scaled, gets a
+    # lift that returns inf
     @pytest.mark.parametrize(
-        "args",
+        "args, inf_lift",
         [
-            ["gen2d", "--l", "1", "--n-radial", "300", "--tau", "0", "--grid", "-60:60:41"],
-            ["gen1d", "--n", "300", "--tau", "0", "--grid", "-40:40:2001"],
-            ["envelope", "--energy", "1", "--tau", "1e200"],
+            (["gen2d", "--l", "1", "--n-radial", "300", "--tau", "0", "--grid", "-60:60:41"],
+             False),
+            (["gen1d", "--n", "300", "--tau", "0", "--grid", "-40:40:2001"], True),
+            (["envelope", "--energy", "1", "--tau", "1e200"], False),
         ],
         ids=["gen2d-n-radial-300", "gen1d-n-300", "envelope-tau-1e200"],
     )
-    def test_non_finite_table_exits_3_and_writes_nothing(self, tmp_path, capsys, args):
+    def test_non_finite_table_exits_3_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys, args, inf_lift
+    ):
+        if inf_lift:
+            lift = cli.lifted_eigenstate_1d
+            monkeypatch.setattr(cli, "lifted_eigenstate_1d", lambda *args: lift(*args) * np.inf)
         _assert_exit_3_writes_nothing(tmp_path, capsys, args)
 
     def test_later_non_finite_tau_exits_3_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
@@ -1165,13 +1176,13 @@ def test_hermite_sees_at_most_one_slab(tmp_path, monkeypatch, capsys):
     7 nodes around each of the level's 3(n + 1) exact maxima and half-height points, in one
     call a tau; where those do not settle the peaks, it scans the grid in slabs.
     """
-    sizes, hermite = [], transform.hermite
+    sizes, hermite_scaled = [], transform.hermite_scaled
 
     def recording(n, x):
         sizes.append(np.size(x))
-        return hermite(n, x)
+        return hermite_scaled(n, x)
 
-    monkeypatch.setattr(transform, "hermite", recording)
+    monkeypatch.setattr(transform, "hermite_scaled", recording)
     peaks = ["peaks", "--n", "40", "--tau", "0,1.3", "--count", "200001"]
     assert main(peaks + ["--out", str(tmp_path / "p.csv")]) == 0
     assert sizes == [7 * 3 * 41] * 2

@@ -13,6 +13,7 @@ from oscfree import (
     eigenstate_2d,
     energy_1d,
     energy_2d,
+    lifted_eigenstate_1d,
     norm_constant_2d,
 )
 from oscfree.analysis import (
@@ -20,10 +21,13 @@ from oscfree.analysis import (
     Grid1D,
     auto_grid,
     find_density_maxima,
+    level_extrema,
+    norm,
     residual,
     residual_study,
     sample_field,
 )
+from oscfree.oscillator import MAX_LEVEL_1D
 
 PI_QUARTER = math.pi ** -0.25  # |psi_0(0)|
 PI_HALF = math.pi ** -0.5  # rho_0(0)
@@ -47,6 +51,11 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             QuantumNumbers2D(-1, 0)
         QuantumNumbers2D(0, -3)  # negative angular momentum is fine
+
+    def test_level_cap(self):
+        assert QuantumNumbers1D(MAX_LEVEL_1D).n == MAX_LEVEL_1D
+        with pytest.raises(ValueError, match=f"n must be at most {MAX_LEVEL_1D}, got"):
+            QuantumNumbers1D(MAX_LEVEL_1D + 1)
 
 
 class TestEnergies:
@@ -91,6 +100,20 @@ class TestEigenstate1D:
                 expected = 1.0 if n == k else 0.0
                 assert abs(overlap - expected) < 1e-8
 
+    # measured within 2.3e-12 at n = 5000, where H_n passes the largest float on the grid
+    @pytest.mark.parametrize("n", [500, 2000, 5000])
+    def test_unit_norm_at_high_levels(self, params, n):
+        qn = QuantumNumbers1D(n)
+        field = sample_field(
+            lambda x, t: eigenstate_1d(params, qn, x, t), auto_grid(params, n, 0.0, 4 * n + 1), 0.0
+        )
+        assert norm(field) == pytest.approx(1.0, abs=1e-8)
+        lifted = sample_field(
+            lambda y, tau: lifted_eigenstate_1d(params, qn, y, tau),
+            auto_grid(params, n, 1.1, 4 * n + 1), 1.1,
+        )
+        assert norm(lifted) == pytest.approx(1.0, abs=1e-8)
+
     def test_large_n_stays_finite(self, params):
         # log-space normalization: 2^n n! alone would overflow here
         val = eigenstate_1d(params, QuantumNumbers1D(180), 1.0, 0.0)
@@ -126,6 +149,16 @@ class TestDensity1D:
             d = density_1d(params, QuantumNumbers1D(n), x)
             psi = eigenstate_1d(params, QuantumNumbers1D(n), x, 0.0)
             assert np.allclose(d, np.abs(psi) ** 2, rtol=1e-13, atol=1e-16)
+
+    # the density is the squared amplitude, with H_n's exponent in it: before that it
+    # underflowed to 0 at the outer maxima from n = 113
+    @pytest.mark.parametrize("n", [0, 7, 112, 113, 120, 150, 500, 2000])
+    def test_matches_squared_eigenstate_at_the_maxima(self, params, n):
+        qn, maxima = QuantumNumbers1D(n), level_extrema(n)[0]
+        d = density_1d(params, qn, maxima)
+        assert np.all(d > 0)
+        psi = eigenstate_1d(params, qn, maxima, 0.0)
+        assert np.allclose(d, np.abs(psi) ** 2, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("n", range(21))
     def test_maxima_count_is_n_plus_one(self, params, n):

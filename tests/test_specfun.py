@@ -7,7 +7,7 @@ from scipy.special import eval_genlaguerre, eval_hermite
 
 from oscfree import OscillatorParams, QuantumNumbers1D, eigenstate_1d
 from oscfree.analysis import _SLAB
-from oscfree.specfun import hermite, kummer_truncated
+from oscfree.specfun import hermite, hermite_scaled, kummer_truncated
 
 
 def laguerre_recurrence(n: int, l: int, z: float) -> float:
@@ -124,20 +124,38 @@ class TestHermite:
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
             hermite(-1, 0.0)
+        with pytest.raises(ValueError):
+            hermite_scaled(-1, 0.0)
+
+    def test_scaled_pair_of_degree_zero(self):
+        h, h_prev, e = hermite_scaled(0, np.array([-2.0, 0.0, 3.5]))
+        assert h.tolist() == [1.0, 1.0, 1.0] and h_prev.tolist() == [0.0, 0.0, 0.0] and e == 0
+
+    # where H_n passes the largest float, h 2^e does too; where x is not finite, nothing is
+    # scaled and the recurrence gives what the unscaled one gives
+    def test_overflows_only_past_the_largest_float(self):
+        assert np.isfinite(hermite_scaled(300, 40.0)[0])
+        x = np.array([1.0, 40.0, math.nan])
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert hermite(300, 40.0) == math.inf
+            h, _, e = hermite_scaled(300, x)
+            assert e == 0 and np.array_equal(h, reference_hermite(300, x), equal_nan=True)
 
     def test_array_shape_preserved(self):
         x = np.linspace(-1, 1, 7)
         assert hermite(3, x).shape == (7,)
         assert isinstance(hermite(3, 0.5), float)
+        assert hermite(300, np.empty((0, 3))).shape == (0, 3)
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     @settings(max_examples=15, deadline=None)
+    # past about n = 120 on +-30, hermite_scaled rescales (H_170(30) is near 2^1004, still finite)
     @given(
-        n=st.integers(min_value=0, max_value=150),
+        n=st.integers(min_value=0, max_value=170),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_bits_match_whole_array_recurrence(self, n, layout, seed):
-        x = sample_input(layout, -20.0, 20.0, seed)
+        x = sample_input(layout, -30.0, 30.0, seed)
         assert_same_bits(hermite(n, x), reference_hermite(n, x))
 
 
@@ -211,7 +229,8 @@ class TestKummerTruncated:
 
 
 class TestAgainstMpmath:
-    """Pointwise agreement with 40-digit mpmath up to the degrees where the values overflow.
+    """Pointwise agreement with 40-digit mpmath: eigenstates to degree 170, hermite_scaled's
+    pair at degrees 500 and 2000, the weighted Kummer polynomials to degree 150.
 
     Measured: eigenstates within 2.9e-14 to 8.2e-14 of max |psi|, the weighted Kummer
     polynomials within 1.4e-15 and 3.8e-15 of their maximum; the 40-digit references
@@ -229,6 +248,23 @@ class TestAgainstMpmath:
                 float(scale * mpmath.hermite(n, v) * mpmath.exp(-mpmath.mpf(v) ** 2 / 2)) for v in x
             ])
         assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    # measured within 1.6e-14 of max |psi_n| at n = 2000, where H_n reaches 2^13785
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_hermite_scaled(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        x = np.linspace(-1.0, 1.0, 301) * (math.sqrt(2 * n + 1) + 6.0)  # turning point + 6
+        h, h_prev, e = hermite_scaled(n, x)
+        e = np.broadcast_to(e, x.shape)
+        with mpmath.workdps(40):
+            scale = mpmath.pi ** -0.25 / mpmath.sqrt(mpmath.mpf(2) ** n * mpmath.factorial(n))
+            weight = [scale * mpmath.exp(-mpmath.mpf(v) ** 2 / 2) for v in x]
+            for values, degree in ((h, n), (h_prev, n - 1)):
+                ref = np.array([float(w * mpmath.hermite(degree, v)) for w, v in zip(weight, x)])
+                ours = np.array([
+                    float(w * mpmath.ldexp(float(v), int(k))) for w, v, k in zip(weight, values, e)
+                ])
+                assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("n, b", [(50, 3.0), (150, 5.0)])
     def test_kummer_truncated(self, n, b):
