@@ -8,8 +8,9 @@ solution(*coords, t).  Residual time derivatives are central differences
 at t +- dt, with dt tied to the grid spacing so one parameter drives the
 convergence studies.  Every grid evaluation (sampled fields, residuals
 and the CLI's field tables) walks axis 0 in slabs of about _SLAB points (its
-comment says why that many), cut by one walker, _slabs: a field's memory is
-its values, a residual's grows by one float (|resid|^2) per interior point, a
+comment says why that many), cut by one walker, _slabs, whose coordinates are
+sparse, one array per axis that a solution broadcasts: a field's memory is its
+values, a residual's grows by one float (|resid|^2) per interior point, a
 table's not at all.  Sampled fields and residuals run their slabs on a thread
 pool (_map_slabs), with the bits and errors of a serial walk; a large table's
 slabs are formatted in forked processes instead (cli._write_field_table).  A
@@ -157,15 +158,31 @@ def _slabs(nodes, halo: int):
     """Axis-0 slabs (start, stop, coords) of the grid of 1-D node sequences nodes.
 
     start .. stop spans about _SLAB points' worth of axis-0 rows, halo rows at the axis ends
-    aside; coords() builds the ij meshgrid of those rows, halo more each side, and the later
-    axes, so a slab holds its coordinates only once it is evaluated.
+    aside; coords() builds the sparse ij meshgrid of those rows, halo more each side, and the
+    later axes: one array per axis, of length 1 on every other axis, which a solution
+    broadcasts.  The slab's shape is np.broadcast_shapes of the coordinates' shapes.
     """
     rows = max(1, _SLAB // math.prod(len(axis) for axis in nodes[1:]))
     count = len(nodes[0]) - 2 * halo
     for start in range(0, count, rows):
         stop = min(start + rows, count)
         rows_here = nodes[0][start : stop + 2 * halo]
-        yield start, stop, functools.partial(np.meshgrid, rows_here, *nodes[1:], indexing="ij")
+        yield start, stop, functools.partial(
+            np.meshgrid, rows_here, *nodes[1:], indexing="ij", sparse=True
+        )
+
+
+def _slab_samples(values, coords) -> np.ndarray:
+    """values on a slab of _slabs, broadcast to the slab's shape and checked as _checked_samples.
+
+    A solution may return any array of the slab's dimension that broadcasts to it, such as
+    a function of y1 alone; a scalar, or any other shape, fails the shape check.
+    """
+    shape = np.broadcast_shapes(*(c.shape for c in coords))
+    v = np.asarray(values, dtype=complex)
+    if v.ndim == len(shape) and all(n in (1, m) for n, m in zip(v.shape, shape)):
+        v = np.broadcast_to(v, shape)
+    return _checked_samples(v, shape)
 
 
 _in_slab = contextvars.ContextVar("in_slab", default=False)
@@ -175,8 +192,8 @@ def _workers() -> int:
     """A worker per CPU of the process's affinity mask (taskset -c 0 gives one), at most 4.
 
     It sizes the slab pool and the CLI's field-table part writers.  At most 4, as each
-    running slab holds up to about 3.5 MB: a 2D residual slab peaks near 107 bytes per point
-    (tests/test_analysis.py, TestSlabMemory), 3.5 MB at 2^15 points.
+    running slab holds up to about 2.5 MB: a 2D residual slab peaks near 75 bytes per point
+    (tests/test_analysis.py, TestSlabMemory), 2.5 MB at 2^15 points.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(4, cpus or 1)
@@ -237,12 +254,14 @@ def _map_slabs(fn, nodes, halo: int) -> list:
 def sample_field(solution, grid: Grid1D | Grid, time: float) -> ComplexField:
     """Evaluate a closed-form solution(*coords, time) on the grid, its slabs concurrently.
 
-    Each slab of _map_slabs writes its own rows; bits and errors are those of a serial walk.
+    coords are a slab's sparse coordinates (_slabs), and the solution returns an array that
+    broadcasts to the slab (_slab_samples).  Each slab of _map_slabs writes its own rows;
+    bits and errors are those of a serial walk.
     """
     values = np.empty(tuple(axis.count for axis in grid.axes), dtype=complex)
 
     def slab(start, stop, coords):
-        values[start:stop] = _checked_samples(solution(*coords, time), coords[0].shape)
+        values[start:stop] = _slab_samples(solution(*coords, time), coords)
 
     _map_slabs(slab, [axis.nodes for axis in grid.axes], 0)
     return ComplexField(grid, values, time)
@@ -293,22 +312,32 @@ def residual(
 
     # interior rows start + 1 .. stop of axis 0, with one halo row on either side.  The t +- dt
     # samples come first and are dropped once they make the time term, so at most two
-    # samples are held at once; |resid| is squared in place in sq
+    # samples are held at once.  Each axis's stencil term is built in one buffer and summed
+    # into lap in place, in the operand order of lap + (up - 2 inner + down) / h^2, and lap
+    # then holds the potential term; |resid| is squared in place in sq.  The coordinates are
+    # sparse, so each is sliced to the interior along its own axis only
     def slab(start, stop, coords):
-        sample = lambda t: _checked_samples(solution(*coords, t), coords[0].shape)
+        sample = lambda t: _slab_samples(solution(*coords, t), coords)
         psip, psim = sample(time + dt), sample(time - dt)
         resid = 1j * (psip[inner] - psim[inner]) / (2.0 * dt)
         del psip, psim
         psi0 = sample(time)
-        lap = 0.0
+        lap = None
         for k, axis in enumerate(grid.axes):
             up = inner[:k] + (slice(2, None),) + inner[k + 1 :]
             down = inner[:k] + (slice(None, -2),) + inner[k + 1 :]
-            lap = lap + (psi0[up] - 2.0 * psi0[inner] + psi0[down]) / axis.spacing**2
-        resid = resid + lap / (2.0 * mass)
+            term = np.multiply(2.0, psi0[inner])
+            np.subtract(psi0[up], term, out=term)
+            np.add(term, psi0[down], out=term)
+            np.divide(term, axis.spacing**2, out=term)
+            lap = term if lap is None else np.add(lap, term, out=lap)
+        np.divide(lap, 2.0 * mass, out=lap)
+        np.add(resid, lap, out=resid)
         if omega is not None:
-            r_sq = sum(c[inner] ** 2 for c in coords)
-            resid = resid - 0.5 * mass * omega**2 * r_sq * psi0[inner]
+            own = lambda k: tuple(inner[j] if j == k else slice(None) for j in range(len(inner)))
+            r_sq = sum(c[own(k)] ** 2 for k, c in enumerate(coords))
+            np.multiply(0.5 * mass * omega**2 * r_sq, psi0[inner], out=lap)
+            np.subtract(resid, lap, out=resid)
         mags = np.abs(resid, out=sq[start:stop])
         peak = mags.max()
         np.square(mags, out=mags)

@@ -82,9 +82,9 @@ def free_to_osc_space(params: OscillatorParams, tau: float, y):
 
 
 def _dressing_phase(params: OscillatorParams, tau: float, y_sq, energy: float):
-    """The lift's phase m omega^2 tau |y|^2 / (2 s^2) - E t (level energy E, t mapped).
+    """The lift's phase m omega^2 tau y_sq / (2 s^2) - E t (level energy E, t mapped).
 
-    Made last in the closed forms: made first, it raised 2D verify peak RSS by 10 MB.
+    y_sq is |y|^2, or one axis's y_k^2 in the 2D lift, whose phase splits into one per axis.
     """
     t = free_to_osc_time(params, tau)
     return 0.5 * params.mass * params.omega**2 * tau * y_sq / _stretch_sq(params, tau) - energy * t
@@ -164,12 +164,49 @@ def lifted_eigenstate_1d(params: OscillatorParams, qn: QuantumNumbers1D, y, tau:
     return out
 
 
+def _product(a, b, out, tmp):
+    """out = a b for complex values held as (re, im) pairs of real arrays; returns out.
+
+    One real ufunc per product or sum: a real product or sum rounds the same in every numpy
+    loop, where a complex product fuses one of its products (FMA) in the AVX2 and AVX-512
+    loops only.  So the bits are the same at every SIMD dispatch level, and on broadcast
+    operands as on full ones.  out may be a; tmp is two real buffers shaped like out.
+    """
+    (ar, ai), (br, bi), (re, im), (t, u) = a, b, out, tmp
+    np.multiply(ai, bi, out=t)
+    np.multiply(ar, bi, out=u)
+    np.multiply(ar, br, out=re)
+    np.subtract(re, t, out=re)
+    np.multiply(ai, br, out=im)
+    np.add(im, u, out=im)
+    return out
+
+
+def _axis_factor(params: OscillatorParams, tau: float, y_sq, energy: float, scale: float):
+    """scale exp(a y_sq - i E t), a = (-m omega + i m omega^2 tau) / (2 s^2), as an (re, im) pair.
+
+    The 2D lift's Gaussian and dressing phase are exp(a |y|^2 - i E t), a product of one such
+    factor per axis.  The complex exp is numpy's scalar loop, with the same bits at every
+    SIMD dispatch level; the rest is real arithmetic.
+    """
+    arg = np.empty(np.shape(y_sq), dtype=complex)
+    np.multiply(y_sq, -0.5 * params.mass * params.omega / _stretch_sq(params, tau), out=arg.real)
+    arg.imag = _dressing_phase(params, tau, y_sq, energy)
+    np.exp(arg, out=arg)
+    return np.multiply(arg.real, scale, out=arg.real), np.multiply(arg.imag, scale, out=arg.imag)
+
+
 def lifted_eigenstate_2d(params: OscillatorParams, qn: QuantumNumbers2D, y1, y2, tau: float):
     """Closed-form lift of the 2D level (n_radial, l), for every n_radial >= 0.
 
     (y1 + i sgn(l) y2)^{|l|} carries r^{|l|} exp(i l phi) without an angle,
-    and kummer_truncated the radial excitation.  Agrees with
-    lift_wavefunction applied to eigenstate_2d to machine precision.
+    kummer_truncated the radial excitation, and the Gaussian and dressing phase,
+    functions of |y|^2 alone, split into one factor per axis: g1 = C exp(a y1^2 - i E t),
+    with the norm constant and s^{-(|l|+1)} in C, and g2 = exp(a y2^2).  On sparse
+    coordinates (analysis._slabs) that is one complex exp per axis node, not per point.
+    Every product is real arithmetic (_product), so sparse and full coordinates give the
+    same bits, at every SIMD dispatch level.  Agrees with lift_wavefunction applied to
+    eigenstate_2d to machine precision.
 
     Parameters
     ----------
@@ -185,26 +222,33 @@ def lifted_eigenstate_2d(params: OscillatorParams, qn: QuantumNumbers2D, y1, y2,
     complex or ndarray
         chi_{n_radial,l}(y1, y2, tau), scalar in / scalar out.
     """
-    mw = params.mass * params.omega
     y1a = np.asarray(y1, dtype=float)
     y2a = np.asarray(y2, dtype=float)
     labs = abs(qn.l)
-    r_sq = y1a * y1a + y2a * y2a
     s2 = _stretch_sq(params, tau)
-    z = mw * r_sq / s2
-    # as in lifted_eigenstate_1d: the recurrence first, each real buffer dropped once used,
-    # then the products in place in the operand order of P * (y1 + i y2)^|l| * F * exp(...)
-    kummer = kummer_truncated(qn.n_radial, labs + 1.0, z)
-    exponent = 1j * _dressing_phase(params, tau, r_sq, energy_2d(params, qn))
-    del r_sq
-    exponent += -0.5 * z
-    del z
-    exponent = np.exp(exponent)
-    out = y1a + 1j * math.copysign(1.0, qn.l) * y2a
-    out **= labs
-    out *= norm_constant_2d(params, qn) * s2 ** (-0.5 * (labs + 1))
-    out *= kummer
-    out *= exponent
+    sq1, sq2 = y1a * y1a, y2a * y2a
+    # the recurrence runs before any other full-size buffer exists, on the one full r^2
+    if qn.n_radial:
+        z = params.mass * params.omega * (sq1 + sq2) / s2
+        kummer = kummer_truncated(qn.n_radial, labs + 1.0, z)
+        del z
+    scale = norm_constant_2d(params, qn) * s2 ** (-0.5 * (labs + 1))
+    g1 = _axis_factor(params, tau, sq1, energy_2d(params, qn), scale)
+    g2 = _axis_factor(params, tau, sq2, 0.0, 1.0)
+    shape = np.broadcast_shapes(y1a.shape, y2a.shape)
+    buf, tmp = (np.empty(shape), np.empty(shape)), (np.empty(shape), np.empty(shape))
+    # ((y1 + i sgn(l) y2)^|l| g1) kummer g2, left to right.  The power comes first, so it
+    # overflows where it does, before g1's norm constant can underflow a product to 0
+    factors = [(y1a, math.copysign(1.0, qn.l) * y2a)] * labs + [g1]
+    chi = factors[0]
+    for factor in factors[1:]:
+        chi = _product(chi, factor, buf, tmp)
+    if qn.n_radial:
+        chi = tuple(np.multiply(c, kummer, out=b) for c, b in zip(chi, buf))
+    chi = _product(chi, g2, buf, tmp)
+    del tmp
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = chi
     if np.ndim(y1) == 0 and np.ndim(y2) == 0:
         return complex(out)
     return out

@@ -363,8 +363,9 @@ class TestSlabResidual:
             residual(last_row_nan, grid, 0.5, 1.0, 0.01)
         # 29 interior rows: seven clean 4-row slabs of three samples each, then
         # the first sample of the ragged 1-row slab and its two halo rows; slabs
-        # run concurrently, so only the count and shapes are fixed, not the order
-        assert len(calls) == 3 * 7 + 1 and calls.count((1 + 2, 21)) == 1
+        # run concurrently, so only the count and shapes are fixed, not the order.
+        # The coordinates are sparse: y1 is one column of the slab's rows
+        assert len(calls) == 3 * 7 + 1 and calls.count((1 + 2, 1)) == 1
 
 
 def sample_case(dims, count):
@@ -417,8 +418,8 @@ class TestSlabSampleField:
             with pytest.raises(NonFiniteError, match="^field contains non-finite values$"):
                 sample_field(last_row_inf, grid, 0.5)
         # 31 rows: seven clean 4-row slabs, then the ragged 3-row slab with the inf;
-        # slabs run concurrently, so calls may come in any order
-        assert sorted(calls, reverse=True) == [(4, 21)] * 7 + [(3, 21)]
+        # slabs run concurrently, so calls may come in any order; y1 is sparse, one column
+        assert sorted(calls, reverse=True) == [(4, 1)] * 7 + [(3, 1)]
 
 
 @pytest.mark.parametrize("slab_workers", [1, 2, 3], indirect=True)
@@ -545,7 +546,8 @@ class TestSlabMemory:
 
     @pytest.mark.parametrize("n_radial, l", [(1, -2), (3, 4)])
     def test_residual_2d_slab(self, n_radial, l):
-        # one slab of a 2D residual, |resid|^2 included: measured 107 B/pt; 136 B/pt with
+        # one slab of a 2D residual, |resid|^2 included: measured 75 B/pt; 107 B/pt with
+        # the lift's complex exp per point and the stencil's temporaries, 136 B/pt with
         # three samples held through the stencil and the 2D recurrence run after the
         # complex factors, at 2^14-point slabs
         qn = QuantumNumbers2D(n_radial, l)

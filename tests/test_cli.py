@@ -1376,6 +1376,52 @@ def test_module_entry_point(tmp_path):
     assert out.exists()
 
 
+# numpy's x86-64 SIMD dispatch levels, as the features NPY_DISABLE_CPU_FEATURES turns off
+DISPATCH_LEVELS = {
+    "v2": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"],
+    "v3": ["X86_V4", "AVX512_ICL", "AVX512_SPR"],
+    "native": [],
+}
+
+
+@pytest.mark.parametrize("level", DISPATCH_LEVELS)
+def test_2d_golden_bytes_at_every_dispatch_level(tmp_path, level):
+    # the 2D lift writes its complex products in real arithmetic, which rounds the same in
+    # every numpy loop, so its golden tables and report keep their bytes at every level
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    disabled = DISPATCH_LEVELS[level]
+    if not set(disabled) <= set(__cpu_dispatch__):
+        pytest.skip(f"numpy cannot turn off {disabled} at run time")
+    if level == "v3" and not __cpu_features__["X86_V3"]:
+        pytest.skip("the host has no x86-64-v3")
+    runs = {
+        "gen2d_l-2_nr1.csv": GEN2D_GOLDEN_ARGS,
+        "gen2d_l-2_nr1.json": GEN2D_GOLDEN_ARGS + ["--format", "json"],
+        "verify_2d_l-2_nr1.json": VERIFY_GOLDEN_ARGS,
+    }
+    argvs = [args + ["--out", str(tmp_path / name)] for name, args in runs.items()]
+    child = (
+        "import json, sys\n"
+        "from numpy._core._multiarray_umath import __cpu_features__\n"
+        "from oscfree.cli import main\n"
+        "disabled, argvs = json.loads(sys.argv[1])\n"
+        "assert not any(__cpu_features__[f] for f in disabled), 'level not in effect'\n"
+        "sys.exit(max(main(argv) for argv in argvs))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
+    proc = subprocess.run(
+        [sys.executable, "-c", child, json.dumps([disabled, argvs])],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in runs:
+        assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
+
+
 def _after_import(probe: str) -> str:
     """stdout of probe run in a fresh interpreter that has imported oscfree and oscfree.cli."""
     src = Path(__file__).resolve().parent.parent / "src"

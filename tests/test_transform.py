@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -195,18 +196,26 @@ def reference_lifted_1d(params, qn, y, tau):
 
 
 def reference_lifted_2d(params, qn, y1, y2, tau):
-    """lifted_eigenstate_2d as one expression, the bit reference for its in-place evaluation."""
+    """lifted_eigenstate_2d as one expression on (re, im) pairs, the bit reference for its
+    in-place products: ((y1 + i sgn(l) y2)^|l| g1) kummer g2, with g1 and g2 the per-axis
+    Gaussian and phase factors and every complex product written in real arithmetic."""
     mw, labs, s2 = params.mass * params.omega, abs(qn.l), _stretch_sq(params, tau)
     y1a, y2a = np.asarray(y1, dtype=float), np.asarray(y2, dtype=float)
-    r_sq = y1a * y1a + y2a * y2a
-    out = (
-        norm_constant_2d(params, qn)
-        * s2 ** (-0.5 * (labs + 1))
-        * (y1a + 1j * math.copysign(1.0, qn.l) * y2a) ** labs
-        * kummer_truncated(qn.n_radial, labs + 1.0, mw * r_sq / s2)
-        * np.exp(-0.5 * (mw * r_sq / s2)
-                 + 1j * _dressing_phase(params, tau, r_sq, energy_2d(params, qn)))
-    )
+    times = lambda a, b: (a[0] * b[0] - a[1] * b[1], a[1] * b[0] + a[0] * b[1])
+
+    def axis(y_sq, energy, scale):
+        g = np.exp(y_sq * (-0.5 * mw / s2) + 1j * _dressing_phase(params, tau, y_sq, energy))
+        return g.real * scale, g.imag * scale
+
+    scale = norm_constant_2d(params, qn) * s2 ** (-0.5 * (labs + 1))
+    g1 = axis(y1a * y1a, energy_2d(params, qn), scale)
+    re, im = functools.reduce(times, [(y1a, math.copysign(1.0, qn.l) * y2a)] * labs + [g1])
+    if qn.n_radial:
+        kummer = kummer_truncated(qn.n_radial, labs + 1.0, mw * (y1a * y1a + y2a * y2a) / s2)
+        re, im = re * kummer, im * kummer
+    re, im = times((re, im), axis(y2a * y2a, 0.0, 1.0))
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
     return complex(out) if np.ndim(y1) == 0 and np.ndim(y2) == 0 else out
 
 
@@ -367,6 +376,23 @@ class TestLiftedEigenstate2D:
         y1, y2 = lift_points(size, 9.0, 10 * n_radial + l + 5), lift_points(size, 8.0, 7 - l)
         ours = lifted_eigenstate_2d(LIFT_PARAMS, qn, y1, y2, tau)
         assert_same_complex_bits(ours, reference_lifted_2d(LIFT_PARAMS, qn, y1, y2, tau))
+
+    @pytest.mark.parametrize("tau", [0.0, -0.7, 2.5])
+    @pytest.mark.parametrize("n_radial", [0, 1, 3])
+    @pytest.mark.parametrize("l", [0, 1, -1, 2, -2, 3, -3, 4])
+    def test_sparse_coordinates_give_the_bits_of_full_ones(self, l, n_radial, tau):
+        # analysis._slabs hands the lift sparse ij coordinates and perfbench checks the CLI's
+        # tables against full np.meshgrid ones: both, and the 0-d path, give the same bits
+        qn = QuantumNumbers2D(n_radial, l)
+        n1, n2 = lift_points(41, 9.0, 3 * n_radial + l + 5), lift_points(37, 8.0, 11 - l)
+        sparse = lifted_eigenstate_2d(
+            LIFT_PARAMS, qn, *np.meshgrid(n1, n2, indexing="ij", sparse=True), tau
+        )
+        full = lifted_eigenstate_2d(LIFT_PARAMS, qn, *np.meshgrid(n1, n2, indexing="ij"), tau)
+        assert_same_complex_bits(sparse, full)
+        for i, j in [(0, 0), (0, 7), (11, 0), (7, 22), (40, 36)]:  # +-0.0 on either axis
+            point = lifted_eigenstate_2d(LIFT_PARAMS, qn, float(n1[i]), float(n2[j]), tau)
+            assert_same_complex_bits(point, complex(full[i, j]))
 
     def test_reduces_to_ground_state_at_tau_zero(self, params):
         qn = QuantumNumbers2D(0, 0)
