@@ -222,6 +222,7 @@ def lifted_eigenstate_2d(params: OscillatorParams, qn: QuantumNumbers2D, y1, y2,
     complex or ndarray
         chi_{n_radial,l}(y1, y2, tau), scalar in / scalar out.
     """
+    mw = params.mass * params.omega
     y1a = np.asarray(y1, dtype=float)
     y2a = np.asarray(y2, dtype=float)
     labs = abs(qn.l)
@@ -229,16 +230,15 @@ def lifted_eigenstate_2d(params: OscillatorParams, qn: QuantumNumbers2D, y1, y2,
     sq1, sq2 = y1a * y1a, y2a * y2a
     # the recurrence runs before any other full-size buffer exists, on the one full r^2
     if qn.n_radial:
-        z = params.mass * params.omega * (sq1 + sq2) / s2
-        kummer = kummer_truncated(qn.n_radial, labs + 1.0, z)
-        del z
+        kummer = kummer_truncated(qn.n_radial, labs + 1.0, mw * (sq1 + sq2) / s2)
     scale = norm_constant_2d(params, qn) * s2 ** (-0.5 * (labs + 1))
     g1 = _axis_factor(params, tau, sq1, energy_2d(params, qn), scale)
     g2 = _axis_factor(params, tau, sq2, 0.0, 1.0)
     shape = np.broadcast_shapes(y1a.shape, y2a.shape)
     buf, tmp = (np.empty(shape), np.empty(shape)), (np.empty(shape), np.empty(shape))
-    # ((y1 + i sgn(l) y2)^|l| g1) kummer g2, left to right.  The power comes first, so it
-    # overflows where it does, before g1's norm constant can underflow a product to 0
+    # ((y1 + i sgn(l) y2)^|l| g1) kummer g2, left to right.  The power comes first, so that
+    # where it overflows the lift fails, as one power did, rather than g1's small norm
+    # constant first taking the product to a finite 0
     factors = [(y1a, math.copysign(1.0, qn.l) * y2a)] * labs + [g1]
     chi = factors[0]
     for factor in factors[1:]:
