@@ -390,7 +390,7 @@ class TestLiftedEigenstate2D:
         )
         full = lifted_eigenstate_2d(LIFT_PARAMS, qn, *np.meshgrid(n1, n2, indexing="ij"), tau)
         assert_same_complex_bits(sparse, full)
-        for i, j in [(0, 0), (0, 7), (11, 0), (7, 22), (40, 36)]:  # +-0.0 on either axis
+        for i, j in [(0, 0), (0, 7), (11, 0), (7, 22), (40, 36)]:  # +-0.0 nodes, then none
             point = lifted_eigenstate_2d(LIFT_PARAMS, qn, float(n1[i]), float(n2[j]), tau)
             assert_same_complex_bits(point, complex(full[i, j]))
 
