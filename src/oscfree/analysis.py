@@ -12,8 +12,11 @@ comment says why that many), cut by one walker, _slabs, whose coordinates are
 sparse, one array per axis that a solution broadcasts: a field's memory is its
 values, a residual's grows by one float (|resid|^2) per interior point, a
 table's not at all.  Sampled fields and residuals run their slabs on a thread
-pool (_map_slabs), with the bits and errors of a serial walk; a large table's
-slabs are formatted in forked processes instead (cli._write_field_table).  A
+pool (_map_slabs), with the bits and errors of a serial walk.  The spectral
+oracle builds its phase on the same pool while the calling thread runs the
+forward FFT, exponentiating only half the axis-0 modes (the rest are their
+mirror images), slab by slab.  A large table's slabs are formatted in forked
+processes instead (cli._write_field_table).  A
 lifted level's peaks come from the few nodes around its exact maxima and
 half-height points (level_extrema), with the bits of a scan of the whole grid,
 which stays as the fallback.  Integrals use the trapezoid rule:
@@ -154,6 +157,11 @@ class ComplexField:
 _SLAB = 2**15
 
 
+def _slab_rows(later_counts) -> int:
+    """Axis-0 rows of a slab: about _SLAB points' worth over later axes of these node counts."""
+    return max(1, _SLAB // math.prod(later_counts))
+
+
 def _slabs(nodes, halo: int):
     """Axis-0 slabs (start, stop, coords) of the grid of 1-D node sequences nodes.
 
@@ -162,7 +170,7 @@ def _slabs(nodes, halo: int):
     later axes: one array per axis, of length 1 on every other axis, which a solution
     broadcasts.  The slab's shape is np.broadcast_shapes of the coordinates' shapes.
     """
-    rows = max(1, _SLAB // math.prod(len(axis) for axis in nodes[1:]))
+    rows = _slab_rows(map(len, nodes[1:]))
     count = len(nodes[0]) - 2 * halo
     for start in range(0, count, rows):
         stop = min(start + rows, count)
@@ -251,6 +259,25 @@ def _map_slabs(fn, nodes, halo: int) -> list:
     return results
 
 
+def _beside(task, work):
+    """work(), with task() run on the slab pool meanwhile, in a copy of the caller's context.
+
+    From inside a slab, task() runs first, inline.  task's error is raised before work's, as
+    by the serial order task(), work(); either way both have finished when this returns.
+    """
+    if _in_slab.get():
+        task()
+        return work()
+    context = contextvars.copy_context()
+    context.run(_in_slab.set, True)
+    future = _slab_pool()[0].submit(context.run, task)
+    try:
+        return work()
+    finally:
+        if (error := future.exception()) is not None:
+            raise error
+
+
 def sample_field(solution, grid: Grid1D | Grid, time: float) -> ComplexField:
     """Evaluate a closed-form solution(*coords, time) on the grid, its slabs concurrently.
 
@@ -314,12 +341,14 @@ def residual(
     # samples come first and are dropped once they make the time term, so at most two
     # samples are held at once.  Each axis's stencil term is built in one buffer and summed
     # into lap in place, in the operand order of lap + (up - 2 inner + down) / h^2, and lap
-    # then holds the potential term; |resid| is squared in place in sq.  The coordinates are
-    # sparse, so each is sliced to the interior along its own axis only
+    # then holds the potential term; |resid| is squared in place in sq.  Each quotient by a
+    # real c is a product by 1 / c, as numpy's complex quotient computes it (up to the sign
+    # of a zero) in a scalar loop.  The coordinates are sparse, so each is sliced to the
+    # interior along its own axis only
     def slab(start, stop, coords):
         sample = lambda t: _slab_samples(solution(*coords, t), coords)
         psip, psim = sample(time + dt), sample(time - dt)
-        resid = 1j * (psip[inner] - psim[inner]) / (2.0 * dt)
+        resid = 1j * (psip[inner] - psim[inner]) * (1.0 / (2.0 * dt))
         del psip, psim
         psi0 = sample(time)
         lap = None
@@ -329,9 +358,9 @@ def residual(
             term = np.multiply(2.0, psi0[inner])
             np.subtract(psi0[up], term, out=term)
             np.add(term, psi0[down], out=term)
-            np.divide(term, axis.spacing**2, out=term)
+            np.multiply(term, 1.0 / axis.spacing**2, out=term)
             lap = term if lap is None else np.add(lap, term, out=lap)
-        np.divide(lap, 2.0 * mass, out=lap)
+        np.multiply(lap, 1.0 / (2.0 * mass), out=lap)
         np.add(resid, lap, out=resid)
         if omega is not None:
             own = lambda k: tuple(inner[j] if j == k else slice(None) for j in range(len(inner)))
@@ -422,6 +451,42 @@ def residual_study(
 _BOUNDARY_DECAY = 1e-10
 
 
+def _free_phase(phase: np.ndarray, axes, tau: float, m: float) -> None:
+    """Write exp(-i |k|^2 tau / (2m)) into phase, for the discrete Fourier modes k of the axes.
+
+    Each mode gets the bits of exp(-0.5j * k_sq * tau / m), k_sq the sum over the axes, in
+    order, of (2 pi fftfreq)^2; the product by 1/m rounds as numpy's complex quotient by a
+    real does, but in a SIMD loop.  Axis-0 mode N - j is exactly -(mode j) in fftfreq, so only
+    modes 0 .. N//2 are exponentiated, _slab_rows rows at a time, and the rest are copied from
+    their mirror.  A slab builds its |k|^2 in its own real part (axis-0 mode j as fftfreq
+    forms it, j * (1 / (N h))) and broadcasts each later axis through its imaginary part, so
+    numpy allocates no buffer for it.
+    """
+    first, later = axes[0], axes[1:]
+    step = 1.0 / (first.count * first.spacing)
+    later_sq = [(2.0 * math.pi * np.fft.fftfreq(a.count, d=a.spacing)) ** 2 for a in later]
+    later_sq = np.meshgrid(*later_sq, indexing="ij", sparse=True, copy=False)
+    half, rows = first.count // 2 + 1, _slab_rows(a.count for a in later)
+    column = (-1,) + (1,) * len(later)
+    for start in range(0, half, rows):
+        stop = min(start + rows, half)
+        block = phase[start:stop]
+        re, im = block.real, block.imag
+        np.copyto(re, np.arange(start, stop, dtype=float).reshape(column))
+        re *= step
+        re *= 2.0 * math.pi
+        np.square(re, out=re)
+        for k_sq in later_sq:
+            np.copyto(im, k_sq)
+            np.add(re, im, out=re)
+        im.fill(0.0)
+        np.multiply(-0.5j, block, out=block)
+        block *= tau
+        block *= 1.0 / m
+        np.exp(block, out=block)
+    phase[half:] = phase[first.count - half : 0 : -1]
+
+
 def spectral_propagate_free(initial: ComplexField, tau: float, m: float) -> ComplexField:
     """Exact free evolution of the sampled field, mode by mode, on any number of axes.
 
@@ -430,6 +495,10 @@ def spectral_propagate_free(initial: ComplexField, tau: float, m: float) -> Comp
     be negligible on the first and last slab of every axis (magnitude below
     1e-10 of the peak), otherwise the periodization is meaningless and
     BoundaryDecayError is raised.
+
+    The phase (_free_phase) is built on the slab pool while this thread runs the forward
+    FFT, which releases the interpreter lock; from inside a slab it is built here first.
+    Either way the bits and the first error are those of building it before the FFT.
     """
     v = initial.values
     vmax = float(np.abs(v).max())
@@ -439,18 +508,15 @@ def spectral_propagate_free(initial: ComplexField, tau: float, m: float) -> Comp
             raise BoundaryDecayError(
                 f"boundary magnitude {edge:.3e} exceeds {_BOUNDARY_DECAY:.0e} of peak {vmax:.3e}"
             )
-    k_sq = [(2.0 * math.pi * np.fft.fftfreq(a.count, d=a.spacing)) ** 2 for a in initial.grid.axes]
-    # summing sparse per-axis arrays makes |k|^2 the one full-size array (in 1D, the k^2 itself)
-    k_sq = functools.reduce(np.add, np.meshgrid(*k_sq, indexing="ij", sparse=True, copy=False))
-    # two grid-sized complex buffers: the phase, made and exponentiated in place, and the
-    # spectrum, multiplied in place as spectrum * phase (complex products round by operand
-    # order) and transformed back in place; out= spares fftn an array per axis
-    phase = -0.5j * k_sq
-    del k_sq
-    phase *= tau
-    phase /= m
-    spectrum = np.fft.fftn(v, out=np.empty_like(v))
-    spectrum *= np.exp(phase, out=phase)
+    # two grid-sized complex buffers: the phase, and the spectrum, multiplied in place as
+    # spectrum * phase (complex products round by operand order) and transformed back in
+    # place; out= spares fftn an array per axis
+    phase = np.empty(v.shape, dtype=complex)
+    spectrum = _beside(
+        functools.partial(_free_phase, phase, initial.grid.axes, tau, m),
+        functools.partial(np.fft.fftn, v, out=np.empty_like(v)),
+    )
+    spectrum *= phase
     del phase
     evolved = np.fft.ifftn(spectrum, out=spectrum)
     return ComplexField(initial.grid, evolved, initial.time_label + tau)

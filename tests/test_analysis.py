@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import os
 import re
@@ -453,6 +454,13 @@ class TestSlabPool:
         ours = residual(solution, grid, time, SLAB_PARAMS.mass, dt, omega)
         assert np.array_equal(np.array(ours).view(np.uint64), np.array(ref).view(np.uint64))
 
+    @pytest.mark.parametrize("dims, count", [(1, 4), (1, 4001), (2, 3), (2, 201), (3, 33)])
+    def test_spectral_propagation_bits(self, slab_workers, dims, count):
+        # the phase is built on the pool while this thread runs the forward FFT
+        field, tau = spectral_case(dims, count)
+        out = spectral_propagate_free(field, tau, SLAB_PARAMS.mass).values
+        assert out.tobytes() == reference_propagate(field, tau, SLAB_PARAMS.mass).tobytes()
+
     def test_workers_keep_the_callers_errstate(self, slab_workers):
         # exp overflows past y = 709.78: in slabs 14 to 16 of 17
         grid = Grid1D(0.0, 800.0, 801)
@@ -601,6 +609,28 @@ sys.exit(0 if (sample_field(outer, grid, 0.0).values == 41).all() else 1)
     assert proc.returncode == 0, proc.stderr
 
 
+def test_nested_spectral_propagation_runs_inline():
+    # every worker of a full pool runs an outer slab, so the phase must not wait for one
+    axis = Grid1D(-8.0, 8.0, 129)
+    field = ComplexField(axis, np.exp(-(axis.nodes**2) + 0.3j * axis.nodes), 0.0)
+    reference = reference_propagate_1d(field, 0.6, 1.3).tobytes()
+    code = SLAB_SCRIPT + """
+import hashlib
+from oscfree.analysis import ComplexField, spectral_propagate_free
+axis = Grid1D(-8.0, 8.0, 129)
+field = ComplexField(axis, np.exp(-(axis.nodes**2) + 0.3j * axis.nodes), 0.0)
+digests = set()
+def outer(y, t):
+    digests.add(hashlib.sha256(spectral_propagate_free(field, 0.6, 1.3).values).hexdigest())
+    return np.ones_like(y, dtype=complex)
+sample_field(outer, grid, 0.0)
+print(*digests)
+"""
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [hashlib.sha256(reference).hexdigest()]
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_evaluates_slabs():
     # the child inherits the pool object but none of its threads
@@ -670,9 +700,14 @@ def reference_propagate(field, tau, m):
 
 
 def spectral_case(dims, count):
-    """A field that decays to the edges of a grid of dims axes (counts from count up), and tau."""
+    """A field that decays to the edges of a grid of dims axes (counts from count up), and tau.
+
+    In 2D, axis 1 has 5 nodes more than axis 0, so an odd count gives an odd x even grid.
+    """
     p, tau = SLAB_PARAMS, 0.9
-    if dims == 2:
+    if dims == 1:
+        grid, solution = auto_grid(p, 60, tau, count), lifted(p, 60)
+    elif dims == 2:
         qn = QuantumNumbers2D(1, -2)
         grid = auto_grid_2d(p, qn, tau, count)
         grid = Grid((grid.axes[0], Grid1D(grid.axes[1].y_min, grid.axes[1].y_max, count + 5)))
@@ -684,7 +719,7 @@ def spectral_case(dims, count):
 
 
 class TestSpectralPropagation:
-    @pytest.mark.parametrize("dims, count", [(2, 128), (2, 201), (3, 24), (3, 33)])
+    @pytest.mark.parametrize("dims, count", [(2, 3), (2, 128), (2, 201), (3, 24), (3, 33)])
     def test_bits_match_reference(self, dims, count):
         field, tau = spectral_case(dims, count)
         out = spectral_propagate_free(field, tau, SLAB_PARAMS.mass).values
@@ -697,18 +732,21 @@ class TestSpectralPropagation:
         assert np.abs(out.values - field.values).max() < 1e-14
 
     def test_single_mode_picks_up_phase(self):
-        # a resolved periodic mode is an eigenvector of the propagator
-        grid = Grid1D(-math.pi, math.pi, 257)
-        length = grid.spacing * grid.count
-        k = 2.0 * math.pi * 5 / length
-        values = np.exp(1j * k * grid.nodes)
-        field = ComplexField(grid, values, 0.0)
-        # bypass the decay check: a plane wave is its own periodic extension
-        k_modes = 2.0 * math.pi * np.fft.fftfreq(grid.count, d=grid.spacing)
-        out = np.fft.ifft(np.fft.fft(values) * np.exp(-0.5j * k_modes**2 * 0.8))
-        expected = values * np.exp(-0.5j * k**2 * 0.8)
-        assert np.abs(out - expected).max() < 1e-12
-        assert np.abs(np.abs(out) - 1.0).max() < 1e-12
+        # a resolved periodic mode is an eigenvector of the propagator; a negative mode sits
+        # in the half of the phase copied from its mirror
+        for count, mode in [(257, 5), (257, -7), (256, 5), (256, -7)]:
+            grid = Grid1D(-math.pi, math.pi, count)
+            length = grid.spacing * grid.count
+            k = 2.0 * math.pi * mode / length
+            values = np.exp(1j * k * grid.nodes)
+            # oscfree's own phase, applied directly: a plane wave is its own periodic
+            # extension, which the decay check of spectral_propagate_free rejects
+            phase = np.empty(count, dtype=complex)
+            analysis._free_phase(phase, grid.axes, 0.8, 1.3)
+            out = np.fft.ifft(np.fft.fft(values) * phase)
+            expected = values * np.exp(-0.5j * k**2 * 0.8 / 1.3)
+            assert np.abs(out - expected).max() < 1e-12
+            assert np.abs(np.abs(out) - 1.0).max() < 1e-12
 
     def test_matches_closed_form(self, params):
         grid = Grid1D(-20.0, 20.0, 801)
@@ -735,12 +773,17 @@ class TestSpectralPropagation:
         ) / n
         assert np.abs(out.values - back).max() < 1e-10
 
-    @pytest.mark.parametrize("count", [4000, 4001])
+    @pytest.mark.parametrize("count", [3, 4, 5, 4000, 4001, 2**18])
     @pytest.mark.parametrize("n, tau", [(2, 1.5), (3, -0.7), (60, 0.4)])
     def test_1d_bits_match_reference(self, count, n, tau):
         params = OscillatorParams(1.3, 0.8)
         grid = auto_grid(params, n, tau, count)
         field = sample_field(lifted(params, n), grid, 0.0)
+        if count == 3 and n % 2:
+            # an odd level is 0 at the middle of 3 nodes, so its edges are its peak
+            with pytest.raises(BoundaryDecayError):
+                spectral_propagate_free(field, tau, params.mass)
+            return
         out = spectral_propagate_free(field, tau, params.mass).values
         assert out.tobytes() == reference_propagate_1d(field, tau, params.mass).tobytes()
 

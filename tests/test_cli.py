@@ -52,6 +52,10 @@ PEAKS_SLABS_GOLDEN_ARGS = [
 PEAKS_HIGH_N_GOLDEN_ARGS = [
     "peaks", "--n", "120", "--tau", "0,0.25,1.73", "--count", "400001", "--format", "json",
 ]
+PROPAGATE_GOLDEN_ARGS = [
+    "propagate", "--n", "2", "--mass", "1.3", "--omega", "0.7", "--to-tau", "0.9",
+    "--grid", "-20:20:1001",
+]
 # the finest grid, 401^2, spans five residual slabs of 81 rows, the last one ragged
 VERIFY_GOLDEN_ARGS = [
     "verify", "--suite", "free-residual-2d", "--l", "-2", "--n-radial", "1", "--mass", "1.3",
@@ -647,6 +651,24 @@ class TestPropagate:
         header, rows = read_csv(out)
         assert header == ["tau", "y", "re", "im", "density"]
         assert len(rows) == 801
+
+    def test_matches_golden(self, tmp_path):
+        out = tmp_path / "propagate.csv"
+        assert main(PROPAGATE_GOLDEN_ARGS + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "propagate_n2.csv").read_bytes()
+
+    def test_phase_overflow_exits_3(self, tmp_path, capsys):
+        # k^2 tau overflows in the phase, which is built on the slab pool: the caller's
+        # errstate must hold there, as it does for the whole command
+        out = tmp_path / "prop.csv"
+        code = main(["propagate", "--n", "2", "--to-tau", "1e307", "--grid", "-20:20:101",
+                     "--out", str(out)])
+        assert code == 3
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "type": "NonFiniteError",
+            "message": "floating-point failure: overflow encountered in multiply",
+        }
+        assert not out.exists()
 
 
 GEN1D_SMALL_ARGS = ["gen1d", "--n", "2", "--tau", "0,1", "--grid", "-8:8:41"]
