@@ -13,10 +13,10 @@ sparse, one array per axis that a solution broadcasts: a field's memory is its
 values, a residual's grows by one float (|resid|^2) per interior point, a
 table's not at all.  Sampled fields and residuals run their slabs on a thread
 pool (_map_slabs), with the bits and errors of a serial walk.  The spectral
-oracle builds its phase on the same pool while the calling thread runs the
-forward FFT, exponentiating only half the axis-0 modes (the rest are their
-mirror images), slab by slab.  A large table's slabs are formatted in forked
-processes instead (cli._write_field_table).  A
+oracle multiplies its phase into the spectrum in place, in real arithmetic, one
+slab of half the axis-0 modes at a time (the other half are their mirror
+images), so its only grid-sized buffer is the spectrum.  A large table's slabs
+are formatted in forked processes instead (cli._write_field_table).  A
 lifted level's peaks come from the few nodes around its exact maxima and
 half-height points (level_extrema), with the bits of a scan of the whole grid,
 which stays as the fallback.  Integrals use the trapezoid rule:
@@ -38,7 +38,7 @@ from .classical import TrajectoryFamily
 from .errors import BoundaryDecayError, NonFiniteError, NormalizationError, PeakDetectionError
 from .oscillator import OscillatorParams, QuantumNumbers1D, QuantumNumbers2D, density_1d
 from .specfun import hermite_scaled
-from .transform import _stretch_sq, lifted_eigenstate_1d
+from .transform import _product, _stretch_sq, lifted_eigenstate_1d
 
 # ---------------------------------------------------------------------------
 # grids and sampled fields
@@ -259,25 +259,6 @@ def _map_slabs(fn, nodes, halo: int) -> list:
     return results
 
 
-def _beside(task, work):
-    """work(), with task() run on the slab pool meanwhile, in a copy of the caller's context.
-
-    From inside a slab, task() runs first, inline.  task's error is raised before work's, as
-    by the serial order task(), work(); either way both have finished when this returns.
-    """
-    if _in_slab.get():
-        task()
-        return work()
-    context = contextvars.copy_context()
-    context.run(_in_slab.set, True)
-    future = _slab_pool()[0].submit(context.run, task)
-    try:
-        return work()
-    finally:
-        if (error := future.exception()) is not None:
-            raise error
-
-
 def sample_field(solution, grid: Grid1D | Grid, time: float) -> ComplexField:
     """Evaluate a closed-form solution(*coords, time) on the grid, its slabs concurrently.
 
@@ -451,26 +432,49 @@ def residual_study(
 _BOUNDARY_DECAY = 1e-10
 
 
-def _free_phase(phase: np.ndarray, axes, tau: float, m: float) -> None:
-    """Write exp(-i |k|^2 tau / (2m)) into phase, for the discrete Fourier modes k of the axes.
+def _halves(shape):
+    """Index tuples cutting an array of this (rows, columns) shape in two: by rows, or by
+    columns if it has one row.  The first half is the larger."""
+    rows, cols = shape
+    if rows > 1:
+        return (slice(0, (rows + 1) // 2),), (slice((rows + 1) // 2, rows),)
+    return (slice(None), slice(0, (cols + 1) // 2)), (slice(None), slice((cols + 1) // 2, cols))
 
-    Each mode gets the bits of exp(-0.5j * k_sq * tau / m), k_sq the sum over the axes, in
-    order, of (2 pi fftfreq)^2; the product by 1/m rounds as numpy's complex quotient by a
-    real does, but in a SIMD loop.  Axis-0 mode N - j is exactly -(mode j) in fftfreq, so only
-    modes 0 .. N//2 are exponentiated, _slab_rows rows at a time, and the rest are copied from
-    their mirror.  A slab builds its |k|^2 in its own real part (axis-0 mode j as fftfreq
-    forms it, j * (1 / (N h))) and broadcasts each later axis through its imaginary part, so
-    numpy allocates no buffer for it.
+
+def _free_phase(spectrum: np.ndarray, axes, tau: float, m: float) -> None:
+    """Multiply spectrum, over the discrete Fourier modes k of the axes, by exp(-i |k|^2 tau / (2m)).
+
+    Each mode's phase has the bits of exp(-0.5j * k_sq * tau / m), k_sq the sum over the axes,
+    in order, of (2 pi fftfreq)^2; the product by 1/m rounds as numpy's complex quotient by a
+    real does, but in a SIMD loop.  Axis-0 mode N - j is exactly -(mode j) in fftfreq, so the
+    phase is built for modes 0 .. N//2 only, _slab_rows rows at a time in one reused buffer,
+    and multiplied into rows j and their mirror rows N - j.  A slab builds its |k|^2 in its
+    own real part (axis-0 mode j as fftfreq forms it, j * (1 / (N h))) and broadcasts each
+    later axis through its imaginary part, so numpy allocates no buffer for it.  Each product
+    is spectrum * phase in real arithmetic (transform._product), half a slab at a time, so its
+    bits are the same at every SIMD dispatch level and for any slab size.
     """
     first, later = axes[0], axes[1:]
-    step = 1.0 / (first.count * first.spacing)
+    count, step = first.count, 1.0 / (first.count * first.spacing)
     later_sq = [(2.0 * math.pi * np.fft.fftfreq(a.count, d=a.spacing)) ** 2 for a in later]
     later_sq = np.meshgrid(*later_sq, indexing="ij", sparse=True, copy=False)
-    half, rows = first.count // 2 + 1, _slab_rows(a.count for a in later)
+    half = count // 2 + 1
+    rows = min(_slab_rows(a.count for a in later), half)
     column = (-1,) + (1,) * len(later)
+    phase = np.empty((rows,) + spectrum.shape[1:], dtype=complex)
+    # (rows, columns) views: spectrum and phase are contiguous, so these are not copies
+    grid, flat = spectrum.reshape(count, -1), phase.reshape(rows, -1)
+    tmp = np.empty((2, flat[_halves(flat.shape)[0]].size))
+
+    def times(rows_of_spectrum, rows_of_phase):
+        for piece in _halves(rows_of_spectrum.shape):
+            a, b = rows_of_spectrum[piece], rows_of_phase[piece]
+            t, u = (buf[: a.size].reshape(a.shape) for buf in tmp)
+            _product((a.real, a.imag), (b.real, b.imag), (a.real, a.imag), (t, u))
+
     for start in range(0, half, rows):
         stop = min(start + rows, half)
-        block = phase[start:stop]
+        block = phase[: stop - start]
         re, im = block.real, block.imag
         np.copyto(re, np.arange(start, stop, dtype=float).reshape(column))
         re *= step
@@ -484,7 +488,11 @@ def _free_phase(phase: np.ndarray, axes, tau: float, m: float) -> None:
         block *= tau
         block *= 1.0 / m
         np.exp(block, out=block)
-    phase[half:] = phase[first.count - half : 0 : -1]
+        times(grid[start:stop], flat[: stop - start])
+        # the mirror rows N - j of modes j = lo .. hi - 1, the rows past half
+        lo, hi = max(start, 1), min(stop, count - half + 1)
+        if lo < hi:
+            times(grid[count - lo : count - hi : -1], flat[lo - start : hi - start])
 
 
 def spectral_propagate_free(initial: ComplexField, tau: float, m: float) -> ComplexField:
@@ -496,9 +504,9 @@ def spectral_propagate_free(initial: ComplexField, tau: float, m: float) -> Comp
     1e-10 of the peak), otherwise the periodization is meaningless and
     BoundaryDecayError is raised.
 
-    The phase (_free_phase) is built on the slab pool while this thread runs the forward
-    FFT, which releases the interpreter lock; from inside a slab it is built here first.
-    Either way the bits and the first error are those of building it before the FFT.
+    One grid-sized buffer is made: the spectrum, which _free_phase multiplies in place, one
+    slab of the phase at a time, and which is transformed back in place.  Its products are
+    real arithmetic, so the bits are the same at every SIMD dispatch level.
     """
     v = initial.values
     vmax = float(np.abs(v).max())
@@ -508,16 +516,9 @@ def spectral_propagate_free(initial: ComplexField, tau: float, m: float) -> Comp
             raise BoundaryDecayError(
                 f"boundary magnitude {edge:.3e} exceeds {_BOUNDARY_DECAY:.0e} of peak {vmax:.3e}"
             )
-    # two grid-sized complex buffers: the phase, and the spectrum, multiplied in place as
-    # spectrum * phase (complex products round by operand order) and transformed back in
-    # place; out= spares fftn an array per axis
-    phase = np.empty(v.shape, dtype=complex)
-    spectrum = _beside(
-        functools.partial(_free_phase, phase, initial.grid.axes, tau, m),
-        functools.partial(np.fft.fftn, v, out=np.empty_like(v)),
-    )
-    spectrum *= phase
-    del phase
+    # out= spares fftn an array per axis
+    spectrum = np.fft.fftn(v, out=np.empty_like(v))
+    _free_phase(spectrum, initial.grid.axes, tau, m)
     evolved = np.fft.ifftn(spectrum, out=spectrum)
     return ComplexField(initial.grid, evolved, initial.time_label + tau)
 

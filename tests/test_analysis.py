@@ -1,5 +1,4 @@
 import functools
-import hashlib
 import math
 import os
 import re
@@ -454,13 +453,6 @@ class TestSlabPool:
         ours = residual(solution, grid, time, SLAB_PARAMS.mass, dt, omega)
         assert np.array_equal(np.array(ours).view(np.uint64), np.array(ref).view(np.uint64))
 
-    @pytest.mark.parametrize("dims, count", [(1, 4), (1, 4001), (2, 3), (2, 201), (3, 33)])
-    def test_spectral_propagation_bits(self, slab_workers, dims, count):
-        # the phase is built on the pool while this thread runs the forward FFT
-        field, tau = spectral_case(dims, count)
-        out = spectral_propagate_free(field, tau, SLAB_PARAMS.mass).values
-        assert out.tobytes() == reference_propagate(field, tau, SLAB_PARAMS.mass).tobytes()
-
     def test_workers_keep_the_callers_errstate(self, slab_workers):
         # exp overflows past y = 709.78: in slabs 14 to 16 of 17
         grid = Grid1D(0.0, 800.0, 801)
@@ -567,15 +559,17 @@ class TestSlabMemory:
 
     @pytest.mark.parametrize("dims, count", [(1, 2**18), (2, 201), (3, 33)])
     def test_spectral_propagation(self, dims, count):
-        # measured 2.0 grid-sized complex arrays (the phase and the spectrum) in any
-        # dimension; 3.5 when the phase took several temporaries and fftn one per axis
+        # the spectrum, one slab of the phase and half a slab of real temporaries: measured
+        # 1.25 grid-sized complex arrays in 1D, and 1.96 and 1.95 in 2D and 3D, where one
+        # slab holds all the half of the modes that is built; 2.0 in any dimension with a
+        # grid-sized phase, 3.5 when the phase took several temporaries and fftn one per axis
         if dims == 1:
             grid = auto_grid(SLAB_PARAMS, 60, 0.4, count)
             field, tau = sample_field(lifted(SLAB_PARAMS, 60), grid, 0.0), 0.4
         else:
             field, tau = spectral_case(dims, count)
         peak = traced_peak(lambda: spectral_propagate_free(field, tau, SLAB_PARAMS.mass))
-        assert peak / field.values.nbytes < 2.1
+        assert peak / field.values.nbytes < (1.4 if dims == 1 else 2.1)
 
 
 def run_python(code: str) -> subprocess.CompletedProcess:
@@ -607,28 +601,6 @@ sys.exit(0 if (sample_field(outer, grid, 0.0).values == 41).all() else 1)
 """
     proc = run_python(code)
     assert proc.returncode == 0, proc.stderr
-
-
-def test_nested_spectral_propagation_runs_inline():
-    # every worker of a full pool runs an outer slab, so the phase must not wait for one
-    axis = Grid1D(-8.0, 8.0, 129)
-    field = ComplexField(axis, np.exp(-(axis.nodes**2) + 0.3j * axis.nodes), 0.0)
-    reference = reference_propagate_1d(field, 0.6, 1.3).tobytes()
-    code = SLAB_SCRIPT + """
-import hashlib
-from oscfree.analysis import ComplexField, spectral_propagate_free
-axis = Grid1D(-8.0, 8.0, 129)
-field = ComplexField(axis, np.exp(-(axis.nodes**2) + 0.3j * axis.nodes), 0.0)
-digests = set()
-def outer(y, t):
-    digests.add(hashlib.sha256(spectral_propagate_free(field, 0.6, 1.3).values).hexdigest())
-    return np.ones_like(y, dtype=complex)
-sample_field(outer, grid, 0.0)
-print(*digests)
-"""
-    proc = run_python(code)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [hashlib.sha256(reference).hexdigest()]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -687,16 +659,24 @@ class TestConvergenceOrder:
 
 
 def reference_propagate_1d(field, tau, m):
-    """The 1D-only propagator the N-axis one replaced, kept as a bit-level reference."""
+    """The 1D-only propagator the N-axis one replaced, its spectrum * phase product written
+    in real arithmetic, kept as a bit-level reference."""
     k = 2.0 * math.pi * np.fft.fftfreq(field.grid.count, d=field.grid.spacing)
-    return np.fft.ifft(np.fft.fft(field.values) * np.exp(-0.5j * k**2 * tau / m))
+    s, p = np.fft.fft(field.values), np.exp(-0.5j * k**2 * tau / m)
+    out = np.empty_like(s)
+    out.real, out.imag = s.real * p.real - s.imag * p.imag, s.imag * p.real + s.real * p.imag
+    return np.fft.ifft(out)
 
 
 def reference_propagate(field, tau, m):
-    """spectral_propagate_free's transform as one expression, the bit reference on any grid."""
+    """spectral_propagate_free's transform as one expression, the bit reference on any grid:
+    spectrum * phase with the complex product written in real arithmetic."""
     k_sq = [(2.0 * math.pi * np.fft.fftfreq(a.count, d=a.spacing)) ** 2 for a in field.grid.axes]
     k_sq = functools.reduce(np.add, np.meshgrid(*k_sq, indexing="ij", sparse=True, copy=False))
-    return np.fft.ifftn(np.fft.fftn(field.values) * np.exp(-0.5j * k_sq * tau / m))
+    s, p = np.fft.fftn(field.values), np.exp(-0.5j * k_sq * tau / m)
+    out = np.empty_like(s)
+    out.real, out.imag = s.real * p.real - s.imag * p.imag, s.imag * p.real + s.real * p.imag
+    return np.fft.ifftn(out)
 
 
 def spectral_case(dims, count):
@@ -725,6 +705,17 @@ class TestSpectralPropagation:
         out = spectral_propagate_free(field, tau, SLAB_PARAMS.mass).values
         assert out.tobytes() == reference_propagate(field, tau, SLAB_PARAMS.mass).tobytes()
 
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("dims, count", [(1, 4), (1, 4001), (2, 3), (2, 201), (3, 33)])
+    def test_bits_do_not_depend_on_the_slab(self, monkeypatch, dims, count, rows):
+        # the phase is built and multiplied in slabs of rows axis-0 modes, halved for the
+        # products (by columns, for one row), and the mirror rows cut differently from these
+        field, tau = spectral_case(dims, count)
+        default = spectral_propagate_free(field, tau, SLAB_PARAMS.mass).values
+        set_slab_rows(monkeypatch, field.grid, rows)
+        out = spectral_propagate_free(field, tau, SLAB_PARAMS.mass).values
+        assert out.tobytes() == default.tobytes()
+
     def test_identity_at_tau_zero(self, params):
         grid = auto_grid(params, 2, 0.0, 1001)
         field = sample_field(lifted(params, 2), grid, 0.0)
@@ -741,9 +732,9 @@ class TestSpectralPropagation:
             values = np.exp(1j * k * grid.nodes)
             # oscfree's own phase, applied directly: a plane wave is its own periodic
             # extension, which the decay check of spectral_propagate_free rejects
-            phase = np.empty(count, dtype=complex)
-            analysis._free_phase(phase, grid.axes, 0.8, 1.3)
-            out = np.fft.ifft(np.fft.fft(values) * phase)
+            spectrum = np.fft.fft(values)
+            analysis._free_phase(spectrum, grid.axes, 0.8, 1.3)
+            out = np.fft.ifft(spectrum)
             expected = values * np.exp(-0.5j * k**2 * 0.8 / 1.3)
             assert np.abs(out - expected).max() < 1e-12
             assert np.abs(np.abs(out) - 1.0).max() < 1e-12
