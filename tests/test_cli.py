@@ -658,8 +658,7 @@ class TestPropagate:
         assert out.read_bytes() == (GOLDEN_DIR / "propagate_n2.csv").read_bytes()
 
     def test_phase_overflow_exits_3(self, tmp_path, capsys):
-        # k^2 tau overflows in the phase, which is built on the slab pool: the caller's
-        # errstate must hold there, as it does for the whole command
+        # k^2 tau overflows in the phase: the command's errstate must hold there
         out = tmp_path / "prop.csv"
         code = main(["propagate", "--n", "2", "--to-tau", "1e307", "--grid", "-20:20:101",
                      "--out", str(out)])
@@ -1406,10 +1405,9 @@ DISPATCH_LEVELS = {
 }
 
 
-@pytest.mark.parametrize("level", DISPATCH_LEVELS)
-def test_2d_golden_bytes_at_every_dispatch_level(tmp_path, level):
-    # the 2D lift writes its complex products in real arithmetic, which rounds the same in
-    # every numpy loop, so its golden tables and report keep their bytes at every level
+def assert_golden_bytes_at_level(tmp_path, level, runs):
+    """Run each golden invocation of runs ({golden file: argv}) in one child at the dispatch
+    level, and compare its output with the golden file; skip a level numpy or the host lacks."""
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
     disabled = DISPATCH_LEVELS[level]
@@ -1417,11 +1415,6 @@ def test_2d_golden_bytes_at_every_dispatch_level(tmp_path, level):
         pytest.skip(f"numpy cannot turn off {disabled} at run time")
     if level == "v3" and not __cpu_features__["X86_V3"]:
         pytest.skip("the host has no x86-64-v3")
-    runs = {
-        "gen2d_l-2_nr1.csv": GEN2D_GOLDEN_ARGS,
-        "gen2d_l-2_nr1.json": GEN2D_GOLDEN_ARGS + ["--format", "json"],
-        "verify_2d_l-2_nr1.json": VERIFY_GOLDEN_ARGS,
-    }
     argvs = [args + ["--out", str(tmp_path / name)] for name, args in runs.items()]
     child = (
         "import json, sys\n"
@@ -1442,6 +1435,23 @@ def test_2d_golden_bytes_at_every_dispatch_level(tmp_path, level):
     assert proc.returncode == 0, proc.stderr
     for name in runs:
         assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("level", DISPATCH_LEVELS)
+def test_2d_golden_bytes_at_every_dispatch_level(tmp_path, level):
+    # the 2D lift writes its complex products in real arithmetic, which rounds the same in
+    # every numpy loop, so its golden tables and report keep their bytes at every level
+    assert_golden_bytes_at_level(tmp_path, level, {
+        "gen2d_l-2_nr1.csv": GEN2D_GOLDEN_ARGS,
+        "gen2d_l-2_nr1.json": GEN2D_GOLDEN_ARGS + ["--format", "json"],
+        "verify_2d_l-2_nr1.json": VERIFY_GOLDEN_ARGS,
+    })
+
+
+@pytest.mark.parametrize("level", DISPATCH_LEVELS)
+def test_propagate_golden_bytes_at_every_dispatch_level(tmp_path, level):
+    # the spectral oracle's spectrum * phase product is real arithmetic too
+    assert_golden_bytes_at_level(tmp_path, level, {"propagate_n2.csv": PROPAGATE_GOLDEN_ARGS})
 
 
 def _after_import(probe: str) -> str:
