@@ -23,19 +23,29 @@ import math
 import numpy as np
 
 
+def _limit_exponents(n: int, x):
+    """L(x) = 1023 - 8 ceil(log2 g) with g = 2 |x| + 2n + 2, per point.  ceil(log2 g) is exact:
+    one more than that of g / 2, which is np.frexp's exponent, less one where g / 2 is a
+    power of two."""
+    mantissa, exponent = np.frexp(np.abs(x) + (n + 1.0))
+    return 1023 - 8 * (exponent + 1 - (mantissa == 0.5))
+
+
 def hermite_scaled(n: int, x):
     """(h, h_prev, e) with H_n(x) = h 2^e and H_{n-1}(x) = h_prev 2^e (H_{-1} = 0).
 
     The three-term recurrence H_0 = 1, H_1 = 2x, H_{k+1} = 2x H_k - 2k H_{k-1}, with a check
-    every 8 steps and at the end: wherever |h| or |h_prev| has passed 2^L, both are divided
-    by 2^L, exactly, and e grows by L.  One step
-    grows max(|h|, |h_prev|) by at most g = 2 max|x| + 2n + 2, so with L = 1023 - 8 ceil(log2 g)
-    no value overflows between two checks, and none ends above 2^L: no degree overflows.
-    The checks start only once Cramer's bound, |H_k(x)| <= 1.0865 sqrt(2^k k!) exp(x^2 / 2)
-    (A&S 22.14.17), lets a value pass 2^L, so a degree and grid that cannot get there run
-    the bare recurrence.  Where max|x| is not finite or leaves no such L (g > 2^63), the
+    every 8 steps and at the end: wherever |h| or |h_prev| has passed 2^L(x), both are divided
+    by 2^L(x), exactly, and e grows by L(x).  One step grows max(|h|, |h_prev|) by at most
+    g = 2 |x| + 2n + 2, so with L(x) = 1023 - 8 ceil(log2 g) no value overflows between two
+    checks, and none ends above 2^L(x): no degree overflows.  L is each point's own, so a
+    point's (h, h_prev, e) does not depend on the other points of the call.  The checks
+    start only once Cramer's bound, |H_k(x)| <= 1.0865 sqrt(2^k k!) exp(x^2 / 2)
+    (A&S 22.14.17), lets a value at the largest |x| pass its 2^L, the smallest, so a degree
+    and grid that cannot get there run the bare recurrence (a check that cannot fire
+    changes nothing).  Where max|x| is not finite or leaves no such L (g > 2^63), the
     recurrence runs unscaled.  h and h_prev are shaped like x (0-d for a scalar x); e is 0
-    until a check scales a value, then an int array shaped like x.
+    until a check finds a value past the smallest 2^L, then an int array shaped like x.
     """
     if n < 0:
         raise ValueError(f"Hermite degree must be nonnegative, got {n}")
@@ -45,8 +55,9 @@ def hermite_scaled(n: int, x):
         return h, h_prev, e
     x_max = float(np.maximum(xa.max(), -xa.min()))
     g = 2.0 * x_max + 2.0 * n + 2.0
-    limit_exp = 1023 - 8 * math.ceil(math.log2(g)) if g <= 2.0**63 else math.inf
+    gate = int(_limit_exponents(n, x_max)) if g <= 2.0**63 else math.inf  # the smallest L(x)
     bits = 0.12 + 0.5 + 0.5 * x_max * x_max / math.log(2.0)  # log2 of Cramer's bound on H_1
+    limit_exp = None  # L(x), made at the first check that finds a value past 2^gate
     x2 = 2.0 * xa
     h, h_prev, tmp = np.multiply(xa, 2.0, out=h_prev), h, np.empty(xa.shape)  # H_1, H_0
     for k in range(1, n):
@@ -56,13 +67,15 @@ def hermite_scaled(n: int, x):
         h_prev += tmp
         h, h_prev = h_prev, h
         bits += 0.5 * (1.0 + math.log2(k + 1))  # Cramer's bound on H_{k+1}
-        if bits > limit_exp and (k % 8 == 7 or k == n - 1):
-            limit = 2.0**limit_exp
-            if max(h.max(), -h.min(), h_prev.max(), -h_prev.min()) > limit:
+        if bits > gate and (k % 8 == 7 or k == n - 1):
+            if max(h.max(), -h.min(), h_prev.max(), -h_prev.min()) > 2.0**gate:
+                if limit_exp is None:
+                    limit_exp = _limit_exponents(n, xa)
+                    limit = np.ldexp(1.0, limit_exp)
                 big = np.abs(h) > limit
                 big |= np.abs(h_prev) > limit
-                np.multiply(h, 1.0 / limit, out=h, where=big)
-                np.multiply(h_prev, 1.0 / limit, out=h_prev, where=big)
+                np.ldexp(h, -limit_exp, out=h, where=big)
+                np.ldexp(h_prev, -limit_exp, out=h_prev, where=big)
                 e = e + limit_exp * big
     return h, h_prev, e
 

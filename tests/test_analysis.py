@@ -1144,6 +1144,17 @@ class TestPeaks:
         (record,) = analysis._lifted_peaks(params, n, [tau], count)
         assert record == expected
 
+    # at n = 1000 the Hermite recurrence rescales, each point by its own limit, so the
+    # windows, whose largest |y| is not the grid's, keep the scan's bits
+    @pytest.mark.parametrize("tau", [0.0, 0.7])
+    def test_windowed_peaks_match_the_scan_at_n1000(self, tau):
+        params, qn = OscillatorParams(1.0, 1.0), QuantumNumbers1D(1000)
+        grid = auto_grid(params, 1000, tau, 160001)
+        points = np.concatenate(level_extrema(1000))
+        record = analysis._windowed_peaks(params, qn, tau, grid, points)
+        assert record is not None
+        assert record == analysis._scanned_peaks(params, qn, tau, grid)
+
     # perfbench peaks-highn draws mass and omega from [0.8, 1.25] and taus from [0, 2]
     @pytest.mark.parametrize("mass, omega", [(0.8, 0.8), (0.8, 1.25), (1.25, 0.8), (1.25, 1.25)])
     def test_perfbench_inputs_are_not_scanned(self, mass, omega):

@@ -356,6 +356,15 @@ class TestLiftedEigenstate1D:
             minus = lifted_eigenstate_1d(params, qn, -y, 1.3)
             assert np.allclose(minus, (-1.0) ** n * plus, rtol=1e-13, atol=1e-300)
 
+    def test_subset_of_nodes_keeps_its_bits_at_n1000(self, params):
+        # the Hermite recurrence rescales at n = 1000, each point by its own limit, so nodes
+        # evaluated without the grid's outer ones keep the bits of a whole-grid call
+        qn, grid = QuantumNumbers1D(1000), auto_grid(params, 1000, 0.7, 160001)
+        whole = lifted_eigenstate_1d(params, qn, grid.nodes, 0.7)
+        inner = np.flatnonzero(np.abs(grid.nodes) < 0.3 * grid.y_max)
+        ours = lifted_eigenstate_1d(params, qn, grid.nodes[inner], 0.7)
+        assert_same_complex_bits(ours, whole[inner])
+
     def test_two_code_paths_one_answer(self, params):
         y = np.linspace(-20, 20, 10001)
         for n in range(6):
