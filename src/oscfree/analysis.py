@@ -442,7 +442,7 @@ def _halves(shape):
 
 
 def _free_phase(spectrum: np.ndarray, axes, tau: float, m: float) -> None:
-    """Multiply spectrum, over the discrete Fourier modes k of the axes, by exp(-i |k|^2 tau / (2m)).
+    """Multiply the C-ordered spectrum in place by exp(-i |k|^2 tau / (2m)), k its modes.
 
     Each mode's phase has the bits of exp(-0.5j * k_sq * tau / m), k_sq the sum over the axes,
     in order, of (2 pi fftfreq)^2; the product by 1/m rounds as numpy's complex quotient by a
@@ -462,7 +462,7 @@ def _free_phase(spectrum: np.ndarray, axes, tau: float, m: float) -> None:
     rows = min(_slab_rows(a.count for a in later), half)
     column = (-1,) + (1,) * len(later)
     phase = np.empty((rows,) + spectrum.shape[1:], dtype=complex)
-    # (rows, columns) views: spectrum and phase are contiguous, so these are not copies
+    # (rows, columns) views, not copies, as spectrum and phase are C-ordered
     grid, flat = spectrum.reshape(count, -1), phase.reshape(rows, -1)
     tmp = np.empty((2, flat[_halves(flat.shape)[0]].size))
 
@@ -516,8 +516,8 @@ def spectral_propagate_free(initial: ComplexField, tau: float, m: float) -> Comp
             raise BoundaryDecayError(
                 f"boundary magnitude {edge:.3e} exceeds {_BOUNDARY_DECAY:.0e} of peak {vmax:.3e}"
             )
-    # out= spares fftn an array per axis
-    spectrum = np.fft.fftn(v, out=np.empty_like(v))
+    # out= spares fftn an array per axis; a C-ordered one, for _free_phase, whatever v's order
+    spectrum = np.fft.fftn(v, out=np.empty(v.shape, dtype=complex))
     _free_phase(spectrum, initial.grid.axes, tau, m)
     evolved = np.fft.ifftn(spectrum, out=spectrum)
     return ComplexField(initial.grid, evolved, initial.time_label + tau)
