@@ -463,8 +463,8 @@ def _free_phase(spectrum: np.ndarray, axes, tau: float, m: float) -> None:
     column = (-1,) + (1,) * len(later)
     phase = np.empty((rows,) + spectrum.shape[1:], dtype=complex)
     # (rows, columns) views, not copies, as spectrum and phase are C-ordered
-    grid, flat = spectrum.reshape(count, -1), phase.reshape(rows, -1)
-    tmp = np.empty((2, flat[_halves(flat.shape)[0]].size))
+    spectrum2d, phase2d = spectrum.reshape(count, -1), phase.reshape(rows, -1)
+    tmp = np.empty((2, phase2d[_halves(phase2d.shape)[0]].size))
 
     def times(rows_of_spectrum, rows_of_phase):
         for piece in _halves(rows_of_spectrum.shape):
@@ -488,11 +488,11 @@ def _free_phase(spectrum: np.ndarray, axes, tau: float, m: float) -> None:
         block *= tau
         block *= 1.0 / m
         np.exp(block, out=block)
-        times(grid[start:stop], flat[: stop - start])
+        times(spectrum2d[start:stop], phase2d[: stop - start])
         # the mirror rows N - j of modes j = lo .. hi - 1, the rows past half
         lo, hi = max(start, 1), min(stop, count - half + 1)
         if lo < hi:
-            times(grid[count - lo : count - hi : -1], flat[lo - start : hi - start])
+            times(spectrum2d[count - lo : count - hi : -1], phase2d[lo - start : hi - start])
 
 
 def spectral_propagate_free(initial: ComplexField, tau: float, m: float) -> ComplexField:
