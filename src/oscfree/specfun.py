@@ -7,7 +7,9 @@ cancel catastrophically already at moderate degree, while the
 recurrences stay accurate: eigenstates to degree 5000 and weighted Kummer
 polynomials to degree 150 agree with 40-digit mpmath within 1e-13 of their
 scale (tests/test_specfun.py).  The Hermite recurrence, hermite_scaled, carries
-a power-of-two exponent per point, so no degree overflows it; the Kummer one
+a power-of-two exponent per point, so no degree overflows it: one growth bound
+per step sets both when it checks and what it divides by, and only a point
+with a non-finite or huge x runs unscaled, on its own; the Kummer one
 overflows on wide grids at high degree (gen2d --n-radial 300), which the CLI
 turns into a NonFiniteError (exit 3).
 
@@ -17,8 +19,6 @@ sized for these buffers (see analysis._SLAB).
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -38,14 +38,14 @@ def hermite_scaled(n: int, x):
     every 8 steps and at the end: wherever |h| or |h_prev| has passed 2^L(x), both are divided
     by 2^L(x), exactly, and e grows by L(x).  One step grows max(|h|, |h_prev|) by at most
     g = 2 |x| + 2n + 2, so with L(x) = 1023 - 8 ceil(log2 g) no value overflows between two
-    checks, and none ends above 2^L(x): no degree overflows.  L is each point's own, so a
-    point's (h, h_prev, e) does not depend on the other points of the call.  The checks
-    start only once Cramer's bound, |H_k(x)| <= 1.0865 sqrt(2^k k!) exp(x^2 / 2)
-    (A&S 22.14.17), lets a value at the largest |x| pass its 2^L, the smallest, so a degree
-    and grid that cannot get there run the bare recurrence (a check that cannot fire
-    changes nothing).  Where max|x| is not finite or leaves no such L (g > 2^63), the
-    recurrence runs unscaled.  h and h_prev are shaped like x (0-d for a scalar x); e is 0
-    until a check finds a value past the smallest 2^L, then an int array shaped like x.
+    checks, and none ends above 2^L(x): no degree overflows.  A point whose x is not finite or
+    leaves no such L (g > 2^63) runs unscaled.  The same growth bound starts the checks: none
+    runs until (k + 1) ceil(log2 g) at the largest scaled |x| passes its L, the smallest, so a
+    degree and grid that cannot get there run the bare recurrence (a check that cannot fire
+    changes nothing).  L, the bound and the checks take only the scaled points, so a point's
+    (h, h_prev, e) does not depend on the other points of the call.  h and h_prev are shaped
+    like x (0-d for a scalar x); e is 0 until a check finds a value past the smallest 2^L,
+    then an int array shaped like x.
     """
     if n < 0:
         raise ValueError(f"Hermite degree must be nonnegative, got {n}")
@@ -53,10 +53,15 @@ def hermite_scaled(n: int, x):
     h, h_prev, e = np.ones(xa.shape), np.zeros(xa.shape), 0
     if n == 0 or xa.size == 0:
         return h, h_prev, e
-    x_max = float(np.maximum(xa.max(), -xa.min()))
-    g = 2.0 * x_max + 2.0 * n + 2.0
-    gate = int(_limit_exponents(n, x_max)) if g <= 2.0**63 else math.inf  # the smallest L(x)
-    bits = 0.12 + 0.5 + 0.5 * x_max * x_max / math.log(2.0)  # log2 of Cramer's bound on H_1
+    x_max = max(np.fmax.reduce(xa, axis=None), -np.fmin.reduce(xa, axis=None))  # NaN left out
+    scaled = True  # the points with an L: finite x, g <= 2^63 (a NaN point is never past 2^L)
+    if not x_max + (n + 1.0) <= 2.0**62:
+        scaled = np.abs(xa) + (n + 1.0) <= 2.0**62
+        x_max = np.max(np.abs(xa), where=scaled, initial=-1.0)
+    first = n  # the first step whose values can pass 2^gate
+    if x_max >= 0.0:
+        gate = int(_limit_exponents(n, x_max))  # the smallest L(x), 1023 - 8 ceil(log2 g_max)
+        first = gate // ((1023 - gate) // 8)  # H_{k+1} and H_k are at most g_max^(k + 1)
     limit_exp = None  # L(x), made at the first check that finds a value past 2^gate
     x2 = 2.0 * xa
     h, h_prev, tmp = np.multiply(xa, 2.0, out=h_prev), h, np.empty(xa.shape)  # H_1, H_0
@@ -66,12 +71,14 @@ def hermite_scaled(n: int, x):
         h_prev *= -(2.0 * k)
         h_prev += tmp
         h, h_prev = h_prev, h
-        bits += 0.5 * (1.0 + math.log2(k + 1))  # Cramer's bound on H_{k+1}
-        if bits > gate and (k % 8 == 7 or k == n - 1):
-            if max(h.max(), -h.min(), h_prev.max(), -h_prev.min()) > 2.0**gate:
+        if k >= first and (k % 8 == 7 or k == n - 1):
+            # fmax and fmin leave NaN points out; a scaled point's h and h_prev are finite
+            tops = (np.fmax.reduce(h, axis=None), -np.fmin.reduce(h, axis=None))
+            tops += (np.fmax.reduce(h_prev, axis=None), -np.fmin.reduce(h_prev, axis=None))
+            if max(tops) > 2.0**gate:
                 if limit_exp is None:
                     limit_exp = _limit_exponents(n, xa)
-                    limit = np.ldexp(1.0, limit_exp)
+                    limit = np.ldexp(1.0, limit_exp, out=np.full(xa.shape, np.inf), where=scaled)
                 big = np.abs(h) > limit
                 big |= np.abs(h_prev) > limit
                 np.ldexp(h, -limit_exp, out=h, where=big)

@@ -131,15 +131,17 @@ class TestHermite:
         h, h_prev, e = hermite_scaled(0, np.array([-2.0, 0.0, 3.5]))
         assert h.tolist() == [1.0, 1.0, 1.0] and h_prev.tolist() == [0.0, 0.0, 0.0] and e == 0
 
-    # where H_n passes the largest float, h 2^e does too; where x is not finite, nothing is
-    # scaled and the recurrence gives what the unscaled one gives
+    # where H_n passes the largest float, h 2^e does too; a point whose x is not finite runs
+    # unscaled on its own, and the other points keep the (h, h_prev, e) of a call without it
     def test_overflows_only_past_the_largest_float(self):
         assert np.isfinite(hermite_scaled(300, 40.0)[0])
         x = np.array([1.0, 40.0, math.nan])
         with np.errstate(invalid="ignore", over="ignore"):
             assert hermite(300, 40.0) == math.inf
-            h, _, e = hermite_scaled(300, x)
-            assert e == 0 and np.array_equal(h, reference_hermite(300, x), equal_nan=True)
+            h, h_prev, e = hermite_scaled(300, x)
+        for ours, alone in zip((h, h_prev, e), hermite_scaled(300, x[:2])):
+            assert np.array_equal(np.broadcast_to(ours, x.shape)[:2], alone)
+        assert math.isnan(h[2])
 
     def test_array_shape_preserved(self):
         x = np.linspace(-1, 1, 7)

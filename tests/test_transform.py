@@ -365,6 +365,17 @@ class TestLiftedEigenstate1D:
         ours = lifted_eigenstate_1d(params, qn, grid.nodes[inner], 0.7)
         assert_same_complex_bits(ours, whole[inner])
 
+    @pytest.mark.parametrize("other", [math.nan, math.inf, 1e30])
+    def test_unscaled_point_keeps_the_others_bits_at_n400(self, params, other):
+        # a point the Hermite recurrence cannot scale (x not finite, or g > 2^63) runs
+        # unscaled on its own: y = 30 keeps the value and bits it has alone
+        qn = QuantumNumbers1D(400)
+        alone = lifted_eigenstate_1d(params, qn, np.array([30.0]), 0.0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            both = lifted_eigenstate_1d(params, qn, np.array([30.0, other]), 0.0)
+        assert alone[0] == pytest.approx(1.7230780949675965e-06, rel=1e-12)
+        assert_same_complex_bits(both[:1], alone)
+
     def test_two_code_paths_one_answer(self, params):
         y = np.linspace(-20, 20, 10001)
         for n in range(6):
