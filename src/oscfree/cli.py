@@ -22,7 +22,7 @@ written deterministically in the CSV or JSON format of _write_table, field
 tables one slab of one tau at a time (_write_field_table); a large field table
 is cut into runs of equal rows, formatted by forked processes into part files
 that hold their text or their writer's error, joined in order, with the bytes
-and errors of one writer (_part_writers).
+and errors of one writer (_write_table, _fork_part).
 
 Grid specs are `min:max:count`; tau lists are comma-separated values or
 `min:max:count` ranges.  Every option but --help takes one value, so any
@@ -174,11 +174,18 @@ def _write_table(
     with path untouched (see _replacing).  repr is the float and int text of csv.writer
     and json alike, so one chunked pass of repr cells serves both formats and only the
     framing differs.  parts are more iterables of blocks, each continuing the rows of the
-    one before it (so blocks must hold a row if there are parts); each is formatted into a
-    part file by a forked child of _part_writers while this process formats blocks, and
-    the files are appended in order, so the bytes and the first error in row order are
-    those of one writer.
+    one before it (so blocks must hold a row if there are parts).  Each part gets a child,
+    forked to format it into its own part file (_fork_part) while this process formats
+    blocks; a part whose child could not be started is formatted here in its turn.  The
+    parts are then taken in order: this process reaps the part's child, then raises the
+    exception the child left in its file, or a ChildProcessError for any other failure, or
+    appends the file.  So the bytes and the first error in row order are those of one
+    writer.  Every child not yet reaped when the write ends is killed and reaped.
     """
+    import errno
+    import pickle
+    import signal
+
     meta = json.dumps({"schema_version": SCHEMA_VERSION, "command": command, "columns": header})
     # head, cell and row separators, chunk close, leads of the first and later chunks, tail
     head, cell, row, close, lead, later, tail = {
@@ -199,42 +206,20 @@ def _write_table(
                 lead = later
 
     directory = os.path.dirname(os.path.realpath(path))
-    with _replacing(path) as f, _part_writers(
-        parts, lambda part_file, part: write(part_file, part, later), directory
-    ) as join:
-        f.write(head)
-        write(f, blocks, lead)
-        join(f)
-        f.write(tail)
-
-
-@contextlib.contextmanager
-def _part_writers(parts, write, directory: str):
-    """Yield join(f), which appends to f, in order, the text that write(file, part) gives.
-
-    On entry each part gets a child, forked to write it into its own part file in
-    directory (_fork_part).  The file is unlinked as soon as it is made, so none outlives
-    the run.  join(f) takes the parts in order: it reaps the part's child, then raises the
-    exception the child left in its file, or a ChildProcessError for any other failure, or
-    appends the file to f.  A part whose child could not be started is written to f in
-    place.  On exit, every child not yet reaped is killed and reaped.
-    """
-    import errno
-    import pickle
-    import signal
-
-    children = []  # (part, [pid, part file] or None); pid None once reaped
-    try:
-        for part in parts:
-            try:
-                children.append((part, _fork_part(write, part, directory)))
-            except OSError:
-                children.append((part, None))
-
-        def join(f) -> None:
-            for part, child in children:
+    writers = [functools.partial(write, blocks=part, lead=later) for part in parts]
+    children = []  # [pid, part file] per writer, None where the fork failed; pid None once reaped
+    with _replacing(path) as f:
+        try:
+            for write_part in writers:
+                try:
+                    children.append(_fork_part(write_part, directory))
+                except OSError:
+                    children.append(None)
+            f.write(head)
+            write(f, blocks, lead)
+            for write_part, child in zip(writers, children):
                 if child is None:
-                    write(f, part)
+                    write_part(f)
                     continue
                 pid, fd = child
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -248,24 +233,21 @@ def _part_writers(parts, write, directory: str):
                 offset = 0
                 while offset < size:
                     offset += os.copy_file_range(fd, f.fileno(), size - offset, offset)
-
-        yield join
-    finally:
-        for _, child in children:
-            if child is not None:
-                pid, fd = child
+            f.write(tail)
+        finally:
+            for pid, fd in filter(None, children):
                 if pid is not None:
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
                 os.close(fd)
 
 
-def _fork_part(write, part, directory: str) -> list:
-    """[pid, part file descriptor] of a child forked to write(file, part) into the part file.
+def _fork_part(write, directory: str) -> list:
+    """[pid, part file descriptor] of a child forked to write(file) into the part file.
 
-    The part file is made in directory and unlinked at once.  The child ends with os._exit
-    whatever happens: 0 with its text in the file, _PART_RAISED with the file holding
-    only its exception, pickled, or 1 where that could not be written.
+    The part file is made in directory and unlinked at once, so none outlives the run.  The
+    child ends with os._exit whatever happens: 0 with its text in the file, _PART_RAISED
+    with the file holding only its exception, pickled, or 1 where that could not be written.
     """
     name = os.path.join(directory, f".oscfree.{os.urandom(8).hex()}.part")
     fd = os.open(name, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
@@ -279,7 +261,7 @@ def _fork_part(write, part, directory: str) -> list:
         status = 1
         try:
             with open(fd, "w", newline="", encoding="utf-8", closefd=False) as f:
-                write(f, part)
+                write(f)
             status = 0
         except BaseException as exc:
             import pickle

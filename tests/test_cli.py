@@ -1135,6 +1135,57 @@ def test_part_writers_leave_no_descriptor_open(tmp_path, monkeypatch, capsys, sm
         failure.clear()
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="counts /proc/self/fd")
+def test_part_writers_write_in_place_where_fork_fails(tmp_path, monkeypatch, capsys, small_parts):
+    """Where os.fork fails for every part, each part is written here in its turn."""
+    monkeypatch.setattr(cli, "_workers", lambda: 1)
+    one = _main_outcome(PART_CASES["gen1d-json"], tmp_path / "t1", capsys)
+    forks = []
+
+    def failing_fork():
+        forks.append(1)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    before = len(os.listdir("/proc/self/fd"))
+    for workers in (2, 3, 4):
+        monkeypatch.setattr(cli, "_workers", lambda: workers)
+        assert _main_outcome(PART_CASES["gen1d-json"], tmp_path / f"t{workers}", capsys) == one
+        assert len(forks) == workers - 1 and len(os.listdir("/proc/self/fd")) == before
+        forks.clear()
+    assert one[0] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t1", "t2", "t3", "t4"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts /proc/self/fd")
+def test_part_writers_are_reaped_after_an_interrupt(tmp_path, monkeypatch, small_parts):
+    """A KeyboardInterrupt in this process's own run, after the forks, kills every child."""
+    lift, parent, fork = cli.lifted_eigenstate_1d, os.getpid(), os.fork
+    forks = []
+
+    def interrupted_here(params, qn, y, tau):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return lift(params, qn, y, tau)
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(cli, "lifted_eigenstate_1d", interrupted_here)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(cli, "_workers", lambda: 3)
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"old bytes\n")
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(KeyboardInterrupt):
+        main([*PART_CASES["gen1d-csv"], "--out", str(out)])
+    assert len(forks) == 2 and len(os.listdir("/proc/self/fd")) == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert out.read_bytes() == b"old bytes\n" and list(tmp_path.iterdir()) == [out]
+
+
 def test_one_tau_table_runs_differ_by_at_most_a_row(monkeypatch):
     """Runs are cut at equal row ranges, not at slab boundaries.
 
