@@ -586,6 +586,7 @@ class PeakRecord:
 
 
 _PEAK_HEIGHT_FLOOR = 1e-12  # relative to the tallest peak, suppresses tail noise
+_PEAK_COUNT = 32001  # default auto-grid node count of peak detection
 
 
 def _parabola_vertices(y, h, below, at, above):
@@ -908,7 +909,7 @@ class PeakLawReport:
 
 
 def peak_trajectory_check(
-    params: OscillatorParams, n: int, taus, count: int = 32001
+    params: OscillatorParams, n: int, taus, count: int = _PEAK_COUNT
 ) -> PeakLawReport:
     """Verify that lifted-density peaks ride the stretched baseline positions.
 
@@ -941,7 +942,7 @@ def peak_trajectory_check(
 
 
 def semiclassical_gap(
-    params: OscillatorParams, n_values, count: int = 32001
+    params: OscillatorParams, n_values, count: int = _PEAK_COUNT
 ) -> list[tuple[int, float]]:
     """Relative gap between the outermost density maximum and the turning point.
 

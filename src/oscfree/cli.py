@@ -44,6 +44,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from .analysis import (
+    _PEAK_COUNT,
     _POINT_BUDGET,
     ComplexField,
     Grid,
@@ -487,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("peaks", _run_peaks, "track density maxima of a lifted 1D eigenstate")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tau", type=tau_list, required=True)
-    p.add_argument("--count", type=int, default=32001, help="auto-grid node count")
+    p.add_argument("--count", type=int, default=_PEAK_COUNT, help="auto-grid node count")
     p.add_argument("--out", required=True)
 
     p = add_command("envelope", _run_envelope, "classical envelope (or trajectory family members)")
