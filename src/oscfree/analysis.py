@@ -15,8 +15,8 @@ table's not at all.  Sampled fields and residuals run their slabs on a thread
 pool (_map_slabs), with the bits and errors of a serial walk.  The spectral
 oracle multiplies its phase into the spectrum in place, in real arithmetic, one
 slab of half the axis-0 modes at a time (the other half are their mirror
-images), so its only grid-sized buffer is the spectrum.  A large table's slabs
-are formatted in forked processes instead (cli._write_field_table).  A
+images), so its only grid-sized buffer is the spectrum.  A table's slabs are
+lifted and formatted on the calling thread (cli._write_field_table).  A
 lifted level's peaks come from the few nodes around its exact maxima and
 half-height points (level_extrema), with the bits of a scan of the whole grid,
 which stays as the fallback.  Integrals use the trapezoid rule:
@@ -199,9 +199,9 @@ _in_slab = contextvars.ContextVar("in_slab", default=False)
 def _workers() -> int:
     """A worker per CPU of the process's affinity mask (taskset -c 0 gives one), at most 4.
 
-    It sizes the slab pool and the CLI's field-table part writers.  At most 4, as each
-    running slab holds up to about 2.5 MB: a 2D residual slab peaks near 75 bytes per point
-    (tests/test_analysis.py, TestSlabMemory), 2.5 MB at 2^15 points.
+    It sizes the slab pool.  At most 4, as each running slab holds up to about 2.5 MB: a 2D
+    residual slab peaks near 75 bytes per point (tests/test_analysis.py, TestSlabMemory),
+    2.5 MB at 2^15 points.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(4, cpus or 1)
@@ -213,13 +213,6 @@ def _slab_pool():
     from concurrent.futures import ThreadPoolExecutor
     workers = _workers()
     return ThreadPoolExecutor(workers, thread_name_prefix="oscfree-slab"), workers
-
-
-def _close_slab_pool() -> None:
-    """Join the slab pool's threads, if it was made; the next _map_slabs makes a new pool."""
-    if _slab_pool.cache_info().currsize:
-        _slab_pool()[0].shutdown()
-        _slab_pool.cache_clear()
 
 
 if hasattr(os, "register_at_fork"):

@@ -19,10 +19,8 @@ regular file (a directory, /dev/stdout, /dev/null, a FIFO) is a usage error.
 --out is replaced whole, so nothing is written on exit 2, 3 or 5 (see
 _replacing); verify writes its --out report before printing it.  Tables are
 written deterministically in the CSV or JSON format of _write_table, field
-tables one slab of one tau at a time (_write_field_table); a large field table
-is cut into runs of equal rows, formatted by forked processes into part files
-that hold their text or their writer's error, joined in order, with the bytes
-and errors of one writer (_write_table, _fork_part).
+tables one slab of one tau at a time (_write_field_table); float cells get
+repr's text from a vectorized formatter (_floattext).
 
 Grid specs are `min:max:count`; tau lists are comma-separated values or
 `min:max:count` ranges.  Every option but --help takes one value, so any
@@ -49,10 +47,8 @@ from .analysis import (
     ComplexField,
     Grid,
     Grid1D,
-    _close_slab_pool,
     _lifted_peaks,
     _slabs,
-    _workers,
     auto_grid,
     auto_grid_2d,
     norm,
@@ -74,9 +70,7 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
 EXIT_IO = 5
 
-_BLOCK_ROWS = 4096
-_PART_ROWS = 2**16  # fewest table rows cut into runs for forked part writers (_part_count)
-_PART_RAISED = 3  # exit status of a part writer that left its exception in its part file
+_BLOCK_ROWS = 4096  # table rows formatted at a time (_write_table)
 
 
 def _parse_finite(spec: str) -> float:
@@ -164,133 +158,103 @@ def _check_finite(command: str, header: list[str], block: list) -> None:
             raise NonFiniteError(f"{command}: column {name!r} has non-finite values; no table written")
 
 
+def _text_cells(column) -> np.ndarray:
+    """A float array as it is, and any other column as a bytes array ('S') of its cells.
+
+    An array's cells are repr'd one by one, and a list holds its cells as str.
+    """
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fS":
+        return column
+    return np.array(column if isinstance(column, list) else list(map(repr, column.tolist())), "S")
+
+
+def _rows_text(columns: list, lead: bytes, cell: bytes, close: bytes) -> np.ndarray:
+    """The text of rows given as columns, as uint8: each row is lead, its cells joined by cell,
+    then close.
+
+    Float arrays get repr's bytes from _floattext.cells; bytes arrays ('S') are text.  Each
+    row is laid out in a row of one fixed-width matrix, with NUL where no byte is, and the
+    matrix is then compacted 64 KiB at a time, so that its mask stays small.
+    """
+    from ._floattext import _WIDTH, cells
+
+    pieces = [lead]
+    for column in columns:
+        pieces += [_text_cells(column), cell]
+    pieces[-1] = close
+    widths = [
+        len(p) if isinstance(p, bytes) else _WIDTH if p.dtype.kind == "f" else p.itemsize
+        for p in pieces
+    ]
+    matrix = np.zeros((len(columns[0]), sum(widths)), np.uint8)
+    at = 0
+    for piece, width in zip(pieces, widths):
+        block = matrix[:, at : at + width]
+        at += width
+        if isinstance(piece, bytes):
+            block[:] = np.frombuffer(piece, np.uint8)
+        elif piece.dtype.kind == "f":
+            cells(piece, block)
+        else:
+            block[:] = piece.view(np.uint8).reshape(-1, width)
+    flat = matrix.ravel()
+    text, kept = np.empty(np.count_nonzero(flat), np.uint8), 0
+    for start in range(0, len(flat), 2**16):
+        part = flat[start : start + 2**16]
+        part = part[part != 0]
+        text[kept : kept + len(part)] = part
+        kept += len(part)
+    return text
+
+
 def _write_table(
-    path: str, header: list[str], blocks: Iterable[list], fmt: str, command: str, parts=()
+    path: str, header: list[str], blocks: Iterable[list], fmt: str, command: str
 ) -> None:
     """Write a table given as an iterable of blocks of rows, one column per header name.
 
     A column is a 1-D array, whose cells are formatted here, or a list of cells already
-    formatted as str.  Blocks are taken one at a time: each block's float array columns
-    are checked before any of its rows are written, and a non-finite one ends the write
-    with path untouched (see _replacing).  repr is the float and int text of csv.writer
-    and json alike, so one chunked pass of repr cells serves both formats and only the
-    framing differs.  parts are more iterables of blocks, each continuing the rows of the
-    one before it (so blocks must hold a row if there are parts).  Each part gets a child,
-    forked to format it into its own part file (_fork_part) while this process formats
-    blocks; a part whose child could not be started is formatted here in its turn.  The
-    parts are then taken in order: this process reaps the part's child, then raises the
-    exception the child left in its file, or a ChildProcessError for any other failure, or
-    appends the file.  So the bytes and the first error in row order are those of one
-    writer.  Every child not yet reaped when the write ends is killed and reaped.
+    formatted as str (or a bytes array of them).  Blocks are taken one at a time: each
+    block's float array columns are checked before any of its rows are written, and a
+    non-finite one ends the write with path untouched (see _replacing).  Rows are formatted
+    and written _BLOCK_ROWS at a time, across block ends (_rows_text).  Float cells get
+    repr's bytes from the vectorized formatter (_floattext), and other cells repr itself,
+    so csv.writer and json would write the same cells, and only the framing differs.
     """
-    import errno
-    import pickle
-    import signal
-
     meta = json.dumps({"schema_version": SCHEMA_VERSION, "command": command, "columns": header})
-    # head, cell and row separators, chunk close, leads of the first and later chunks, tail
-    head, cell, row, close, lead, later, tail = {
-        "csv": (",".join(header) + "\n", ",", "\n", "\n", "", "", ""),
-        "json": (meta[:-1] + ', "rows": [', ", ", "], [", "]", "[", ", [", "]}\n"),
+    # head, each row's lead, cell separator and close, the bytes of the first lead not written,
+    # tail
+    head, lead, cell, close, skip, tail = {
+        "csv": (",".join(header) + "\n", b"", b",", b"\n", 0, ""),
+        "json": (meta[:-1] + ', "rows": [', b", [", b", ", b"]", 2, "]}\n"),
     }[fmt]
 
-    def write(f, blocks, lead: str) -> None:
+    def joined(parts: list) -> list:
+        if len(parts) == 1:
+            return parts[0]
+        return [np.concatenate([_text_cells(p[k]) for p in parts]) for k in range(len(header))]
+
+    def chunks():  # the checked blocks' rows, _BLOCK_ROWS at a time
+        parts, rows = [], 0
         for block in blocks:
             _check_finite(command, header, block)
-            for start in range(0, len(block[0]), _BLOCK_ROWS):
-                stop = start + _BLOCK_ROWS
-                cells = [
-                    c[start:stop] if isinstance(c, list) else map(repr, c[start:stop].tolist())
-                    for c in block
-                ]
-                f.write(lead + row.join(map(cell.join, zip(*cells))) + close)
-                lead = later
+            start = 0
+            while start < len(block[0]):
+                parts.append([c[start : start + _BLOCK_ROWS - rows] for c in block])
+                start += len(parts[-1][0])
+                rows += len(parts[-1][0])
+                if rows == _BLOCK_ROWS:
+                    yield joined(parts)
+                    parts, rows = [], 0
+        if rows:
+            yield joined(parts)
 
-    directory = os.path.dirname(os.path.realpath(path))
-    writers = [functools.partial(write, blocks=part, lead=later) for part in parts]
-    children = []  # [pid, part file] per writer, None where the fork failed; pid None once reaped
     with _replacing(path) as f:
-        try:
-            for write_part in writers:
-                try:
-                    children.append(_fork_part(write_part, directory))
-                except OSError:
-                    children.append(None)
-            f.write(head)
-            write(f, blocks, lead)
-            for write_part, child in zip(writers, children):
-                if child is None:
-                    write_part(f)
-                    continue
-                pid, fd = child
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                child[0] = None
-                size = os.fstat(fd).st_size
-                if code == _PART_RAISED:
-                    raise pickle.loads(os.pread(fd, size, 0))
-                if code:
-                    raise ChildProcessError(errno.ECHILD, f"a table part writer exited with {code}")
-                f.flush()
-                offset = 0
-                while offset < size:
-                    offset += os.copy_file_range(fd, f.fileno(), size - offset, offset)
-            f.write(tail)
-        finally:
-            for pid, fd in filter(None, children):
-                if pid is not None:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                os.close(fd)
-
-
-def _fork_part(write, directory: str) -> list:
-    """[pid, part file descriptor] of a child forked to write(file) into the part file.
-
-    The part file is made in directory and unlinked at once, so none outlives the run.  The
-    child ends with os._exit whatever happens: 0 with its text in the file, _PART_RAISED
-    with the file holding only its exception, pickled, or 1 where that could not be written.
-    """
-    name = os.path.join(directory, f".oscfree.{os.urandom(8).hex()}.part")
-    fd = os.open(name, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
-    try:
-        os.unlink(name)
-        pid = os.fork()
-    except OSError:
-        os.close(fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            with open(fd, "w", newline="", encoding="utf-8", closefd=False) as f:
-                write(f)
-            status = 0
-        except BaseException as exc:
-            import pickle
-            os.ftruncate(fd, 0)
-            os.pwrite(fd, pickle.dumps(exc), 0)
-            status = _PART_RAISED
-        finally:
-            os._exit(status)
-    return [pid, fd]
-
-
-def _part_count(rows: int) -> int:
-    """The number of processes that format a table of that many rows: _workers(), or 1.
-
-    1 below _PART_ROWS rows, where os.fork or os.copy_file_range is missing, and where a
-    thread outlives the slab pool, since a forked child would inherit its locks in
-    whatever state they are.
-    """
-    if rows < _PART_ROWS or not (hasattr(os, "fork") and hasattr(os, "copy_file_range")):
-        return 1
-    workers = _workers()
-    if workers > 1:
-        import threading
-
-        _close_slab_pool()
-        if threading.active_count() > 1:
-            return 1
-    return workers
+        f.write(head)
+        f.flush()
+        for columns in chunks():
+            f.buffer.write(_rows_text(columns, lead, cell, close)[skip:])
+            skip = 0
+        f.write(tail)
 
 
 def _check_rows(taus: int, per_tau: int, what: str) -> None:
@@ -305,46 +269,38 @@ def _write_field_table(args: argparse.Namespace, lift, taus, names) -> None:
 
     Blocks come per tau per axis-0 slab of analysis._slabs: lift gets the slab's row slice
     and coordinates, and the slab's re, im and density are checked before any of its rows
-    are written.  Its text and density columns are built per chunk of _BLOCK_ROWS rows, so a
-    table holds one slab's values and one chunk's text.  Each node is repr'd once.  The
-    rows are cut into _part_count runs of equal rows, give or take one, and all runs but the
-    first are formatted by forked children (_write_table): repr and str.join, under the
-    GIL, take the time, and lifting is under 1% of it.  A slab with rows in two runs is
-    lifted and checked whole by both, and each writes its own rows, so the first failing
-    slab in row order fails the first run that holds it.
+    are written.  Its density column is built, and its coordinates gathered, per chunk of
+    _BLOCK_ROWS rows, so a table holds one slab's values and one chunk's text.  The tau and
+    node texts are formatted once (_floattext.texts): lifting is under 1% of a table's
+    time, and formatting most of the rest.
     """
-    _check_rows(len(taus), args.grid.count, "grid points")
-    rows = len(taus) * args.grid.count
-    nodes = [axis.nodes for axis in args.grid.axes]
-    text = [np.array(list(map(repr, n.tolist())), dtype=object) for n in nodes]
-    header = ["tau", *names, "re", "im", "density"]
-    per_row = args.grid.count // len(nodes[0])
+    from ._floattext import texts
 
-    def slab_blocks(tau, start, stop, coords, first, last):
+    _check_rows(len(taus), args.grid.count, "grid points")
+    nodes = [axis.nodes for axis in args.grid.axes]
+    text = [texts(n) for n in nodes]
+    header = ["tau", *names, "re", "im", "density"]
+
+    def slab_blocks(tau, tau_text, start, stop, coords):
         values = lift(slice(start, stop), *coords(), tau).ravel()
         re, im = values.real, values.imag
         # density written as re^2 + im^2 so re-reading the table reproduces it exactly
         _check_finite(args.command, header[-3:], [re, im, re * re + im * im])
-        shape, tau_text = (stop - start, *map(len, nodes[1:])), repr(tau)
-        for a in range(first, last, _BLOCK_ROWS):
-            b = min(a + _BLOCK_ROWS, last)
+        shape = (stop - start, *map(len, nodes[1:]))
+        for a in range(0, len(values), _BLOCK_ROWS):
+            b = min(a + _BLOCK_ROWS, len(values))
             at = np.unravel_index(np.arange(a, b), shape)
-            words = [t[i].tolist() for t, i in zip(text, (at[0] + start, *at[1:]))]
-            # copies, so the last block written keeps no slab alive while the next is lifted
+            words = [t[i] for t, i in zip(text, (at[0] + start, *at[1:]))]
+            # copies, so no chunk in flight keeps a slab alive while the next is lifted
             r, i = re[a:b].copy(), im[a:b].copy()
-            yield [[tau_text] * (b - a), *words, r, i, r * r + i * i]
+            yield [np.full(b - a, tau_text), *words, r, i, r * r + i * i]
 
-    def blocks(lo, hi):  # table rows lo to hi
-        for t, tau in enumerate(taus):
-            for start, stop, coords in _slabs(nodes, 0):
-                at = (t * len(nodes[0]) + start) * per_row
-                first, last = max(lo - at, 0), min(hi - at, (stop - start) * per_row)
-                if first < last:
-                    yield from slab_blocks(tau, start, stop, coords, first, last)
+    def blocks():
+        for tau, tau_text in zip(taus, texts(np.array(taus, dtype=float))):
+            for slab in _slabs(nodes, 0):
+                yield from slab_blocks(tau, tau_text, *slab)
 
-    k = _part_count(rows)
-    first, *parts = (blocks(rows * j // k, rows * (j + 1) // k) for j in range(k))
-    _write_table(args.out, header, first, args.format, args.command, parts)
+    _write_table(args.out, header, blocks(), args.format, args.command)
 
 
 def _run_gen1d(args: argparse.Namespace, params: OscillatorParams) -> int:

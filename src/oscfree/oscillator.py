@@ -9,6 +9,7 @@ double near n = 170, while log(norm) stays tame.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,12 @@ from .specfun import hermite_scaled, kummer_truncated
 
 @dataclass(frozen=True)
 class OscillatorParams:
-    """Mass and angular frequency of the oscillator, both positive and finite."""
+    """Mass and angular frequency of the oscillator, both positive and finite.
+
+    omega**2, mass * omega and mass * omega**2 must be normal finite doubles too: the
+    evaluators form them, and where one underflows or overflows a table is silently wrong
+    (ROADMAP item 19).
+    """
 
     mass: float
     omega: float
@@ -29,6 +35,18 @@ class OscillatorParams:
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
         if not 0 < self.omega < math.inf:
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        omega_sq = self.omega * self.omega  # omega**2, but inf where it overflows
+        products = {
+            "omega**2": omega_sq,
+            "mass * omega": self.mass * self.omega,
+            "mass * omega**2": self.mass * omega_sq,
+        }
+        for name, value in products.items():
+            if not sys.float_info.min <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be a normal finite double, got {value!r} at mass {self.mass!r}"
+                    f" and omega {self.omega!r}"
+                )
 
 
 # largest 1D level, where cost grows as n^2: at 10^4, level_extrema took 0.5 s (2.0 s at 2 10^4)

@@ -1,21 +1,17 @@
 import argparse
 import contextlib
 import csv
-import errno
 import io
 import json
 import math
 import os
 import re
-import signal
 import stat
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 import tracemalloc
-import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -575,7 +571,7 @@ class TestErrorPaths:
         assert "16777216" in capsys.readouterr().err
         assert not out.exists()
 
-    # m omega^2 underflows to 0, so the classical amplitude divides by zero
+    # omega**2 and m omega^2 underflow to 0, so the classical amplitude would divide by zero
     @pytest.mark.parametrize(
         "args",
         [
@@ -585,11 +581,55 @@ class TestErrorPaths:
         ],
         ids=["peaks", "verify"],
     )
-    def test_division_by_zero_exits_3(self, tmp_path, capsys, args):
+    def test_underflowing_mass_omega_products_exit_2(self, tmp_path, capsys, args):
         out = tmp_path / "x.csv"
-        assert main(args + ["--out", str(out)]) == 3
-        assert json.loads(capsys.readouterr().out)["error"]["type"] == "NonFiniteError"
+        assert main(args + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "omega**2 must be a normal finite double" in captured.err
         assert not out.exists()
+
+    # (mass, omega) where omega**2, mass * omega or mass * omega**2 is not a normal double,
+    # which gave silently wrong tables, then those right before, in gen1d and gen2d
+    @pytest.mark.parametrize(
+        "command, mass, omega, code",
+        [
+            ("gen1d", "1e-150", "1e-150", 2),
+            ("gen1d", "1", "1e-300", 2),
+            ("gen1d", "1e300", "1e-300", 2),
+            ("gen2d", "1e-120", "1e-100", 2),
+            ("gen2d", "1e-100", "1e-110", 2),
+            ("gen1d", "1e-300", "1", 0),
+            ("gen1d", "1e200", "1", 0),
+            ("gen1d", "1e150", "1e-150", 0),
+            ("gen2d", "1e150", "1e-150", 0),
+        ],
+    )
+    def test_mass_omega_range(self, tmp_path, capsys, command, mass, omega, code):
+        """Exit 2 with nothing written out of range; in range, the scaled table of m = omega = 1.
+
+        The lift is scale covariant: chi(y, tau; m, omega) = (m omega)^(d/4) chi(sqrt(m omega) y,
+        omega tau; 1, 1) in d dimensions, so the table at y = xi / sqrt(m omega) and
+        tau = 0.8 / omega holds the values at xi and 0.8 times (m omega)^(d/4).
+        """
+        m, w = float(mass), float(omega)
+        length = 1 / math.sqrt(m * w)
+        level = ["--n", "5"] if command == "gen1d" else ["--l", "2", "--n-radial", "1"]
+        grid = f"{-6 * length!r}:{6 * length!r}:5"
+        args = [command, *level, "--mass", mass, "--omega", omega, f"--tau={0.8 / w!r}",
+                f"--grid={grid}", "--out", str(tmp_path / "scaled.csv")]
+        assert main(args) == code
+        if code:
+            assert not (tmp_path / "scaled.csv").exists()
+            assert "must be a normal finite double" in capsys.readouterr().err
+            return
+        unit = [command, *level, "--tau=0.8", "--grid=-6:6:5", "--out", str(tmp_path / "unit.csv")]
+        assert main(unit) == 0
+        dims = 1 if command == "gen1d" else 2
+        scaled = np.loadtxt(tmp_path / "scaled.csv", delimiter=",", skiprows=1)[:, -3:-1]
+        expected = np.loadtxt(tmp_path / "unit.csv", delimiter=",", skiprows=1)[:, -3:-1]
+        factor = (m * w) ** (dims / 4)
+        assert np.allclose(scaled / factor, expected, rtol=1e-12, atol=1e-14 * abs(expected).max())
 
     def test_float_overflow_exits_3(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -895,6 +935,20 @@ def test_field_table_matches_per_row_reference(data, dims, taus, fmt, slab):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_text_of_100001_rows_matches_per_row_reference(tmp_path, fmt):
+    """A gen1d-like table of 100001 rows, 25 chunks of the writer, has the per-row repr bytes."""
+    rows = 100_001
+    rng = np.random.default_rng(100_001)
+    values = rng.standard_normal(rows) * np.exp(rng.uniform(-700, 10, rows))
+    columns = [np.repeat([0.0, 0.5, 1.25], [33_334, 33_334, 33_333]), np.linspace(-20, 20, rows),
+               values, -values[::-1], values * values]
+    header = ["tau", "y", "re", "im", "density"]
+    path = tmp_path / f"t.{fmt}"
+    _write_table(str(path), header, _blocks(columns, [50_000]), fmt, "gen1d")
+    assert path.read_bytes() == _per_row_reference(tmp_path, header, columns, fmt, "gen1d")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_writer_memory_is_bounded_by_the_chunk(tmp_path, fmt):
     """A 100k-row x 6-column table, handed over in ten blocks, peaks under 8 MiB of new memory."""
     rows = 100_000
@@ -909,13 +963,13 @@ def test_writer_memory_is_bounded_by_the_chunk(tmp_path, fmt):
     assert peak < 8 * 2**20, f"{fmt} writer peaked at {peak / 2**20:.1f} MiB"
 
 
-def test_field_table_memory_does_not_grow_with_taus(tmp_path, monkeypatch):
+def test_field_table_memory_does_not_grow_with_taus(tmp_path):
     """The traced peak of a gen1d table is the same for 4 taus as for 40, one tau lifted at a time.
 
-    Measured about 1.0 MiB for both; blocks built for every tau before writing peaked at
-    1.2 and 3.3 MiB.  One writer: tracemalloc does not see forked part writers.
+    Measured 1.94 and 1.97 MiB, of which 0.85 MiB is the float formatter's working set
+    (1.0 MiB for both with repr); blocks built for every tau before writing peaked at 1.2
+    and 3.3 MiB with repr.
     """
-    monkeypatch.setattr(cli, "_workers", lambda: 1)
     peaks = {}
     for taus in (4, 4, 40):  # the first run also traces one-time allocations
         args = ["gen1d", "--n", "2", "--tau", f"0:5:{taus}", "--grid", "-20:20:2001"]
@@ -928,14 +982,14 @@ def test_field_table_memory_does_not_grow_with_taus(tmp_path, monkeypatch):
     assert peaks[40] < 1.25 * peaks[4], {k: f"{v / 2**20:.2f} MiB" for k, v in peaks.items()}
 
 
-def test_field_table_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
+def test_field_table_memory_does_not_grow_with_the_grid(tmp_path):
     """The traced peak of a one-tau gen2d table is the same at 501^2 points as at 251^2.
 
-    Each is lifted and written one axis-0 slab of about 2^15 points at a time, on one
-    writer.  Measured 2.7 and 2.9 MiB; lifted whole (_SLAB = 2^24), 4.1 and 15.6 MiB.  Both
-    grids are at least two slabs: 201^2, under two, peaked at 2.3 MiB, 1.23x under 401^2.
+    Each is lifted and written one axis-0 slab of about 2^15 points at a time.  Measured
+    2.61 and 2.66 MiB (2.7 and 2.9 with repr); lifted whole (_SLAB = 2^24), 4.1 and 15.6 MiB
+    with repr.  Both grids are at least two slabs: 201^2, under two, peaked at 2.3 MiB,
+    1.23x under 401^2, with repr.
     """
-    monkeypatch.setattr(cli, "_workers", lambda: 1)
 
     def gen2d(count):
         args = ["gen2d", "--l", "1", "--tau", "0.5", "--grid", f"-12:12:{count}"]
@@ -958,10 +1012,9 @@ def test_field_table_memory_does_not_grow_with_the_slab(tmp_path, monkeypatch):
 
     Text and density columns are built per chunk of _BLOCK_ROWS rows, so only the lift grows
     with the slab.  363^2 points are the fewest that hold two whole slabs at 2^16 points.
-    Measured: 1.39 MiB over one slab's lift at 2^13-point slabs and 0.74 MiB at 2^16; with
-    each slab's text built whole, 1.62 and 4.93 MiB.
+    Measured: 1.88 MiB over one slab's lift at 2^13-point slabs and 1.01 MiB at 2^16 (1.39
+    and 0.74 with repr); with each slab's text built whole, 1.62 and 4.93 MiB with repr.
     """
-    monkeypatch.setattr(cli, "_workers", lambda: 1)
     args = ["gen2d", "--l", "1", "--tau", "0.5", "--grid", "-12:12:363"]
     nodes = [np.linspace(-12.0, 12.0, 363)] * 2
     assert main(args + ["--out", str(tmp_path / "t.csv")]) == 0  # one-time allocations
@@ -987,10 +1040,10 @@ def test_field_table_memory_does_not_grow_with_the_slab(tmp_path, monkeypatch):
     }
 
 
-# tables cut into runs at tau boundaries and inside a tau: with 2^13-point slabs, two taus of
-# 8751 gen1d rows in slabs of 8192 and 559 rows, of 107^2 or 101 x 91 gen2d rows in slabs
-# of 76 and 31 or of 90 and 11 axis-0 rows
-PART_CASES = {
+# tables of several slabs and writer chunks: with 2^13-point slabs, two taus of 8751 gen1d
+# rows in slabs of 8192 and 559 rows, of 107^2 or 101 x 91 gen2d rows in slabs of 76 and 31
+# or of 90 and 11 axis-0 rows
+TABLE_CASES = {
     "gen1d-csv": ["gen1d", "--n", "3", "--tau", "0,1.5", "--grid", "-20:20:8751"],
     "gen1d-json": ["gen1d", "--n", "3", "--tau", "0,1.5", "--grid", "-20:20:8751",
                    "--format", "json"],
@@ -1002,30 +1055,28 @@ PART_CASES = {
 
 
 @pytest.fixture
-def small_parts(monkeypatch):
-    """Slabs of 2^13 points, two chunks of the writer, and runs from 2^13 table rows."""
+def small_slabs(monkeypatch):
+    """Slabs of 2^13 points, two chunks of the writer."""
     monkeypatch.setattr(analysis, "_SLAB", 2**13)
-    monkeypatch.setattr(cli, "_PART_ROWS", 2**13)
 
 
-@pytest.mark.parametrize("case", PART_CASES)
-def test_part_writers_give_the_one_writer_bytes(tmp_path, monkeypatch, capsys, small_parts, case):
-    outcomes = []
-    for workers in (1, 2, 3, 4):
-        monkeypatch.setattr(cli, "_workers", lambda: workers)
-        outcomes.append(_main_outcome(PART_CASES[case], tmp_path / f"t{workers}", capsys))
-    assert outcomes[0][0] == 0
-    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["t1", "t2", "t3", "t4"]
+@pytest.mark.parametrize("slab_workers", [1, 2, 3], indirect=True)
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_table_text_gives_the_one_writer_bytes(tmp_path, monkeypatch, capsys, case, slab_workers):
+    """Small slabs, whose chunks of the writer span slab ends, on pools of 1 to 3 workers (which
+    sample propagate's field), give the bytes of default slabs."""
+    one = _main_outcome(TABLE_CASES[case], tmp_path / "default", capsys)
+    monkeypatch.setattr(analysis, "_SLAB", 2**13)
+    assert _main_outcome(TABLE_CASES[case], tmp_path / "small", capsys) == one
+    assert one[0] == 0
 
 
-def test_part_writers_give_the_first_error_in_row_order(
-    tmp_path, monkeypatch, capsys, small_parts
+def test_table_text_gives_the_first_error_in_row_order(
+    tmp_path, monkeypatch, capsys, small_slabs
 ):
-    """Non-finite slabs in later runs: exit 3 with the one-writer message, nothing written.
+    """Non-finite later slabs: exit 3 with the message of the first, nothing written.
 
-    Four slabs; im is inf in slab 2 and re in slab 3, so every run from the one holding
-    slab 2 fails, and the message names 'im' however the runs are cut.
+    Four slabs; im is inf in slab 2 and re in slab 3, so the message names 'im'.
     """
     lift = cli.lifted_eigenstate_1d
 
@@ -1038,206 +1089,64 @@ def test_part_writers_give_the_first_error_in_row_order(
     monkeypatch.setattr(cli, "lifted_eigenstate_1d", failing)
     out = tmp_path / "x.csv"
     out.write_bytes(b"old bytes\n")
-    outcomes = []
-    for workers in (1, 2, 3, 4):
-        monkeypatch.setattr(cli, "_workers", lambda: workers)
-        outcomes.append(_main_outcome(PART_CASES["gen1d-csv"], out, capsys))
-        assert list(tmp_path.iterdir()) == [out]
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-    code, stdout, stderr, data = outcomes[0]
+    code, stdout, stderr, data = _main_outcome(TABLE_CASES["gen1d-csv"], out, capsys)
     assert (code, stderr, data) == (3, "", b"old bytes\n")
     assert repr("im") in json.loads(stdout)["error"]["message"]
-    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+    assert list(tmp_path.iterdir()) == [out]
 
 
-def test_part_writers_stop_when_the_first_run_fails(tmp_path, monkeypatch, capsys, small_parts):
-    lift = cli.lifted_eigenstate_1d
+def test_table_text_stops_at_the_first_failing_block(tmp_path, monkeypatch, capsys, small_slabs):
+    """A non-finite first slab ends the table before any later slab is lifted."""
+    lift, lifted = cli.lifted_eigenstate_1d, []
 
     def failing(params, qn, y, tau):
+        lifted.append((tau, y[0]))
         values = lift(params, qn, y, tau)
         return np.full_like(values, np.nan) if tau == 0.0 and y[0] == -20.0 else values
 
     monkeypatch.setattr(cli, "lifted_eigenstate_1d", failing)
-    monkeypatch.setattr(cli, "_workers", lambda: 4)
-    code, stdout, _, data = _main_outcome(PART_CASES["gen1d-csv"], tmp_path / "x.csv", capsys)
+    code, stdout, _, data = _main_outcome(TABLE_CASES["gen1d-csv"], tmp_path / "x.csv", capsys)
     assert (code, data) == (3, None)
     assert repr("re") in json.loads(stdout)["error"]["message"]
     assert list(tmp_path.iterdir()) == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert lifted == [(0.0, -20.0)]
 
 
-def test_killed_part_writer_exits_5(tmp_path, monkeypatch, capsys, small_parts):
-    lift, parent = cli.lifted_eigenstate_1d, os.getpid()
+def test_table_text_stops_at_the_first_failing_chunk(tmp_path, monkeypatch):
+    """An error formatting a chunk ends the table: no later chunk is formatted."""
+    rows_text, started = cli._rows_text, []
 
-    def killed_in_a_child(params, qn, y, tau):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return lift(params, qn, y, tau)
+    def failing(columns, *framing):
+        started.append(int(columns[0][0]) // cli._BLOCK_ROWS)
+        if started[-1] == 2:
+            raise MemoryError("chunk 2")
+        return rows_text(columns, *framing)
 
-    monkeypatch.setattr(cli, "lifted_eigenstate_1d", killed_in_a_child)
-    monkeypatch.setattr(cli, "_workers", lambda: 2)
-    out = tmp_path / "x.csv"
-    code, stdout, stderr, data = _main_outcome(PART_CASES["gen1d-csv"], out, capsys)
-    assert (code, stdout, data) == (5, "", None)
-    assert stderr == (
-        f"oscfree: error: [Errno {errno.ECHILD}] a table part writer exited with "
-        f"{-signal.SIGKILL}: {str(out)!r}\n"
-    )
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_unpicklable_part_writer_error_exits_5(tmp_path, monkeypatch, capsys, small_parts):
-    """A child whose exception cannot be pickled exits 1, read as a failed part writer."""
-    lift, parent = cli.lifted_eigenstate_1d, os.getpid()
-
-    class Unpicklable(Exception):  # a local class: pickle cannot name it
-        pass
-
-    def raising_in_a_child(params, qn, y, tau):
-        if os.getpid() != parent:
-            raise Unpicklable("raised in a part writer")
-        return lift(params, qn, y, tau)
-
-    monkeypatch.setattr(cli, "lifted_eigenstate_1d", raising_in_a_child)
-    monkeypatch.setattr(cli, "_workers", lambda: 2)
+    monkeypatch.setattr(cli, "_rows_text", failing)
     out = tmp_path / "x.csv"
     out.write_bytes(b"old bytes\n")
-    code, stdout, stderr, data = _main_outcome(PART_CASES["gen1d-csv"], out, capsys)
-    assert (code, stdout, data) == (5, "", b"old bytes\n")
-    assert stderr == (
-        f"oscfree: error: [Errno {errno.ECHILD}] a table part writer exited with 1: "
-        f"{str(out)!r}\n"
-    )
-    assert list(tmp_path.iterdir()) == [out]
+    column = np.arange(10 * cli._BLOCK_ROWS, dtype=float)
+    with pytest.raises(MemoryError, match="^chunk 2$"):
+        _write_table(str(out), ["c"], [[column]], "csv", "test")
+    assert started == [0, 1, 2]
+    assert list(tmp_path.iterdir()) == [out] and out.read_bytes() == b"old bytes\n"
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="counts /proc/self/fd")
-def test_part_writers_leave_no_descriptor_open(tmp_path, monkeypatch, capsys, small_parts):
-    """This process closes every part file it made after a write, an error or a kill."""
-    lift, parent = cli.lifted_eigenstate_1d, os.getpid()
-    failure = {}
+def test_table_text_interrupted_leaves_the_old_file(tmp_path, monkeypatch, small_slabs):
+    """A KeyboardInterrupt mid-table keeps --out and leaves no temporary file."""
+    lift, formatted = cli.lifted_eigenstate_1d, []
 
-    def failing(params, qn, y, tau):
-        if os.getpid() != parent and failure.get("kill"):
-            os.kill(os.getpid(), signal.SIGKILL)
-        values = lift(params, qn, y, tau)
-        return np.full_like(values, np.inf) if failure.get("inf") and tau == 1.5 else values
-
-    monkeypatch.setattr(cli, "lifted_eigenstate_1d", failing)
-    monkeypatch.setattr(cli, "_workers", lambda: 3)
-    before = len(os.listdir("/proc/self/fd"))
-    for case, code in (({}, 0), ({"inf": True}, 3), ({"kill": True}, 5)):
-        failure.update(case)
-        assert _main_outcome(PART_CASES["gen1d-csv"], tmp_path / "x.csv", capsys)[0] == code
-        assert len(os.listdir("/proc/self/fd")) == before, case
-        failure.clear()
-
-
-@pytest.mark.skipif(sys.platform != "linux", reason="counts /proc/self/fd")
-def test_part_writers_write_in_place_where_fork_fails(tmp_path, monkeypatch, capsys, small_parts):
-    """Where os.fork fails for every part, each part is written here in its turn."""
-    monkeypatch.setattr(cli, "_workers", lambda: 1)
-    one = _main_outcome(PART_CASES["gen1d-json"], tmp_path / "t1", capsys)
-    forks = []
-
-    def failing_fork():
-        forks.append(1)
-        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-    monkeypatch.setattr(os, "fork", failing_fork)
-    before = len(os.listdir("/proc/self/fd"))
-    for workers in (2, 3, 4):
-        monkeypatch.setattr(cli, "_workers", lambda: workers)
-        assert _main_outcome(PART_CASES["gen1d-json"], tmp_path / f"t{workers}", capsys) == one
-        assert len(forks) == workers - 1 and len(os.listdir("/proc/self/fd")) == before
-        forks.clear()
-    assert one[0] == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["t1", "t2", "t3", "t4"]
-
-
-@pytest.mark.skipif(sys.platform != "linux", reason="counts /proc/self/fd")
-def test_part_writers_are_reaped_after_an_interrupt(tmp_path, monkeypatch, small_parts):
-    """A KeyboardInterrupt in this process's own run, after the forks, kills every child."""
-    lift, parent, fork = cli.lifted_eigenstate_1d, os.getpid(), os.fork
-    forks = []
-
-    def interrupted_here(params, qn, y, tau):
-        if os.getpid() == parent:
+    def interrupted(params, qn, y, tau):
+        if tau == 1.5:
             raise KeyboardInterrupt
         return lift(params, qn, y, tau)
 
-    def counted_fork():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(cli, "lifted_eigenstate_1d", interrupted_here)
-    monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(cli, "_workers", lambda: 3)
+    monkeypatch.setattr(cli, "lifted_eigenstate_1d", interrupted)
     out = tmp_path / "x.csv"
     out.write_bytes(b"old bytes\n")
-    before = len(os.listdir("/proc/self/fd"))
     with pytest.raises(KeyboardInterrupt):
-        main([*PART_CASES["gen1d-csv"], "--out", str(out)])
-    assert len(forks) == 2 and len(os.listdir("/proc/self/fd")) == before
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        main([*TABLE_CASES["gen1d-csv"], "--out", str(out)])
     assert out.read_bytes() == b"old bytes\n" and list(tmp_path.iterdir()) == [out]
-
-
-def test_one_tau_table_runs_differ_by_at_most_a_row(monkeypatch):
-    """Runs are cut at equal row ranges, not at slab boundaries.
-
-    The table's 100001 rows span four slabs, the last ragged; cut at slabs, its two runs
-    were 65536 and 34465 rows.
-    """
-    runs = []
-
-    def counting(path, header, blocks, fmt, command, parts=()):
-        runs.extend(sum(len(block[0]) for block in run) for run in (blocks, *parts))
-
-    monkeypatch.setattr(cli, "_write_table", counting)
-    monkeypatch.setattr(cli, "_workers", lambda: 2)
-    args = ["gen1d", "--n", "3", "--tau", "0.5", "--grid", "-20:20:100001", "--out", "unused"]
-    assert main(args) == 0
-    assert sum(runs) == 100001 and len(runs) == 2 and max(runs) - min(runs) <= 1, runs
-
-
-def test_part_writers_fork_only_without_threads(tmp_path, monkeypatch, capsys):
-    """The slab pool is shut down before a fork, and any other thread keeps one writer.
-
-    Python 3.12 warns when fork runs in a process with threads, and a forked child would
-    inherit their locks in whatever state they are.
-    """
-    forks, fork = [], os.fork
-
-    def counted_fork():
-        forks.append(threading.active_count())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(cli, "_workers", lambda: 2)
-    grid = analysis.Grid((analysis.Grid1D(-1.0, 1.0, 3 * analysis._SLAB),))
-    analysis.sample_field(lambda y, t: np.ones_like(y, dtype=complex), grid, 0.0)
-    assert threading.active_count() > 1  # the slab pool's threads
-    # over _PART_ROWS rows at the default slab size
-    args = ["gen1d", "--n", "3", "--tau", "0,1.5", "--grid", "-20:20:35001"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        first = _main_outcome(args, tmp_path / "forked.csv", capsys)
-    assert forks == [1]
-    release = threading.Event()
-    waiting = threading.Thread(target=release.wait, args=(60,))
-    waiting.start()
-    try:
-        second = _main_outcome(args, tmp_path / "threaded.csv", capsys)
-    finally:
-        release.set()
-        waiting.join(60)
-    assert not waiting.is_alive()
-    assert forks == [1]
-    assert first == second and first[0] == 0
 
 
 def test_hermite_sees_at_most_one_slab(tmp_path, monkeypatch, capsys):
@@ -1503,6 +1412,17 @@ def test_2d_golden_bytes_at_every_dispatch_level(tmp_path, level):
 def test_propagate_golden_bytes_at_every_dispatch_level(tmp_path, level):
     # the spectral oracle's spectrum * phase product is real arithmetic too
     assert_golden_bytes_at_level(tmp_path, level, {"propagate_n2.csv": PROPAGATE_GOLDEN_ARGS})
+
+
+@pytest.mark.parametrize("level", DISPATCH_LEVELS)
+def test_table_text_golden_bytes_at_every_dispatch_level(tmp_path, level):
+    # the float formatter is integer arithmetic, so the table text is the same at every level
+    assert_golden_bytes_at_level(tmp_path, level, {
+        "gen1d_n2.csv": GEN1D_GOLDEN_ARGS,
+        "envelope_n2.csv": ENVELOPE_GOLDEN_ARGS,
+        "peaks_n5.csv": PEAKS_GOLDEN_ARGS,
+        "peaks_n5.json": PEAKS_GOLDEN_ARGS + ["--format", "json"],
+    })
 
 
 def _after_import(probe: str) -> str:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +45,25 @@ class TestDomainTypes:
                 OscillatorParams(mass=bad, omega=1.0)
             with pytest.raises(ValueError):
                 OscillatorParams(mass=1.0, omega=bad)
+
+    # omega**2, m omega or m omega^2 not a normal double: auto_grid raised a raw
+    # ZeroDivisionError at (1e-150, 1e-150) and OverflowError at (1e-160, 1e160)
+    @pytest.mark.parametrize(
+        "mass, omega, name",
+        [(1e-150, 1e-150, "mass \\* omega\\*\\*2"), (1e-160, 1e160, "omega\\*\\*2"),
+         (1e-200, 1e-110, "mass \\* omega "), (1e-120, 1e-100, "mass \\* omega\\*\\*2"),
+         (1e200, 1e150, "mass \\* omega ")],
+    )
+    def test_params_products_must_be_normal(self, mass, omega, name):
+        with pytest.raises(ValueError, match=f"^{name}"):
+            OscillatorParams(mass, omega)
+
+    def test_params_products_at_the_edge(self):
+        tiny = sys.float_info.min
+        OscillatorParams(1.0, math.sqrt(tiny) * (1 + 2**-50))
+        OscillatorParams(tiny, 1.0)
+        with pytest.raises(ValueError):
+            OscillatorParams(tiny / 2, 1.0)
 
     def test_quantum_number_validation(self):
         with pytest.raises(ValueError):
