@@ -6,7 +6,8 @@ verification reports, as CSV or JSON artifacts for external plotting.
 
 Exit codes: 0 ok, 2 usage error (a malformed or non-finite flag value,
 named in the message, a grid, range or table over the 2**24-point or
-2**24-row budget, or a 1D --n over oscillator.MAX_LEVEL_1D), 3 numerical
+2**24-row budget, a 1D --n over oscillator.MAX_LEVEL_1D, or a --mass and
+--omega refused by OscillatorParams), 3 numerical
 precondition failure (peak detection, including a level that shows other
 than n + 1 maxima on its peaks grid, boundary decay, half-period window,
 non-finite sampled values, a non-finite table, which is then not written,
@@ -174,7 +175,7 @@ def _rows_text(columns: list, lead: bytes, cell: bytes, close: bytes) -> np.ndar
 
     Float arrays get repr's bytes from _floattext.cells; bytes arrays ('S') are text.  Each
     row is laid out in a row of one fixed-width matrix, with NUL where no byte is, and the
-    matrix is then compacted 64 KiB at a time, so that its mask stays small.
+    text is the matrix's other bytes.
     """
     from ._floattext import _WIDTH, cells
 
@@ -197,14 +198,7 @@ def _rows_text(columns: list, lead: bytes, cell: bytes, close: bytes) -> np.ndar
             cells(piece, block)
         else:
             block[:] = piece.view(np.uint8).reshape(-1, width)
-    flat = matrix.ravel()
-    text, kept = np.empty(np.count_nonzero(flat), np.uint8), 0
-    for start in range(0, len(flat), 2**16):
-        part = flat[start : start + 2**16]
-        part = part[part != 0]
-        text[kept : kept + len(part)] = part
-        kept += len(part)
-    return text
+    return matrix[matrix != 0]
 
 
 def _write_table(
