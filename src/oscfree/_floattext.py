@@ -20,12 +20,17 @@ import numpy as np
 
 _WIDTH = 29  # bytes of a cell: sign and "0.000" (6), 17 digits and a dot (18), "e-324" (5)
 # values formatted at a time.  Each numpy call costs about 2 us besides its work (2-vCPU Xeon,
-# numpy 2.4): a value took 185 ns at 4096, 235 ns at 2048 and 340 ns at 1024; 8192 ran no
-# faster, with twice the 0.85 MiB of temporaries
+# numpy 2.4): a value took 138 ns at 4096, 182 ns at 2048 and 237 ns at 1024, and 123 ns at
+# 8192 with twice the 0.78 MiB of temporaries
 _BLOCK = 4096
 _K_MIN = -324  # decimal exponents k of the powers of ten 10^-k: -324 .. 292, one per double scale
-_M32 = np.uint64(2**32 - 1)
-_M63 = np.uint64(2**63 - 1)
+# uint64 constants as 0-d arrays, which a ufunc takes with about half the overhead of a scalar
+_K = {
+    v: np.array(v, np.uint64)
+    for v in (1, 2, 3, 8, 10, 16, 19, 32, 48, 52, 56, 63, 64, 100, 103, 5243, 10**4, 10**8,
+              10**16, 2**32 - 1, 2**52 - 1, 2**63 - 1, 0x7F_0000_007F, 0x000F_000F_000F_000F,
+              0x7F7F_7F7F_7F7F_7F7F, 0x8080_8080_8080_8080, 0x3030_3030_3030_3030)
+}
 
 
 @functools.cache
@@ -53,32 +58,37 @@ def _tables():
     return np.array(g1, u), np.array(g0, u), np.array(h0), np.array([10**j for j in range(18)], u)
 
 
-def _product(a, b):
-    """(high, low) 64 bits of the 128-bit products of uint64s a and b < 2^63."""
-    a_lo, a_hi = a & _M32, a >> np.uint64(32)
-    b_lo, b_hi = b & _M32, b >> np.uint64(32)
+def _product(a, b, b_lo, b_hi):
+    """(high, low) 64 bits of the 128-bit products a b of uint64s < 2^63, b_lo and b_hi the
+    32-bit halves of b."""
+    a_lo, a_hi = a & _K[2**32 - 1], a >> _K[32]
     low = a_lo * b_lo
-    low >>= np.uint64(32)
-    mid = a_hi * b_lo
-    cross = mid & _M32
+    low >>= _K[32]
+    high = a_hi * b_lo
+    cross = high & _K[2**32 - 1]
     cross += low
-    del low
-    cross += a_lo * b_hi
-    cross >>= np.uint64(32)
-    mid >>= np.uint64(32)
-    mid += cross
-    del cross
-    mid += a_hi * b_hi
-    return mid, a * b
+    np.multiply(a_lo, b_hi, out=a_lo)
+    cross += a_lo
+    cross >>= _K[32]
+    high >>= _K[32]
+    high += cross
+    np.multiply(a_hi, b_hi, out=a_hi)
+    high += a_hi
+    return high, a * b
 
 
-def _shifted_by(high, low, g, s, sign):
-    """(high, low) plus sign * g 2^s, g < 2^63 and 0 < s < 64, as 128-bit integers."""
-    g_low, g_high = g << s, g >> (np.uint64(64) - s)
+def _shifted_by(high, low, g, s, s_rest, sign):
+    """(high, low) plus sign * g 2^s, g < 2^63, 0 < s < 64 and s_rest = 64 - s, as 128-bit
+    integers."""
+    g_low, g_high = g << s, g >> s_rest
     if sign > 0:
         low = low + g_low
-        return high + g_high + (low < g_low), low
-    return high - g_high - (low < g_low), low - g_low
+        g_high += high
+        g_high += low < g_low
+        return g_high, low
+    borrow = low < g_low
+    g_high += borrow
+    return high - g_high, low - g_low
 
 
 def _rounded_to_odd(y1, y0, x1):
@@ -86,12 +96,14 @@ def _rounded_to_odd(y1, y0, x1):
 
     (y1, y0) = g1 cp and x1 = (g0 cp) >> 64 for g = g1 2^63 + g0, as in Giulietti's rop.
     """
-    z = y0 >> np.uint64(1)
+    z = y0 >> _K[1]
     z += x1
-    vb = y1 + (z >> np.uint64(63))
-    z &= _M63
-    z += _M63
-    vb |= z >> np.uint64(63)
+    vb = z >> _K[63]
+    vb += y1
+    z &= _K[2**63 - 1]
+    z += _K[2**63 - 1]
+    z >>= _K[63]
+    vb |= z
     return vb
 
 
@@ -101,15 +113,17 @@ def _shortest(bits):
     f has at most 17 digits and may end in zeros.
     """
     g1_table, g0_table, h0_table, _ = _tables()
-    bq = bits >> np.uint64(52)
-    c = bits & np.uint64(2**52 - 1)
+    bq = bits >> _K[52]
+    c = bits & _K[2**52 - 1]
     # an interval below a power of two is half as wide as above it (irregular spacing)
     irregular = (c == 0) & (bq > 1)
-    c |= (bq != 0).astype(np.uint64) << np.uint64(52)
-    q = np.maximum(bq, 1).astype(np.int64)
+    c |= (bq != 0).astype(np.uint64) << _K[52]
+    q = np.maximum(bq, _K[1]).astype(np.int64)
     q -= 1075  # c 2^q is the double
     # k = floor(log10(2^q)), or floor(log10(3/4 2^q)) where irregular (Giulietti, section 9)
-    k = (q * 661971961083 - irregular * 274743187321) >> 41
+    k = q * 661971961083
+    k -= irregular * 274743187321
+    k >>= 41
     at = k - _K_MIN
     q += h0_table[at]
     h = q.astype(np.uint64)  # 2 .. 5
@@ -118,54 +132,82 @@ def _shortest(bits):
     del at
     # v and the ends of its rounding interval, 4 c 2^h and that -+ 2 2^h (-1 where irregular),
     # times g 2^-127: in units of 10^k / 4
-    y1, y0 = _product(g1, c << (h + np.uint64(2)))
-    x1, x0 = _product(g0, c << (h + np.uint64(2)))
+    cp = h + _K[2]
+    np.left_shift(c, cp, out=cp)
+    cp_halves = cp & _K[2**32 - 1], cp >> _K[32]
+    y1, y0 = _product(g1, cp, *cp_halves)
+    x1, x0 = _product(g0, cp, *cp_halves)
+    del cp, cp_halves
     vb = _rounded_to_odd(y1, y0, x1)
-    right, left = h + np.uint64(1), h + np.uint64(1) - irregular
-    vbr = _rounded_to_odd(*_shifted_by(y1, y0, g1, right, 1), _shifted_by(x1, x0, g0, right, 1)[0])
-    vbl = _rounded_to_odd(*_shifted_by(y1, y0, g1, left, -1), _shifted_by(x1, x0, g0, left, -1)[0])
-    del y1, y0, x1, x0, g1, g0, h, right, left, irregular
+    right = h + _K[1]
+    vbr = _rounded_to_odd(
+        *_shifted_by(y1, y0, g1, right, _K[64] - right, 1),
+        _shifted_by(x1, x0, g0, right, _K[64] - right, 1)[0],
+    )
+    right -= irregular
+    vbl = _rounded_to_odd(
+        *_shifted_by(y1, y0, g1, right, _K[64] - right, -1),
+        _shifted_by(x1, x0, g0, right, _K[64] - right, -1)[0],
+    )
+    del y1, y0, x1, x0, g1, g0, h, right, irregular
     # an odd significand's interval excludes its ends: they count as in by one unit only
-    odd = c & np.uint64(1)
-    vbl += odd
-    vbr -= odd
-    del c, odd
-    s = vb >> np.uint64(2)
+    c &= _K[1]
+    vbl += c
+    vbr -= c
+    del c
+    s = vb >> _K[2]
     # one digit fewer: at most one of u' = 10 s' and w' = u' + 10 lies in the interval
-    sp10 = s // np.uint64(10) * np.uint64(10)
-    upin = vbl <= sp10 << np.uint64(2)
-    wpin = (sp10 + np.uint64(10)) << np.uint64(2) <= vbr
+    sp10 = s // _K[10]
+    sp10 *= _K[10]
+    upin = vbl <= sp10 << _K[2]
+    wpin = (sp10 + _K[10]) << _K[2] <= vbr
     # else one of s and s + 1 does, or both, and the closer one is taken, ties to even
-    uin = vbl <= s << np.uint64(2)
-    win = (s + np.uint64(1)) << np.uint64(2) <= vbr
-    vb &= np.uint64(3)
-    closer_s = (vb < 2) | ((vb == 2) & ((s & np.uint64(1)) == 0))
-    s += ~np.where(uin != win, uin, closer_s)
-    sp10 += np.uint64(10) * wpin
-    return np.where(upin != wpin, sp10, s), k
+    uin = vbl <= s << _K[2]
+    win = (s + _K[1]) << _K[2] <= vbr
+    del vbl, vbr
+    vb &= _K[3]
+    closer_s = (vb < 2) | ((vb == 2) & ((s & _K[1]) == 0))
+    one = uin ^ win
+    s += ~((one & uin) | (~one & closer_s))
+    sp10 += wpin * _K[10]
+    return np.where(upin ^ wpin, sp10, s), k
 
 
 def _swar8(v):
-    """The 8 decimal digits of each of v < 10^8, one per byte, most significant byte first."""
-    high = v // np.uint64(10**4)
-    v = high | ((v - high * np.uint64(10**4)) << np.uint64(32))  # 4-digit halves
-    high = ((v * np.uint64(5243)) >> np.uint64(19)) & np.uint64(0x7F_0000_007F)  # lane // 100
-    v = high | ((v - high * np.uint64(100)) << np.uint64(16))  # 2-digit quarters
-    high = ((v * np.uint64(103)) >> np.uint64(10)) & np.uint64(0x000F_000F_000F_000F)  # lane // 10
-    return high | ((v - high * np.uint64(10)) << np.uint64(8))
+    """The 8 decimal digits of each of v < 10^8, one per byte, most significant byte first; in
+    place."""
+    high = v // _K[10**4]
+    v -= high * _K[10**4]
+    v <<= _K[32]
+    v |= high  # 4-digit halves
+    np.multiply(v, _K[5243], out=high)
+    high >>= _K[19]
+    high &= _K[0x7F_0000_007F]  # each half // 100
+    v -= high * _K[100]
+    v <<= _K[16]
+    v |= high  # 2-digit quarters
+    np.multiply(v, _K[103], out=high)
+    high >>= _K[10]
+    high &= _K[0x000F_000F_000F_000F]  # each quarter // 10
+    v -= high * _K[10]
+    v <<= _K[8]
+    v |= high
+    return v
 
 
 def _digits_up_to_last_nonzero(v):
     """The byte count of each of v (decimal digits a byte, _swar8) up to its last nonzero one."""
-    v = (v + np.uint64(0x7F7F_7F7F_7F7F_7F7F)) & np.uint64(0x8080_8080_8080_8080)
+    v = v + _K[0x7F7F_7F7F_7F7F_7F7F]
+    v &= _K[0x8080_8080_8080_8080]
     for shift in (8, 16, 32):
-        v |= v >> np.uint64(shift)
+        v |= v >> _K[shift]
     return np.bitwise_count(v)
 
 
 @functools.cache
 def _layouts():
-    """(11, classes) uint64: the masks and constant bytes of a cell, per class of layout.
+    """(11, classes) uint64: the masks and constant bytes of a cell, per class of layout, and
+    the word of each exponent magnitude's digits.
 
     A class is the sign, the form (fixed point with the decimal point at one of 20 places, or
     an exponent of either sign with 2 or 3 digits) and the count of significant digits.  A
@@ -200,7 +242,9 @@ def _layouts():
                     const[24:26] = b"e-" if negative_exponent else b"e+"
                     kd[27 - wide : 29] = b"\xff" * (2 + wide)
                 rows.append(np.frombuffer(bytes(kd + ks[:24] + const), "<u8"))
-    return np.array(rows, dtype=np.uint64).T.copy()
+    # the exponent's digits at bytes 26 .. 28, by its magnitude
+    exponents = [int.from_bytes(b"\0\0" + b"%03d" % e + b"\0\0\0", "little") for e in range(325)]
+    return np.array(rows, dtype=np.uint64).T.copy(), np.array(exponents, np.uint64)
 
 
 def cells(x, out=None) -> np.ndarray:
@@ -221,44 +265,51 @@ def cells(x, out=None) -> np.ndarray:
 def _cell_words(x) -> np.ndarray:
     """(4, len(x)) uint64: the cells of x, 32 bytes each, a word of 8 at a time (little-endian)."""
     pow10 = _tables()[3]
+    layouts, exponents = _layouts()
     bits = np.ascontiguousarray(x).view(np.uint64)
-    negative = bits >> np.uint64(63)
-    bits = bits & _M63
+    negative = (bits >> _K[63]).astype(np.int64)
+    bits = bits & _K[2**63 - 1]
     zero = bits == 0
-    f, k = _shortest(np.where(zero, np.uint64(1), bits))
+    bits |= zero  # 0.0 is formatted apart, below
+    f, k = _shortest(bits)
     length = np.searchsorted(pow10, f, side="right")  # f has that many digits
     # the 17 digits of f, left-aligned; 0.0 is the digit 0 with the point after it
-    f = np.where(zero, np.uint64(0), f * pow10[17 - length])
-    point = np.where(zero, 1, k + length)  # repr's decpt: the value is 0.ddd 10^point
-    first = f // np.uint64(10**16)
-    f -= first * np.uint64(10**16)
-    high = f // np.uint64(10**8)
-    rest = _swar8(np.stack([high, f - high * np.uint64(10**8)]))
+    f *= pow10[17 - length]
+    f *= ~zero
+    k += length
+    point = np.where(zero, 1, k)  # repr's decpt: the value is 0.ddd 10^point
+    del k, length, zero
+    first = f // _K[10**16]
+    f -= first * _K[10**16]
+    rest = np.empty((2, len(f)), np.uint64)
+    np.floor_divide(f, _K[10**8], out=rest[0])
+    np.subtract(f, rest[0] * _K[10**8], out=rest[1])
+    del f
+    _swar8(rest)
     counts = _digits_up_to_last_nonzero(rest)
-    used = np.where(counts[1] > 0, 9 + counts[1], np.where(counts[0] > 0, 1 + counts[0], 1))
-    rest |= np.uint64(0x3030_3030_3030_3030)
+    used = np.maximum(counts[0], (counts[1] + 8) * (counts[1] > 0))  # the digits but the first
+    rest |= _K[0x3030_3030_3030_3030]
     e = point - 1
-    magnitude = np.abs(e).astype(np.uint64)
+    magnitude = np.abs(e)
     position = np.where(
         (point < -3) | (point > 16), 20 + 2 * (e < 0) + (magnitude >= 100), point + 3
     )
-    code = (negative.astype(np.int64) * 24 + position) * 17 + used - 1
-    del negative, position, used, e, point
-    hundreds = magnitude // np.uint64(100)
-    tens = magnitude // np.uint64(10)
+    code = negative * 24
+    code += position
+    code *= 17
+    code += used
+    del negative, position, used, e, point, counts
     d = np.empty((4, len(bits)), np.uint64)
-    d[0] = ((first | np.uint64(0x30)) << np.uint64(48)) | (rest[0] << np.uint64(56))
-    d[1] = (rest[0] >> np.uint64(8)) | (rest[1] << np.uint64(56))
-    d[2] = rest[1] >> np.uint64(8)
-    d[3] = (
-        (hundreds << np.uint64(16))
-        | ((tens - hundreds * np.uint64(10)) << np.uint64(24))
-        | ((magnitude - tens * np.uint64(10)) << np.uint64(32))
-        | np.uint64(0x30_3030_0000)
-    )
-    shifted = d[:3] << np.uint64(8)
-    shifted[1:] |= d[:2] >> np.uint64(56)
-    layouts = _layouts()
+    np.bitwise_or(first, _K[0x30], out=d[0])
+    d[0] <<= _K[48]
+    d[0] |= rest[0] << _K[56]
+    np.right_shift(rest[0], _K[8], out=d[1])
+    d[1] |= rest[1] << _K[56]
+    np.right_shift(rest[1], _K[8], out=d[2])
+    exponents.take(magnitude, out=d[3])
+    del first, rest, magnitude
+    shifted = d[:3] << _K[8]
+    shifted[1:] |= d[:2] >> _K[56]
     for j in range(4):
         d[j] &= layouts[j].take(code)
         if j < 3:

@@ -169,9 +169,9 @@ def _text_cells(column) -> np.ndarray:
     return np.array(column if isinstance(column, list) else list(map(repr, column.tolist())), "S")
 
 
-def _rows_text(columns: list, lead: bytes, cell: bytes, close: bytes) -> np.ndarray:
-    """The text of rows given as columns, as uint8: each row is lead, its cells joined by cell,
-    then close.
+def _rows_text(columns: list, lead: bytes, cell: bytes, close: bytes) -> bytes:
+    """The text of rows given as columns: each row is lead, its cells joined by cell, then
+    close.
 
     Float arrays get repr's bytes from _floattext.cells; bytes arrays ('S') are text.  Each
     row is laid out in a row of one fixed-width matrix, with NUL where no byte is, and the
@@ -187,7 +187,7 @@ def _rows_text(columns: list, lead: bytes, cell: bytes, close: bytes) -> np.ndar
         len(p) if isinstance(p, bytes) else _WIDTH if p.dtype.kind == "f" else p.itemsize
         for p in pieces
     ]
-    matrix = np.zeros((len(columns[0]), sum(widths)), np.uint8)
+    matrix = np.empty((len(columns[0]), sum(widths)), np.uint8)
     at = 0
     for piece, width in zip(pieces, widths):
         block = matrix[:, at : at + width]
@@ -198,7 +198,7 @@ def _rows_text(columns: list, lead: bytes, cell: bytes, close: bytes) -> np.ndar
             cells(piece, block)
         else:
             block[:] = piece.view(np.uint8).reshape(-1, width)
-    return matrix[matrix != 0]
+    return matrix.tobytes().translate(None, b"\0")
 
 
 def _write_table(
