@@ -167,8 +167,9 @@ def _shortest(bits):
     del vbl, vbr
     vb &= _K[3]
     closer_s = (vb < 2) | ((vb == 2) & ((s & _K[1]) == 0))
-    one = uin ^ win
-    s += ~((one & uin) | (~one & closer_s))
+    only_one = uin ^ win
+    take_s = (only_one & uin) | (~only_one & closer_s)
+    s += ~take_s
     sp10 += wpin * _K[10]
     return np.where(upin ^ wpin, sp10, s), k
 
@@ -206,8 +207,8 @@ def _digits_up_to_last_nonzero(v):
 
 @functools.cache
 def _layouts():
-    """(11, classes) uint64: the masks and constant bytes of a cell, per class of layout, and
-    the word of each exponent magnitude's digits.
+    """((11, classes), (325,)) uint64: a cell's masks and constant bytes per class of layout,
+    and the word of each exponent magnitude's digits.
 
     A class is the sign, the form (fixed point with the decimal point at one of 20 places, or
     an exponent of either sign with 2 or 3 digits) and the count of significant digits.  A
@@ -287,7 +288,8 @@ def _cell_words(x) -> np.ndarray:
     del f
     _swar8(rest)
     counts = _digits_up_to_last_nonzero(rest)
-    used = np.maximum(counts[0], (counts[1] + 8) * (counts[1] > 0))  # the digits but the first
+    # significant digits less the first: up to the last nonzero of the 8 + 8 after it
+    used = np.maximum(counts[0], (counts[1] + 8) * (counts[1] > 0))
     rest |= _K[0x3030_3030_3030_3030]
     e = point - 1
     magnitude = np.abs(e)

@@ -285,7 +285,7 @@ def _write_field_table(args: argparse.Namespace, lift, taus, names) -> None:
             b = min(a + _BLOCK_ROWS, len(values))
             at = np.unravel_index(np.arange(a, b), shape)
             words = [t[i] for t, i in zip(text, (at[0] + start, *at[1:]))]
-            # copies, so no chunk in flight keeps a slab alive while the next is lifted
+            # copies, so rows held for a chunk past the slab's end keep no slab alive
             r, i = re[a:b].copy(), im[a:b].copy()
             yield [np.full(b - a, tau_text), *words, r, i, r * r + i * i]
 
