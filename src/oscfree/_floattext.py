@@ -323,9 +323,6 @@ def _cell_words(x) -> np.ndarray:
 
 def texts(x) -> np.ndarray:
     """repr's text of each of x, as a bytes array ('S', as wide as the longest)."""
-    matrix = cells(x)
-    for start in range(0, len(matrix), _BLOCK):  # each text moved to the start of its row
-        block = matrix[start : start + _BLOCK]
-        block[:] = np.take_along_axis(block, np.argsort(block == 0, axis=1, kind="stable"), 1)
-    width = max(1, np.count_nonzero(matrix, axis=1).max(initial=0))
-    return np.ascontiguousarray(matrix[:, :width]).view(f"S{width}").ravel()
+    matrix = np.full((len(x), _WIDTH + 1), ord("\n"), np.uint8)
+    cells(x, matrix[:, :_WIDTH])  # each text, then the newline it is split at
+    return np.array(matrix.tobytes().translate(None, b"\0").split(b"\n")[:-1], "S")

@@ -6,7 +6,8 @@ verification reports, as CSV or JSON artifacts for external plotting.
 
 Exit codes: 0 ok, 2 usage error (a malformed or non-finite flag value,
 named in the message, a grid, range or table over the 2**24-point or
-2**24-row budget, a 1D --n over oscillator.MAX_LEVEL_1D, or a --mass and
+2**24-row budget, a 1D --n over oscillator.MAX_LEVEL_1D, a 2D level
+2 --n-radial + |--l| over oscillator.MAX_LEVEL_2D, or a --mass and
 --omega refused by OscillatorParams), 3 numerical
 precondition failure (peak detection, including a level that shows other
 than n + 1 maxima on its peaks grid, boundary decay, half-period window,
@@ -155,18 +156,8 @@ def _replacing(path: str):
 def _check_finite(command: str, header: list[str], block: list) -> None:
     """Raise NonFiniteError naming the first float array column of block with a non-finite cell."""
     for name, c in zip(header, block):
-        if isinstance(c, np.ndarray) and c.dtype.kind == "f" and not np.isfinite(c).all():
+        if c.dtype.kind == "f" and not np.isfinite(c).all():
             raise NonFiniteError(f"{command}: column {name!r} has non-finite values; no table written")
-
-
-def _text_cells(column) -> np.ndarray:
-    """A float array as it is, and any other column as a bytes array ('S') of its cells.
-
-    An array's cells are repr'd one by one, and a list holds its cells as str.
-    """
-    if isinstance(column, np.ndarray) and column.dtype.kind in "fS":
-        return column
-    return np.array(column if isinstance(column, list) else list(map(repr, column.tolist())), "S")
 
 
 def _rows_text(columns: list, lead: bytes, cell: bytes, close: bytes) -> bytes:
@@ -181,7 +172,7 @@ def _rows_text(columns: list, lead: bytes, cell: bytes, close: bytes) -> bytes:
 
     pieces = [lead]
     for column in columns:
-        pieces += [_text_cells(column), cell]
+        pieces += [column, cell]
     pieces[-1] = close
     widths = [
         len(p) if isinstance(p, bytes) else _WIDTH if p.dtype.kind == "f" else p.itemsize
@@ -206,13 +197,12 @@ def _write_table(
 ) -> None:
     """Write a table given as an iterable of blocks of rows, one column per header name.
 
-    A column is a 1-D array, whose cells are formatted here, or a list of cells already
-    formatted as str (or a bytes array of them).  Blocks are taken one at a time: each
-    block's float array columns are checked before any of its rows are written, and a
-    non-finite one ends the write with path untouched (see _replacing).  Rows are formatted
-    and written _BLOCK_ROWS at a time, across block ends (_rows_text).  Float cells get
-    repr's bytes from the vectorized formatter (_floattext), and other cells repr itself,
-    so csv.writer and json would write the same cells, and only the framing differs.
+    A column is a 1-D float array, whose cells are formatted here, or a bytes array ('S') of
+    cells already formatted as text.  Blocks are taken one at a time: each block's float
+    columns are checked before any of its rows are written, and a non-finite one ends the
+    write with path untouched (see _replacing).  Rows are formatted and written _BLOCK_ROWS
+    at a time, across block ends (_rows_text).  Float cells get repr's bytes from the
+    vectorized formatter (_floattext), so csv.writer and json would write the same cells.
     """
     meta = json.dumps({"schema_version": SCHEMA_VERSION, "command": command, "columns": header})
     # head, each row's lead, cell separator and close, the bytes of the first lead not written,
@@ -223,9 +213,7 @@ def _write_table(
     }[fmt]
 
     def joined(parts: list) -> list:
-        if len(parts) == 1:
-            return parts[0]
-        return [np.concatenate([_text_cells(p[k]) for p in parts]) for k in range(len(header))]
+        return parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
 
     def chunks():  # the checked blocks' rows, _BLOCK_ROWS at a time
         parts, rows = [], 0
@@ -312,10 +300,13 @@ def _run_gen2d(args: argparse.Namespace, params: OscillatorParams) -> int:
 
 
 def _run_peaks(args: argparse.Namespace, params: OscillatorParams) -> int:
+    QuantumNumbers1D(args.n)  # a level out of range is named before the row budget
+    _check_rows(len(args.tau), args.n + 1, "peaks")
     blocks = []
     for rec in _lifted_peaks(params, args.n, args.tau, args.count):
         measured = map(np.array, (rec.positions, rec.heights, rec.widths))
-        blocks.append([np.full(len(rec.widths), rec.tau), np.arange(len(rec.widths)), *measured])
+        index = np.arange(len(rec.widths)).astype("S")
+        blocks.append([np.full(len(rec.widths), rec.tau), index, *measured])
     header = ["tau", "peak_index", "position", "height", "fwhm"]
     _write_table(args.out, header, blocks, args.format, "peaks")
     return EXIT_OK
@@ -328,11 +319,14 @@ def _run_envelope(args: argparse.Namespace, params: OscillatorParams) -> int:
         fam = TrajectoryFamily.from_level(params, args.energy_from_n)
     taus = np.array(args.tau)
     if args.alpha:
+        from ._floattext import texts
+
         _check_rows(taus.size, len(args.alpha), "alphas")
         header = ["tau", "alpha", "y"]
-        text = list(map(repr, args.tau))
+        tau_text = texts(taus)
         blocks = (
-            [text, [repr(a)] * taus.size, free_trajectory(fam, a, taus)] for a in args.alpha
+            [tau_text, np.full(taus.size, a_text), free_trajectory(fam, a, taus)]
+            for a, a_text in zip(args.alpha, texts(args.alpha))
         )
     else:
         header = ["tau", "y_plus", "y_minus"]

@@ -67,9 +67,15 @@ class QuantumNumbers1D:
             raise ValueError(f"n must be at most {MAX_LEVEL_1D}, got {self.n}")
 
 
+# largest 2D level 2 n_radial + |l|: kummer_truncated and the angular power take O(n_radial) and
+# O(|l|) numpy calls; one tau of gen2d on 101^2 points took 0.42 s at n_radial 5000 and 0.73 s
+# at |l| 10^4 (2-vCPU Xeon)
+MAX_LEVEL_2D = 10_000
+
+
 @dataclass(frozen=True)
 class QuantumNumbers2D:
-    """Radial quantum number and (signed) angular momentum of a 2D level."""
+    """Radial quantum number and signed angular momentum of a 2D level, 2 n_radial + |l| capped."""
 
     n_radial: int
     l: int
@@ -77,6 +83,9 @@ class QuantumNumbers2D:
     def __post_init__(self) -> None:
         if self.n_radial < 0:
             raise ValueError(f"n_radial must be nonnegative, got {self.n_radial}")
+        level = 2 * self.n_radial + abs(self.l)
+        if level > MAX_LEVEL_2D:
+            raise ValueError(f"2 n_radial + |l| must be at most {MAX_LEVEL_2D}, got {level}")
 
 
 def energy_1d(params: OscillatorParams, qn: QuantumNumbers1D) -> float:

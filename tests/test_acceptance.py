@@ -297,11 +297,8 @@ def test_c12_lifted_2d_residual():
 
 
 def test_c13_cli_determinism(tmp_path):
-    gen_args = [
-        "gen1d", "--n", "2", "--omega", "1", "--mass", "1",
-        "--tau", "0,1,2", "--grid", "-20:20:201", "--format", "csv",
-    ]
-    env_args = ["envelope", "--energy-from-n", "2", "--tau", "-5:5:101"]
+    manifest = json.loads((GOLDEN_DIR / "manifest.json").read_text())
+    gen_args, env_args = (manifest[name]["argv"] for name in ("gen1d_n2.csv", "envelope_n2.csv"))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(gen_args + ["--out", str(a)]) == 0
     assert main(gen_args + ["--out", str(b)]) == 0

@@ -12,6 +12,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -26,37 +27,15 @@ from oscfree import (
     transform,
 )
 from oscfree.cli import _BLOCK_ROWS, _write_table, main
-from oscfree.oscillator import MAX_LEVEL_1D
+from oscfree.oscillator import MAX_LEVEL_1D, MAX_LEVEL_2D
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-GEN1D_GOLDEN_ARGS = [
-    "gen1d", "--n", "2", "--omega", "1", "--mass", "1",
-    "--tau", "0,1,2", "--grid", "-20:20:201", "--format", "csv",
-]
-ENVELOPE_GOLDEN_ARGS = ["envelope", "--energy-from-n", "2", "--tau", "-5:5:101"]
-GEN2D_GOLDEN_ARGS = [
-    "gen2d", "--l", "-2", "--n-radial", "1", "--mass", "1.3", "--omega", "0.7",
-    "--tau", "0,1.5", "--grid", "-8:8:15,-6:6:11",
-]
-PEAKS_GOLDEN_ARGS = ["peaks", "--n", "5", "--tau", "0,0.7,2", "--count", "4001"]
-# 200001 nodes span 7 slabs of analysis._slabs (2^15 points), the last one ragged
-PEAKS_SLABS_GOLDEN_ARGS = [
-    "peaks", "--n", "40", "--tau", "0,1.3", "--count", "200001", "--format", "json",
-]
-# the largest level and grid of perfbench's peaks-highn workload, 13 slabs a tau
-PEAKS_HIGH_N_GOLDEN_ARGS = [
-    "peaks", "--n", "120", "--tau", "0,0.25,1.73", "--count", "400001", "--format", "json",
-]
-PROPAGATE_GOLDEN_ARGS = [
-    "propagate", "--n", "2", "--mass", "1.3", "--omega", "0.7", "--to-tau", "0.9",
-    "--grid", "-20:20:1001",
-]
-# the finest grid, 401^2, spans five residual slabs of 81 rows, the last one ragged
-VERIFY_GOLDEN_ARGS = [
-    "verify", "--suite", "free-residual-2d", "--l", "-2", "--n-radial", "1", "--mass", "1.3",
-    "--omega", "0.7", "--tau", "0.6", "--refinements", "3",
-]
+# {golden file: the argv, less --out, that writes it}: every golden comparison reads this
+GOLDEN = {
+    name: entry["argv"]
+    for name, entry in json.loads((GOLDEN_DIR / "manifest.json").read_text()).items()
+}
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -102,16 +81,11 @@ class TestGen1D:
         assert payload["columns"] == ["tau", "y", "re", "im", "density"]
         assert len(payload["rows"]) == 11
 
-    def test_matches_golden(self, tmp_path):
-        out = tmp_path / "gen1d.csv"
-        assert main(GEN1D_GOLDEN_ARGS + ["--out", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN_DIR / "gen1d_n2.csv").read_bytes()
-
 
 class TestEnvelope:
     def test_turning_points_at_tau_zero(self, tmp_path):
         out = tmp_path / "envelope.csv"
-        assert main(ENVELOPE_GOLDEN_ARGS + ["--out", str(out)]) == 0
+        assert main(GOLDEN["envelope_n2.csv"] + ["--out", str(out)]) == 0
         header, rows = read_csv(out)
         assert header == ["tau", "y_plus", "y_minus"]
         assert len(rows) == 101
@@ -119,11 +93,6 @@ class TestEnvelope:
         assert float(center[0]) == 0.0
         assert float(center[1]) == pytest.approx(math.sqrt(5.0), abs=1e-15)
         assert float(center[2]) == pytest.approx(-math.sqrt(5.0), abs=1e-15)
-
-    def test_matches_golden(self, tmp_path):
-        out = tmp_path / "envelope.csv"
-        assert main(ENVELOPE_GOLDEN_ARGS + ["--out", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN_DIR / "envelope_n2.csv").read_bytes()
 
     def test_trajectory_mode(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -176,26 +145,6 @@ class TestPeaks:
             assert index == [0, 1, 2, 0, 1, 2]
             assert all(type(k) is int for k in index)
 
-    def test_matches_golden(self, tmp_path):
-        out = tmp_path / "peaks.csv"
-        assert main(PEAKS_GOLDEN_ARGS + ["--out", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN_DIR / "peaks_n5.csv").read_bytes()
-
-    def test_matches_golden_json(self, tmp_path):
-        out = tmp_path / "peaks.json"
-        assert main(PEAKS_GOLDEN_ARGS + ["--format", "json", "--out", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN_DIR / "peaks_n5.json").read_bytes()
-
-    def test_matches_multi_slab_golden(self, tmp_path):
-        out = tmp_path / "peaks.json"
-        assert main(PEAKS_SLABS_GOLDEN_ARGS + ["--out", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN_DIR / "peaks_n40_200001.json").read_bytes()
-
-    def test_matches_high_n_golden(self, tmp_path):
-        out = tmp_path / "peaks.json"
-        assert main(PEAKS_HIGH_N_GOLDEN_ARGS + ["--out", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN_DIR / "peaks_n120_400001.json").read_bytes()
-
     # grids too coarse to resolve every maximum of the level
     @pytest.mark.parametrize(
         "args, found",
@@ -215,9 +164,9 @@ class TestPeaks:
     # scan raises as it always has
     @pytest.mark.parametrize(
         "args, code, error, scanned",
-        [(PEAKS_GOLDEN_ARGS, 0, None, False),
-         (PEAKS_SLABS_GOLDEN_ARGS, 0, None, False),
-         (PEAKS_HIGH_N_GOLDEN_ARGS, 0, None, False),
+        [(GOLDEN["peaks_n5.csv"], 0, None, False),
+         (GOLDEN["peaks_n40_200001.json"], 0, None, False),
+         (GOLDEN["peaks_n120_400001.json"], 0, None, False),
          (["peaks", "--n", "6", "--tau", "0,1", "--count", "41"], 3, "PeakDetectionError", True),
          (["peaks", "--n", "2", "--tau", "0", "--count", "3"], 3, "PeakDetectionError", True),
          (["peaks", "--n", "250", "--tau", "0"], 0, None, False)],
@@ -247,6 +196,18 @@ class TestPeaks:
         assert f"n must be at most {MAX_LEVEL_1D}, got 1000000" in captured.err
         assert not out.exists()
 
+    # the table's len(tau) x (n + 1) rows are checked against the budget before any peak is
+    # sought; at the level here, seeking them ran past 10 s
+    def test_rows_over_the_budget_exit_2_before_any_peak(self, tmp_path, monkeypatch, capsys):
+        lifted = mock.Mock(side_effect=AssertionError("the peaks were sought"))
+        monkeypatch.setattr(cli, "_lifted_peaks", lifted)
+        out = tmp_path / "p.csv"
+        assert main(["peaks", "--n", "5000", "--tau", "0:1:4000", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "need at most 16777216 table rows, got 4000 taus x 5001 peaks" in captured.err
+        assert not out.exists()
+
     # the nodes around the exact maxima are gathered (Grid1D.nodes_at), not taken from a
     # linspace of the whole grid at every tau
     def test_windowed_peaks_never_build_the_grid(self, tmp_path, monkeypatch):
@@ -256,7 +217,7 @@ class TestPeaks:
         monkeypatch.setattr(analysis.Grid1D, "nodes", property(nodes))
         monkeypatch.setattr(analysis, "_scanned_peaks", mock.Mock(side_effect=AssertionError))
         out = tmp_path / "peaks.json"
-        assert main(PEAKS_HIGH_N_GOLDEN_ARGS + ["--out", str(out)]) == 0
+        assert main(GOLDEN["peaks_n120_400001.json"] + ["--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / "peaks_n120_400001.json").read_bytes()
 
     # the full scan overflows in the far tails from about n = 170; the peaks themselves,
@@ -299,16 +260,6 @@ class TestGen2D:
         assert code == 0
         _, rows = read_csv(out)
         assert len(rows) == 21 * 31
-
-    def test_matches_golden(self, tmp_path):
-        out = tmp_path / "field2.csv"
-        assert main(GEN2D_GOLDEN_ARGS + ["--out", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN_DIR / "gen2d_l-2_nr1.csv").read_bytes()
-
-    def test_matches_golden_json(self, tmp_path):
-        out = tmp_path / "field2.json"
-        assert main(GEN2D_GOLDEN_ARGS + ["--format", "json", "--out", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN_DIR / "gen2d_l-2_nr1.json").read_bytes()
 
     def test_radial_excitation_matches_closed_form(self, tmp_path):
         out = tmp_path / "field2.csv"
@@ -385,17 +336,6 @@ class TestVerify:
         assert error["type"] == "NonFiniteError"
         assert "residual underflowed to zero" in error["message"]
         assert list(tmp_path.iterdir()) == []
-
-    def test_matches_golden(self, tmp_path, capsys):
-        out = tmp_path / "verify.json"
-        assert main(VERIFY_GOLDEN_ARGS + ["--out", str(out)]) == 0
-        golden = (GOLDEN_DIR / "verify_2d_l-2_nr1.json").read_bytes()
-        assert out.read_bytes() == golden
-        assert capsys.readouterr().out.encode() == golden
-
-    @pytest.mark.parametrize("slab_workers", [1, 2, 3], indirect=True)
-    def test_matches_golden_at_any_worker_count(self, tmp_path, capsys, slab_workers):
-        self.test_matches_golden(tmp_path, capsys)
 
 
 def _assert_exit_3_writes_nothing(tmp_path: Path, capsys, args) -> str:
@@ -571,6 +511,28 @@ class TestErrorPaths:
         assert "16777216" in capsys.readouterr().err
         assert not out.exists()
 
+    # kummer_truncated and the angular power take O(n_radial) and O(|l|) numpy calls, so a 2D
+    # level past MAX_LEVEL_2D is refused before anything is evaluated
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gen2d", "--n-radial", "100000000", "--l", "0", "--tau", "0", "--grid", "-1:1:3"],
+            ["gen2d", "--l", "100000000", "--tau", "0", "--grid", "-0.5:0.5:3"],
+            ["verify", "--suite", "free-residual-2d", "--n-radial", "5001", "--l", "0"],
+            ["verify", "--suite", "free-residual-2d", "--l", "-10001"],
+        ],
+        ids=["gen2d-n-radial", "gen2d-l", "verify-n-radial", "verify-l"],
+    )
+    def test_2d_level_over_the_cap_exits_2(self, tmp_path, monkeypatch, capsys, args):
+        lift = mock.Mock(side_effect=AssertionError("a 2D level over the cap was evaluated"))
+        monkeypatch.setattr(cli, "lifted_eigenstate_2d", lift)
+        out = tmp_path / "x.out"
+        assert main(args + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"2 n_radial + |l| must be at most {MAX_LEVEL_2D}, got" in captured.err
+        assert not out.exists()
+
     # omega**2 and m omega^2 underflow to 0, so the classical amplitude would divide by zero
     @pytest.mark.parametrize(
         "args",
@@ -692,11 +654,6 @@ class TestPropagate:
         assert header == ["tau", "y", "re", "im", "density"]
         assert len(rows) == 801
 
-    def test_matches_golden(self, tmp_path):
-        out = tmp_path / "propagate.csv"
-        assert main(PROPAGATE_GOLDEN_ARGS + ["--out", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN_DIR / "propagate_n2.csv").read_bytes()
-
     def test_phase_overflow_exits_3(self, tmp_path, capsys):
         # k^2 tau overflows in the phase: the command's errstate must hold there
         out = tmp_path / "prop.csv"
@@ -815,10 +772,12 @@ def _per_row_reference(directory: Path, header, columns, fmt: str, command="test
 
 def _blocks(columns, cuts=(), text=()):
     """The columns as a generator of blocks of rows, cut before each of the sorted row
-    indices in cuts; the columns indexed in text are handed over as lists of repr cells."""
+    indices in cuts.  Int columns, and the columns indexed in text, are handed over as bytes
+    arrays ('S') of their repr cells, the writer's one other column type."""
     bounds = [0, *cuts, len(columns[0])]
     for a, b in zip(bounds, bounds[1:]):
-        yield [list(map(repr, c[a:b].tolist())) if k in text else c[a:b]
+        yield [np.array(list(map(repr, c[a:b].tolist())), "S")
+               if k in text or c.dtype.kind == "i" else c[a:b]
                for k, c in enumerate(columns)]
 
 
@@ -876,7 +835,7 @@ def test_column_writer_blocks_straddle_chunks(tmp_path):
     rows = 5 * _BLOCK_ROWS + 9
     rng = np.random.default_rng(7)
     columns = [rng.uniform(-4, 4, rows), np.arange(rows) - rows // 2, rng.standard_normal(rows)]
-    for text in ((), (0, 1)):  # all arrays, then the first two columns as repr cells
+    for text in ((), (0,)):  # the float columns as arrays, then the first one as repr cells
         _assert_writer_matches_reference(tmp_path, columns, STRADDLING_CUTS, text)
 
 
@@ -1071,6 +1030,30 @@ def test_table_text_gives_the_one_writer_bytes(tmp_path, monkeypatch, capsys, ca
     assert one[0] == 0
 
 
+# tables of many writer chunks at default slabs: a 301^2 gen2d and a 20001-node gen1d, one
+# tau whose last slab is ragged (a chunk spans the end of one slab and a part of the next),
+# and levels whose Hermite factor passes the largest float (the scaled recurrence)
+POOL_CASES = {
+    "big-csv": ["gen2d", "--l", "1", "--tau", "0,0.5", "--grid", "-12:12:301"],
+    "big-json": ["gen1d", "--n", "3", "--tau", "0:2:4", "--grid", "-20:20:20001",
+                 "--format", "json"],
+    "ragged": ["gen1d", "--n", "3", "--tau", "0.5", "--grid", "-20:20:100001"],
+    "n300": ["gen1d", "--n", "300", "--tau", "0", "--grid", "-40:40:2001"],
+    "p250": ["peaks", "--n", "250", "--tau", "0", "--count", "20001"],
+}
+
+
+@pytest.mark.parametrize("case", POOL_CASES)
+def test_table_text_on_one_worker_gives_the_default_pool_bytes(tmp_path, capsys, case):
+    """A 1-worker pool, as under taskset -c 0, where a queued slab or chunk waits behind a
+    running one, gives the default pool's bytes."""
+    default = _main_outcome(POOL_CASES[case], tmp_path / "default", capsys)
+    with ThreadPoolExecutor(1) as pool:
+        with mock.patch.object(analysis, "_slab_pool", lambda: (pool, 1)):
+            assert _main_outcome(POOL_CASES[case], tmp_path / "one", capsys) == default
+    assert default[0] == 0
+
+
 def test_table_text_gives_the_first_error_in_row_order(
     tmp_path, monkeypatch, capsys, small_slabs
 ):
@@ -1164,13 +1147,13 @@ def test_hermite_sees_at_most_one_slab(tmp_path, monkeypatch, capsys):
         return hermite_scaled(n, x)
 
     monkeypatch.setattr(transform, "hermite_scaled", recording)
-    peaks = ["peaks", "--n", "40", "--tau", "0,1.3", "--count", "200001"]
-    assert main(peaks + ["--out", str(tmp_path / "p.csv")]) == 0
+    peaks = GOLDEN["peaks_n40_200001.json"] + ["--out", str(tmp_path / "p.json")]
+    assert main(peaks) == 0
     assert sizes == [7 * 3 * 41] * 2
     sizes.clear()
     with monkeypatch.context() as scan_only:
         scan_only.setattr(analysis, "_windowed_peaks", lambda *args: None)
-        assert main(peaks + ["--out", str(tmp_path / "p.csv")]) == 0
+        assert main(peaks) == 0
     assert max(sizes) == analysis._SLAB and sum(sizes) == 2 * 200001
     sizes.clear()
     assert main(["verify", "--suite", "free-residual", "--refinements", "5"]) == 0
@@ -1365,9 +1348,32 @@ DISPATCH_LEVELS = {
 }
 
 
-def assert_golden_bytes_at_level(tmp_path, level, runs):
-    """Run each golden invocation of runs ({golden file: argv}) in one child at the dispatch
-    level, and compare its output with the golden file; skip a level numpy or the host lacks."""
+@pytest.mark.parametrize("name", GOLDEN)
+def test_matches_golden(tmp_path, capsys, name):
+    """The golden file's argv writes its bytes (and prints them, for a verify report), and
+    leaves no temporary file beside --out (_replacing)."""
+    out = tmp_path / name
+    assert main(GOLDEN[name] + ["--out", str(out)]) == 0
+    golden = (GOLDEN_DIR / name).read_bytes()
+    assert out.read_bytes() == golden
+    if GOLDEN[name][0] == "verify":
+        assert capsys.readouterr().out.encode() == golden
+    assert os.listdir(tmp_path) == [name]
+
+
+@pytest.mark.parametrize("slab_workers", [1, 2, 3], indirect=True)
+@pytest.mark.parametrize("name", GOLDEN)
+def test_matches_golden_at_any_worker_count(tmp_path, capsys, name, slab_workers):
+    test_matches_golden(tmp_path, capsys, name)
+
+
+# the 2D lift and the spectral oracle write their complex products in real arithmetic, which
+# rounds the same in every numpy loop, and the float formatter is integer arithmetic, so
+# every golden keeps its bytes at every level
+@pytest.mark.parametrize("level", DISPATCH_LEVELS)
+def test_golden_bytes_at_every_dispatch_level(tmp_path, level):
+    """Run every golden argv in one child at the dispatch level, and compare its output with
+    the golden file; skip a level numpy or the host lacks."""
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
     disabled = DISPATCH_LEVELS[level]
@@ -1375,7 +1381,7 @@ def assert_golden_bytes_at_level(tmp_path, level, runs):
         pytest.skip(f"numpy cannot turn off {disabled} at run time")
     if level == "v3" and not __cpu_features__["X86_V3"]:
         pytest.skip("the host has no x86-64-v3")
-    argvs = [args + ["--out", str(tmp_path / name)] for name, args in runs.items()]
+    argvs = [args + ["--out", str(tmp_path / name)] for name, args in GOLDEN.items()]
     child = (
         "import json, sys\n"
         "from numpy._core._multiarray_umath import __cpu_features__\n"
@@ -1393,36 +1399,9 @@ def assert_golden_bytes_at_level(tmp_path, level, runs):
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    for name in runs:
+    assert sorted(os.listdir(tmp_path)) == sorted(GOLDEN)
+    for name in GOLDEN:
         assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
-
-
-@pytest.mark.parametrize("level", DISPATCH_LEVELS)
-def test_2d_golden_bytes_at_every_dispatch_level(tmp_path, level):
-    # the 2D lift writes its complex products in real arithmetic, which rounds the same in
-    # every numpy loop, so its golden tables and report keep their bytes at every level
-    assert_golden_bytes_at_level(tmp_path, level, {
-        "gen2d_l-2_nr1.csv": GEN2D_GOLDEN_ARGS,
-        "gen2d_l-2_nr1.json": GEN2D_GOLDEN_ARGS + ["--format", "json"],
-        "verify_2d_l-2_nr1.json": VERIFY_GOLDEN_ARGS,
-    })
-
-
-@pytest.mark.parametrize("level", DISPATCH_LEVELS)
-def test_propagate_golden_bytes_at_every_dispatch_level(tmp_path, level):
-    # the spectral oracle's spectrum * phase product is real arithmetic too
-    assert_golden_bytes_at_level(tmp_path, level, {"propagate_n2.csv": PROPAGATE_GOLDEN_ARGS})
-
-
-@pytest.mark.parametrize("level", DISPATCH_LEVELS)
-def test_table_text_golden_bytes_at_every_dispatch_level(tmp_path, level):
-    # the float formatter is integer arithmetic, so the table text is the same at every level
-    assert_golden_bytes_at_level(tmp_path, level, {
-        "gen1d_n2.csv": GEN1D_GOLDEN_ARGS,
-        "envelope_n2.csv": ENVELOPE_GOLDEN_ARGS,
-        "peaks_n5.csv": PEAKS_GOLDEN_ARGS,
-        "peaks_n5.json": PEAKS_GOLDEN_ARGS + ["--format", "json"],
-    })
 
 
 def _after_import(probe: str) -> str:

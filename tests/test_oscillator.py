@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -28,7 +29,7 @@ from oscfree.analysis import (
     residual_study,
     sample_field,
 )
-from oscfree.oscillator import MAX_LEVEL_1D
+from oscfree.oscillator import MAX_LEVEL_1D, MAX_LEVEL_2D
 
 PI_QUARTER = math.pi ** -0.25  # |psi_0(0)|
 PI_HALF = math.pi ** -0.5  # rho_0(0)
@@ -76,6 +77,15 @@ class TestDomainTypes:
         assert QuantumNumbers1D(MAX_LEVEL_1D).n == MAX_LEVEL_1D
         with pytest.raises(ValueError, match=f"n must be at most {MAX_LEVEL_1D}, got"):
             QuantumNumbers1D(MAX_LEVEL_1D + 1)
+
+    def test_2d_level_cap(self):
+        for n_radial, l in [(MAX_LEVEL_2D // 2, 0), (0, -MAX_LEVEL_2D), (2500, 5000)]:
+            assert QuantumNumbers2D(n_radial, l).l == l
+        cap = re.escape(f"2 n_radial + |l| must be at most {MAX_LEVEL_2D}, got")
+        for n_radial, l in [(MAX_LEVEL_2D // 2 + 1, 0), (0, MAX_LEVEL_2D + 1),
+                            (0, -MAX_LEVEL_2D - 1), (2500, 5001), (10**8, 0)]:
+            with pytest.raises(ValueError, match=cap):
+                QuantumNumbers2D(n_radial, l)
 
 
 class TestEnergies:
