@@ -325,4 +325,8 @@ def texts(x) -> np.ndarray:
     """repr's text of each of x, as a bytes array ('S', as wide as the longest)."""
     matrix = np.full((len(x), _WIDTH + 1), ord("\n"), np.uint8)
     cells(x, matrix[:, :_WIDTH])  # each text, then the newline it is split at
-    return np.array(matrix.tobytes().translate(None, b"\0").split(b"\n")[:-1], "S")
+    out = np.empty(len(x), f"S{max(1, np.count_nonzero(matrix, axis=1).max(initial=0) - 1)}")
+    for start in range(0, len(x), _BLOCK):  # a block at a time, so few bytes objects at once
+        text = matrix[start : start + _BLOCK].tobytes().translate(None, b"\0")
+        out[start : start + _BLOCK] = text.split(b"\n")[:-1]
+    return out

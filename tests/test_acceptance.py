@@ -6,7 +6,6 @@ asserts the same condition, so a plain pytest run is the gate.
 
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,14 +45,14 @@ from oscfree.analysis import (
 from oscfree.classical import action_boundary_identity
 from oscfree.cli import main
 
+from golden_manifest import GOLDEN, GOLDEN_DIR
+
 PARAMS = OscillatorParams(mass=1.0, omega=1.0)
 ORDER_BAND = (1.8, 2.2)
 
 # coarsest grid per level: fine enough to reach 1e-6 at the last of four
 # refinements, coarse enough to stay above the rounding floor of the stencil
 BASE_COUNT = {0: 2001, 1: 4001, 2: 8001, 3: 10001, 4: 12001, 5: 20001}
-
-GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def report(ok: bool, label: str) -> None:
@@ -297,8 +296,7 @@ def test_c12_lifted_2d_residual():
 
 
 def test_c13_cli_determinism(tmp_path):
-    manifest = json.loads((GOLDEN_DIR / "manifest.json").read_text())
-    gen_args, env_args = (manifest[name]["argv"] for name in ("gen1d_n2.csv", "envelope_n2.csv"))
+    gen_args, env_args = GOLDEN["gen1d_n2.csv"], GOLDEN["envelope_n2.csv"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(gen_args + ["--out", str(a)]) == 0
     assert main(gen_args + ["--out", str(b)]) == 0

@@ -29,13 +29,7 @@ from oscfree import (
 from oscfree.cli import _BLOCK_ROWS, _write_table, main
 from oscfree.oscillator import MAX_LEVEL_1D, MAX_LEVEL_2D
 
-GOLDEN_DIR = Path(__file__).parent / "golden"
-
-# {golden file: the argv, less --out, that writes it}: every golden comparison reads this
-GOLDEN = {
-    name: entry["argv"]
-    for name, entry in json.loads((GOLDEN_DIR / "manifest.json").read_text()).items()
-}
+from golden_manifest import GOLDEN, GOLDEN_DIR
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -1340,12 +1334,23 @@ def test_module_entry_point(tmp_path):
     assert out.exists()
 
 
-# numpy's x86-64 SIMD dispatch levels, as the features NPY_DISABLE_CPU_FEATURES turns off
-DISPATCH_LEVELS = {
-    "v2": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"],
-    "v3": ["X86_V4", "AVX512_ICL", "AVX512_SPR"],
-    "native": [],
-}
+def dispatch_disabled(level: str, dispatch) -> list[str]:
+    """The features of dispatch (numpy's __cpu_dispatch__) that NPY_DISABLE_CPU_FEATURES turns
+    off to run numpy's loops at an x86-64 level: at v3 every X86_V4 and AVX-512 loop, at v2
+    the X86_V3 loops as well.  Taken from numpy's own list, as an older numpy names its
+    AVX-512 features one by one and has no X86_V* names."""
+    v3 = [f for f in dispatch if f == "X86_V4" or f.startswith("AVX512")]
+    return {"v2": [f for f in dispatch if f == "X86_V3"] + v3, "v3": v3, "native": []}[level]
+
+
+def test_dispatch_disabled_follows_numpys_names():
+    assert dispatch_disabled("v2", ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]) == [
+        "X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"
+    ]
+    older = ["SSE41", "POPCNT", "AVX2", "FMA3", "AVX512F", "AVX512_SKX", "AVX512_ICL"]
+    assert dispatch_disabled("v3", older) == ["AVX512F", "AVX512_SKX", "AVX512_ICL"]
+    assert dispatch_disabled("v2", older) == dispatch_disabled("v3", older)
+    assert dispatch_disabled("native", older) == []
 
 
 @pytest.mark.parametrize("name", GOLDEN)
@@ -1370,16 +1375,16 @@ def test_matches_golden_at_any_worker_count(tmp_path, capsys, name, slab_workers
 # the 2D lift and the spectral oracle write their complex products in real arithmetic, which
 # rounds the same in every numpy loop, and the float formatter is integer arithmetic, so
 # every golden keeps its bytes at every level
-@pytest.mark.parametrize("level", DISPATCH_LEVELS)
+@pytest.mark.parametrize("level", ["v2", "v3", "native"])
 def test_golden_bytes_at_every_dispatch_level(tmp_path, level):
     """Run every golden argv in one child at the dispatch level, and compare its output with
-    the golden file; skip a level numpy or the host lacks."""
+    the golden file; skip a level numpy has no loops to turn off for, or the host lacks."""
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
-    disabled = DISPATCH_LEVELS[level]
-    if not set(disabled) <= set(__cpu_dispatch__):
-        pytest.skip(f"numpy cannot turn off {disabled} at run time")
-    if level == "v3" and not __cpu_features__["X86_V3"]:
+    disabled = dispatch_disabled(level, __cpu_dispatch__)
+    if level != "native" and not disabled:
+        pytest.skip(f"numpy dispatches no loop above x86-64-{level}")
+    if level == "v3" and not __cpu_features__.get("X86_V3", __cpu_features__.get("AVX2")):
         pytest.skip("the host has no x86-64-v3")
     argvs = [args + ["--out", str(tmp_path / name)] for name, args in GOLDEN.items()]
     child = (

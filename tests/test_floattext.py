@@ -85,6 +85,17 @@ def test_texts_are_repr():
     assert _floattext.texts(np.array([])).tolist() == []
 
 
+def test_texts_across_blocks():
+    """Texts of every length, over three blocks: the last one ragged, the widest text in it."""
+    x = np.random.default_rng(4).standard_normal(2 * _floattext._BLOCK + 3)
+    digits, scale = 10.0 ** (np.arange(len(x)) % 17), 10.0 ** (np.arange(len(x)) % 40 - 20)
+    x = np.trunc(x * digits) / digits * scale
+    x[-1] = -2.2250738585072014e-308
+    texts = _floattext.texts(x)
+    assert texts.dtype == np.dtype(f"S{len(repr(float(x[-1])))}")
+    assert texts.tolist() == [repr(v).encode() for v in x.tolist()]
+
+
 def floor_log10(numerator: int, exponent: int) -> int:
     """floor(log10(numerator 2^exponent)) in integers: numerator 5^-exponent 10^exponent."""
     if exponent >= 0:
