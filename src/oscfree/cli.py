@@ -170,7 +170,10 @@ def _rows_text(columns: list, lead: bytes, cell: bytes, close: bytes) -> bytes:
     """
     from ._floattext import _WIDTH, cells
 
-    pieces = [lead, *[p for column in columns for p in (column, cell)][:-1], close]
+    pieces = [lead]
+    for column in columns:
+        pieces += [column, cell]
+    pieces[-1] = close
     widths = [
         len(p) if isinstance(p, bytes) else _WIDTH if p.dtype.kind == "f" else p.itemsize
         for p in pieces
@@ -202,7 +205,8 @@ def _write_table(
     vectorized formatter (_floattext), so csv.writer and json would write the same cells.
     """
     meta = json.dumps({"schema_version": SCHEMA_VERSION, "command": command, "columns": header})
-    # head, a row's lead, cell separator and close, bytes of the first lead not written, tail
+    # head, each row's lead, cell separator and close, the bytes of the first lead not written,
+    # tail
     head, lead, cell, close, skip, tail = {
         "csv": (",".join(header) + "\n", b"", b",", b"\n", 0, ""),
         "json": (meta[:-1] + ', "rows": [', b", [", b", ", b"]", 2, "]}\n"),
