@@ -17,11 +17,11 @@ oracle multiplies its phase into the spectrum in place, in real arithmetic, one
 slab of half the axis-0 modes at a time (the other half are their mirror
 images), so its only grid-sized buffer is the spectrum.  A table's slabs are
 lifted and formatted on the calling thread (cli._write_field_table).  A
-lifted level's peaks come from the few nodes around its exact maxima and
-half-height points (level_extrema), with the bits of a scan of the whole grid,
-which stays as the fallback.  Integrals use the trapezoid rule:
-exponentially accurate for smooth fields negligible at the grid edges (auto_grid
-makes them so), second order otherwise.
+lifted level's peaks are its exact maxima and half-height points
+(level_extrema), stretched to each free time (_exact_peaks), with no grid;
+peak_trajectory_check still finds them on a sampled grid.  Integrals use the
+trapezoid rule: exponentially accurate for smooth fields negligible at the grid
+edges (auto_grid makes them so), second order otherwise.
 """
 
 from __future__ import annotations
@@ -72,18 +72,6 @@ class Grid1D:
     @property
     def nodes(self) -> np.ndarray:
         return np.linspace(self.y_min, self.y_max, self.count)
-
-    def nodes_at(self, idx: np.ndarray) -> np.ndarray:
-        """nodes[idx] for an array of indices in 0 .. count - 1, bit for bit, building only those.
-
-        It takes np.linspace's own steps: index times spacing (index over count - 1 times
-        the span, where the spacing underflows to 0), plus y_min, and y_max at the last node.
-        """
-        lo, hi = float(self.y_min), float(self.y_max)
-        step = (hi - lo) / (self.count - 1)
-        y = idx * step if step != 0.0 else idx / (self.count - 1) * (hi - lo)
-        y += lo
-        return np.where(idx == self.count - 1, hi, y)
 
     def refined(self, factor: int) -> Grid1D:
         """Same span with the spacing divided by factor."""
@@ -582,22 +570,6 @@ _PEAK_HEIGHT_FLOOR = 1e-12  # relative to the tallest peak, suppresses tail nois
 _PEAK_COUNT = 32001  # default auto-grid node count of peak detection
 
 
-def _parabola_vertices(y, h, below, at, above):
-    """(positions, heights) of the vertices of the parabolas through below, at, above.
-
-    below, at and above are the values at y - h, y and y + h.
-    """
-    denom = above - 2.0 * at + below
-    positions = y + 0.5 * h * (below - above) / denom
-    # float_power rounds like a scalar ** (libm pow), where an array ** 2 squares
-    return positions, at - np.float_power(above - below, 2) / (8.0 * denom)
-
-
-def _half_crossings(y, h, half, d, d_next):
-    """Where the line from (y, d) to (y + h, d_next) reaches half."""
-    return y + h * (half - d) / (d_next - d)
-
-
 def find_density_maxima(field: ComplexField) -> PeakRecord:
     """Locate and measure the strict interior local maxima of the sampled density.
 
@@ -620,7 +592,11 @@ def find_density_maxima(field: ComplexField) -> PeakRecord:
     if idx.size == 0:
         raise PeakDetectionError("no interior density maxima found")
     h, y = axis.spacing, axis.nodes
-    positions, heights = _parabola_vertices(y[idx], h, d[idx - 1], d[idx], d[idx + 1])
+    below, at, above = d[idx - 1], d[idx], d[idx + 1]
+    denom = above - 2.0 * at + below
+    positions = y[idx] + 0.5 * h * (below - above) / denom
+    # float_power rounds like a scalar ** (libm pow), where an array ** 2 squares
+    heights = at - np.float_power(above - below, 2) / (8.0 * denom)
     close = np.flatnonzero(np.diff(positions) < 3.0 * h)
     if close.size:
         a, b = positions[close[0]], positions[close[0] + 1]
@@ -637,8 +613,8 @@ def find_density_maxima(field: ComplexField) -> PeakRecord:
         if after.size == 0:
             raise PeakDetectionError(f"no right half-maximum crossing for peak at {positions[k]}")
         lo[k], hi[k] = ends[k] + before[-1], j + after[0]
-    left = _half_crossings(y[lo], h, half, d[lo], d[lo + 1])
-    right = _half_crossings(y[hi - 1], h, half, d[hi - 1], d[hi])
+    left = y[lo] + h * (half - d[lo]) / (d[lo + 1] - d[lo])
+    right = y[hi - 1] + h * (half - d[hi - 1]) / (d[hi] - d[hi - 1])
     widths = right - left
     return PeakRecord(field.time_label, positions.tolist(), heights.tolist(), widths.tolist())
 
@@ -774,122 +750,23 @@ def level_extrema(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.concatenate((-a[::-1], b)) for a, b in mirrored)
 
 
-_WINDOW = 3  # nodes either side of each exact point that _windowed_peaks evaluates
+def _exact_peaks(params: OscillatorParams, n: int, taus):
+    """(tau, positions, heights, widths) of the lifted level n's density maxima, a tuple a tau.
 
-
-def _windowed_peaks(
-    params: OscillatorParams, qn: QuantumNumbers1D, tau: float, grid: Grid1D, points: np.ndarray
-) -> PeakRecord | None:
-    """_scanned_peaks's record from the nodes near the exact points only, or None.
-
-    points are level_extrema's maxima, left and right half-height points, in xi.  At free
-    time tau the lifted density is s^-1 rho_n(y / s) (C04), so they sit at
-    y = s xi / sqrt(m omega).  The field is evaluated on the _WINDOW nodes either side of
-    each, from grid.nodes_at, so every value has the bits of the scan's (the lift is
-    elementwise arithmetic and complex exp); positions, heights and widths then come from
-    find_density_maxima's own expressions.  None, for the caller to scan, when an
-    evaluation overflows or is not finite, or when a check below fails.
-
-    Why the checks give the scan's record: psi_n'' = (xi^2 - 2n - 1) psi_n, so |psi_n| is
-    concave on each lobe inside the turning points and convex and falling to 0 outside.
-    The density therefore rises strictly from each zero of psi_n to its lobe's maximum and
-    falls strictly to the next zero, and the sampled density follows it node by node:
-    away from a maximum, neighbouring values differ by far more than their rounding.  So
-    the scan's strict maxima are one per lobe, each the top of its window, checked here to
-    rise strictly to it, fall strictly after it and clear the height floor (dmax, the
-    largest node value, is one of them).  From one maximum's node to the next, the density
-    rises through half height once, on the later lobe's near flank (falls once, on the
-    earlier lobe's far flank).  So the scan's last node under half height left of a
-    maximum (first, right of it) is the one in the window around the exact crossing,
-    checked to lie between the neighbouring maxima's nodes and to be followed (preceded)
-    by a node at or above half height.
+    At free time tau the lifted density is rho_n(y / s) / s, s = sqrt(1 + omega^2 tau^2)
+    (C04), so its maxima and half-height points are level_extrema's points times
+    s / sqrt(m omega), and its heights those at tau = 0 over s.  The heights are
+    |chi_n|^2 of the lift at tau = 0, evaluated once: its bits, like level_extrema's, are
+    the same at every SIMD dispatch level, where density_1d's real exp is not (ROADMAP
+    item 13).  level_extrema runs when the first tuple is taken.
     """
-    n, h = qn.n, grid.spacing
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            scale = math.sqrt(_stretch_sq(params, tau) / (params.mass * params.omega))
-            centre = np.rint((points * scale - grid.y_min) / h).astype(int)
-            nodes = centre[:, None] + np.arange(-_WINDOW, _WINDOW + 1)
-            if nodes.min() < 0 or nodes.max() >= grid.count:
-                return None
-            y = grid.nodes_at(nodes)
-            values = lifted_eigenstate_1d(params, qn, y, tau)
-    except FloatingPointError:
-        return None
-    if not np.isfinite(values).all():
-        return None
-    d = values.real**2 + values.imag**2
-    (top_nodes, left_nodes, right_nodes), (top_y, left_y, right_y), (top_d, left_d, right_d) = (
-        np.split(a, 3) for a in (nodes, y, d)
-    )
-    rows, last = np.arange(n + 1), 2 * _WINDOW
-    top = top_d.argmax(axis=1)
-    steps = np.diff(top_d, axis=1)
-    unimodal = np.where(np.arange(last) < top[:, None], steps > 0, steps < 0).all()
-    if not (unimodal and np.all((top > 0) & (top < last))):
-        return None
-    idx = top_nodes[rows, top]
-    below, at, above = top_d[rows, top - 1], top_d[rows, top], top_d[rows, top + 1]
-    if not np.all(at > _PEAK_HEIGHT_FLOOR * float(top_d.max())):
-        return None
-    positions, heights = _parabola_vertices(top_y[rows, top], h, below, at, above)
-    if np.any(np.diff(positions) < 3.0 * h):
-        return None
-    half = 0.5 * heights
-    ends = np.concatenate(([0], idx, [grid.count - 1]))[:, None]
-    # the last node under half height from the previous maximum's node to this one's
-    inside = (left_nodes >= ends[:-2]) & (left_nodes <= ends[1:-1])
-    under = inside & (left_d < half[:, None])
-    lo = last - under[:, ::-1].argmax(axis=1)
-    if not np.all(under[rows, lo] & (lo < last) & inside[rows, np.minimum(lo + 1, last)]):
-        return None
-    left = _half_crossings(left_y[rows, lo], h, half, left_d[rows, lo], left_d[rows, lo + 1])
-    # the first node under half height from this maximum's node to the next one's
-    inside = (right_nodes >= ends[1:-1]) & (right_nodes <= ends[2:])
-    under = inside & (right_d < half[:, None])
-    hi = under.argmax(axis=1)
-    if not np.all(under[rows, hi] & (hi > 0) & inside[rows, np.maximum(hi - 1, 0)]):
-        return None
-    right = _half_crossings(
-        right_y[rows, hi - 1], h, half, right_d[rows, hi - 1], right_d[rows, hi]
-    )
-    return PeakRecord(tau, positions.tolist(), heights.tolist(), (right - left).tolist())
-
-
-def _scanned_peaks(
-    params: OscillatorParams, qn: QuantumNumbers1D, tau: float, grid: Grid1D
-) -> PeakRecord:
-    """find_density_maxima of the lifted level sampled on every node of grid at free time tau.
-
-    Level n has n + 1 maxima; finding another number is a PeakDetectionError.
-    """
-    record = find_density_maxima(
-        sample_field(lambda y, s: lifted_eigenstate_1d(params, qn, y, s), grid, tau)
-    )
-    if len(record.positions) != qn.n + 1:
-        raise PeakDetectionError(
-            f"level {qn.n} has {qn.n + 1} density maxima, found {len(record.positions)}"
-            f" at tau={tau} on {grid.count} nodes"
-        )
-    return record
-
-
-def _lifted_peaks(params: OscillatorParams, n: int, taus, count: int) -> list[PeakRecord]:
-    """The density maxima of the lifted level n on its auto grid, one record per free time.
-
-    The record at each tau is _scanned_peaks's, bit for bit.  It comes from the nodes near
-    the exact maxima and half-height points of level_extrema (_windowed_peaks), computed
-    once here, and from the scan wherever those nodes do not settle it; the scan is the only
-    path that raises.  A level past MAX_LEVEL_1D is a ValueError, raised before any of it.
-    """
-    qn = QuantumNumbers1D(n)
-    points = np.concatenate(level_extrema(n))
-    records = []
+    maxima, left, right = level_extrema(n)
+    natural = math.sqrt(params.mass * params.omega)
+    chi = lifted_eigenstate_1d(params, QuantumNumbers1D(n), maxima / natural, 0.0)
+    density, widths = chi.real**2 + chi.imag**2, right - left
     for tau in taus:
-        grid = auto_grid(params, n, tau, count)
-        record = _windowed_peaks(params, qn, tau, grid, points)
-        records.append(_scanned_peaks(params, qn, tau, grid) if record is None else record)
-    return records
+        s = math.sqrt(_stretch_sq(params, tau))
+        yield tau, maxima * (s / natural), density / s, widths * (s / natural)
 
 
 @dataclass(frozen=True)
@@ -907,8 +784,10 @@ def peak_trajectory_check(
     """Verify that lifted-density peaks ride the stretched baseline positions.
 
     Peaks are detected at every tau in taus (which must contain 0, the
-    baseline); each position is compared against the tau = 0 position
-    scaled by sqrt(1 + omega^2 tau^2), and each full width at half
+    baseline) by find_density_maxima on the lifted level sampled on its auto
+    grid of count nodes; finding other than n + 1 maxima is a
+    PeakDetectionError.  Each position is compared against the tau = 0
+    position scaled by sqrt(1 + omega^2 tau^2), and each full width at half
     maximum against the same stretch of the baseline width.  Position
     errors are relative to the scaled position, floored at one stretched
     natural length so the central peak of even states (sitting at the
@@ -919,9 +798,22 @@ def peak_trajectory_check(
         raise ValueError("need at least one tau")
     if 0.0 not in tau_list:
         raise ValueError("taus must include 0 (the baseline)")
+    qn = QuantumNumbers1D(n)
     natural = 1.0 / math.sqrt(params.mass * params.omega)
     later = [tau for tau in tau_list if tau != 0.0]
-    base_rec, *recs = _lifted_peaks(params, n, [0.0, *later], count)
+    records = []
+    for tau in [0.0, *later]:
+        grid = auto_grid(params, n, tau, count)
+        record = find_density_maxima(
+            sample_field(lambda y, s: lifted_eigenstate_1d(params, qn, y, s), grid, tau)
+        )
+        if len(record.positions) != n + 1:
+            raise PeakDetectionError(
+                f"level {n} has {n + 1} density maxima, found {len(record.positions)}"
+                f" at tau={tau} on {count} nodes"
+            )
+        records.append(record)
+    base_rec, *recs = records
     pos_err = width_err = 0.0
     for tau, rec in zip(later, recs):
         stretch = math.sqrt(_stretch_sq(params, tau))
@@ -939,10 +831,11 @@ def semiclassical_gap(
 ) -> list[tuple[int, float]]:
     """Relative gap between the outermost density maximum and the turning point.
 
-    For each level n the outermost maximum is the one _lifted_peaks finds on the level's
-    auto grid of count nodes at tau = 0, whose bits are those of a scan of that grid;
-    gap_ratio = (x_turn - y_outer) / x_turn measures how far inside the
-    classically allowed region the outermost maximum sits.
+    gap_ratio = (x_turn - y_outer) / x_turn measures how far inside the classically allowed
+    region the outermost maximum sits.  In xi = sqrt(m omega) x the turning point is
+    sqrt(2n + 1) and the outermost maximum level_extrema's last, so the ratio is
+    1 - xi_outer / sqrt(2n + 1), whatever m and omega.  count is ignored, and goes once
+    perfbench stops passing it (ROADMAP item 9).
     """
     ns = [int(n) for n in n_values]
     if not ns:
@@ -952,9 +845,4 @@ def semiclassical_gap(
     if not all(a < b for a, b in zip(ns, ns[1:])):
         raise ValueError("levels must be strictly increasing")
     QuantumNumbers1D(ns[-1])  # the largest level within MAX_LEVEL_1D, before any evaluation
-    out: list[tuple[int, float]] = []
-    for n in ns:
-        (rec,) = _lifted_peaks(params, n, [0.0], count)
-        x_turn = TrajectoryFamily.from_level(params, n).amplitude
-        out.append((n, (x_turn - rec.positions[-1]) / x_turn))
-    return out
+    return [(n, 1.0 - float(level_extrema(n)[0][-1]) / math.sqrt(2.0 * n + 1.0)) for n in ns]

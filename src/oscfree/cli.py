@@ -9,14 +9,15 @@ named in the message, a grid, range or table over the 2**24-point or
 2**24-row budget, a 1D --n over oscillator.MAX_LEVEL_1D, a 2D level
 2 --n-radial + |--l| over oscillator.MAX_LEVEL_2D, or a --mass and
 --omega refused by OscillatorParams), 3 numerical
-precondition failure (peak detection, including a level that shows other
-than n + 1 maxima on its peaks grid, boundary decay, half-period window,
-non-finite sampled values, a non-finite table, which is then not written,
-a verify residual that underflowed to zero, or a floating-point overflow,
-invalid operation or division by zero), 4 verification failure (a verify
-suite ran but its pass criterion did not hold), 5 I/O error
-(the output file could not be written).  An existing --out that is not a
-regular file (a directory, /dev/stdout, /dev/null, a FIFO) is a usage error.
+precondition failure (boundary decay, half-period window, non-finite
+sampled values, a non-finite table, which is then not written, a verify
+residual that underflowed to zero, or a floating-point overflow, invalid
+operation or division by zero), 4 verification failure (a verify suite ran
+but its pass criterion did not hold), 5 I/O error (the output file could
+not be written).  An existing --out that is not a regular file (a
+directory, /dev/stdout, /dev/null, a FIFO) is a usage error.  peaks
+prints the exact maxima (analysis._exact_peaks) and samples no grid, so
+it raises no peak detection error, and its --count is ignored, unchecked.
 
 --out is replaced whole, so nothing is written on exit 2, 3 or 5 (see
 _replacing); verify writes its --out report before printing it.  Tables are
@@ -44,12 +45,11 @@ from collections.abc import Iterable
 import numpy as np
 
 from .analysis import (
-    _PEAK_COUNT,
     _POINT_BUDGET,
     ComplexField,
     Grid,
     Grid1D,
-    _lifted_peaks,
+    _exact_peaks,
     _slabs,
     auto_grid,
     auto_grid_2d,
@@ -302,11 +302,11 @@ def _run_gen2d(args: argparse.Namespace, params: OscillatorParams) -> int:
 def _run_peaks(args: argparse.Namespace, params: OscillatorParams) -> int:
     QuantumNumbers1D(args.n)  # a level out of range is named before the row budget
     _check_rows(len(args.tau), args.n + 1, "peaks")
-    blocks = []
-    for rec in _lifted_peaks(params, args.n, args.tau, args.count):
-        measured = map(np.array, (rec.positions, rec.heights, rec.widths))
-        index = np.arange(len(rec.widths)).astype("S")
-        blocks.append([np.full(len(rec.widths), rec.tau), index, *measured])
+    index = np.arange(args.n + 1).astype("S")
+    blocks = (
+        [np.full(index.size, tau), index, *rows]
+        for tau, *rows in _exact_peaks(params, args.n, args.tau)
+    )
     header = ["tau", "peak_index", "position", "height", "fwhm"]
     _write_table(args.out, header, blocks, args.format, "peaks")
     return EXIT_OK
@@ -432,7 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("peaks", _run_peaks, "track density maxima of a lifted 1D eigenstate")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tau", type=tau_list, required=True)
-    p.add_argument("--count", type=int, default=_PEAK_COUNT, help="auto-grid node count")
+    p.add_argument(
+        "--count", type=int, help="ignored, until ROADMAP item 9 drops it from perfbench"
+    )
     p.add_argument("--out", required=True)
 
     p = add_command("envelope", _run_envelope, "classical envelope (or trajectory family members)")

@@ -126,28 +126,6 @@ class TestGridsAndFields:
         fine = grid.refined(2)
         assert fine.count == 9 and fine.spacing == 0.25
 
-    # counts 3 to 400001 (perfbench's peaks grid), symmetric and asymmetric spans, and spans
-    # whose spacing underflows to 0; every node, the last (linspace's y_max) included
-    @settings(max_examples=60, deadline=None)
-    @given(
-        grid=st.one_of(
-            st.builds(
-                Grid1D,
-                st.floats(-1e3, 0.0),
-                st.floats(1e-3, 1e3),
-                st.one_of(st.integers(3, 50), st.integers(3, 400001)),
-            ),
-            st.builds(lambda c, y: Grid1D(-y, y, c), st.integers(3, 400001), st.floats(1e-6, 1e6)),
-            st.builds(Grid1D, st.just(0.0), st.sampled_from([5e-324, 1e-323]), st.integers(3, 9)),
-            st.sampled_from([Grid1D(-20.3, 7.1, 3), Grid1D(0.1, 37.9, 400001)]),
-        ),
-    )
-    def test_nodes_at_has_the_bits_of_nodes(self, grid):
-        idx = np.arange(grid.count)
-        assert grid.nodes_at(idx).tobytes() == grid.nodes.tobytes()
-        windows = np.stack((idx[::-1], idx))  # _windowed_peaks gathers 2-D windows
-        assert grid.nodes_at(windows).tobytes() == grid.nodes[windows].tobytes()
-
     def test_field_validation(self):
         grid = Grid1D(-1.0, 1.0, 5)
         with pytest.raises(ValueError):
@@ -1126,53 +1104,6 @@ class TestPeaks:
         record = find_density_maxima(field)
         assert (record.positions, record.heights, record.widths) == expected
 
-    # n up to 150, as perfbench's semiclassical gap; grids from 3 nodes, where the scan fails,
-    # to perfbench's 400001
-    @settings(max_examples=40, deadline=None)
-    @given(
-        n=st.integers(0, 150),
-        mass=st.floats(0.5, 2.0),
-        omega=st.floats(0.5, 2.0),
-        tau=st.floats(-5.0, 5.0),
-        count=st.one_of(st.integers(3, 2000), st.integers(3, 400001)),
-    )
-    def test_lifted_peaks_match_the_scan(self, n, mass, omega, tau, count):
-        params = OscillatorParams(mass, omega)
-        field = sample_field(lifted(params, n), auto_grid(params, n, tau, count), tau)
-        try:
-            expected = find_density_maxima(field)
-            if len(expected.positions) != n + 1:
-                raise PeakDetectionError(
-                    f"level {n} has {n + 1} density maxima, found {len(expected.positions)}"
-                    f" at tau={tau} on {count} nodes"
-                )
-        except PeakDetectionError as exc:
-            with pytest.raises(PeakDetectionError, match=re.escape(str(exc))):
-                analysis._lifted_peaks(params, n, [tau], count)
-            return
-        (record,) = analysis._lifted_peaks(params, n, [tau], count)
-        assert record == expected
-
-    # at n = 1000 the Hermite recurrence rescales, each point by its own limit, so the
-    # windows, whose largest |y| is not the grid's, keep the scan's bits
-    @pytest.mark.parametrize("tau", [0.0, 0.7])
-    def test_windowed_peaks_match_the_scan_at_n1000(self, tau):
-        params, qn = OscillatorParams(1.0, 1.0), QuantumNumbers1D(1000)
-        grid = auto_grid(params, 1000, tau, 160001)
-        points = np.concatenate(level_extrema(1000))
-        record = analysis._windowed_peaks(params, qn, tau, grid, points)
-        assert record is not None
-        assert record == analysis._scanned_peaks(params, qn, tau, grid)
-
-    # perfbench peaks-highn draws mass and omega from [0.8, 1.25] and taus from [0, 2]
-    @pytest.mark.parametrize("mass, omega", [(0.8, 0.8), (0.8, 1.25), (1.25, 0.8), (1.25, 1.25)])
-    def test_perfbench_inputs_are_not_scanned(self, mass, omega):
-        params = OscillatorParams(mass, omega)
-        with mock.patch.object(analysis, "_scanned_peaks", side_effect=AssertionError("scanned")):
-            assert len(analysis._lifted_peaks(params, 40, np.linspace(0, 2, 9), 200001)) == 9
-            assert len(analysis._lifted_peaks(params, 120, [0.0, 1.0, 2.0], 400001)) == 3
-            assert len(semiclassical_gap(params, [10, 40, 80, 120, 150], count=100001)) == 5
-
     # densities on 11 nodes: a maximum at node 2 whose left flank stays above
     # half height to the grid end, its mirror image, and two maxima four
     # nodes apart with no half-height dip between them
@@ -1202,19 +1133,31 @@ class TestLevelExtrema:
         assert left[0] == pytest.approx(-half, abs=1e-15)
         assert right[0] == pytest.approx(half, abs=1e-15)
 
-    # measured up to 1.8e-15 in xi and 1.3e-14 off the half ratio, at n = 150; n = 120 is
-    # perfbench's peaks level
-    @pytest.mark.parametrize("n", [1, 2, 5, 17, 40, 80, 120, 150])
+    # measured up to 1.8e-15 in xi, 1.5e-14 off the half ratio, and in _exact_peaks's rows
+    # (these points stretched, with the heights of the lift at tau = 0) 2.1e-16 in position
+    # and 9.1e-14 in height, at n = 150; n = 120 is perfbench's peaks level
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 40, 80, 120, 150])
     def test_against_mpmath(self, n):
+        params = OscillatorParams(1.1, 0.93)
         maxima, left, right = level_extrema(n)
+        rows = list(analysis._exact_peaks(params, n, [0.0, 1.3]))
         log_slope = lambda x: 2 * n * mpmath.hermite(n - 1, x) / mpmath.hermite(n, x) - x
         rho = lambda x: mpmath.hermite(n, x) ** 2 * mpmath.exp(-x * x)
         with mpmath.workdps(40):
-            for x_max, x_left, x_right in zip(maxima, left, right):
+            mw = mpmath.mpf(params.mass) * mpmath.mpf(params.omega)
+            norm_sq = mpmath.sqrt(mw / mpmath.pi) / (2**n * mpmath.factorial(n))
+            for k, (x_max, x_left, x_right) in enumerate(zip(maxima, left, right)):
                 root = mpmath.findroot(log_slope, mpmath.mpf(float(x_max)))
                 assert abs(float(root) - x_max) < 4e-15
                 for x in (x_left, x_right):
                     assert abs(float(rho(mpmath.mpf(float(x))) / rho(root)) - 0.5) < 3e-14
+                width = mpmath.mpf(float(x_right)) - mpmath.mpf(float(x_left))
+                for tau, positions, heights, widths in rows:
+                    s = mpmath.sqrt(1 + (mpmath.mpf(params.omega) * tau) ** 2)
+                    scale = s / mpmath.sqrt(mw)
+                    assert abs(positions[k] - root * scale) <= 1e-14 * abs(root * scale)
+                    assert abs(heights[k] / (norm_sq * rho(root) / s) - 1) < 2e-13
+                    assert abs(widths[k] / (width * scale) - 1) < 2e-15
 
     @pytest.mark.parametrize("n", [1, 2, 7, 40, 150])
     def test_interlaces_with_the_zeros(self, n):
@@ -1320,7 +1263,7 @@ class TestSemiclassicalGap:
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_rejects_levels_past_the_cap_before_any_evaluation(self, params):
-        with mock.patch.object(analysis, "_lifted_peaks", side_effect=AssertionError("ran")):
+        with mock.patch.object(analysis, "level_extrema", side_effect=AssertionError("ran")):
             with pytest.raises(ValueError, match=f"at most {MAX_LEVEL_1D}"):
                 semiclassical_gap(params, [10, MAX_LEVEL_1D + 1])
 

@@ -139,42 +139,24 @@ class TestPeaks:
             assert index == [0, 1, 2, 0, 1, 2]
             assert all(type(k) is int for k in index)
 
-    # grids too coarse to resolve every maximum of the level
+    # peaks prints level_extrema's points stretched to each tau and builds no grid; --count
+    # is accepted and ignored until perfbench stops passing it (ROADMAP item 9)
     @pytest.mark.parametrize(
-        "args, found",
-        [(["--n", "6", "--tau", "0,1", "--count", "41"], 3),
-         (["--n", "2", "--tau", "0", "--count", "3"], 1)],
+        "args",
+        [*(argv for argv in GOLDEN.values() if argv[0] == "peaks"),
+         ["peaks", "--n", "250", "--tau", "0"]],
+        ids=[*(name for name, argv in GOLDEN.items() if argv[0] == "peaks"), "n250"],
     )
-    def test_missing_maxima_exit_3(self, tmp_path, capsys, args, found):
-        out = tmp_path / "peaks.csv"
-        assert main(["peaks", *args, "--out", str(out)]) == 3
-        error = json.loads(capsys.readouterr().out)["error"]
-        assert error["type"] == "PeakDetectionError"
-        assert f"found {found} " in error["message"]
-        assert not out.exists()
+    def test_builds_no_grid_and_ignores_count(self, tmp_path, monkeypatch, args):
+        def built(*_):
+            raise AssertionError("a grid was built")
 
-    # the nodes around the exact maxima settle the golden inputs and level 250, where H_n
-    # once overflowed; the coarse grids of test_missing_maxima_exit_3 are scanned, and the
-    # scan raises as it always has
-    @pytest.mark.parametrize(
-        "args, code, error, scanned",
-        [(GOLDEN["peaks_n5.csv"], 0, None, False),
-         (GOLDEN["peaks_n40_200001.json"], 0, None, False),
-         (GOLDEN["peaks_n120_400001.json"], 0, None, False),
-         (["peaks", "--n", "6", "--tau", "0,1", "--count", "41"], 3, "PeakDetectionError", True),
-         (["peaks", "--n", "2", "--tau", "0", "--count", "3"], 3, "PeakDetectionError", True),
-         (["peaks", "--n", "250", "--tau", "0"], 0, None, False)],
-        ids=["golden", "golden-n40", "golden-n120", "coarse-n6", "coarse-n2", "n250"],
-    )
-    def test_scans_only_what_the_exact_maxima_do_not_settle(
-        self, tmp_path, capsys, args, code, error, scanned
-    ):
-        scan = mock.Mock(wraps=analysis._scanned_peaks)
-        with mock.patch.object(analysis, "_scanned_peaks", scan):
-            assert main(args + ["--out", str(tmp_path / "p.out")]) == code
-        assert scan.called == scanned
-        if error is not None:
-            assert json.loads(capsys.readouterr().out)["error"]["type"] == error
+        monkeypatch.setattr(analysis, "sample_field", built)
+        monkeypatch.setattr(analysis.Grid1D, "nodes", property(built))
+        out, counted = tmp_path / "p.out", tmp_path / "counted.out"
+        assert main(args + ["--out", str(out)]) == 0
+        assert main(args + ["--count", "400001", "--out", str(counted)]) == 0
+        assert counted.read_bytes() == out.read_bytes()
 
     # a level past MAX_LEVEL_1D is a usage error before anything is evaluated, so it never
     # runs level_extrema's O(n^2) recurrence on O(n) nodes (by extrapolation, hours at n = 10^6)
@@ -190,11 +172,11 @@ class TestPeaks:
         assert f"n must be at most {MAX_LEVEL_1D}, got 1000000" in captured.err
         assert not out.exists()
 
-    # the table's len(tau) x (n + 1) rows are checked against the budget before any peak is
-    # sought; at the level here, seeking them ran past 10 s
+    # the table's len(tau) x (n + 1) rows are checked against the budget before the exact
+    # maxima are sought
     def test_rows_over_the_budget_exit_2_before_any_peak(self, tmp_path, monkeypatch, capsys):
-        lifted = mock.Mock(side_effect=AssertionError("the peaks were sought"))
-        monkeypatch.setattr(cli, "_lifted_peaks", lifted)
+        extrema = mock.Mock(side_effect=AssertionError("the peaks were sought"))
+        monkeypatch.setattr(analysis, "level_extrema", extrema)
         out = tmp_path / "p.csv"
         assert main(["peaks", "--n", "5000", "--tau", "0:1:4000", "--out", str(out)]) == 2
         captured = capsys.readouterr()
@@ -202,36 +184,40 @@ class TestPeaks:
         assert "need at most 16777216 table rows, got 4000 taus x 5001 peaks" in captured.err
         assert not out.exists()
 
-    # the nodes around the exact maxima are gathered (Grid1D.nodes_at), not taken from a
-    # linspace of the whole grid at every tau
-    def test_windowed_peaks_never_build_the_grid(self, tmp_path, monkeypatch):
-        def nodes(grid):
-            raise AssertionError(f"{grid} built all its nodes")
-
-        monkeypatch.setattr(analysis.Grid1D, "nodes", property(nodes))
-        monkeypatch.setattr(analysis, "_scanned_peaks", mock.Mock(side_effect=AssertionError))
-        out = tmp_path / "peaks.json"
-        assert main(GOLDEN["peaks_n120_400001.json"] + ["--out", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN_DIR / "peaks_n120_400001.json").read_bytes()
-
-    # the full scan overflows in the far tails from about n = 170; the peaks themselves,
-    # inside the turning points, stay finite to n = 202.  Measured errors: 1.5e-7 in
-    # position and 4.0e-6 in width, at n = 200
-    @pytest.mark.parametrize("n", [180, 200])
-    def test_high_levels_match_the_exact_maxima(self, tmp_path, n):
+    # every level to MAX_LEVEL_1D prints n + 1 finite rows a tau, level_extrema's points
+    # stretched; the grid scan that peaks once ran overflowed in the far tails from n = 170,
+    # and took about 8 s a tau at MAX_LEVEL_1D
+    @pytest.mark.parametrize("n", [200, MAX_LEVEL_1D])
+    def test_high_levels_print_the_exact_maxima(self, tmp_path, n):
         out = tmp_path / "peaks.json"
         assert main(["peaks", "--n", str(n), "--tau", "0,1", "--format", "json",
                      "--out", str(out)]) == 0
         rows = np.array(json.loads(out.read_text())["rows"])
         maxima, left, right = analysis.level_extrema(n)
+        assert np.all(np.isfinite(rows)) and np.all(rows[:, 3] > 0)
         for tau in (0.0, 1.0):
             block = rows[rows[:, 0] == tau]
             stretch = math.sqrt(1.0 + tau * tau)
             assert block[:, 1].tolist() == list(range(n + 1))
-            scale = np.maximum(np.abs(maxima), 1.0) * stretch
-            assert np.max(np.abs(block[:, 2] - maxima * stretch) / scale) < 2e-7
-            widths = (right - left) * stretch
-            assert np.max(np.abs(block[:, 4] - widths) / widths) < 5e-6
+            assert np.allclose(block[:, 2], maxima * stretch, rtol=1e-15, atol=0)
+            assert np.allclose(block[:, 4], (right - left) * stretch, rtol=1e-15, atol=0)
+
+    # the lift's dressing phase overflows on the grid at this tau, and the stretch s^2 at
+    # 1e200 (ROADMAP item 19); the exact rows are those at tau = 0 times s (over s in height)
+    def test_large_tau_scales_the_rows_at_zero(self, tmp_path, capsys):
+        base, far = tmp_path / "base.json", tmp_path / "far.json"
+        for tau, out in (("0", base), ("1e150", far)):
+            assert main(["peaks", "--n", "3", "--tau", tau, "--format", "json",
+                         "--out", str(out)]) == 0
+        s = math.sqrt(1.0 + 1e300)
+        at_zero, at_far = (np.array(json.loads(f.read_text())["rows"]) for f in (base, far))
+        expected = at_zero[:, 2:] * [s, 1.0 / s, s]
+        assert np.allclose(at_far[:, 2:], expected, rtol=1e-15, atol=0)
+        out = tmp_path / "overflow.json"
+        assert main(["peaks", "--n", "3", "--tau", "1e200", "--out", str(out)]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["message"] == "floating-point failure: overflow encountered in float_power"
+        assert not out.exists()
 
 
 class TestGen2D:
@@ -369,8 +355,7 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert not (tmp_path / "x.csv").exists()
 
-    # a lift that returns inf: the exact maxima's nodes are not settled, and the scan of the
-    # sampled field raises
+    # a lift that returns inf: the heights are not finite
     def test_non_finite_field_exits_3(self, tmp_path, monkeypatch, capsys):
         lift = analysis.lifted_eigenstate_1d
         monkeypatch.setattr(analysis, "lifted_eigenstate_1d", lambda *args: lift(*args) * np.inf)
@@ -481,13 +466,12 @@ class TestErrorPaths:
             ["gen1d", "--n", "2", "--tau", "0", "--grid", "-1:1:1000000000000"],
             ["gen2d", "--l", "1", "--tau", "0", "--grid", "-1:1:5000"],
             ["envelope", "--energy", "1", "--tau", "0:1:1000000000000"],
-            ["peaks", "--n", "2", "--tau", "0", "--count", "1000000000000"],
             ["verify", "--suite", "free-residual", "--refinements", "40"],
             ["verify", "--suite", "free-residual-2d", "--refinements", "8"],
             ["gen1d", "--n", "2", "--tau", "0:1:2", "--grid", "-1:1:8388609"],
             ["envelope", "--energy", "1", "--tau", "0:1:4097", "--alpha", "0:1:4097"],
         ],
-        ids=["grid", "grid-2d", "range", "peaks-count", "verify-1d", "verify-2d",
+        ids=["grid", "grid-2d", "range", "verify-1d", "verify-2d",
              "table-rows", "trajectory-rows"],
     )
     def test_count_over_point_budget_is_usage_error(self, tmp_path, monkeypatch, capsys, args):
@@ -1127,12 +1111,11 @@ def test_table_text_interrupted_leaves_the_old_file(tmp_path, monkeypatch, small
 
 
 def test_hermite_sees_at_most_one_slab(tmp_path, monkeypatch, capsys):
-    """peaks and verify hand the Hermite recurrence one slab of analysis._slabs at a time.
+    """verify hands the Hermite recurrence one slab of analysis._slabs at a time.
 
     A slab is _SLAB points, plus a halo row on either side for a residual; so the
-    recurrence buffers stay cache-sized however large the grid.  peaks evaluates only the
-    7 nodes around each of the level's 3(n + 1) exact maxima and half-height points, in one
-    call a tau; where those do not settle the peaks, it scans the grid in slabs.
+    recurrence buffers stay cache-sized however large the grid.  peaks lifts only the
+    level's n + 1 exact maxima, in one call whatever the taus.
     """
     sizes, hermite_scaled = [], transform.hermite_scaled
 
@@ -1141,14 +1124,8 @@ def test_hermite_sees_at_most_one_slab(tmp_path, monkeypatch, capsys):
         return hermite_scaled(n, x)
 
     monkeypatch.setattr(transform, "hermite_scaled", recording)
-    peaks = GOLDEN["peaks_n40_200001.json"] + ["--out", str(tmp_path / "p.json")]
-    assert main(peaks) == 0
-    assert sizes == [7 * 3 * 41] * 2
-    sizes.clear()
-    with monkeypatch.context() as scan_only:
-        scan_only.setattr(analysis, "_windowed_peaks", lambda *args: None)
-        assert main(peaks) == 0
-    assert max(sizes) == analysis._SLAB and sum(sizes) == 2 * 200001
+    assert main(GOLDEN["peaks_n40.json"] + ["--out", str(tmp_path / "p.json")]) == 0
+    assert sizes == [41]
     sizes.clear()
     assert main(["verify", "--suite", "free-residual", "--refinements", "5"]) == 0
     capsys.readouterr()
@@ -1364,6 +1341,11 @@ def test_matches_golden(tmp_path, capsys, name):
     if GOLDEN[name][0] == "verify":
         assert capsys.readouterr().out.encode() == golden
     assert os.listdir(tmp_path) == [name]
+
+
+def test_golden_files_are_the_manifest():
+    """A golden file left behind by a rename, or a manifest entry without its file, fails."""
+    assert sorted(os.listdir(GOLDEN_DIR)) == sorted([*GOLDEN, "manifest.json"])
 
 
 @pytest.mark.parametrize("slab_workers", [1, 2, 3], indirect=True)
