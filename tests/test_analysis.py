@@ -1104,6 +1104,58 @@ class TestPeaks:
         record = find_density_maxima(field)
         assert (record.positions, record.heights, record.widths) == expected
 
+    # the scan of the sampled lift finds the exact rows to its grid's resolution: measured up
+    # to 7.2e-4 grid spacings in position, 5.4e-8 in height and 1.0e-6 in width, relative,
+    # on 40001 nodes for n up to 150, as perfbench's semiclassical gap
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(0, 150),
+        mass=st.floats(0.5, 2.0),
+        omega=st.floats(0.5, 2.0),
+        tau=st.floats(-5.0, 5.0),
+    )
+    def test_exact_peaks_match_the_scan(self, n, mass, omega, tau):
+        params = OscillatorParams(mass, omega)
+        grid = auto_grid(params, n, tau, 40001)
+        record = find_density_maxima(sample_field(lifted(params, n), grid, tau))
+        ((_, positions, heights, widths),) = analysis._exact_peaks(params, n, [tau])
+        assert len(record.positions) == n + 1
+        assert np.max(np.abs(record.positions - positions)) < 1e-3 * grid.spacing
+        assert np.max(np.abs(record.heights / heights - 1)) < 1e-7
+        assert np.max(np.abs(record.widths / widths - 1)) < 2e-6
+
+    # at n = 1000 the Hermite recurrence rescales, each point by its own limit; the scan
+    # still finds the exact rows, measured to 4.5e-4 grid spacings in position, 1.6e-7 in
+    # height and 2.4e-6 in width, relative
+    @pytest.mark.parametrize("tau", [0.0, 0.7])
+    def test_exact_peaks_match_the_scan_at_n1000(self, tau):
+        params = OscillatorParams(1.0, 1.0)
+        grid = auto_grid(params, 1000, tau, 160001)
+        record = find_density_maxima(sample_field(lifted(params, 1000), grid, tau))
+        ((_, positions, heights, widths),) = analysis._exact_peaks(params, 1000, [tau])
+        assert len(record.positions) == 1001
+        assert np.max(np.abs(record.positions - positions)) < 5e-4 * grid.spacing
+        assert np.max(np.abs(record.heights / heights - 1)) < 2e-7
+        assert np.max(np.abs(record.widths / widths - 1)) < 3e-6
+
+    # perfbench peaks-highn draws mass and omega from [0.8, 1.25] and taus from [0, 2]; its
+    # rows and gaps come from level_extrema, with no grid sampled whatever the count
+    @pytest.mark.parametrize("mass, omega", [(0.8, 0.8), (0.8, 1.25), (1.25, 0.8), (1.25, 1.25)])
+    def test_perfbench_inputs_are_not_scanned(self, mass, omega, monkeypatch):
+        def built(*_):
+            raise AssertionError("a grid was sampled")
+
+        monkeypatch.setattr(analysis, "sample_field", built)
+        monkeypatch.setattr(analysis.Grid1D, "nodes", property(built))
+        params = OscillatorParams(mass, omega)
+        for n, taus in ((40, np.linspace(0, 2, 9)), (120, [0.0, 1.0, 2.0])):
+            rows = list(analysis._exact_peaks(params, n, taus))
+            assert len(rows) == len(taus)
+            assert all(np.all(np.isfinite(block)) for _, *blocks in rows for block in blocks)
+        gaps = semiclassical_gap(params, [10, 40, 80, 120, 150], count=100001)
+        assert gaps == semiclassical_gap(params, [10, 40, 80, 120, 150])
+        assert len(gaps) == 5
+
     # densities on 11 nodes: a maximum at node 2 whose left flank stays above
     # half height to the grid end, its mirror image, and two maxima four
     # nodes apart with no half-height dip between them
@@ -1229,6 +1281,15 @@ class TestPeakLaw:
     def test_count_stable_under_stretching(self, params, n):
         report = peak_trajectory_check(params, n, [0.0, 1.5, 4.0], count=16001)
         assert report.peak_count == n + 1
+
+    # grids too coarse to resolve every maximum of the level
+    @pytest.mark.parametrize(
+        "n, taus, count, found", [(6, [0.0, 1.0], 41, 3), (2, [0.0], 3, 1)]
+    )
+    def test_missing_maxima_raise(self, params, n, taus, count, found):
+        message = f"level {n} has {n + 1} density maxima, found {found} at tau=0.0 on {count} nodes"
+        with pytest.raises(PeakDetectionError, match=re.escape(message)):
+            peak_trajectory_check(params, n, taus, count=count)
 
     def test_requires_baseline(self, params):
         with pytest.raises(ValueError):

@@ -140,12 +140,16 @@ class TestPeaks:
             assert all(type(k) is int for k in index)
 
     # peaks prints level_extrema's points stretched to each tau and builds no grid; --count
-    # is accepted and ignored until perfbench stops passing it (ROADMAP item 9)
+    # is accepted and ignored until perfbench stops passing it (ROADMAP item 9), so counts
+    # too coarse to resolve the level's maxima, which once exited 3, print the same rows
     @pytest.mark.parametrize(
         "args",
         [*(argv for argv in GOLDEN.values() if argv[0] == "peaks"),
-         ["peaks", "--n", "250", "--tau", "0"]],
-        ids=[*(name for name, argv in GOLDEN.items() if argv[0] == "peaks"), "n250"],
+         ["peaks", "--n", "250", "--tau", "0"],
+         ["peaks", "--n", "6", "--tau", "0,1", "--count", "41"],
+         ["peaks", "--n", "2", "--tau", "0", "--count", "3"]],
+        ids=[*(name for name, argv in GOLDEN.items() if argv[0] == "peaks"), "n250",
+             "coarse-n6", "coarse-n2"],
     )
     def test_builds_no_grid_and_ignores_count(self, tmp_path, monkeypatch, args):
         def built(*_):
@@ -187,8 +191,8 @@ class TestPeaks:
     # every level to MAX_LEVEL_1D prints n + 1 finite rows a tau, level_extrema's points
     # stretched; the grid scan that peaks once ran overflowed in the far tails from n = 170,
     # and took about 8 s a tau at MAX_LEVEL_1D
-    @pytest.mark.parametrize("n", [200, MAX_LEVEL_1D])
-    def test_high_levels_print_the_exact_maxima(self, tmp_path, n):
+    @pytest.mark.parametrize("n", [180, 200, MAX_LEVEL_1D])
+    def test_high_levels_match_the_exact_maxima(self, tmp_path, n):
         out = tmp_path / "peaks.json"
         assert main(["peaks", "--n", str(n), "--tau", "0,1", "--format", "json",
                      "--out", str(out)]) == 0
