@@ -34,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import TrajectoryFamily
 from .errors import BoundaryDecayError, NonFiniteError, NormalizationError, PeakDetectionError
-from .oscillator import OscillatorParams, QuantumNumbers1D, QuantumNumbers2D, density_1d
+from .oscillator import _UNIT, OscillatorParams, QuantumNumbers1D, QuantumNumbers2D, density_1d
 from .specfun import hermite_scaled
 from .transform import _product, _stretch_sq, lifted_eigenstate_1d
 
@@ -256,22 +255,22 @@ def sample_field(solution, grid: Grid1D | Grid, time: float) -> ComplexField:
     return ComplexField(grid, values, time)
 
 
-def _auto_axis(params: OscillatorParams, turn: float, tau: float, count: int) -> Grid1D:
-    """Symmetric axis of half-width (turn + 10 natural lengths) * sqrt(1 + omega^2 tau^2)."""
-    stretch = math.sqrt(_stretch_sq(params, tau))
-    half = (turn + 10.0 / math.sqrt(params.mass * params.omega)) * stretch
+def _auto_axis(params: OscillatorParams, level: float, tau: float, count: int) -> Grid1D:
+    """Symmetric axis for a level of energy omega level: in xi = sqrt(m omega) y, its turning
+    point sqrt(2 level) and 10 more, times s = sqrt(1 + theta^2), theta = omega tau."""
+    stretch = math.sqrt(_stretch_sq(params.omega * tau))
+    half = (math.sqrt(2.0 * level) + 10.0) * stretch / math.sqrt(params.mass * params.omega)
     return Grid1D(-half, half, count)
 
 
 def auto_grid(params: OscillatorParams, n: int, tau: float, count: int) -> Grid1D:
     """Symmetric grid wide enough for level n as it spreads up to free time tau."""
-    return _auto_axis(params, TrajectoryFamily.from_level(params, n).amplitude, tau, count)
+    return _auto_axis(params, QuantumNumbers1D(n).n + 0.5, tau, count)
 
 
 def auto_grid_2d(params: OscillatorParams, qn: QuantumNumbers2D, tau: float, count: int) -> Grid:
     """Square 2D analogue of auto_grid for the level (n_radial, l), from its turning radius."""
-    r_turn = math.sqrt(2.0 * (2 * qn.n_radial + abs(qn.l) + 1) / (params.mass * params.omega))
-    return Grid((_auto_axis(params, r_turn, tau, count),) * 2)
+    return Grid((_auto_axis(params, 2 * qn.n_radial + abs(qn.l) + 1, tau, count),) * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +542,7 @@ def density_scaling_check(
     """
     qn, axis = QuantumNumbers1D(n), _one_axis(grid)
     lhs = sample_field(lambda y, t: lifted_eigenstate_1d(params, qn, y, t), axis, tau).density()
-    s = math.sqrt(_stretch_sq(params, tau))
+    s = math.sqrt(_stretch_sq(params.omega * tau))
     rhs = density_1d(params, qn, axis.nodes / s) / s
     return float(np.abs(lhs - rhs).max())
 
@@ -753,19 +752,19 @@ def level_extrema(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _exact_peaks(params: OscillatorParams, n: int, taus):
     """(tau, positions, heights, widths) of the lifted level n's density maxima, a tuple a tau.
 
-    At free time tau the lifted density is rho_n(y / s) / s, s = sqrt(1 + omega^2 tau^2)
-    (C04), so its maxima and half-height points are level_extrema's points times
-    s / sqrt(m omega), and its heights those at tau = 0 over s.  The heights are
-    |chi_n|^2 of the lift at tau = 0, evaluated once: its bits, like level_extrema's, are
-    the same at every SIMD dispatch level, where density_1d's real exp is not (ROADMAP
-    item 13).  level_extrema runs when the first tuple is taken.
+    At free time tau the lifted density is sqrt(m omega) rho_n(xi / s) / s at m = omega = 1,
+    xi = sqrt(m omega) y, s = sqrt(1 + theta^2), theta = omega tau (C04); so its maxima and
+    half-height points are level_extrema's points times s / sqrt(m omega), and its heights
+    sqrt(m omega) / s times |chi_n|^2 of the m = omega = 1 lift at tau = 0, evaluated once:
+    its bits, like level_extrema's, are the same at every SIMD dispatch level, where
+    density_1d's real exp is not (ROADMAP item 13).  level_extrema runs at the first tuple.
     """
     maxima, left, right = level_extrema(n)
     natural = math.sqrt(params.mass * params.omega)
-    chi = lifted_eigenstate_1d(params, QuantumNumbers1D(n), maxima / natural, 0.0)
-    density, widths = chi.real**2 + chi.imag**2, right - left
+    chi = lifted_eigenstate_1d(_UNIT, QuantumNumbers1D(n), maxima, 0.0)
+    density, widths = (chi.real**2 + chi.imag**2) * natural, right - left
     for tau in taus:
-        s = math.sqrt(_stretch_sq(params, tau))
+        s = math.sqrt(_stretch_sq(params.omega * tau))
         yield tau, maxima * (s / natural), density / s, widths * (s / natural)
 
 
@@ -816,7 +815,7 @@ def peak_trajectory_check(
     base_rec, *recs = records
     pos_err = width_err = 0.0
     for tau, rec in zip(later, recs):
-        stretch = math.sqrt(_stretch_sq(params, tau))
+        stretch = math.sqrt(_stretch_sq(params.omega * tau))
         for p0, p in zip(base_rec.positions, rec.positions):
             expected = p0 * stretch
             scale = max(abs(expected), natural * stretch)

@@ -4,7 +4,7 @@ A 1D oscillator level with energy E corresponds to the family of
 trajectories x(t, alpha) = A cos(omega t + alpha), A = sqrt(2E/(m omega^2)),
 parametrized by the phase angle alpha.  Under the oscillator-to-free map
 these become straight lines y(tau, alpha) = A (cos alpha - omega tau sin alpha)
-whose envelope is the hyperbola +- A sqrt(1 + omega^2 tau^2).
+whose envelope is the hyperbola +- A sqrt(1 + theta^2), theta = omega tau.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ class TrajectoryFamily:
 
     @property
     def amplitude(self) -> float:
-        """Oscillation amplitude sqrt(2E / (m omega^2))."""
-        return math.sqrt(2.0 * self.energy / (self.params.mass * self.params.omega**2))
+        """Oscillation amplitude sqrt(2E / (m omega^2)): sqrt(2E / omega) in xi, / sqrt(m omega)."""
+        omega = self.params.omega
+        return math.sqrt(2.0 * self.energy) / math.sqrt(omega) / math.sqrt(self.params.mass * omega)
 
     @classmethod
     def from_level(cls, params: OscillatorParams, n: int) -> "TrajectoryFamily":
@@ -56,14 +57,14 @@ def oscillator_trajectory(fam: TrajectoryFamily, alpha: float, t):
 
 
 def free_trajectory(fam: TrajectoryFamily, alpha: float, tau):
-    """Free-side trajectory y(tau, alpha) = A (cos alpha - omega tau sin alpha)."""
-    ta = np.asarray(tau, dtype=float)
-    return fam.amplitude * (math.cos(alpha) - fam.params.omega * ta * math.sin(alpha))
+    """Free-side trajectory y(tau, alpha) = A (cos alpha - theta sin alpha), theta = omega tau."""
+    theta = fam.params.omega * np.asarray(tau, dtype=float)
+    return fam.amplitude * (math.cos(alpha) - theta * math.sin(alpha))
 
 
 def envelope(fam: TrajectoryFamily, tau):
-    """Both envelope branches +- A sqrt(1 + omega^2 tau^2) at free time tau."""
-    mag = fam.amplitude * np.sqrt(_stretch_sq(fam.params, tau))
+    """Both envelope branches +- A sqrt(1 + theta^2) at free time tau, theta = omega tau."""
+    mag = fam.amplitude * np.sqrt(_stretch_sq(fam.params.omega * np.asarray(tau, dtype=float)))
     if np.ndim(tau) == 0:
         return float(mag), float(-mag)
     return mag, -mag

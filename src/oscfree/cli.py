@@ -8,7 +8,7 @@ Exit codes: 0 ok, 2 usage error (a malformed or non-finite flag value,
 named in the message, a grid, range or table over the 2**24-point or
 2**24-row budget, a 1D --n over oscillator.MAX_LEVEL_1D, a 2D level
 2 --n-radial + |--l| over oscillator.MAX_LEVEL_2D, or a --mass and
---omega refused by OscillatorParams), 3 numerical
+--omega whose product is not a normal finite double), 3 numerical
 precondition failure (boundary decay, half-period window, non-finite
 sampled values, a non-finite table, which is then not written, a verify
 residual that underflowed to zero, or a floating-point overflow, invalid

@@ -3,7 +3,8 @@
 1D eigenfunctions, 2D joint energy/angular-momentum eigenfunctions in
 polar coordinates, their energies and probability densities.
 Normalization constants are handled in log space: 2**n * n! overflows a
-double near n = 170, while log(norm) stays tame.
+double near n = 170, while log(norm) stays tame.  A state is evaluated at
+m = omega = 1, in xi = sqrt(m omega) x and theta = omega t, times (m omega)^{d/4}.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from .specfun import hermite_scaled, kummer_truncated
 class OscillatorParams:
     """Mass and angular frequency of the oscillator, both positive and finite.
 
-    omega**2, mass * omega and mass * omega**2 must be normal finite doubles too: the
-    evaluators form them, and where one underflows or overflows a table is silently wrong
-    (ROADMAP item 19).
+    mass * omega must be a normal finite double too: the evaluators scale by sqrt(m omega)
+    and (m omega)^{d/4}, and otherwise run at m = omega = 1 in xi and theta = omega tau.
     """
 
     mass: float
@@ -35,18 +35,12 @@ class OscillatorParams:
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
         if not 0 < self.omega < math.inf:
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
-        omega_sq = self.omega * self.omega  # omega**2, but inf where it overflows
-        products = {
-            "omega**2": omega_sq,
-            "mass * omega": self.mass * self.omega,
-            "mass * omega**2": self.mass * omega_sq,
-        }
-        for name, value in products.items():
-            if not sys.float_info.min <= value < math.inf:
-                raise ValueError(
-                    f"{name} must be a normal finite double, got {value!r} at mass {self.mass!r}"
-                    f" and omega {self.omega!r}"
-                )
+        mw = self.mass * self.omega
+        if not sys.float_info.min <= mw < math.inf:
+            raise ValueError(f"mass * omega must be a normal finite double, got {mw!r}")
+
+
+_UNIT = OscillatorParams(1.0, 1.0)  # m = omega = 1, where xi = x and theta = omega t = t
 
 
 # largest 1D level, where cost grows as n^2: at 10^4, level_extrema took 0.5 s (2.0 s at 2 10^4)
@@ -103,20 +97,21 @@ def energy_2d(params: OscillatorParams, qn: QuantumNumbers2D) -> float:
     return params.omega * (2 * qn.n_radial + abs(qn.l) + 1)
 
 
-def _log_norm_1d(params: OscillatorParams, n: int) -> float:
-    mw = params.mass * params.omega
-    return 0.25 * math.log(mw / math.pi) - 0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0))
+def _log_norm_1d(mw: float, n: int) -> float:
+    """log of the m omega = 1 norm (2^n n!)^{-1/2} pi^{-1/4} times the prefactor (m omega)^{1/4}."""
+    log_norm = 0.25 * math.log(1.0 / math.pi) - 0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0))
+    return log_norm + 0.25 * math.log(mw)
 
 
 def _amplitude_1d(params: OscillatorParams, qn: QuantumNumbers1D, x):
-    """psi_n(x, 0) as exp(log norm - m omega x^2 / 2 + e ln 2) h, with H_n = h 2^e.
+    """psi_n(x, 0) as exp(log norm - xi^2 / 2 + e ln 2) h, xi = sqrt(m omega) x, H_n(xi) = h 2^e.
 
-    H_n (at sqrt(m omega) x) gives its exponent to the exp, so neither factor overflows.
+    H_n gives its exponent to the exp, so neither factor overflows.
     """
     mw = params.mass * params.omega
-    xa = np.asarray(x, dtype=float)
-    poly, e = hermite_scaled(qn.n, np.sqrt(mw) * xa)[::2]
-    return np.exp(_log_norm_1d(params, qn.n) + e * math.log(2.0) - 0.5 * mw * xa * xa) * poly
+    xi = math.sqrt(mw) * np.asarray(x, dtype=float)
+    poly, e = hermite_scaled(qn.n, xi)[::2]
+    return np.exp(_log_norm_1d(mw, qn.n) + e * math.log(2.0) - 0.5 * xi * xi) * poly
 
 
 def eigenstate_1d(params: OscillatorParams, qn: QuantumNumbers1D, x, t: float):
@@ -140,7 +135,7 @@ def eigenstate_1d(params: OscillatorParams, qn: QuantumNumbers1D, x, t: float):
     complex or ndarray
         psi_n(x, t), scalar in / scalar out.
     """
-    out = _amplitude_1d(params, qn, x) * np.exp(-1j * energy_1d(params, qn) * t)
+    out = _amplitude_1d(params, qn, x) * np.exp(-1j * (qn.n + 0.5) * (params.omega * t))
     return complex(out) if np.ndim(x) == 0 else out
 
 
@@ -154,11 +149,11 @@ def density_1d(params: OscillatorParams, qn: QuantumNumbers1D, x):
 def eigenstate_2d(params: OscillatorParams, qn: QuantumNumbers2D, r, phi, t: float):
     """Normalized 2D polar eigenfunction psi_{n,l}(r, phi, t).
 
-    The radial profile is exp(-m omega r^2 / 2) r^{|l|}
-    F(-n, |l| + 1, m omega r^2) with F the terminating Kummer function;
-    the angular factor exp(i l phi) makes the state a joint eigenfunction
-    of energy and angular momentum, and the time factor carries the full
-    2D level energy omega (2n + |l| + 1).
+    The radial profile is exp(-rho^2 / 2) rho^{|l|} F(-n, |l| + 1, rho^2),
+    rho = sqrt(m omega) r, with F the terminating Kummer function, times
+    (m omega)^{1/2}; the angular factor exp(i l phi) makes the state a joint
+    eigenfunction of energy and angular momentum, and the time factor carries
+    the full 2D level energy omega (2n + |l| + 1).
 
     Parameters
     ----------
@@ -182,15 +177,16 @@ def eigenstate_2d(params: OscillatorParams, qn: QuantumNumbers2D, r, phi, t: flo
     pa = np.asarray(phi, dtype=float)
     mw = params.mass * params.omega
     labs = abs(qn.l)
+    rho = math.sqrt(mw) * ra
     radial = (
-        np.exp(-0.5 * mw * ra * ra)
-        * ra**labs
-        * kummer_truncated(qn.n_radial, labs + 1.0, mw * ra * ra)
+        np.exp(-0.5 * rho * rho)
+        * rho**labs
+        * kummer_truncated(qn.n_radial, labs + 1.0, rho * rho)
     )
     out = (
-        norm_constant_2d(params, qn)
+        norm_constant_2d(_UNIT, qn) * math.sqrt(mw)
         * radial
-        * np.exp(1j * (qn.l * pa - energy_2d(params, qn) * t))
+        * np.exp(1j * (qn.l * pa - (2 * qn.n_radial + labs + 1) * (params.omega * t)))
     )
     if np.ndim(r) == 0 and np.ndim(phi) == 0:
         return complex(out)

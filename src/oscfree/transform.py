@@ -21,6 +21,9 @@ The stretch s^2, the time map and the dressing are each written once here.
 A solution is called as f(*coords, t), one coordinate per axis, as in
 analysis.sample_field; lift_wavefunction and pull_back_wavefunction turn a
 solution on one side into the solution on the other, in any dimension.
+Every level it lifts is scale covariant: chi(y, tau; m, omega) = (m omega)^{d/4}
+chi(xi, theta; 1, 1), xi = sqrt(m omega) y, theta = omega tau.  So the stretch and phase
+take xi and theta, and the closed-form lifts run at m = omega = 1 and scale at the end.
 """
 
 from __future__ import annotations
@@ -31,12 +34,11 @@ import numpy as np
 
 from .errors import HalfPeriodError
 from .oscillator import (
+    _UNIT,
     OscillatorParams,
     QuantumNumbers1D,
     QuantumNumbers2D,
     _log_norm_1d,
-    energy_1d,
-    energy_2d,
     norm_constant_2d,
 )
 from .specfun import hermite_scaled, kummer_truncated
@@ -49,13 +51,13 @@ def _check_half_period(params: OscillatorParams, t: float) -> None:
         )
 
 
-def _stretch_sq(params: OscillatorParams, tau):
-    """Squared stretch s^2 = 1 + (omega tau)^2 at free time(s) tau (a float for a scalar tau).
+def _stretch_sq(theta):
+    """Squared stretch s^2 = 1 + theta^2 at theta = omega tau (a float for a scalar theta).
 
     float_power rounds like the scalar ``**`` (libm pow), where an array
     ``** 2`` squares; so an array call gives each value's scalar-call bits.
     """
-    s2 = 1.0 + np.float_power(params.omega * np.asarray(tau, dtype=float), 2)
+    s2 = 1.0 + np.float_power(np.asarray(theta, dtype=float), 2)
     return float(s2) if np.ndim(s2) == 0 else s2
 
 
@@ -78,22 +80,23 @@ def osc_to_free_space(params: OscillatorParams, t: float, x):
 
 def free_to_osc_space(params: OscillatorParams, tau: float, y):
     """Map free-side position(s) to oscillator-side, x = y (1 + omega^2 tau^2)^{-1/2}."""
-    return np.asarray(y, dtype=float) / math.sqrt(_stretch_sq(params, tau))
+    return np.asarray(y, dtype=float) / math.sqrt(_stretch_sq(params.omega * tau))
 
 
-def _dressing_phase(params: OscillatorParams, tau: float, y_sq, energy: float):
-    """The lift's phase m omega^2 tau y_sq / (2 s^2) - E t (level energy E, t mapped).
+def _dressing_phase(theta: float, xi_sq, level: float):
+    """The lift's phase theta xi_sq / (2 s^2) - E' atan(theta), theta = omega tau.
 
-    y_sq is |y|^2, or one axis's y_k^2 in the 2D lift, whose phase splits into one per axis.
+    It is m omega^2 tau |y|^2 / (2 s^2) - E t, t the mapped time, with E' = E / omega (0 for
+    the bare dressing) and xi_sq = m omega |y|^2, or one axis's part in the 2D lift.
     """
-    t = free_to_osc_time(params, tau)
-    return 0.5 * params.mass * params.omega**2 * tau * y_sq / _stretch_sq(params, tau) - energy * t
+    return 0.5 * theta * xi_sq / _stretch_sq(theta) - level * math.atan(theta)
 
 
 def _dressing(params: OscillatorParams, y, tau: float, sign: int):
     """(s^2)^{-sign d/4} exp(sign i m omega^2 tau |y|^2 / (2 s^2)): sign 1 lifts, -1 pulls back."""
-    phase = _dressing_phase(params, tau, sum(np.square(c) for c in y), 0.0)
-    return _stretch_sq(params, tau) ** (-0.25 * sign * len(y)) * np.exp(sign * 1j * phase)
+    theta = params.omega * tau
+    phase = _dressing_phase(theta, params.mass * params.omega * sum(np.square(c) for c in y), 0.0)
+    return _stretch_sq(theta) ** (-0.25 * sign * len(y)) * np.exp(sign * 1j * phase)
 
 
 def lift_wavefunction(psi, params: OscillatorParams):
@@ -130,8 +133,8 @@ def pull_back_wavefunction(chi, params: OscillatorParams):
 def lifted_eigenstate_1d(params: OscillatorParams, qn: QuantumNumbers1D, y, tau: float):
     """Closed-form free-particle solution obtained by lifting the 1D level n.
 
-    One exp of the norm, stretch and dressing, times H_n in place; agrees with
-    lift_wavefunction applied to eigenstate_1d to machine precision (two code paths, one answer).
+    One exp of the norm (with (m omega)^{1/4}), stretch and dressing in xi and theta, times H_n
+    in place; agrees with lift_wavefunction applied to eigenstate_1d to machine precision.
 
     Parameters
     ----------
@@ -147,16 +150,17 @@ def lifted_eigenstate_1d(params: OscillatorParams, qn: QuantumNumbers1D, y, tau:
     complex or ndarray
         chi_n(y, tau), scalar in / scalar out.
     """
-    mw = params.mass * params.omega
-    ya = np.asarray(y, dtype=float)
-    s2 = _stretch_sq(params, tau)
+    mw, theta = params.mass * params.omega, params.omega * tau
+    xi = math.sqrt(mw) * np.asarray(y, dtype=float)
+    s2 = _stretch_sq(theta)
     # the recurrence runs before any complex temporary exists, and the product is taken in
     # place in the operand order exp(...) * H_n (complex products round by operand order)
-    h, e = hermite_scaled(qn.n, math.sqrt(mw / s2) * ya)[::2]
-    y_sq = ya * ya
+    h, e = hermite_scaled(qn.n, math.sqrt(1.0 / s2) * xi)[::2]
+    xi_sq = xi * xi
+    del xi  # so that the complex temporaries below find one real buffer fewer
     out = np.exp(
-        _log_norm_1d(params, qn.n) + e * math.log(2.0) - 0.25 * math.log(s2) - 0.5 * mw * y_sq / s2
-        + 1j * _dressing_phase(params, tau, y_sq, energy_1d(params, qn))
+        _log_norm_1d(mw, qn.n) + e * math.log(2.0) - 0.25 * math.log(s2) - 0.5 * xi_sq / s2
+        + 1j * _dressing_phase(theta, xi_sq, qn.n + 0.5)
     )
     out *= h
     if np.ndim(y) == 0:
@@ -182,16 +186,16 @@ def _product(a, b, out, tmp):
     return out
 
 
-def _axis_factor(params: OscillatorParams, tau: float, y_sq, energy: float, scale: float):
-    """scale exp(a y_sq - i E t), a = (-m omega + i m omega^2 tau) / (2 s^2), as an (re, im) pair.
+def _axis_factor(theta: float, xi_sq, level: float, scale: float):
+    """scale exp(a xi_sq - i E' atan theta), a = (-1 + i theta) / (2 s^2), as an (re, im) pair.
 
-    The 2D lift's Gaussian and dressing phase are exp(a |y|^2 - i E t), a product of one such
-    factor per axis.  The complex exp is numpy's scalar loop, with the same bits at every
-    SIMD dispatch level; the rest is real arithmetic.
+    The 2D lift's Gaussian and dressing phase are exp(a |xi|^2 - i E' atan theta), a product
+    of one such factor per axis.  The complex exp is numpy's scalar loop, with the same bits
+    at every SIMD dispatch level; the rest is real arithmetic.
     """
-    arg = np.empty(np.shape(y_sq), dtype=complex)
-    np.multiply(y_sq, -0.5 * params.mass * params.omega / _stretch_sq(params, tau), out=arg.real)
-    arg.imag = _dressing_phase(params, tau, y_sq, energy)
+    arg = np.empty(np.shape(xi_sq), dtype=complex)
+    np.multiply(xi_sq, -0.5 / _stretch_sq(theta), out=arg.real)
+    arg.imag = _dressing_phase(theta, xi_sq, level)
     np.exp(arg, out=arg)
     return np.multiply(arg.real, scale, out=arg.real), np.multiply(arg.imag, scale, out=arg.imag)
 
@@ -199,11 +203,12 @@ def _axis_factor(params: OscillatorParams, tau: float, y_sq, energy: float, scal
 def lifted_eigenstate_2d(params: OscillatorParams, qn: QuantumNumbers2D, y1, y2, tau: float):
     """Closed-form lift of the 2D level (n_radial, l), for every n_radial >= 0.
 
-    (y1 + i sgn(l) y2)^{|l|} carries r^{|l|} exp(i l phi) without an angle,
-    kummer_truncated the radial excitation, and the Gaussian and dressing phase,
-    functions of |y|^2 alone, split into one factor per axis: g1 = C exp(a y1^2 - i E t),
-    with the norm constant and s^{-(|l|+1)} in C, and g2 = exp(a y2^2).  On sparse
-    coordinates (analysis._slabs) that is one complex exp per axis node, not per point.
+    In xi = sqrt(m omega) y and theta = omega tau: (xi1 + i sgn(l) xi2)^{|l|} carries
+    r^{|l|} exp(i l phi) without an angle, kummer_truncated the radial excitation, and the
+    Gaussian and dressing phase, functions of |xi|^2 alone, split into one factor per axis:
+    g1 = C exp(a xi1^2 - i E' atan theta), with the m omega = 1 norm constant, (m omega)^{1/2}
+    and s^{-(|l|+1)} in C, and g2 = exp(a xi2^2).  On sparse coordinates (analysis._slabs)
+    that is one complex exp per axis node, not per point.
     Every product is real arithmetic (_product), so sparse and full coordinates give the
     same bits, at every SIMD dispatch level.  Agrees with lift_wavefunction applied to
     eigenstate_2d to machine precision.
@@ -222,24 +227,23 @@ def lifted_eigenstate_2d(params: OscillatorParams, qn: QuantumNumbers2D, y1, y2,
     complex or ndarray
         chi_{n_radial,l}(y1, y2, tau), scalar in / scalar out.
     """
-    mw = params.mass * params.omega
-    y1a = np.asarray(y1, dtype=float)
-    y2a = np.asarray(y2, dtype=float)
+    mw, theta = params.mass * params.omega, params.omega * tau
+    xi1, xi2 = (math.sqrt(mw) * np.asarray(c, dtype=float) for c in (y1, y2))
     labs = abs(qn.l)
-    s2 = _stretch_sq(params, tau)
-    sq1, sq2 = y1a * y1a, y2a * y2a
+    s2 = _stretch_sq(theta)
+    sq1, sq2 = xi1 * xi1, xi2 * xi2
     # the recurrence runs before any other full-size buffer exists, on the one full r^2
     if qn.n_radial:
-        kummer = kummer_truncated(qn.n_radial, labs + 1.0, mw * (sq1 + sq2) / s2)
-    scale = norm_constant_2d(params, qn) * s2 ** (-0.5 * (labs + 1))
-    g1 = _axis_factor(params, tau, sq1, energy_2d(params, qn), scale)
-    g2 = _axis_factor(params, tau, sq2, 0.0, 1.0)
-    shape = np.broadcast_shapes(y1a.shape, y2a.shape)
+        kummer = kummer_truncated(qn.n_radial, labs + 1.0, (sq1 + sq2) / s2)
+    scale = norm_constant_2d(_UNIT, qn) * math.sqrt(mw) * s2 ** (-0.5 * (labs + 1))
+    g1 = _axis_factor(theta, sq1, 2 * qn.n_radial + labs + 1, scale)
+    g2 = _axis_factor(theta, sq2, 0.0, 1.0)
+    shape = np.broadcast_shapes(xi1.shape, xi2.shape)
     buf, tmp = (np.empty(shape), np.empty(shape)), (np.empty(shape), np.empty(shape))
     # ((y1 + i sgn(l) y2)^|l| g1) kummer g2, left to right.  The power comes first, so that
     # where it overflows the lift fails, as one power did, rather than g1's small norm
     # constant first taking the product to a finite 0
-    factors = [(y1a, math.copysign(1.0, qn.l) * y2a)] * labs + [g1]
+    factors = [(xi1, math.copysign(1.0, qn.l) * xi2)] * labs + [g1]
     chi = factors[0]
     for factor in factors[1:]:
         chi = _product(chi, factor, buf, tmp)

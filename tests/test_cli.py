@@ -206,8 +206,9 @@ class TestPeaks:
             assert np.allclose(block[:, 2], maxima * stretch, rtol=1e-15, atol=0)
             assert np.allclose(block[:, 4], (right - left) * stretch, rtol=1e-15, atol=0)
 
-    # the lift's dressing phase overflows on the grid at this tau, and the stretch s^2 at
-    # 1e200 (ROADMAP item 19); the exact rows are those at tau = 0 times s (over s in height)
+    # rows at a tau where the lift's dressing phase would overflow on a grid, and where the
+    # stretch s^2 itself overflows (1e200); the exact rows are those at tau = 0 times s (over
+    # s in height)
     def test_large_tau_scales_the_rows_at_zero(self, tmp_path, capsys):
         base, far = tmp_path / "base.json", tmp_path / "far.json"
         for tau, out in (("0", base), ("1e150", far)):
@@ -515,7 +516,7 @@ class TestErrorPaths:
         assert f"2 n_radial + |l| must be at most {MAX_LEVEL_2D}, got" in captured.err
         assert not out.exists()
 
-    # omega**2 and m omega^2 underflow to 0, so the classical amplitude would divide by zero
+    # m omega = 1e-400 underflows to 0, so no level can be scaled to it
     @pytest.mark.parametrize(
         "args",
         [
@@ -530,26 +531,31 @@ class TestErrorPaths:
         assert main(args + ["--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "omega**2 must be a normal finite double" in captured.err
+        assert "mass * omega must be a normal finite double, got 0.0" in captured.err
         assert not out.exists()
 
-    # (mass, omega) where omega**2, mass * omega or mass * omega**2 is not a normal double,
-    # which gave silently wrong tables, then those right before, in gen1d and gen2d
+    # (mass, omega) where omega**2 or mass * omega**2 is not a normal double, which gave
+    # silently wrong tables, then were refused, and now scale; 2D levels whose angular power
+    # overflowed at (1e-100, 1e-100) before the lift ran in xi; rows that always passed; and
+    # one where mass * omega itself is subnormal
     @pytest.mark.parametrize(
-        "command, mass, omega, code",
+        "level, mass, omega, code",
         [
-            ("gen1d", "1e-150", "1e-150", 2),
-            ("gen1d", "1", "1e-300", 2),
-            ("gen1d", "1e300", "1e-300", 2),
-            ("gen2d", "1e-120", "1e-100", 2),
-            ("gen2d", "1e-100", "1e-110", 2),
-            ("gen1d", "1e-300", "1", 0),
-            ("gen1d", "1e200", "1", 0),
-            ("gen1d", "1e150", "1e-150", 0),
-            ("gen2d", "1e150", "1e-150", 0),
+            (["--n", "5"], "1e-150", "1e-150", 0),
+            (["--n", "5"], "1", "1e-300", 0),
+            (["--n", "5"], "1e300", "1e-300", 0),
+            (["--l", "2", "--n-radial", "1"], "1e-120", "1e-100", 0),
+            (["--l", "2", "--n-radial", "1"], "1e-100", "1e-110", 0),
+            (["--l", "-5", "--n-radial", "3"], "1e-100", "1e-100", 0),
+            (["--l", "40"], "1e-100", "1e-100", 0),
+            (["--n", "5"], "1e-300", "1", 0),
+            (["--n", "5"], "1e200", "1", 0),
+            (["--n", "5"], "1e150", "1e-150", 0),
+            (["--l", "2", "--n-radial", "1"], "1e150", "1e-150", 0),
+            (["--n", "5"], "1e-200", "1e-110", 2),
         ],
     )
-    def test_mass_omega_range(self, tmp_path, capsys, command, mass, omega, code):
+    def test_mass_omega_range(self, tmp_path, capsys, level, mass, omega, code):
         """Exit 2 with nothing written out of range; in range, the scaled table of m = omega = 1.
 
         The lift is scale covariant: chi(y, tau; m, omega) = (m omega)^(d/4) chi(sqrt(m omega) y,
@@ -557,15 +563,15 @@ class TestErrorPaths:
         tau = 0.8 / omega holds the values at xi and 0.8 times (m omega)^(d/4).
         """
         m, w = float(mass), float(omega)
+        command = "gen1d" if level[0] == "--n" else "gen2d"
         length = 1 / math.sqrt(m * w)
-        level = ["--n", "5"] if command == "gen1d" else ["--l", "2", "--n-radial", "1"]
         grid = f"{-6 * length!r}:{6 * length!r}:5"
         args = [command, *level, "--mass", mass, "--omega", omega, f"--tau={0.8 / w!r}",
                 f"--grid={grid}", "--out", str(tmp_path / "scaled.csv")]
         assert main(args) == code
         if code:
             assert not (tmp_path / "scaled.csv").exists()
-            assert "must be a normal finite double" in capsys.readouterr().err
+            assert "mass * omega must be a normal finite double" in capsys.readouterr().err
             return
         unit = [command, *level, "--tau=0.8", "--grid=-6:6:5", "--out", str(tmp_path / "unit.csv")]
         assert main(unit) == 0
@@ -1014,14 +1020,16 @@ def test_table_text_gives_the_one_writer_bytes(tmp_path, monkeypatch, capsys, ca
 
 # tables of many writer chunks at default slabs: a 301^2 gen2d and a 20001-node gen1d, one
 # tau whose last slab is ragged (a chunk spans the end of one slab and a part of the next),
-# and levels whose Hermite factor passes the largest float (the scaled recurrence)
+# a level whose Hermite factor passes the largest float (the scaled recurrence), and a 301^2
+# gen2d at extreme (m, omega), three slabs of the lift in xi
 POOL_CASES = {
     "big-csv": ["gen2d", "--l", "1", "--tau", "0,0.5", "--grid", "-12:12:301"],
     "big-json": ["gen1d", "--n", "3", "--tau", "0:2:4", "--grid", "-20:20:20001",
                  "--format", "json"],
     "ragged": ["gen1d", "--n", "3", "--tau", "0.5", "--grid", "-20:20:100001"],
     "n300": ["gen1d", "--n", "300", "--tau", "0", "--grid", "-40:40:2001"],
-    "p250": ["peaks", "--n", "250", "--tau", "0", "--count", "20001"],
+    "xi2d": ["gen2d", "--l", "-5", "--n-radial", "3", "--mass", "1e-100", "--omega", "1e-100",
+             "--tau", "8e99", "--grid=-5e100:5e100:301"],
 }
 
 

@@ -47,24 +47,31 @@ class TestDomainTypes:
             with pytest.raises(ValueError):
                 OscillatorParams(mass=1.0, omega=bad)
 
-    # omega**2, m omega or m omega^2 not a normal double: auto_grid raised a raw
-    # ZeroDivisionError at (1e-150, 1e-150) and OverflowError at (1e-160, 1e160)
-    @pytest.mark.parametrize(
-        "mass, omega, name",
-        [(1e-150, 1e-150, "mass \\* omega\\*\\*2"), (1e-160, 1e160, "omega\\*\\*2"),
-         (1e-200, 1e-110, "mass \\* omega "), (1e-120, 1e-100, "mass \\* omega\\*\\*2"),
-         (1e200, 1e150, "mass \\* omega ")],
-    )
-    def test_params_products_must_be_normal(self, mass, omega, name):
-        with pytest.raises(ValueError, match=f"^{name}"):
+    # m omega not a normal double: the evaluators scale by sqrt(m omega) and (m omega)^{d/4}
+    @pytest.mark.parametrize("mass, omega", [(1e-200, 1e-110), (1e200, 1e150)])
+    def test_params_products_must_be_normal(self, mass, omega):
+        with pytest.raises(ValueError, match="^mass \\* omega must be a normal finite double"):
             OscillatorParams(mass, omega)
 
+    # omega**2 or m omega^2 not a normal double, once refused: auto_grid raised a raw
+    # ZeroDivisionError at (1e-150, 1e-150) and OverflowError at (1e-160, 1e160).  In xi the
+    # grid is the m = omega = 1 grid, so in y it is that over sqrt(m omega)
+    @pytest.mark.parametrize("mass, omega", [(1e-150, 1e-150), (1e-160, 1e160), (1e-120, 1e-100)])
+    def test_params_accept_a_normal_mass_omega(self, mass, omega):
+        grid = auto_grid(OscillatorParams(mass, omega), 2, 0.3 / omega, 11)
+        unit = auto_grid(OscillatorParams(1.0, 1.0), 2, 0.3, 11)
+        scaled = np.array([grid.y_min, grid.y_max]) * math.sqrt(mass * omega)
+        assert np.allclose(scaled, [unit.y_min, unit.y_max], rtol=1e-15, atol=0)
+
     def test_params_products_at_the_edge(self):
-        tiny = sys.float_info.min
+        tiny, huge = sys.float_info.min, sys.float_info.max
         OscillatorParams(1.0, math.sqrt(tiny) * (1 + 2**-50))
+        OscillatorParams(1.0, math.sqrt(tiny) / 2)  # omega**2 subnormal, m omega normal
         OscillatorParams(tiny, 1.0)
-        with pytest.raises(ValueError):
-            OscillatorParams(tiny / 2, 1.0)
+        OscillatorParams(huge, 1.0)
+        for mass, omega in [(tiny / 2, 1.0), (huge, 2.0)]:
+            with pytest.raises(ValueError, match="^mass \\* omega must be a normal finite double"):
+                OscillatorParams(mass, omega)
 
     def test_quantum_number_validation(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,6 @@ from oscfree import (
 )
 from oscfree import analysis
 from oscfree.analysis import Grid, Grid1D, auto_grid, residual
-from oscfree.oscillator import _log_norm_1d, energy_1d, energy_2d
 from oscfree.specfun import hermite, kummer_truncated
 from oscfree.transform import _dressing_phase, _stretch_sq
 
@@ -59,23 +58,20 @@ class TestTimeMaps:
         assert free_to_osc_time(params, 1e9) < math.pi / 2
 
 
-# omega * tau stays within 1e150, so the square cannot overflow; omega**2 is a normal double,
-# as OscillatorParams requires
+# theta = omega tau stays within 1e150, so its square cannot overflow
 @settings(max_examples=300, deadline=None)
 @given(
-    omega=st.floats(1.5e-154, 1e10),
-    taus=st.lists(
-        st.floats(-1e140, 1e140) | st.sampled_from([5e-324, -2.5e-310, -0.0]), max_size=12
+    thetas=st.lists(
+        st.floats(-1e150, 1e150) | st.sampled_from([5e-324, -2.5e-310, -0.0]), max_size=12
     ),
 )
-def test_stretch_sq_bits(omega, taus):
-    # the stretch of an array of times is each time's scalar stretch, bit for
-    # bit, and both are Python's 1 + (omega tau)**2; a scalar gives a float
-    params = OscillatorParams(1.0, omega)
-    scalar = [_stretch_sq(params, t) for t in taus]
+def test_stretch_sq_bits(thetas):
+    # the stretch of an array of theta is each value's scalar stretch, bit for
+    # bit, and both are Python's 1 + theta**2; a scalar gives a float
+    scalar = [_stretch_sq(theta) for theta in thetas]
     assert all(type(s2) is float for s2 in scalar)
-    assert _stretch_sq(params, np.array(taus, dtype=float)).tolist() == scalar
-    assert scalar == [1.0 + (omega * t) ** 2 for t in taus]
+    assert _stretch_sq(np.array(thetas, dtype=float)).tolist() == scalar
+    assert scalar == [1.0 + theta**2 for theta in thetas]
 
 
 class TestSpaceMaps:
@@ -187,34 +183,49 @@ class TestLiftAndPullBack:
 
 
 def reference_lifted_1d(params, qn, y, tau):
-    """lifted_eigenstate_1d as one expression, the bit reference for its in-place evaluation."""
-    mw, ya, s2 = params.mass * params.omega, np.asarray(y, dtype=float), _stretch_sq(params, tau)
+    """lifted_eigenstate_1d as one expression in xi = sqrt(m omega) y and theta = omega tau, the
+    bit reference for its in-place evaluation: the m omega = 1 level, its log norm carrying
+    (m omega)^{1/4}, and s^2 = 1 + theta^2."""
+    n, mw, theta = qn.n, params.mass * params.omega, params.omega * tau
+    xi, s2 = math.sqrt(mw) * np.asarray(y, dtype=float), 1.0 + theta**2
+    log_norm = (
+        0.25 * math.log(1.0 / math.pi) - 0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0))
+        + 0.25 * math.log(mw)
+    )
     out = np.exp(
-        _log_norm_1d(params, qn.n) - 0.25 * math.log(s2) - 0.5 * mw * (ya * ya) / s2
-        + 1j * _dressing_phase(params, tau, ya * ya, energy_1d(params, qn))
-    ) * hermite(qn.n, math.sqrt(mw / s2) * ya)
+        log_norm - 0.25 * math.log(s2) - 0.5 * (xi * xi) / s2
+        + 1j * (0.5 * theta * (xi * xi) / s2 - (n + 0.5) * math.atan(theta))
+    ) * hermite(n, math.sqrt(1.0 / s2) * xi)
     return complex(out) if np.ndim(y) == 0 else out
 
 
 def reference_lifted_2d(params, qn, y1, y2, tau):
-    """lifted_eigenstate_2d as one expression on (re, im) pairs, the bit reference for its
-    in-place products: ((y1 + i sgn(l) y2)^|l| g1) kummer g2, with g1 and g2 the per-axis
-    Gaussian and phase factors and every complex product written in real arithmetic."""
-    mw, labs, s2 = params.mass * params.omega, abs(qn.l), _stretch_sq(params, tau)
-    y1a, y2a = np.asarray(y1, dtype=float), np.asarray(y2, dtype=float)
+    """lifted_eigenstate_2d as one expression on (re, im) pairs in xi = sqrt(m omega) y and
+    theta = omega tau, the bit reference for its in-place products:
+    ((xi1 + i sgn(l) xi2)^|l| g1) kummer g2, with g1 and g2 the per-axis Gaussian and phase
+    factors, the m omega = 1 norm constant times (m omega)^{1/2} in g1, and every complex
+    product written in real arithmetic."""
+    n, labs, mw, theta = qn.n_radial, abs(qn.l), params.mass * params.omega, params.omega * tau
+    xi1, xi2 = (math.sqrt(mw) * np.asarray(c, dtype=float) for c in (y1, y2))
+    s2 = 1.0 + theta**2
     times = lambda a, b: (a[0] * b[0] - a[1] * b[1], a[1] * b[0] + a[0] * b[1])
 
-    def axis(y_sq, energy, scale):
-        g = np.exp(y_sq * (-0.5 * mw / s2) + 1j * _dressing_phase(params, tau, y_sq, energy))
+    def axis(xi_sq, level, scale):
+        phase = 0.5 * theta * xi_sq / s2 - level * math.atan(theta)
+        g = np.exp(xi_sq * (-0.5 / s2) + 1j * phase)
         return g.real * scale, g.imag * scale
 
-    scale = norm_constant_2d(params, qn) * s2 ** (-0.5 * (labs + 1))
-    g1 = axis(y1a * y1a, energy_2d(params, qn), scale)
-    re, im = functools.reduce(times, [(y1a, math.copysign(1.0, qn.l) * y2a)] * labs + [g1])
-    if qn.n_radial:
-        kummer = kummer_truncated(qn.n_radial, labs + 1.0, mw * (y1a * y1a + y2a * y2a) / s2)
+    log_sq = (
+        math.lgamma(n + labs + 1.0) - math.lgamma(n + 1.0) - 2.0 * math.lgamma(labs + 1.0)
+        - math.log(math.pi)
+    )
+    scale = math.exp(0.5 * log_sq) * math.sqrt(mw) * s2 ** (-0.5 * (labs + 1))
+    g1 = axis(xi1 * xi1, 2 * n + labs + 1, scale)
+    re, im = functools.reduce(times, [(xi1, math.copysign(1.0, qn.l) * xi2)] * labs + [g1])
+    if n:
+        kummer = kummer_truncated(n, labs + 1.0, (xi1 * xi1 + xi2 * xi2) / s2)
         re, im = re * kummer, im * kummer
-    re, im = times((re, im), axis(y2a * y2a, 0.0, 1.0))
+    re, im = times((re, im), axis(xi2 * xi2, 0.0, 1.0))
     out = np.empty(np.shape(re), dtype=complex)
     out.real, out.imag = re, im
     return complex(out) if np.ndim(y1) == 0 and np.ndim(y2) == 0 else out
@@ -247,9 +258,10 @@ def reference_lift(psi, params):
 
     def chi(*args):
         *y, tau = args
+        theta, xi_sq = params.omega * tau, params.mass * params.omega * sum(np.square(c) for c in y)
         return (
-            _stretch_sq(params, tau) ** (-0.25 * len(y))
-            * np.exp(1j * _dressing_phase(params, tau, sum(np.square(c) for c in y), 0.0))
+            _stretch_sq(theta) ** (-0.25 * len(y))
+            * np.exp(1j * _dressing_phase(theta, xi_sq, 0.0))
             * psi(*[free_to_osc_space(params, tau, c) for c in y], free_to_osc_time(params, tau))
         )
 
@@ -263,9 +275,10 @@ def reference_pull_back(chi, params):
         *x, t = args
         tau = osc_to_free_time(params, t)
         y = [osc_to_free_space(params, t, v) for v in x]
+        theta, xi_sq = params.omega * tau, params.mass * params.omega * sum(np.square(c) for c in y)
         return (
-            _stretch_sq(params, tau) ** (0.25 * len(y))
-            * np.exp(-1j * _dressing_phase(params, tau, sum(np.square(c) for c in y), 0.0))
+            _stretch_sq(theta) ** (0.25 * len(y))
+            * np.exp(-1j * _dressing_phase(theta, xi_sq, 0.0))
             * chi(*y, tau)
         )
 
