@@ -1021,7 +1021,8 @@ def test_table_text_gives_the_one_writer_bytes(tmp_path, monkeypatch, capsys, ca
 # tables of many writer chunks at default slabs: a 301^2 gen2d and a 20001-node gen1d, one
 # tau whose last slab is ragged (a chunk spans the end of one slab and a part of the next),
 # a level whose Hermite factor passes the largest float (the scaled recurrence), and a 301^2
-# gen2d at extreme (m, omega), three slabs of the lift in xi
+# gen2d at extreme (m, omega), three slabs of the lift in xi.  Field tables walk their slabs
+# on the calling thread; propagate samples its field on the pool, here in four slabs
 POOL_CASES = {
     "big-csv": ["gen2d", "--l", "1", "--tau", "0,0.5", "--grid", "-12:12:301"],
     "big-json": ["gen1d", "--n", "3", "--tau", "0:2:4", "--grid", "-20:20:20001",
@@ -1030,6 +1031,8 @@ POOL_CASES = {
     "n300": ["gen1d", "--n", "300", "--tau", "0", "--grid", "-40:40:2001"],
     "xi2d": ["gen2d", "--l", "-5", "--n-radial", "3", "--mass", "1e-100", "--omega", "1e-100",
              "--tau", "8e99", "--grid=-5e100:5e100:301"],
+    "xi-propagate": ["propagate", "--n", "3", "--mass", "1e-100", "--omega", "1e-100",
+                     "--to-tau", "8e99", "--grid=-3e101:3e101:100001"],
 }
 
 
