@@ -256,7 +256,7 @@ def sample_field(solution, grid: Grid1D | Grid, time: float) -> ComplexField:
 
 
 def _auto_axis(params: OscillatorParams, level: float, tau: float, count: int) -> Grid1D:
-    """Symmetric axis for a level of energy omega level: in xi = sqrt(m omega) y, its turning
+    """Symmetric axis for a level of energy omega * level: in xi = sqrt(m omega) y, its turning
     point sqrt(2 level) and 10 more, times s = sqrt(1 + theta^2), theta = omega tau."""
     stretch = math.sqrt(_stretch_sq(params.omega * tau))
     half = (math.sqrt(2.0 * level) + 10.0) * stretch / math.sqrt(params.mass * params.omega)
@@ -752,8 +752,8 @@ def level_extrema(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _exact_peaks(params: OscillatorParams, n: int, taus):
     """(tau, positions, heights, widths) of the lifted level n's density maxima, a tuple a tau.
 
-    At free time tau the lifted density is sqrt(m omega) rho_n(xi / s) / s at m = omega = 1,
-    xi = sqrt(m omega) y, s = sqrt(1 + theta^2), theta = omega tau (C04); so its maxima and
+    At free time tau the lifted density is sqrt(m omega) / s times the m = omega = 1 rho_n at
+    xi / s, xi = sqrt(m omega) y, s = sqrt(1 + theta^2), theta = omega tau (C04); so its maxima and
     half-height points are level_extrema's points times s / sqrt(m omega), and its heights
     sqrt(m omega) / s times |chi_n|^2 of the m = omega = 1 lift at tau = 0, evaluated once:
     its bits, like level_extrema's, are the same at every SIMD dispatch level, where
