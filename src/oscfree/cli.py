@@ -4,20 +4,18 @@ Subcommands generate solution/density tables, classical envelopes and
 trajectories, peak tracks, spectral propagation, and residual
 verification reports, as CSV or JSON artifacts for external plotting.
 
-Exit codes: 0 ok, 2 usage error (a malformed or non-finite flag value,
-named in the message, a grid, range or table over the 2**24-point or
-2**24-row budget, a 1D --n over oscillator.MAX_LEVEL_1D, a 2D level
-2 --n-radial + |--l| over oscillator.MAX_LEVEL_2D, or a --mass and
---omega whose product is not a normal finite double), 3 numerical
-precondition failure (boundary decay, half-period window, non-finite
-sampled values, a non-finite table, which is then not written, a verify
-residual that underflowed to zero, or a floating-point overflow, invalid
-operation or division by zero), 4 verification failure (a verify suite ran
-but its pass criterion did not hold), 5 I/O error (the output file could
-not be written).  An existing --out that is not a regular file (a
-directory, /dev/stdout, /dev/null, a FIFO) is a usage error.  peaks
-prints the exact maxima (analysis._exact_peaks) and samples no grid, so
-it raises no peak detection error, and its --count is ignored, unchecked.
+Exit codes: 0 ok, 2 usage error (a malformed or non-finite flag value, named in the message,
+a grid, range or table over the 2**24-point or 2**24-row budget, a 1D --n over
+oscillator.MAX_LEVEL_1D, a 2D level 2 --n-radial + |--l| over oscillator.MAX_LEVEL_2D, a
+--mass and --omega whose product is not a normal finite double, or, for verify, whose
+omega**2 or mass * omega**2 is not), 3 numerical precondition failure (boundary decay,
+half-period window, non-finite sampled values, a non-finite table, which is then not
+written, a verify residual that underflowed to zero, or a floating-point overflow, invalid
+operation or division by zero), 4 verification failure (a verify suite ran but its pass
+criterion did not hold), 5 I/O error (the output file could not be written).  An existing
+--out that is not a regular file (a directory, /dev/stdout, /dev/null, a FIFO) is a usage
+error.  peaks prints the exact maxima (analysis._exact_peaks) and samples no grid, so it
+raises no peak detection error, and its --count is ignored, unchecked.
 
 --out is replaced whole, so nothing is written on exit 2, 3 or 5 (see
 _replacing); verify writes its --out report before printing it.  Tables are
@@ -336,6 +334,12 @@ def _run_envelope(args: argparse.Namespace, params: OscillatorParams) -> int:
 
 
 def _run_verify(args: argparse.Namespace, params: OscillatorParams) -> int:
+    # the suites check the physical equation, its potential m omega^2 |x|^2 / 2, with dt the
+    # grid spacing: not scale free, they keep the range where omega^2 and m omega^2 are normal
+    w_sq = params.omega * params.omega  # omega**2, but inf where it overflows
+    for name, value in (("omega**2", w_sq), ("mass * omega**2", params.mass * w_sq)):
+        if not sys.float_info.min <= value < math.inf:
+            raise ValueError(f"verify needs {name} to be a normal finite double, got {value!r}")
     base_count = args.base_count
     if base_count is None:
         base_count = 101 if args.suite == "free-residual-2d" else 501

@@ -1,10 +1,9 @@
 """Harmonic-oscillator stationary states in natural units (hbar = 1).
 
-1D eigenfunctions, 2D joint energy/angular-momentum eigenfunctions in
-polar coordinates, their energies and probability densities.
-Normalization constants are handled in log space: 2**n * n! overflows a
-double near n = 170, while log(norm) stays tame.  A state is evaluated at
-m = omega = 1, in xi = sqrt(m omega) x and theta = omega t, times (m omega)^{d/4}.
+1D eigenfunctions, 2D joint energy/angular-momentum eigenfunctions in polar coordinates,
+their energies and probability densities.  Normalization constants are handled in log
+space: 2**n * n! overflows a double near n = 170, while log(norm) stays tame.  A state is
+evaluated at m = omega = 1, in xi = sqrt(m omega) x and theta = omega t, times (m omega)^{d/4}.
 """
 
 from __future__ import annotations
@@ -98,9 +97,7 @@ def energy_2d(params: OscillatorParams, qn: QuantumNumbers2D) -> float:
 
 
 def _log_norm_1d(mw: float, n: int) -> float:
-    """log of the m omega = 1 norm (2^n n!)^{-1/2} pi^{-1/4} times the prefactor (m omega)^{1/4}."""
-    log_norm = 0.25 * math.log(1.0 / math.pi) - 0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0))
-    return log_norm + 0.25 * math.log(mw)
+    return 0.25 * math.log(mw / math.pi) - 0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0))
 
 
 def _amplitude_1d(params: OscillatorParams, qn: QuantumNumbers1D, x):

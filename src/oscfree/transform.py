@@ -21,9 +21,8 @@ The stretch s^2, the time map and the dressing are each written once here.
 A solution is called as f(*coords, t), one coordinate per axis, as in
 analysis.sample_field; lift_wavefunction and pull_back_wavefunction turn a
 solution on one side into the solution on the other, in any dimension.
-Every level it lifts is scale covariant: chi(y, tau; m, omega) = (m omega)^{d/4}
-chi(xi, theta; 1, 1), xi = sqrt(m omega) y, theta = omega tau.  So the stretch and phase
-take xi and theta, and the closed-form lifts run at m = omega = 1 and scale at the end.
+Each level lifts scale covariantly, chi(y, tau; m, omega) = (m omega)^{d/4} chi(xi, theta; 1, 1)
+with xi = sqrt(m omega) y and theta = omega tau, so the closed-form lifts run at m = omega = 1.
 """
 
 from __future__ import annotations

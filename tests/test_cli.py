@@ -340,6 +340,30 @@ def _assert_exit_3_writes_nothing(tmp_path: Path, capsys, args) -> str:
     return error["message"]
 
 
+def _scaled_table_exit(tmp_path: Path, level, mass: str, omega: str, half: float, count: int):
+    """Exit code of the gen1d or gen2d table of level at (mass, omega) on
+    +-half / sqrt(m omega) with count nodes an axis, at tau = 0.8 / omega; on exit 0, assert
+    that its re and im are (m omega)^(d/4) times the m = omega = 1 table's on +-half."""
+    m, w = float(mass), float(omega)
+    command = "gen1d" if level[0] == "--n" else "gen2d"
+    length = 1 / math.sqrt(m * w)
+    grid = f"{-half * length!r}:{half * length!r}:{count}"
+    args = [command, *level, "--mass", mass, "--omega", omega, f"--tau={0.8 / w!r}",
+            f"--grid={grid}", "--out", str(tmp_path / "scaled.csv")]
+    code = main(args)
+    if code:
+        return code
+    unit = [command, *level, "--tau=0.8", f"--grid={-half!r}:{half!r}:{count}",
+            "--out", str(tmp_path / "unit.csv")]
+    assert main(unit) == 0
+    dims = 1 if command == "gen1d" else 2
+    scaled = np.loadtxt(tmp_path / "scaled.csv", delimiter=",", skiprows=1)[:, -3:-1]
+    expected = np.loadtxt(tmp_path / "unit.csv", delimiter=",", skiprows=1)[:, -3:-1]
+    factor = (m * w) ** (dims / 4)
+    assert np.allclose(scaled / factor, expected, rtol=1e-12, atol=1e-14 * abs(expected).max())
+    return code
+
+
 class TestErrorPaths:
     def test_unknown_flag_for_command(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -534,6 +558,35 @@ class TestErrorPaths:
         assert "mass * omega must be a normal finite double, got 0.0" in captured.err
         assert not out.exists()
 
+    # verify checks the physical equation with dt the grid spacing, so it is not scale free and
+    # keeps the former range: at (1e-150, 1e-150) m omega^2 underflows to 0 and the potential
+    # would vanish, and at (1e-200, 1e200) omega**2 overflows
+    @pytest.mark.parametrize(
+        "suite, mass, omega, product",
+        [
+            ("osc-residual", "1e-150", "1e-150", "mass * omega**2"),
+            ("osc-residual", "1e-200", "1e200", "omega**2"),
+            ("free-residual", "1", "1e-300", "omega**2"),
+            ("free-residual-2d", "1e200", "1e-200", "omega**2"),
+        ],
+    )
+    def test_verify_outside_its_mass_omega_range_exits_2(
+        self, tmp_path, capsys, suite, mass, omega, product
+    ):
+        out = tmp_path / "report.json"
+        args = ["verify", "--suite", suite, "--mass", mass, "--omega", omega, "--out", str(out)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"verify needs {product} to be a normal finite double, got" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mass, omega", [("1e-100", "1e-100"), ("1e150", "1e-150")])
+    def test_verify_inside_its_mass_omega_range_passes(self, capsys, mass, omega):
+        args = ["verify", "--suite", "osc-residual", "--mass", mass, "--omega", omega]
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
     # (mass, omega) where omega**2 or mass * omega**2 is not a normal double, which gave
     # silently wrong tables, then were refused, and now scale; 2D levels whose angular power
     # overflowed at (1e-100, 1e-100) before the lift ran in xi; rows that always passed; and
@@ -562,24 +615,16 @@ class TestErrorPaths:
         omega tau; 1, 1) in d dimensions, so the table at y = xi / sqrt(m omega) and
         tau = 0.8 / omega holds the values at xi and 0.8 times (m omega)^(d/4).
         """
-        m, w = float(mass), float(omega)
-        command = "gen1d" if level[0] == "--n" else "gen2d"
-        length = 1 / math.sqrt(m * w)
-        grid = f"{-6 * length!r}:{6 * length!r}:5"
-        args = [command, *level, "--mass", mass, "--omega", omega, f"--tau={0.8 / w!r}",
-                f"--grid={grid}", "--out", str(tmp_path / "scaled.csv")]
-        assert main(args) == code
+        assert _scaled_table_exit(tmp_path, level, mass, omega, 6, 5) == code
         if code:
             assert not (tmp_path / "scaled.csv").exists()
             assert "mass * omega must be a normal finite double" in capsys.readouterr().err
-            return
-        unit = [command, *level, "--tau=0.8", "--grid=-6:6:5", "--out", str(tmp_path / "unit.csv")]
-        assert main(unit) == 0
-        dims = 1 if command == "gen1d" else 2
-        scaled = np.loadtxt(tmp_path / "scaled.csv", delimiter=",", skiprows=1)[:, -3:-1]
-        expected = np.loadtxt(tmp_path / "unit.csv", delimiter=",", skiprows=1)[:, -3:-1]
-        factor = (m * w) ** (dims / 4)
-        assert np.allclose(scaled / factor, expected, rtol=1e-12, atol=1e-14 * abs(expected).max())
+
+    def test_multi_slab_table_at_extreme_mass_omega(self, tmp_path):
+        """A 301^2-point gen2d table, three slabs, at (1e-100, 1e-100), where the angular power
+        overflowed before the lift ran in xi, is the scaled m = omega = 1 table."""
+        level = ["--l", "-5", "--n-radial", "3"]
+        assert _scaled_table_exit(tmp_path, level, "1e-100", "1e-100", 5, 301) == 0
 
     def test_float_overflow_exits_3(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -1029,8 +1074,6 @@ POOL_CASES = {
                  "--format", "json"],
     "ragged": ["gen1d", "--n", "3", "--tau", "0.5", "--grid", "-20:20:100001"],
     "n300": ["gen1d", "--n", "300", "--tau", "0", "--grid", "-40:40:2001"],
-    "xi2d": ["gen2d", "--l", "-5", "--n-radial", "3", "--mass", "1e-100", "--omega", "1e-100",
-             "--tau", "8e99", "--grid=-5e100:5e100:301"],
     "xi-propagate": ["propagate", "--n", "3", "--mass", "1e-100", "--omega", "1e-100",
                      "--to-tau", "8e99", "--grid=-3e101:3e101:100001"],
 }

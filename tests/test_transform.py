@@ -184,14 +184,11 @@ class TestLiftAndPullBack:
 
 def reference_lifted_1d(params, qn, y, tau):
     """lifted_eigenstate_1d as one expression in xi = sqrt(m omega) y and theta = omega tau, the
-    bit reference for its in-place evaluation: the m omega = 1 level, its log norm carrying
-    (m omega)^{1/4}, and s^2 = 1 + theta^2."""
+    bit reference for its in-place evaluation: the m omega = 1 level, the log norm of
+    (m omega / pi)^{1/4}, and s^2 = 1 + theta^2."""
     n, mw, theta = qn.n, params.mass * params.omega, params.omega * tau
     xi, s2 = math.sqrt(mw) * np.asarray(y, dtype=float), 1.0 + theta**2
-    log_norm = (
-        0.25 * math.log(1.0 / math.pi) - 0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0))
-        + 0.25 * math.log(mw)
-    )
+    log_norm = 0.25 * math.log(mw / math.pi) - 0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0))
     out = np.exp(
         log_norm - 0.25 * math.log(s2) - 0.5 * (xi * xi) / s2
         + 1j * (0.5 * theta * (xi * xi) / s2 - (n + 0.5) * math.atan(theta))
