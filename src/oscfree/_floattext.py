@@ -19,27 +19,36 @@ import functools
 import numpy as np
 
 _WIDTH = 29  # bytes of a cell: sign and "0.000" (6), 17 digits and a dot (18), "e-324" (5)
-# values formatted at a time.  Each numpy call costs about 2 us besides its work (2-vCPU Xeon,
-# numpy 2.4): a value took 138 ns at 4096, 182 ns at 2048 and 237 ns at 1024, and 123 ns at
-# 8192 with twice the 0.78 MiB of temporaries
+# values formatted at a time: about 135 numpy calls of about 0.5 us each besides their work,
+# and 170 ns a value in tables-io's tables (2-vCPU Xeon, numpy 2.4).  8192 cut a table pass
+# by about 8% but doubled the 0.9 MiB working set and raised peak RSS by 2.8 MB
 _BLOCK = 4096
 _K_MIN = -324  # decimal exponents k of the powers of ten 10^-k: -324 .. 292, one per double scale
+_POINTS = 640  # decimal points -323 .. 309 of a sign, at point + 323 (+ _POINTS if negative)
 # uint64 constants as 0-d arrays, which a ufunc takes with about half the overhead of a scalar
 _K = {
     v: np.array(v, np.uint64)
-    for v in (1, 2, 3, 8, 10, 16, 19, 32, 48, 52, 56, 63, 64, 100, 103, 5243, 10**4, 10**8,
-              10**16, 2**32 - 1, 2**52 - 1, 2**63 - 1, 0x7F_0000_007F, 0x000F_000F_000F_000F,
-              0x7F7F_7F7F_7F7F_7F7F, 0x8080_8080_8080_8080, 0x3030_3030_3030_3030)
+    for v in (1, 2, 3, 4, 8, 10, 12, 16, 19, 32, 40, 48, 51, 56, 63, 64, 100, 103, 5243, 10**4,
+              10**8, 10**16, 2**32 - 1, 2**64 - 4, 0x7F_0000_007F, 0x000F_000F_000F_000F,
+              0x7F7F_7F7F_7F7F_7F7F, 0x8080_8080_8080_8080)
 }
 
 
 @functools.cache
 def _tables():
-    """(g1, g0, h0, pow10), made on first use in about a millisecond of exact integer arithmetic.
+    """(point, offset, shift, g, digits, threshold, align), made on first use in about a
+    millisecond of exact integer arithmetic.
 
-    For k from _K_MIN to 292, g = g1 2^63 + g0 is the 126-bit floor(10^-k 2^-r) + 1 with
-    r = floor(log2 10^-k) - 125, so (g - 1) 2^r <= 10^-k < g 2^r, and h0 = r + 127.  pow10
-    holds 10^0 .. 10^17.
+    The first four are indexed by at = 4096 sign + 2 bq + irregular, for a double's sign,
+    biased exponent bq and whether its significand bits are all 0 (irregular: the interval
+    below a power of two is half as wide as above it; bq 0 and 1 count as regular).  The
+    double is c 2^q, q = max(bq, 1) - 1075 and c = bits - offset.  k = floor(log10(2^q)), or
+    floor(log10(3/4 2^q)) where irregular (Giulietti, section 9); g = g1 2^63 + g0, a column
+    of g, is the 126-bit floor(10^-k 2^-r) + 1 with r = floor(log2 10^-k) - 125, so (g - 1)
+    2^r <= 10^-k < g 2^r; shift holds h + 1 and that less 1 where irregular, h = q + r + 127
+    (2 .. 5); and point = k + 323, + _POINTS if negative.  at 1 is 0.0: its g is 0, so its
+    digits are 0.  A double f >= 1 of biased exponent e (0 for f = 0) has digits[e] digits,
+    one more where f >= threshold[e]; align[n] is 10^(17 - n).
     """
     g1, g0, h0 = [], [], []
     for k in range(_K_MIN, 293):
@@ -55,40 +64,55 @@ def _tables():
         g0.append(g & (2**63 - 1))
         h0.append(r + 127)
     u = np.uint64
-    return np.array(g1, u), np.array(g0, u), np.array(h0), np.array([10**j for j in range(18)], u)
+    at = np.arange(4096)
+    bq, irregular = at >> 1, (at & 1) * (at > 3)
+    q = np.maximum(bq, 1) - 1075
+    k = (q * 661971961083 - irregular * 274743187321) >> 41
+    h = q + np.array(h0)[k - _K_MIN]
+    point = k + 323
+    point[1] = 323
+    g = np.array([g1, g0], u)[:, k - _K_MIN]
+    g[:, 1] = 0
+    offset = (np.maximum(bq - 1, 0) << 52).astype(u)
+    shift = np.array([h + 1, h + 1 - irregular], u)
+    digits = np.array([len(str(2 ** max(e - 1023, 0))) for e in range(1081)])
+    threshold = np.array([10**n for n in digits.tolist()], u)
+    align = np.array([10 ** max(17 - n, 0) for n in range(18)], u)
+    return (np.concatenate([point, point + _POINTS]), np.concatenate([offset, offset + u(2**63)]),
+            np.tile(shift, 2), np.tile(g, 2), digits, threshold, align)
 
 
-def _product(a, b, b_lo, b_hi):
-    """(high, low) 64 bits of the 128-bit products a b of uint64s < 2^63, b_lo and b_hi the
-    32-bit halves of b."""
-    a_lo, a_hi = a & _K[2**32 - 1], a >> _K[32]
-    low = a_lo * b_lo
+def _product(g, cp, high, low):
+    """The 128-bit products g cp of uint64s g < 2^63 (2, n) and cp < 2^60 (n), into high and
+    low (their 64-bit halves)."""
+    cp_lo, cp_hi = cp & _K[2**32 - 1], cp >> _K[32]
+    np.right_shift(g, _K[32], out=high)
+    cross = g & _K[2**32 - 1]
+    np.multiply(cross, cp_lo, out=low)
     low >>= _K[32]
-    high = a_hi * b_lo
-    cross = high & _K[2**32 - 1]
+    cross *= cp_hi
     cross += low
-    np.multiply(a_lo, b_hi, out=a_lo)
-    cross += a_lo
+    np.multiply(high, cp_lo, out=low)
+    cross += low  # < 2^60 + 2^63 + 2^32
     cross >>= _K[32]
-    high >>= _K[32]
+    high *= cp_hi
     high += cross
-    np.multiply(a_hi, b_hi, out=a_hi)
-    high += a_hi
-    return high, a * b
+    np.multiply(g, cp, out=low)
 
 
-def _shifted_by(high, low, g, s, s_rest, sign):
-    """(high, low) plus sign * g 2^s, g < 2^63, 0 < s < 64 and s_rest = 64 - s, as 128-bit
-    integers."""
-    g_low, g_high = g << s, g >> s_rest
+def _shifted_by(high, low, g, s, sign, out_high, out_low):
+    """(high, low) plus sign * g 2^s into (out_high, out_low), g < 2^63 and 0 < s < 64, as
+    128-bit integers."""
+    g_low = g << s
+    np.right_shift(g, _K[64] - s, out=out_high)
     if sign > 0:
-        low = low + g_low
-        g_high += high
-        g_high += low < g_low
-        return g_high, low
-    borrow = low < g_low
-    g_high += borrow
-    return high - g_high, low - g_low
+        np.add(low, g_low, out=out_low)
+        out_high += high
+        out_high += out_low < g_low
+    else:
+        out_high += low < g_low
+        np.subtract(high, out_high, out=out_high)
+        np.subtract(low, g_low, out=out_low)
 
 
 def _rounded_to_odd(y1, y0, x1):
@@ -100,78 +124,60 @@ def _rounded_to_odd(y1, y0, x1):
     z += x1
     vb = z >> _K[63]
     vb += y1
-    z &= _K[2**63 - 1]
-    z += _K[2**63 - 1]
-    z >>= _K[63]
-    vb |= z
+    z <<= _K[1]
+    vb |= z != 0
     return vb
 
 
 def _shortest(bits):
-    """(f, k) with the double of bits (nonzero, finite, sign cleared) = f 10^k to repr's digits.
+    """(f, point): the double of bits (finite) is f 10^k to repr's digits, and point is k's
+    index in _tables.
 
-    f has at most 17 digits and may end in zeros.
+    f has at most 17 digits and may end in zeros; it is 0 for 0.0.
     """
-    g1_table, g0_table, h0_table, _ = _tables()
-    bq = bits >> _K[52]
-    c = bits & _K[2**52 - 1]
-    # an interval below a power of two is half as wide as above it (irregular spacing)
-    irregular = (c == 0) & (bq > 1)
-    c |= (bq != 0).astype(np.uint64) << _K[52]
-    q = np.maximum(bq, _K[1]).astype(np.int64)
-    q -= 1075  # c 2^q is the double
-    # k = floor(log10(2^q)), or floor(log10(3/4 2^q)) where irregular (Giulietti, section 9)
-    k = q * 661971961083
-    k -= irregular * 274743187321
-    k >>= 41
-    at = k - _K_MIN
-    q += h0_table[at]
-    h = q.astype(np.uint64)  # 2 .. 5
-    del bq, q
-    g1, g0 = g1_table[at], g0_table[at]
-    del at
-    # v and the ends of its rounding interval, 4 c 2^h and that -+ 2 2^h (-1 where irregular),
-    # times g 2^-127: in units of 10^k / 4
-    cp = h + _K[2]
-    np.left_shift(c, cp, out=cp)
-    cp_halves = cp & _K[2**32 - 1], cp >> _K[32]
-    y1, y0 = _product(g1, cp, *cp_halves)
-    x1, x0 = _product(g0, cp, *cp_halves)
-    del cp, cp_halves
-    vb = _rounded_to_odd(y1, y0, x1)
-    right = h + _K[1]
-    vbr = _rounded_to_odd(
-        *_shifted_by(y1, y0, g1, right, _K[64] - right, 1),
-        _shifted_by(x1, x0, g0, right, _K[64] - right, 1)[0],
-    )
-    right -= irregular
-    vbl = _rounded_to_odd(
-        *_shifted_by(y1, y0, g1, right, _K[64] - right, -1),
-        _shifted_by(x1, x0, g0, right, _K[64] - right, -1)[0],
-    )
-    del y1, y0, x1, x0, g1, g0, h, right, irregular
+    point, offset, shift, g_table = _tables()[:4]
+    at = bits >> _K[51]
+    at |= _K[1]
+    at -= (bits << _K[12]) != 0  # 2 bq + 1, less 1 where the significand bits are not all 0
+    at = at.view(np.int64)
+    g, s = g_table.take(at, axis=1), shift.take(at, axis=1)
+    cp = bits - offset.take(at)
+    cp <<= s[0] + _K[1]
+    # v and the ends of its rounding interval, 4 c 2^h and that + 2 2^h and - 2 2^h (- 2^h
+    # where irregular), times g 2^-127: in units of 10^k / 4.  Row j of high and low holds
+    # the 128-bit g1 and g0 products of the j-th of those multiplicands
+    high, low = np.empty((2, 3, 2, len(bits)), np.uint64)
+    _product(g, cp, high[0], low[0])
+    _shifted_by(high[0], low[0], g, s[0], 1, high[1], low[1])
+    _shifted_by(high[0], low[0], g, s[1], -1, high[2], low[2])
+    del g, s, cp
+    vb, vbr, vbl = _rounded_to_odd(high[:, 0], low[:, 0], high[:, 1])
+    del high, low
     # an odd significand's interval excludes its ends: they count as in by one unit only
-    c &= _K[1]
+    c = bits & _K[1]
     vbl += c
     vbr -= c
-    del c
-    s = vb >> _K[2]
-    # one digit fewer: at most one of u' = 10 s' and w' = u' + 10 lies in the interval
-    sp10 = s // _K[10]
-    sp10 *= _K[10]
-    upin = vbl <= sp10 << _K[2]
-    wpin = (sp10 + _K[10]) << _K[2] <= vbr
+    # one digit fewer: at most one of u' = 10 t and w' = u' + 10 lies in the interval
+    t = vb // _K[40]
+    t40 = t * _K[40]
+    upin = vbl <= t40
+    t40 += _K[40]
+    wpin = t40 <= vbr
+    t += wpin
+    t *= _K[10]
     # else one of s and s + 1 does, or both, and the closer one is taken, ties to even
-    uin = vbl <= s << _K[2]
-    win = (s + _K[1]) << _K[2] <= vbr
-    del vbl, vbr
+    s = vb >> _K[2]
+    s4 = vb & _K[2**64 - 4]
+    uin = vbl <= s4
+    s4 += _K[4]
+    win = s4 <= vbr
+    del vbl, vbr, s4, t40
     vb &= _K[3]
-    closer_s = (vb < 2) | ((vb == 2) & ((s & _K[1]) == 0))
-    only_one = uin ^ win
-    take_s = (only_one & uin) | (~only_one & closer_s)
-    s += ~take_s
-    sp10 += wpin * _K[10]
-    return np.where(upin ^ wpin, sp10, s), k
+    vb += s & _K[1]  # under 3 where s is closer, or as close and even
+    win &= vb >= _K[3]
+    s += ~uin | win
+    np.copyto(s, t, where=upin ^ wpin)
+    return s, point.take(at)
 
 
 def _swar8(v):
@@ -207,21 +213,24 @@ def _digits_up_to_last_nonzero(v):
 
 @functools.cache
 def _layouts():
-    """((11, classes), (325,)) uint64: a cell's masks and constant bytes per class of layout,
-    and the word of each exponent magnitude's digits.
+    """(kd, ks, const, code, word): a cell's masks and constant bytes per class of layout, and
+    the class and the exponent word of each decimal point.
 
     A class is the sign, the form (fixed point with the decimal point at one of 20 places, or
     an exponent of either sign with 2 or 3 digits) and the count of significant digits.  A
-    cell's bytes are (D & KD) | (Dsh & KS) | C, a word at a time: D holds the 17 digits at
-    bytes 6 .. 22 and the exponent's 3 digits at 26 .. 28, Dsh the digits one byte on, for
-    those past the dot, and C the sign at 0, "0.000" at 1 .. 5, the dot and "e+" or "e-" at
-    24 .. 25.  Rows 0 .. 3 are KD, 4 .. 6 KS and 7 .. 10 C.
+    cell's bytes 0 .. 23 are (D & KD) | (Dsh & KS) | C, a word at a time: D holds the 17
+    digits (0 .. 9) at bytes 6 .. 22, Dsh those from the second one byte on, at 8 .. 23, for
+    those past the dot, and C the sign at 0, "0.000" at 1 .. 5, the dot and 0x30 on each
+    digit kept.  kd (3, classes) holds KD, ks (2, classes) words 1 and 2 of KS (word 0 is 0)
+    and const (3, classes) C.  code[point] is the class of a decimal point's sign and form
+    with one digit, and word[point] bytes 24 .. 31 of its cells: "e+" or "e-" and the
+    exponent's digits, or 0 in fixed point.
     """
     rows = []
     for negative in (0, 1):
         for position in range(24):
             for used in range(1, 18):
-                kd, ks, const = bytearray(32), bytearray(32), bytearray(32)
+                kd, ks, const = bytearray(24), bytearray(24), bytearray(24)
                 if negative:
                     const[0] = ord("-")
                 if position < 20:  # fixed point, the decimal point at digit position - 3
@@ -234,18 +243,26 @@ def _layouts():
                         kd[6 : 6 + point] = b"\xff" * point
                         const[6 + point] = ord(".")
                         ks[7 + point : 7 + end] = b"\xff" * (end - point)
-                else:  # d.ddde-XXX: a negative exponent, and one of 3 digits, by position
-                    negative_exponent, wide = divmod(position - 20, 2)
+                else:  # d.ddde-XXX, the exponent's sign and width by position
                     kd[6] = 0xFF
                     if used > 1:
                         const[7] = ord(".")
                         ks[8 : 7 + used] = b"\xff" * (used - 1)
-                    const[24:26] = b"e-" if negative_exponent else b"e+"
-                    kd[27 - wide : 29] = b"\xff" * (2 + wide)
-                rows.append(np.frombuffer(bytes(kd + ks[:24] + const), "<u8"))
-    # the exponent's digits at bytes 26 .. 28, by its magnitude
-    exponents = [int.from_bytes(b"\0\0" + b"%03d" % e + b"\0\0\0", "little") for e in range(325)]
-    return np.array(rows, dtype=np.uint64).T.copy(), np.array(exponents, np.uint64)
+                const = bytes(c | (0x30 & (d | s)) for c, d, s in zip(const, kd, ks))
+                rows.append(np.frombuffer(bytes(kd + ks[8:]) + const, "<u8"))
+    code, word = [], []
+    for negative in (0, 1):
+        for point in range(-323, _POINTS - 323):
+            e = point - 1
+            if -3 <= point <= 16:
+                position, text = point + 3, b""
+            else:
+                position = 20 + 2 * (e < 0) + (abs(e) >= 100)
+                text = (b"e-" if e < 0 else b"e+") + b"%02d" % abs(e)
+            code.append((negative * 24 + position) * 17)
+            word.append(int.from_bytes(text.ljust(8, b"\0"), "little"))
+    rows = np.array(rows, np.uint64).T.copy()
+    return rows[:3], rows[3:5], rows[5:], np.array(code), np.array(word, np.uint64)
 
 
 def cells(x, out=None) -> np.ndarray:
@@ -258,28 +275,25 @@ def cells(x, out=None) -> np.ndarray:
     if out is None:
         out = np.empty((len(x), _WIDTH), np.uint8)
     for start in range(0, len(x), _BLOCK):
-        words = _cell_words(x[start : start + _BLOCK]).T.astype("<u8", order="C")
-        out[start : start + _BLOCK] = words.view(np.uint8)[:, :_WIDTH]
+        block = x[start : start + _BLOCK]
+        words = np.empty((len(block), 4), np.uint64)
+        _cell_words(block, words)
+        put_rows(out[start : start + _BLOCK], words.view(np.uint8)[:, :_WIDTH])
     return out
 
 
-def _cell_words(x) -> np.ndarray:
-    """(4, len(x)) uint64: the cells of x, 32 bytes each, a word of 8 at a time (little-endian)."""
-    pow10 = _tables()[3]
-    layouts, exponents = _layouts()
-    bits = np.ascontiguousarray(x).view(np.uint64)
-    negative = (bits >> _K[63]).astype(np.int64)
-    bits = bits & _K[2**63 - 1]
-    zero = bits == 0
-    bits |= zero  # 0.0 is formatted apart, below
-    f, k = _shortest(bits)
-    length = np.searchsorted(pow10, f, side="right")  # f has that many digits
-    # the 17 digits of f, left-aligned; 0.0 is the digit 0 with the point after it
-    f *= pow10[17 - length]
-    f *= ~zero
-    k += length
-    point = np.where(zero, 1, k)  # repr's decpt: the value is 0.ddd 10^point
-    del k, length, zero
+def _cell_words(x, out) -> None:
+    """The cells of x into out, a (len(x), 4) uint64 array: 32 bytes a cell, 8 to a word
+    (little-endian)."""
+    digits, threshold, align = _tables()[4:]
+    kd, ks, const, code_at, word_at = _layouts()
+    f, point = _shortest(np.ascontiguousarray(x).view(np.uint64))
+    e = f.astype(np.float64).view(np.int64) >> 52
+    length = digits.take(e)
+    length += f >= threshold.take(e)
+    f *= align.take(length)  # the 17 digits of f, left-aligned; 0.0 is the digit 0
+    point += length
+    del e, length
     first = f // _K[10**16]
     f -= first * _K[10**16]
     rest = np.empty((2, len(f)), np.uint64)
@@ -289,44 +303,45 @@ def _cell_words(x) -> np.ndarray:
     _swar8(rest)
     counts = _digits_up_to_last_nonzero(rest)
     # significant digits less the first: up to the last nonzero of the 8 + 8 after it
-    used = np.maximum(counts[0], (counts[1] + 8) * (counts[1] > 0))
-    rest |= _K[0x3030_3030_3030_3030]
-    e = point - 1
-    magnitude = np.abs(e)
-    position = np.where(
-        (point < -3) | (point > 16), 20 + 2 * (e < 0) + (magnitude >= 100), point + 3
-    )
-    code = negative * 24
-    code += position
-    code *= 17
-    code += used
-    del negative, position, used, e, point, counts
-    d = np.empty((4, len(bits)), np.uint64)
-    np.bitwise_or(first, _K[0x30], out=d[0])
-    d[0] <<= _K[48]
-    d[0] |= rest[0] << _K[56]
-    np.right_shift(rest[0], _K[8], out=d[1])
-    d[1] |= rest[1] << _K[56]
-    np.right_shift(rest[1], _K[8], out=d[2])
-    exponents.take(magnitude, out=d[3])
-    del first, rest, magnitude
-    shifted = d[:3] << _K[8]
-    shifted[1:] |= d[:2] >> _K[56]
-    for j in range(4):
-        d[j] &= layouts[j].take(code)
-        if j < 3:
-            shifted[j] &= layouts[4 + j].take(code)
-            d[j] |= shifted[j]
-        d[j] |= layouts[7 + j].take(code)
-    return d
+    code = code_at.take(point)
+    code += np.maximum(counts[0], (counts[1] + 8) * (counts[1] > 0))
+    d = np.empty((3, len(x)), np.uint64)
+    np.left_shift(first, _K[48], out=d[0])
+    np.right_shift(rest, _K[8], out=d[1:])
+    d[:2] |= rest << _K[56]
+    d &= kd.take(code, axis=1)
+    rest &= ks.take(code, axis=1)
+    d[1:] |= rest
+    np.bitwise_or(d, const.take(code, axis=1), out=out[:, :3].T)
+    out[:, 3] = word_at.take(point)
+
+
+def put_rows(block, rows) -> None:
+    """block[:] = rows, for (n, w) uint8 arrays of contiguous rows, copied a row at a time."""
+    row = f"V{block.shape[1]}"
+    block.view(row)[:] = rows.view(row)
+
+
+def matrix_text(rows: int, width: int, fill) -> bytearray:
+    """The bytes of the (rows, width) uint8 matrix that fill(matrix) writes, but its NULs.
+
+    The matrix lies over a bytearray, which is translated in place of a copy of it.
+    """
+    buffer = bytearray(rows * width)
+    fill(np.frombuffer(buffer, np.uint8).reshape(rows, width))
+    return buffer.translate(None, b"\0")
 
 
 def texts(x) -> np.ndarray:
     """repr's text of each of x, as a bytes array ('S', as wide as the longest)."""
-    matrix = np.full((len(x), _WIDTH + 1), ord("\n"), np.uint8)
-    cells(x, matrix[:, :_WIDTH])  # each text, then the newline it is split at
-    out = np.empty(len(x), f"S{max(1, np.count_nonzero(matrix, axis=1).max(initial=0) - 1)}")
+    parts = [np.empty(0, "S1")]
     for start in range(0, len(x), _BLOCK):  # a block at a time, so few bytes objects at once
-        text = matrix[start : start + _BLOCK].tobytes().translate(None, b"\0")
-        out[start : start + _BLOCK] = text.split(b"\n")[:-1]
-    return out
+        block = x[start : start + _BLOCK]
+
+        def fill(matrix):  # each text, then the newline it is split at
+            matrix[:, _WIDTH] = ord("\n")
+            cells(block, matrix[:, :_WIDTH])
+
+        text = bytes(matrix_text(len(block), _WIDTH + 1, fill))
+        parts.append(np.array(text.split(b"\n")[:-1]))
+    return np.concatenate(parts)

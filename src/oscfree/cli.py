@@ -70,7 +70,7 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
 EXIT_IO = 5
 
-_BLOCK_ROWS = 4096  # table rows formatted at a time (_write_table)
+_BLOCK_ROWS = 4096  # table rows formatted at a time (_write_table), one _floattext._BLOCK
 
 
 def _parse_finite(spec: str) -> float:
@@ -158,15 +158,16 @@ def _check_finite(command: str, header: list[str], block: list) -> None:
             raise NonFiniteError(f"{command}: column {name!r} has non-finite values; no table written")
 
 
-def _rows_text(columns: list, lead: bytes, cell: bytes, close: bytes) -> bytes:
+def _rows_text(columns: list, lead: bytes, cell: bytes, close: bytes) -> bytearray:
     """The text of rows given as columns: each row is lead, its cells joined by cell, then
     close.
 
     Float arrays get repr's bytes from _floattext.cells; bytes arrays ('S') are text.  Each
     row is laid out in a row of one fixed-width matrix, with NUL where no byte is, and the
-    text is the matrix's other bytes.
+    text is the matrix's other bytes (_floattext.matrix_text).  In tables-io's tables the
+    float cells take two thirds of this and the NUL drop a fifth.
     """
-    from ._floattext import _WIDTH, cells
+    from ._floattext import _WIDTH, cells, matrix_text, put_rows
 
     pieces = [lead]
     for column in columns:
@@ -176,18 +177,20 @@ def _rows_text(columns: list, lead: bytes, cell: bytes, close: bytes) -> bytes:
         len(p) if isinstance(p, bytes) else _WIDTH if p.dtype.kind == "f" else p.itemsize
         for p in pieces
     ]
-    matrix = np.empty((len(columns[0]), sum(widths)), np.uint8)
-    at = 0
-    for piece, width in zip(pieces, widths):
-        block = matrix[:, at : at + width]
-        at += width
-        if isinstance(piece, bytes):
-            block[:] = np.frombuffer(piece, np.uint8)
-        elif piece.dtype.kind == "f":
-            cells(piece, block)
-        else:
-            block[:] = piece.view(np.uint8).reshape(-1, width)
-    return matrix.tobytes().translate(None, b"\0")
+
+    def fill(matrix):
+        at = 0
+        for piece, width in zip(pieces, widths):
+            block = matrix[:, at : at + width]
+            at += width
+            if isinstance(piece, bytes):
+                block[:] = np.frombuffer(piece, np.uint8)
+            elif piece.dtype.kind == "f":
+                cells(piece, block)
+            else:
+                put_rows(block, piece.view(np.uint8).reshape(-1, width))
+
+    return matrix_text(len(columns[0]), sum(widths), fill)
 
 
 def _write_table(
@@ -232,7 +235,7 @@ def _write_table(
         f.write(head)
         f.flush()
         for columns in chunks():
-            f.buffer.write(_rows_text(columns, lead, cell, close)[skip:])
+            f.buffer.write(memoryview(_rows_text(columns, lead, cell, close))[skip:])
             skip = 0
         f.write(tail)
 

@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oscfree import (
-    OscillatorParams, QuantumNumbers1D, QuantumNumbers2D, analysis, cli, lifted_eigenstate_2d,
-    transform,
+    OscillatorParams, QuantumNumbers1D, QuantumNumbers2D, _floattext, analysis, cli,
+    lifted_eigenstate_2d, transform,
 )
 from oscfree.cli import _BLOCK_ROWS, _write_table, main
 from oscfree.oscillator import MAX_LEVEL_1D, MAX_LEVEL_2D
@@ -864,6 +864,29 @@ STRADDLING_CUTS = [0, 0, 5, _BLOCK_ROWS + 4, 2 * _BLOCK_ROWS + 4, 3 * _BLOCK_ROW
                    5 * _BLOCK_ROWS + 6, 5 * _BLOCK_ROWS + 6]
 
 
+def _edge_floats() -> np.ndarray:
+    """Zeros of both signs, subnormals, the largest double, and every power of 2 and of 10
+    with the doubles on either side of it."""
+    powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                             [float(f"1e{e}") for e in range(-323, 309)]])
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 4.9e-322, 2.225073858507201e-308,
+               1.7976931348623157e308, -1.7976931348623157e308]
+    return np.concatenate([special, powers, np.nextafter(powers, -np.inf),
+                           np.nextafter(powers, np.inf)])
+
+
+@pytest.mark.parametrize(
+    "rows", sorted({n + d for n in (_BLOCK_ROWS, _floattext._BLOCK) for d in (-1, 0, 1)})
+)
+def test_table_text_of_float_columns_across_block_edges(tmp_path, rows):
+    """Chunks of four float columns, one row short of, at and one row past the writer's
+    chunk and the formatter's block, hold each value's repr."""
+    values = _edge_floats()
+    rng = np.random.default_rng(rows)
+    columns = [np.resize(rng.permutation(values) * sign, rows) for sign in (1, -1, 1, -1)]
+    _assert_writer_matches_reference(tmp_path, columns)
+
+
 def test_column_writer_blocks_straddle_chunks(tmp_path):
     rows = 5 * _BLOCK_ROWS + 9
     rng = np.random.default_rng(7)
@@ -958,9 +981,10 @@ def test_writer_memory_is_bounded_by_the_chunk(tmp_path, fmt):
 def test_field_table_memory_does_not_grow_with_taus(tmp_path):
     """The traced peak of a gen1d table is the same for 4 taus as for 40, one tau lifted at a time.
 
-    Measured 2.23 and 2.26 MiB, of which 0.78 MiB is the float formatter's working set
-    (1.0 MiB for both with repr); blocks built for every tau before writing peaked at 1.2
-    and 3.3 MiB with repr.
+    Measured 2.09 and 2.12 MiB, of which 0.88 MiB is the float formatter's working set
+    (1.0 MiB for both with repr); 2.23 and 2.26 MiB when the row matrix was copied to bytes
+    for its NUL drop; blocks built for every tau before writing peaked at 1.2 and 3.3 MiB
+    with repr.
     """
     peaks = {}
     for taus in (4, 4, 40):  # the first run also traces one-time allocations
@@ -978,7 +1002,7 @@ def test_field_table_memory_does_not_grow_with_the_grid(tmp_path):
     """The traced peak of a one-tau gen2d table is the same at 501^2 points as at 251^2.
 
     Each is lifted and written one axis-0 slab of about 2^15 points at a time.  Measured
-    2.94 and 2.98 MiB (2.7 and 2.9 with repr); lifted whole (_SLAB = 2^24), 4.1 and 15.6 MiB
+    2.75 and 2.80 MiB (2.7 and 2.9 with repr); lifted whole (_SLAB = 2^24), 4.1 and 15.6 MiB
     with repr.  Both grids are at least two slabs: 201^2, under two, peaked at 2.3 MiB,
     1.23x under 401^2, with repr.
     """
@@ -1004,7 +1028,7 @@ def test_field_table_memory_does_not_grow_with_the_slab(tmp_path, monkeypatch):
 
     Text and density columns are built per chunk of _BLOCK_ROWS rows, so only the lift grows
     with the slab.  363^2 points are the fewest that hold two whole slabs at 2^16 points.
-    Measured: 2.21 MiB over one slab's lift at 2^13-point slabs and 1.34 MiB at 2^16 (1.39
+    Measured: 2.02 MiB over one slab's lift at 2^13-point slabs and 1.15 MiB at 2^16 (1.39
     and 0.74 with repr); with each slab's text built whole, 1.62 and 4.93 MiB with repr.
     """
     args = ["gen2d", "--l", "1", "--tau", "0.5", "--grid", "-12:12:363"]
@@ -1065,15 +1089,30 @@ def test_table_text_gives_the_one_writer_bytes(tmp_path, monkeypatch, capsys, ca
 
 # tables of many writer chunks at default slabs: a 301^2 gen2d and a 20001-node gen1d, one
 # tau whose last slab is ragged (a chunk spans the end of one slab and a part of the next),
-# a level whose Hermite factor passes the largest float (the scaled recurrence), and a 301^2
-# gen2d at extreme (m, omega), three slabs of the lift in xi.  Field tables walk their slabs
-# on the calling thread; propagate samples its field on the pool, here in four slabs
-POOL_CASES = {
+# and a level whose Hermite factor passes the largest float (the scaled recurrence).  Field
+# tables walk their slabs on the calling thread, so these test the chunks, not the pool
+CHUNK_CASES = {
     "big-csv": ["gen2d", "--l", "1", "--tau", "0,0.5", "--grid", "-12:12:301"],
     "big-json": ["gen1d", "--n", "3", "--tau", "0:2:4", "--grid", "-20:20:20001",
                  "--format", "json"],
     "ragged": ["gen1d", "--n", "3", "--tau", "0.5", "--grid", "-20:20:100001"],
     "n300": ["gen1d", "--n", "300", "--tau", "0", "--grid", "-40:40:2001"],
+}
+
+
+@pytest.mark.parametrize("case", CHUNK_CASES)
+def test_table_text_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch, capsys, case):
+    """Writer chunks of 1531 rows, which end anywhere in a slab, a tau or the formatter's
+    block, give the bytes of the default chunks."""
+    default = _main_outcome(CHUNK_CASES[case], tmp_path / "default", capsys)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 1531)
+    assert _main_outcome(CHUNK_CASES[case], tmp_path / "odd", capsys) == default
+    assert default[0] == 0
+
+
+# propagate samples its field on the pool, here in four slabs of the lift in xi at extreme
+# (m, omega)
+POOL_CASES = {
     "xi-propagate": ["propagate", "--n", "3", "--mass", "1e-100", "--omega", "1e-100",
                      "--to-tau", "8e99", "--grid=-3e101:3e101:100001"],
 }
