@@ -21,7 +21,7 @@ import numpy as np
 _WIDTH = 29  # bytes of a cell: sign and "0.000" (6), 17 digits and a dot (18), "e-324" (5)
 # values formatted at a time: about 135 numpy calls of about 0.5 us each besides their work,
 # and 170 ns a value in tables-io's tables (2-vCPU Xeon, numpy 2.4).  8192 cut a table pass
-# by about 8% but doubled the 0.9 MiB working set and raised peak RSS by 2.8 MB
+# by about 8% but doubled the 0.75 MiB working set and raised peak RSS by 2.8 MB
 _BLOCK = 4096
 _K_MIN = -324  # decimal exponents k of the powers of ten 10^-k: -324 .. 292, one per double scale
 _POINTS = 640  # decimal points -323 .. 309 of a sign, at point + 323 (+ _POINTS if negative)
@@ -75,9 +75,9 @@ def _tables():
     g[:, 1] = 0
     offset = (np.maximum(bq - 1, 0) << 52).astype(u)
     shift = np.array([h + 1, h + 1 - irregular], u)
-    digits = np.array([len(str(2 ** max(e - 1023, 0))) for e in range(1081)])
-    threshold = np.array([10**n for n in digits.tolist()], u)
-    align = np.array([10 ** max(17 - n, 0) for n in range(18)], u)
+    pow10 = np.array([10**n for n in range(19)], u)
+    digits = (np.maximum(np.arange(1081) - 1023, 0) * 1233 >> 12) + 1  # of 2^(e - 1023)
+    threshold, align = pow10[digits], pow10[17 - np.arange(18)]
     return (np.concatenate([point, point + _POINTS]), np.concatenate([offset, offset + u(2**63)]),
             np.tile(shift, 2), np.tile(g, 2), digits, threshold, align)
 
@@ -275,16 +275,13 @@ def cells(x, out=None) -> np.ndarray:
     if out is None:
         out = np.empty((len(x), _WIDTH), np.uint8)
     for start in range(0, len(x), _BLOCK):
-        block = x[start : start + _BLOCK]
-        words = np.empty((len(block), 4), np.uint64)
-        _cell_words(block, words)
+        words = _cell_words(x[start : start + _BLOCK])
         put_rows(out[start : start + _BLOCK], words.view(np.uint8)[:, :_WIDTH])
     return out
 
 
-def _cell_words(x, out) -> None:
-    """The cells of x into out, a (len(x), 4) uint64 array: 32 bytes a cell, 8 to a word
-    (little-endian)."""
+def _cell_words(x) -> np.ndarray:
+    """(len(x), 4) uint64: the cells of x, 32 bytes each, 8 to a word (little-endian)."""
     digits, threshold, align = _tables()[4:]
     kd, ks, const, code_at, word_at = _layouts()
     f, point = _shortest(np.ascontiguousarray(x).view(np.uint64))
@@ -312,8 +309,10 @@ def _cell_words(x, out) -> None:
     d &= kd.take(code, axis=1)
     rest &= ks.take(code, axis=1)
     d[1:] |= rest
+    out = np.empty((len(x), 4), np.uint64)
     np.bitwise_or(d, const.take(code, axis=1), out=out[:, :3].T)
     out[:, 3] = word_at.take(point)
+    return out
 
 
 def put_rows(block, rows) -> None:
