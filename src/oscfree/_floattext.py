@@ -19,7 +19,7 @@ import functools
 import numpy as np
 
 _WIDTH = 29  # bytes of a cell: sign and "0.000" (6), 17 digits and a dot (18), "e-324" (5)
-# values formatted at a time: about 135 numpy calls of about 0.5 us each besides their work,
+# values formatted at a time: about 150 numpy calls of about 0.5 us each besides their work,
 # and 170 ns a value in tables-io's tables (2-vCPU Xeon, numpy 2.4).  8192 cut a table pass
 # by about 8% but doubled the 0.75 MiB working set and raised peak RSS by 2.8 MB
 _BLOCK = 4096
