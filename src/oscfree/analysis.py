@@ -373,14 +373,6 @@ class ResidualReport:
         if not all(a > b for a, b in zip(self.spacings, self.spacings[1:])):
             raise ValueError("spacings must be strictly decreasing")
 
-    def to_dict(self) -> dict:
-        return {
-            "spacings": list(self.spacings),
-            "linf": list(self.linf_residuals),
-            "l2": list(self.l2_residuals),
-            "fitted_order": self.fitted_order,
-        }
-
 
 def residual_study(
     solution,

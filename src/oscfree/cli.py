@@ -6,22 +6,23 @@ verification reports, as CSV or JSON artifacts for external plotting.
 
 Exit codes: 0 ok, 2 usage error (a malformed or non-finite flag value, named in the message,
 a grid, range or table over the 2**24-point or 2**24-row budget, a 1D --n over
-oscillator.MAX_LEVEL_1D, a 2D level 2 --n-radial + |--l| over oscillator.MAX_LEVEL_2D, a
---mass and --omega whose product is not a normal finite double, or, for verify, whose
-omega**2 or mass * omega**2 is not), 3 numerical precondition failure (boundary decay,
-half-period window, non-finite sampled values, a non-finite table, which is then not
-written, a verify residual that underflowed to zero, or a floating-point overflow, invalid
-operation or division by zero), 4 verification failure (a verify suite ran but its pass
-criterion did not hold), 5 I/O error (the output file could not be written).  An existing
---out that is not a regular file (a directory, /dev/stdout, /dev/null, a FIFO) is a usage
-error.  peaks prints the exact maxima (analysis._exact_peaks) and samples no grid, so it
-raises no peak detection error, and its --count is ignored, unchecked.
+oscillator.MAX_LEVEL_1D, a 2D level 2 --n-radial + |--l| over oscillator.MAX_LEVEL_2D, or a
+--mass and --omega whose product is not a normal finite double), 3 numerical precondition
+failure (boundary decay, half-period window, non-finite sampled values, a non-finite table,
+which is then not written, a verify residual that underflowed to zero or overflowed when
+scaled to --mass and --omega, or a floating-point overflow, invalid operation or division by
+zero), 4 verification failure (a verify suite ran but its fitted order left ORDER_BAND, or
+propagate's field differs from the closed form by more than PROPAGATE_TOLERANCE in L2, as
+when it wrapped around the grid), 5 I/O error (the output file could not be written).  An
+existing --out that is not a regular file (a directory, /dev/stdout, /dev/null, a FIFO) is a
+usage error.  peaks prints the exact maxima (analysis._exact_peaks) and samples no grid, so
+it raises no peak detection error, and its --count is ignored, unchecked.
 
---out is replaced whole, so nothing is written on exit 2, 3 or 5 (see
-_replacing); verify writes its --out report before printing it.  Tables are
-written deterministically in the CSV or JSON format of _write_table, field
-tables one slab of one tau at a time (_write_field_table); float cells get
-repr's text from a vectorized formatter (_floattext).
+--out is replaced whole, so nothing is written on exit 2, 3 or 5 (see _replacing); on exit 0
+or 4, verify writes its --out report before printing it, and propagate its table before
+printing its summary.  Tables are written deterministically in the CSV or JSON format of
+_write_table, field tables one slab of one tau at a time (_write_field_table); float cells
+get repr's text from a vectorized formatter (_floattext).
 
 Grid specs are `min:max:count`; tau lists are comma-separated values or
 `min:max:count` ranges.  Every option but --help takes one value, so any
@@ -58,11 +59,12 @@ from .analysis import (
 )
 from .classical import TrajectoryFamily, envelope, free_trajectory
 from .errors import NonFiniteError, OscfreeError
-from .oscillator import OscillatorParams, QuantumNumbers1D, QuantumNumbers2D, eigenstate_1d
+from .oscillator import _UNIT, OscillatorParams, QuantumNumbers1D, QuantumNumbers2D, eigenstate_1d
 from .transform import lifted_eigenstate_1d, lifted_eigenstate_2d
 
 SCHEMA_VERSION = 1
 ORDER_BAND = (1.8, 2.2)
+PROPAGATE_TOLERANCE = 1e-6  # propagate's largest L2 difference from the closed form
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -151,13 +153,6 @@ def _replacing(path: str):
         raise
 
 
-def _check_finite(command: str, header: list[str], block: list) -> None:
-    """Raise NonFiniteError naming the first float array column of block with a non-finite cell."""
-    for name, c in zip(header, block):
-        if c.dtype.kind == "f" and not np.isfinite(c).all():
-            raise NonFiniteError(f"{command}: column {name!r} has non-finite values; no table written")
-
-
 def _rows_text(columns: list, lead: bytes, cell: bytes, close: bytes) -> bytearray:
     """The text of rows given as columns: each row is lead, its cells joined by cell, then
     close.
@@ -219,7 +214,10 @@ def _write_table(
     def chunks():  # the checked blocks' rows, _BLOCK_ROWS at a time
         parts, rows = [], 0
         for block in blocks:
-            _check_finite(command, header, block)
+            for name, c in zip(header, block):
+                if c.dtype.kind == "f" and not np.isfinite(c).all():
+                    what = f"column {name!r} has non-finite values; no table written"
+                    raise NonFiniteError(f"{command}: {what}")
             start = 0
             while start < len(block[0]):
                 parts.append([c[start : start + _BLOCK_ROWS - rows] for c in block])
@@ -250,12 +248,12 @@ def _check_rows(taus: int, per_tau: int, what: str) -> None:
 def _write_field_table(args: argparse.Namespace, lift, taus, names) -> None:
     """Tabulate lift(rows, *coords, tau) on args.grid per tau as tau, coordinate, re, im, density.
 
-    Blocks come per tau per axis-0 slab of analysis._slabs: lift gets the slab's row slice
-    and coordinates, and the slab's re, im and density are checked before any of its rows
-    are written.  Its density column is built, and its coordinates gathered, per chunk of
-    _BLOCK_ROWS rows, so a table holds one slab's values and one chunk's text.  The tau and
-    node texts are formatted once (_floattext.texts): lifting is under 1% of a table's
-    time, and formatting most of the rest.
+    Blocks come per tau per axis-0 slab of analysis._slabs, one per chunk of _BLOCK_ROWS
+    rows: lift gets the slab's row slice and coordinates, and a block's density is built,
+    and its coordinates gathered, as _write_table takes it and checks it, so a table holds
+    one slab's values and one chunk's text.  The tau and node texts are formatted once
+    (_floattext.texts): lifting is under 1% of a table's time, and formatting most of the
+    rest.
     """
     from ._floattext import texts
 
@@ -266,16 +264,14 @@ def _write_field_table(args: argparse.Namespace, lift, taus, names) -> None:
 
     def slab_blocks(tau, tau_text, start, stop, coords):
         values = lift(slice(start, stop), *coords(), tau).ravel()
-        re, im = values.real, values.imag
-        # density written as re^2 + im^2 so re-reading the table reproduces it exactly
-        _check_finite(args.command, header[-3:], [re, im, re * re + im * im])
         shape = (stop - start, *map(len, nodes[1:]))
         for a in range(0, len(values), _BLOCK_ROWS):
             b = min(a + _BLOCK_ROWS, len(values))
             at = np.unravel_index(np.arange(a, b), shape)
             words = [t[i] for t, i in zip(text, (at[0] + start, *at[1:]))]
             # copies, so rows held for a chunk past the slab's end keep no slab alive
-            r, i = re[a:b].copy(), im[a:b].copy()
+            r, i = values.real[a:b].copy(), values.imag[a:b].copy()
+            # density written as re^2 + im^2 so re-reading the table reproduces it exactly
             yield [np.full(b - a, tau_text), *words, r, i, r * r + i * i]
 
     def blocks():
@@ -336,49 +332,58 @@ def _run_envelope(args: argparse.Namespace, params: OscillatorParams) -> int:
     return EXIT_OK
 
 
+def _level_1d(args: argparse.Namespace, theta: float, count: int):
+    return QuantumNumbers1D(args.n), {"n": args.n}, auto_grid(_UNIT, args.n, theta, count)
+
+
+def _level_2d(args: argparse.Namespace, theta: float, count: int):
+    qn = QuantumNumbers2D(args.n_radial, args.l)
+    return qn, {"n_radial": args.n_radial, "l": args.l}, auto_grid_2d(_UNIT, qn, theta, count)
+
+
+# verify's suites: a function of the args, theta and a node count giving the level, its report
+# fields and its m = omega = 1 auto grid; the level's closed form; whether that solves the
+# oscillator equation (checked at --time, on the grid of theta = 0) or the free one (at
+# --tau); and the coarsest grid's default node count
+_SUITES = {
+    "free-residual": (_level_1d, lifted_eigenstate_1d, False, 501),
+    "osc-residual": (_level_1d, eigenstate_1d, True, 501),
+    "free-residual-2d": (_level_2d, lifted_eigenstate_2d, False, 101),
+}
+
+
 def _run_verify(args: argparse.Namespace, params: OscillatorParams) -> int:
-    # the suites check the physical equation, its potential m omega^2 |x|^2 / 2, with dt the
-    # grid spacing: not scale free, they keep the range where omega^2 and m omega^2 are normal
-    w_sq = params.omega * params.omega  # omega**2, but inf where it overflows
-    for name, value in (("omega**2", w_sq), ("mass * omega**2", params.mass * w_sq)):
-        if not sys.float_info.min <= value < math.inf:
-            raise ValueError(f"verify needs {name} to be a normal finite double, got {value!r}")
-    base_count = args.base_count
-    if base_count is None:
-        base_count = 101 if args.suite == "free-residual-2d" else 501
-    # the free suites check the free equation at tau; osc-residual overrides both
-    time, omega = args.tau, None
-    if args.suite == "free-residual":
-        qn = QuantumNumbers1D(args.n)
-        solution = lambda y, s: lifted_eigenstate_1d(params, qn, y, s)
-        grid = auto_grid(params, args.n, args.tau, base_count)
-        suite_params = {"n": args.n, "tau": args.tau}
-    elif args.suite == "osc-residual":
-        qn = QuantumNumbers1D(args.n)
-        solution = lambda x, t: eigenstate_1d(params, qn, x, t)
-        grid = auto_grid(params, args.n, 0.0, base_count)
-        time, omega = args.time, params.omega
-        suite_params = {"n": args.n, "t": args.time}
-    else:
-        qn = QuantumNumbers2D(args.n_radial, args.l)
-        solution = lambda y1, y2, s: lifted_eigenstate_2d(params, qn, y1, y2, s)
-        grid = auto_grid_2d(params, qn, args.tau, base_count)
-        suite_params = {"n_radial": args.n_radial, "l": args.l, "tau": args.tau}
-    report = residual_study(solution, grid, time, params.mass, args.refinements, omega)
-    passed = ORDER_BAND[0] <= report.fitted_order <= ORDER_BAND[1]
+    """Check a suite's m = omega = 1 equation in xi = sqrt(m omega) y and theta = omega tau (or
+    omega t), with the xi spacing as time step, and report in y and tau: the residual at
+    (m, omega) is omega (m omega)^{d/4} times the unit one, and its L2 norm omega times the
+    unit norm, so the fitted order and the verdict depend on the suite, the level and theta."""
+    level, closed_form, oscillator, base_count = _SUITES[args.suite]
+    key, time = ("t", args.time) if oscillator else ("tau", args.tau)
+    theta = params.omega * time
+    count = base_count if args.base_count is None else args.base_count
+    qn, fields, grid = level(args, 0.0 if oscillator else theta, count)
+    solution = functools.partial(closed_form, _UNIT, qn)
+    unit = residual_study(solution, grid, theta, 1.0, args.refinements, 1.0 if oscillator else None)
+    mw, w = params.mass * params.omega, params.omega
     payload = {
         "schema_version": SCHEMA_VERSION,
         "suite": args.suite,
-        "params": {"mass": args.mass, "omega": args.omega, **suite_params},
-        **report.to_dict(),
-        "pass": passed,
+        "params": {"mass": args.mass, "omega": args.omega, **fields, key: time},
+        "spacings": [h / math.sqrt(mw) for h in unit.spacings],
+        "linf": [w * mw ** (len(grid.axes) / 4) * r for r in unit.linf_residuals],
+        "l2": [w * r for r in unit.l2_residuals],
+        "fitted_order": unit.fitted_order,
+        "pass": ORDER_BAND[0] <= unit.fitted_order <= ORDER_BAND[1],
     }
+    if not all(map(math.isfinite, payload["linf"] + payload["l2"])):
+        scale = f"mass {params.mass} and omega {w}"
+        raise NonFiniteError(f"verify: a residual scaled to {scale} is not finite")
     text = json.dumps(payload)
     if args.out:
         with _replacing(args.out) as f:
             f.write(text + "\n")
     print(text)
-    return EXIT_OK if passed else EXIT_VERIFICATION
+    return EXIT_OK if payload["pass"] else EXIT_VERIFICATION
 
 
 def _run_propagate(args: argparse.Namespace, params: OscillatorParams) -> int:
@@ -396,7 +401,9 @@ def _run_propagate(args: argparse.Namespace, params: OscillatorParams) -> int:
     }
     _write_field_table(args, lambda rows, yy, tau: final.values[rows], [args.to_tau], ["y"])
     print(json.dumps(summary))
-    return EXIT_OK
+    # a field that reached the grid's edge wrapped around it: the oracle is periodic
+    passed = summary["l2_difference_vs_closed_form"] <= PROPAGATE_TOLERANCE
+    return EXIT_OK if passed else EXIT_VERIFICATION
 
 
 def build_parser() -> argparse.ArgumentParser:

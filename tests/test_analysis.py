@@ -148,6 +148,12 @@ class TestResidual:
         zero, grid, omega = zero_case(d, equation)
         assert residual(zero, grid, 0.5, 1.0, 0.01, omega) == (0.0, 0.0)
 
+    def test_study_of_a_zero_residual_fits_no_order(self, d, equation):
+        # an L2 residual of zero, as one that underflowed, leaves no log-log slope
+        zero, grid, omega = zero_case(d, equation)
+        with pytest.raises(NonFiniteError, match="^L2 residual underflowed to zero at spacing"):
+            residual_study(zero, grid, 0.5, 1.0, 2, omega)
+
     def test_rejects_bad_dt(self, d, equation):
         zero, grid, omega = zero_case(d, equation)
         for dt in (0.0, -0.01, math.nan, math.inf):

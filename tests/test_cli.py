@@ -27,7 +27,7 @@ from oscfree import (
     lifted_eigenstate_2d, transform,
 )
 from oscfree.cli import _BLOCK_ROWS, _write_table, main
-from oscfree.oscillator import MAX_LEVEL_1D, MAX_LEVEL_2D
+from oscfree.oscillator import MAX_LEVEL_1D, MAX_LEVEL_2D, eigenstate_1d
 
 from golden_manifest import GOLDEN, GOLDEN_DIR
 
@@ -313,14 +313,42 @@ class TestVerify:
         assert code == 4
         assert json.loads(capsys.readouterr().out)["pass"] is False
 
-    @pytest.mark.parametrize("suite", ["free-residual", "free-residual-2d"])
-    def test_underflowed_residual_exits_3(self, tmp_path, capsys, suite):
-        out = tmp_path / "report.json"
-        assert main(["verify", "--suite", suite, "--mass", "1e-300", "--out", str(out)]) == 3
-        error = json.loads(capsys.readouterr().out)["error"]
-        assert error["type"] == "NonFiniteError"
-        assert "residual underflowed to zero" in error["message"]
-        assert list(tmp_path.iterdir()) == []
+    @pytest.mark.parametrize(
+        "suite, n, time, refinements",
+        [
+            ("free-residual", 2, "0.5", 4),
+            ("free-residual", 40, "0.4123", 5),
+            ("osc-residual", 2, "0.3", 4),
+            ("osc-residual", 20, "0.2718", 5),
+        ],
+    )
+    def test_unit_1d_report_is_the_residual_study_of_the_lift(
+        self, capsys, suite, n, time, refinements
+    ):
+        """At m = omega = 1 a 1D report is residual_study's of the closed form on the auto grid,
+        at --tau (or at --time on the grid of tau = 0), byte for byte.  No golden can hold
+        these bytes: they differ across numpy's SIMD dispatch levels (ROADMAP item 13)."""
+        oscillator = suite == "osc-residual"
+        flag, key = ("--time", "t") if oscillator else ("--tau", "tau")
+        args = ["--n", str(n), "--refinements", str(refinements), flag, time]
+        assert main(["verify", "--suite", suite, *args]) == 0
+        params, qn, t = OscillatorParams(1.0, 1.0), QuantumNumbers1D(n), float(time)
+        closed_form = eigenstate_1d if oscillator else transform.lifted_eigenstate_1d
+        solution = lambda y, s: closed_form(params, qn, y, s)
+        grid = analysis.auto_grid(params, n, 0.0 if oscillator else t, 501)
+        omega = params.omega if oscillator else None
+        report = analysis.residual_study(solution, grid, t, params.mass, refinements, omega)
+        expected = {
+            "schema_version": 1,
+            "suite": suite,
+            "params": {"mass": 1.0, "omega": 1.0, "n": n, key: t},
+            "spacings": report.spacings,
+            "linf": report.linf_residuals,
+            "l2": report.l2_residuals,
+            "fitted_order": report.fitted_order,
+            "pass": True,
+        }
+        assert capsys.readouterr().out == json.dumps(expected) + "\n"
 
 
 def _assert_exit_3_writes_nothing(tmp_path: Path, capsys, args) -> str:
@@ -558,34 +586,60 @@ class TestErrorPaths:
         assert "mass * omega must be a normal finite double, got 0.0" in captured.err
         assert not out.exists()
 
-    # verify checks the physical equation with dt the grid spacing, so it is not scale free and
-    # keeps the former range: at (1e-150, 1e-150) m omega^2 underflows to 0 and the potential
-    # would vanish, and at (1e-200, 1e200) omega**2 overflows
+    # verify checks the m = omega = 1 equation at theta = omega tau (or omega t), so every
+    # (m, omega) with a normal m omega reports the unit residuals, scaled.  The Baseline's
+    # extreme cases at their default times, which exited 4, 4, 3 and 2 while verify checked the
+    # physical equation with dt the y spacing; the former refusals of an omega**2 or
+    # mass * omega**2 that is not a normal double, at a time of theta / omega (the default
+    # tau at (1e-200, 1e200) is theta = 5e199, whose stretch overflows: ROADMAP item 23);
+    # mass 1e-300, whose residual underflowed to zero; and two that always passed
     @pytest.mark.parametrize(
-        "suite, mass, omega, product",
+        "suite, level, mass, omega, time",
         [
-            ("osc-residual", "1e-150", "1e-150", "mass * omega**2"),
-            ("osc-residual", "1e-200", "1e200", "omega**2"),
-            ("free-residual", "1", "1e-300", "omega**2"),
-            ("free-residual-2d", "1e200", "1e-200", "omega**2"),
+            ("free-residual", ["--n", "2"], "1e-100", "1", None),
+            ("free-residual-2d", ["--n-radial", "1", "--l", "1"], "1e150", "1e-150", None),
+            ("free-residual-2d", ["--n-radial", "1", "--l", "1"], "1e-100", "1e-100", None),
+            ("osc-residual", ["--n", "2"], "1e-150", "1e-150", None),
+            ("osc-residual", [], "1e-200", "1e200", "3e-201"),
+            ("free-residual", [], "1", "1e-300", "5e299"),
+            ("free-residual-2d", [], "1e200", "1e-200", "5e199"),
+            ("free-residual", [], "1e-300", "1", None),
+            ("free-residual-2d", [], "1e-300", "1", None),
+            ("osc-residual", [], "1e-100", "1e-100", None),
+            ("osc-residual", [], "1e150", "1e-150", None),
         ],
     )
-    def test_verify_outside_its_mass_omega_range_exits_2(
-        self, tmp_path, capsys, suite, mass, omega, product
+    def test_verify_at_extreme_mass_omega_is_the_scaled_unit_report(
+        self, capsys, suite, level, mass, omega, time
     ):
-        out = tmp_path / "report.json"
-        args = ["verify", "--suite", suite, "--mass", mass, "--omega", omega, "--out", str(out)]
-        assert main(args) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"verify needs {product} to be a normal finite double, got" in captured.err
-        assert not out.exists()
+        """The report at (m, omega) is the m = omega = 1 report at the same theta, with the
+        spacings divided by sqrt(m omega), linf times omega (m omega)^(d/4) and l2 times
+        omega; the fitted order and the verdict are the unit ones."""
+        flag, default = ("--time", 0.3) if suite == "osc-residual" else ("--tau", 0.5)
+        args = ["verify", "--suite", suite, *level, "--mass", mass, "--omega", omega]
+        assert main(args + ([] if time is None else [flag, time])) == 0
+        report = json.loads(capsys.readouterr().out)
+        m, w = float(mass), float(omega)
+        theta = w * (default if time is None else float(time))
+        assert main(["verify", "--suite", suite, *level, f"{flag}={theta!r}"]) == 0
+        unit = json.loads(capsys.readouterr().out)
+        mw, dims = m * w, 2 if suite == "free-residual-2d" else 1
+        assert report["pass"] is unit["pass"] is True
+        assert report["fitted_order"] == unit["fitted_order"]
+        assert report["spacings"] == [h / math.sqrt(mw) for h in unit["spacings"]]
+        assert report["linf"] == [w * mw ** (dims / 4) * r for r in unit["linf"]]
+        assert report["l2"] == [w * r for r in unit["l2"]]
 
-    @pytest.mark.parametrize("mass, omega", [("1e-100", "1e-100"), ("1e150", "1e-150")])
-    def test_verify_inside_its_mass_omega_range_passes(self, capsys, mass, omega):
-        args = ["verify", "--suite", "osc-residual", "--mass", mass, "--omega", omega]
-        assert main(args) == 0
-        assert json.loads(capsys.readouterr().out)["pass"] is True
+    def test_verify_residual_that_overflows_when_scaled_exits_3(self, tmp_path, capsys):
+        # at theta = 1 the unit linf is about 1e-2, times omega (m omega)^(1/4) = 1e375
+        out = tmp_path / "report.json"
+        args = ["verify", "--suite", "free-residual", "--omega", "1e300", "--tau", "1e-300"]
+        assert main(args + ["--out", str(out)]) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "type": "NonFiniteError",
+            "message": "verify: a residual scaled to mass 1.0 and omega 1e+300 is not finite",
+        }
+        assert not out.exists()
 
     # (mass, omega) where omega**2 or mass * omega**2 is not a normal double, which gave
     # silently wrong tables, then were refused, and now scale; 2D levels whose angular power
@@ -686,6 +740,18 @@ class TestPropagate:
         header, rows = read_csv(out)
         assert header == ["tau", "y", "re", "im", "density"]
         assert len(rows) == 801
+
+    @pytest.mark.parametrize("to_tau, code", [("5", 0), ("20", 4)])
+    def test_a_wrapped_field_exits_4(self, tmp_path, capsys, to_tau, code):
+        """By tau = 20 the level has spread past +-30 and the periodic oracle's field wrapped
+        around the grid (an L2 difference of 0.72); at tau = 5 it is 4.4e-7.  The table and
+        the summary are written either way."""
+        out = tmp_path / "prop.csv"
+        args = ["propagate", "--n", "2", "--to-tau", to_tau, "--grid=-30:30:1001"]
+        assert main(args + ["--out", str(out)]) == code
+        difference = json.loads(capsys.readouterr().out)["l2_difference_vs_closed_form"]
+        assert (difference <= cli.PROPAGATE_TOLERANCE) == (code == 0)
+        assert len(read_csv(out)[1]) == 1001
 
     def test_phase_overflow_exits_3(self, tmp_path, capsys):
         # k^2 tau overflows in the phase: the command's errstate must hold there

@@ -14,8 +14,14 @@ part of what the tolerance covers.  What is left is the evaluators' own rounding
 level's exp takes an exponent near -240 at m omega = 1e-300, whose ulp is 2.8e-14, and
 density_1d squares it; over 15000 draws the largest error was 8.4e-14 of a row,
 in density_1d.  So the draws are derandomized, the same ones every run.
+
+verify checks each suite's m = omega = 1 equation at theta and scales only the residuals it
+prints, so its fitted order at (m, omega) is the unit one to the bit, and so is its verdict.
 """
 
+import contextlib
+import io
+import json
 import math
 import warnings
 
@@ -37,6 +43,7 @@ from oscfree import (
     lifted_eigenstate_2d,
 )
 from oscfree.analysis import _exact_peaks, auto_grid, auto_grid_2d
+from oscfree.cli import main
 
 UNIT = OscillatorParams(1.0, 1.0)
 TOLERANCE = 1e-13
@@ -133,3 +140,36 @@ def test_2d_evaluators_scale(decade_m, decade_w, qn, theta, seed):
         grid, unit = auto_grid_2d(params, qn, tau, 11), auto_grid_2d(UNIT, qn, theta, 11)
         for axis, unit_axis in zip(grid.axes, unit.axes):
             assert_scaled([axis.y_min, axis.y_max], [unit_axis.y_min, unit_axis.y_max], 1.0 / root)
+
+
+def verify_report(*args: str) -> dict:
+    """verify's report of args, which pass (exit 0) or fail their order band (exit 4)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", *args]) in (0, 4)
+    return json.loads(out.getvalue())
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    decade_m=decades,
+    decade_w=decades,
+    theta=st.floats(-1.5, 1.5),
+    n=st.integers(0, 6),
+    qn=st.builds(QuantumNumbers2D, st.integers(0, 1), st.integers(-3, 3)),
+)
+@example(decade_m=-150.0, decade_w=-150.0, theta=1.5, n=6, qn=QuantumNumbers2D(1, -3))
+@example(decade_m=150.0, decade_w=-150.0, theta=0.5, n=2, qn=QuantumNumbers2D(1, 1))
+def test_verify_verdicts_scale(decade_m, decade_w, theta, n, qn):
+    m, w = 10.0**decade_m, 10.0**decade_w
+    level = ["--n", str(n), "--n-radial", str(qn.n_radial), "--l", str(qn.l), "--refinements", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for suite in ("free-residual", "osc-residual", "free-residual-2d"):
+            flag = "--time" if suite == "osc-residual" else "--tau"
+            time = theta / w
+            ours = verify_report("--suite", suite, "--mass", repr(m), "--omega", repr(w),
+                                 f"{flag}={time!r}", *level)
+            unit = verify_report("--suite", suite, f"{flag}={w * time!r}", *level)
+            assert ours["fitted_order"] == unit["fitted_order"], suite
+            assert ours["pass"] == unit["pass"], suite
