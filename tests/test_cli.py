@@ -587,12 +587,11 @@ class TestErrorPaths:
         assert not out.exists()
 
     # verify checks the m = omega = 1 equation at theta = omega tau (or omega t), so every
-    # (m, omega) with a normal m omega reports the unit residuals, scaled.  The Baseline's
-    # extreme cases at their default times, which exited 4, 4, 3 and 2 while verify checked the
-    # physical equation with dt the y spacing; the former refusals of an omega**2 or
-    # mass * omega**2 that is not a normal double, at a time of theta / omega (the default
-    # tau at (1e-200, 1e200) is theta = 5e199, whose stretch overflows: ROADMAP item 23);
-    # mass 1e-300, whose residual underflowed to zero; and two that always passed
+    # (m, omega) with a normal m omega reports the unit residuals, scaled.  The ROADMAP
+    # Baseline's four extreme cases at their default times; three where omega**2 or
+    # mass * omega**2 is not a normal double, at a time of theta / omega (the default tau at
+    # (1e-200, 1e200) is theta = 5e199, whose stretch overflows: ROADMAP item 23); and four
+    # more at their default times
     @pytest.mark.parametrize(
         "suite, level, mass, omega, time",
         [
