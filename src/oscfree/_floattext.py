@@ -321,14 +321,14 @@ def put_rows(block, rows) -> None:
     block.view(row)[:] = rows.view(row)
 
 
-def matrix_text(rows: int, width: int, fill) -> bytearray:
-    """The bytes of the (rows, width) uint8 matrix that fill(matrix) writes, but its NULs.
+def nonzero_bytes(matrix, mask=None) -> np.ndarray:
+    """The bytes of a C-contiguous uint8 matrix but its NULs, as a 1-D array.
 
-    The matrix lies over a bytearray, which is translated in place of a copy of it.
+    They are taken by a boolean mask (mask's first matrix.size entries, if given), so numpy
+    runs the whole drop without the interpreter lock.
     """
-    buffer = bytearray(rows * width)
-    fill(np.frombuffer(buffer, np.uint8).reshape(rows, width))
-    return buffer.translate(None, b"\0")
+    flat = matrix.reshape(-1)
+    return flat[np.not_equal(flat, 0, out=None if mask is None else mask[: flat.size])]
 
 
 def texts(x) -> np.ndarray:
@@ -336,11 +336,8 @@ def texts(x) -> np.ndarray:
     parts = [np.empty(0, "S1")]
     for start in range(0, len(x), _BLOCK):  # a block at a time, so few bytes objects at once
         block = x[start : start + _BLOCK]
-
-        def fill(matrix):  # each text, then the newline it is split at
-            matrix[:, _WIDTH] = ord("\n")
-            cells(block, matrix[:, :_WIDTH])
-
-        text = bytes(matrix_text(len(block), _WIDTH + 1, fill))
-        parts.append(np.array(text.split(b"\n")[:-1]))
+        matrix = np.empty((len(block), _WIDTH + 1), np.uint8)  # each text, then a newline
+        matrix[:, _WIDTH] = ord("\n")
+        cells(block, matrix[:, :_WIDTH])
+        parts.append(np.array(nonzero_bytes(matrix).tobytes().split(b"\n")[:-1]))
     return np.concatenate(parts)

@@ -16,8 +16,9 @@ pool (_map_slabs), with the bits and errors of a serial walk.  The spectral
 oracle multiplies its phase into the spectrum in place, in real arithmetic, one
 slab of half the axis-0 modes at a time (the other half are their mirror
 images), so its only grid-sized buffer is the spectrum.  A table's slabs are
-lifted and formatted on the calling thread (cli._write_field_table).  A
-lifted level's peaks are its exact maxima and half-height points
+lifted and formatted on the calling thread (cli._write_field_table), while one
+pool task drops the NULs of the chunk before and writes it (cli._write_table).
+A lifted level's peaks are its exact maxima and half-height points
 (level_extrema), stretched to each free time (_exact_peaks), with no grid;
 peak_trajectory_check still finds them on a sampled grid.  Integrals use the
 trapezoid rule: exponentially accurate for smooth fields negligible at the grid
@@ -196,7 +197,8 @@ def _workers() -> int:
 
 @functools.cache
 def _slab_pool():
-    """(pool, workers) of _map_slabs, made on first use with _workers() threads."""
+    """(pool, workers) of _map_slabs and cli._write_table, made on first use with _workers()
+    threads."""
     from concurrent.futures import ThreadPoolExecutor
     workers = _workers()
     return ThreadPoolExecutor(workers, thread_name_prefix="oscfree-slab"), workers

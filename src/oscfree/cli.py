@@ -153,16 +153,16 @@ def _replacing(path: str):
         raise
 
 
-def _rows_text(columns: list, lead: bytes, cell: bytes, close: bytes) -> bytearray:
-    """The text of rows given as columns: each row is lead, its cells joined by cell, then
-    close.
+def _rows_text(columns: list, lead: bytes, cell: bytes, close: bytes, buffer) -> np.ndarray:
+    """The rows given as columns, each laid out in a row of a fixed-width uint8 matrix with
+    NUL where no byte is: lead, its cells joined by cell, then close.
 
-    Float arrays get repr's bytes from _floattext.cells; bytes arrays ('S') are text.  Each
-    row is laid out in a row of one fixed-width matrix, with NUL where no byte is, and the
-    text is the matrix's other bytes (_floattext.matrix_text).  In tables-io's tables the
-    float cells take two thirds of this and the NUL drop a fifth.
+    Float arrays get repr's bytes from _floattext.cells; bytes arrays ('S') are text.  Every
+    byte of the matrix is written.  It lies in the first bytes of buffer (a 1-D uint8 array
+    that owns its memory) where those suffice, else in a new array, and its base is the one
+    it lies in.  In tables-io's tables the float cells take two thirds of a table.
     """
-    from ._floattext import _WIDTH, cells, matrix_text, put_rows
+    from ._floattext import _WIDTH, cells, put_rows
 
     pieces = [lead]
     for column in columns:
@@ -172,20 +172,21 @@ def _rows_text(columns: list, lead: bytes, cell: bytes, close: bytes) -> bytearr
         len(p) if isinstance(p, bytes) else _WIDTH if p.dtype.kind == "f" else p.itemsize
         for p in pieces
     ]
-
-    def fill(matrix):
-        at = 0
-        for piece, width in zip(pieces, widths):
-            block = matrix[:, at : at + width]
-            at += width
-            if isinstance(piece, bytes):
-                block[:] = np.frombuffer(piece, np.uint8)
-            elif piece.dtype.kind == "f":
-                cells(piece, block)
-            else:
-                put_rows(block, piece.view(np.uint8).reshape(-1, width))
-
-    return matrix_text(len(columns[0]), sum(widths), fill)
+    size = len(columns[0]) * sum(widths)
+    if buffer.size < size:
+        buffer = np.empty(size, np.uint8)
+    matrix = buffer[:size].reshape(len(columns[0]), sum(widths))
+    at = 0
+    for piece, width in zip(pieces, widths):
+        block = matrix[:, at : at + width]
+        at += width
+        if isinstance(piece, bytes):
+            block[:] = np.frombuffer(piece, np.uint8)
+        elif piece.dtype.kind == "f":
+            cells(piece, block)
+        else:
+            put_rows(block, piece.view(np.uint8).reshape(-1, width))
+    return matrix
 
 
 def _write_table(
@@ -196,10 +197,25 @@ def _write_table(
     A column is a 1-D float array, whose cells are formatted here, or a bytes array ('S') of
     cells already formatted as text.  Blocks are taken one at a time: each block's float
     columns are checked before any of its rows are written, and a non-finite one ends the
-    write with path untouched (see _replacing).  Rows are formatted and written _BLOCK_ROWS
-    at a time, across block ends (_rows_text).  Float cells get repr's bytes from the
-    vectorized formatter (_floattext), so csv.writer and json would write the same cells.
+    write with path untouched (see _replacing).  Rows are formatted _BLOCK_ROWS at a time,
+    across block ends, into a fixed-width matrix (_rows_text), and a chunk's text is its
+    matrix's bytes but the NULs (_floattext.nonzero_bytes).  Float cells get repr's bytes
+    from the vectorized formatter (_floattext), so csv.writer and json would write the same
+    cells.
+
+    Chunks are pipelined: while the calling thread lifts, checks and formats chunk k, one
+    task on the slab pool (analysis._slab_pool) drops chunk k - 1's NULs, which runs without
+    the interpreter lock, and writes its text.  At most one write is in flight, so a table
+    holds two matrices and one mask: chunk k is formatted into chunk k - 2's matrix once
+    that chunk is written.  The last chunk, and every chunk on a one-worker pool, is written
+    on the calling thread, so a one-chunk table never asks for the pool.  A write's error is
+    raised on the calling thread when it next waits for the write; on an error of its own,
+    it waits for the write in flight, whose error is then dropped, before the temporary file
+    goes.
     """
+    from .analysis import _slab_pool
+    from ._floattext import nonzero_bytes
+
     meta = json.dumps({"schema_version": SCHEMA_VERSION, "command": command, "columns": header})
     # head, each row's lead, cell separator and close, the bytes of the first lead not written,
     # tail
@@ -232,9 +248,35 @@ def _write_table(
     with _replacing(path) as f:
         f.write(head)
         f.flush()
-        for columns in chunks():
-            f.buffer.write(memoryview(_rows_text(columns, lead, cell, close))[skip:])
-            skip = 0
+
+        def write(matrix, mask, skip):
+            f.buffer.write(memoryview(nonzero_bytes(matrix, mask))[skip:])
+
+        buffers = [np.empty(0, np.uint8)] * 2  # chunk k is formatted into buffers[k % 2]
+        mask, workers, pending, matrix = np.empty(0, bool), 0, None, None
+        try:
+            for k, columns in enumerate(chunks()):
+                if matrix is not None:  # chunk k - 1, written while chunk k is formatted
+                    if pending is not None:
+                        pending.result()  # chunk k - 2's write, which frees its buffer
+                    if not workers:
+                        pool, workers = _slab_pool()
+                    if workers > 1:
+                        pending = pool.submit(write, matrix, mask, skip)
+                    else:
+                        write(matrix, mask, skip)
+                    skip = 0
+                matrix = _rows_text(columns, lead, cell, close, buffers[k % 2])
+                buffers[k % 2] = matrix.base
+                if mask.size < matrix.size:  # a new mask: the write in flight keeps its own
+                    mask = np.empty(matrix.size, bool)
+            if pending is not None:
+                pending.result()
+            if matrix is not None:
+                write(matrix, mask, skip)
+        finally:
+            if pending is not None:
+                pending.exception()  # waits for the write in flight
         f.write(tail)
 
 
@@ -251,7 +293,7 @@ def _write_field_table(args: argparse.Namespace, lift, taus, names) -> None:
     Blocks come per tau per axis-0 slab of analysis._slabs, one per chunk of _BLOCK_ROWS
     rows: lift gets the slab's row slice and coordinates, and a block's density is built,
     and its coordinates gathered, as _write_table takes it and checks it, so a table holds
-    one slab's values and one chunk's text.  The tau and node texts are formatted once
+    one slab's values and two chunks' text (_write_table).  The tau and node texts are formatted once
     (_floattext.texts): lifting is under 1% of a table's time, and formatting most of the
     rest.
     """
@@ -360,6 +402,9 @@ def _run_verify(args: argparse.Namespace, params: OscillatorParams) -> int:
     level, closed_form, oscillator, base_count = _SUITES[args.suite]
     key, time = ("t", args.time) if oscillator else ("tau", args.tau)
     theta = params.omega * time
+    if not math.isfinite(theta):  # a Python product overflows to inf without an error
+        product = f"omega * {key} = {params.omega} * {time}"
+        raise NonFiniteError(f"verify: theta = {product} is not finite")
     count = base_count if args.base_count is None else args.base_count
     qn, fields, grid = level(args, 0.0 if oscillator else theta, count)
     solution = functools.partial(closed_form, _UNIT, qn)

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -640,6 +642,19 @@ class TestErrorPaths:
         }
         assert not out.exists()
 
+    @pytest.mark.parametrize("suite", ["free-residual", "free-residual-2d", "osc-residual"])
+    def test_verify_of_a_non_finite_theta_exits_3(self, tmp_path, capsys, suite):
+        # omega * tau (omega * t) overflows to inf as Python floats, with no error raised
+        out = tmp_path / "report.json"
+        args = ["verify", "--suite", suite, "--omega", "1e300", "--tau", "1e300", "--time", "1e9"]
+        assert main(args + ["--out", str(out)]) == 3
+        key = "t = 1e+300 * 1000000000.0" if suite == "osc-residual" else "tau = 1e+300 * 1e+300"
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "type": "NonFiniteError",
+            "message": f"verify: theta = omega * {key} is not finite",
+        }
+        assert not out.exists()
+
     # (mass, omega) where omega**2 or mass * omega**2 is not a normal double, which gave
     # silently wrong tables, then were refused, and now scale; 2D levels whose angular power
     # overflowed at (1e-100, 1e-100) before the lift ran in xi; rows that always passed; and
@@ -1154,8 +1169,7 @@ def test_table_text_gives_the_one_writer_bytes(tmp_path, monkeypatch, capsys, ca
 
 # tables of many writer chunks at default slabs: a 301^2 gen2d and a 20001-node gen1d, one
 # tau whose last slab is ragged (a chunk spans the end of one slab and a part of the next),
-# and a level whose Hermite factor passes the largest float (the scaled recurrence).  Field
-# tables walk their slabs on the calling thread, so these test the chunks, not the pool
+# and a level whose Hermite factor passes the largest float (the scaled recurrence)
 CHUNK_CASES = {
     "big-csv": ["gen2d", "--l", "1", "--tau", "0,0.5", "--grid", "-12:12:301"],
     "big-json": ["gen1d", "--n", "3", "--tau", "0:2:4", "--grid", "-20:20:20001",
@@ -1176,22 +1190,139 @@ def test_table_text_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch, cap
 
 
 # propagate samples its field on the pool, here in four slabs of the lift in xi at extreme
-# (m, omega)
+# (m, omega); tables of five writer chunks write four on a pool of two or more workers
 POOL_CASES = {
     "xi-propagate": ["propagate", "--n", "3", "--mass", "1e-100", "--omega", "1e-100",
                      "--to-tau", "8e99", "--grid=-3e101:3e101:100001"],
+    "gen1d-csv": TABLE_CASES["gen1d-csv"],
+    "gen2d-json": TABLE_CASES["gen2d-json"],
 }
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", POOL_CASES)
-def test_table_text_on_one_worker_gives_the_default_pool_bytes(tmp_path, capsys, case):
-    """A 1-worker pool, as under taskset -c 0, where a queued slab or chunk waits behind a
-    running one, gives the default pool's bytes."""
+def test_table_text_on_a_1_or_2_worker_pool_gives_the_default_pool_bytes(
+    tmp_path, capsys, case, workers
+):
+    """A pool that reports 1 worker, as under taskset -c 0, where a queued slab waits behind a
+    running one and every chunk is written on the calling thread, or 2 workers, where a
+    chunk is written on the pool while the next is formatted, gives the default pool's
+    bytes."""
     default = _main_outcome(POOL_CASES[case], tmp_path / "default", capsys)
-    with ThreadPoolExecutor(1) as pool:
-        with mock.patch.object(analysis, "_slab_pool", lambda: (pool, 1)):
-            assert _main_outcome(POOL_CASES[case], tmp_path / "one", capsys) == default
+    with ThreadPoolExecutor(workers) as pool:
+        with mock.patch.object(analysis, "_slab_pool", lambda: (pool, workers)):
+            assert _main_outcome(POOL_CASES[case], tmp_path / "pool", capsys) == default
     assert default[0] == 0
+
+
+def _table_file(before=lambda k: None):
+    """A stand-in for open() in cli._replacing: the file's writes go through, and it records
+    (k, thread) as each nonempty write k ends, after calling before(k) as it starts.  Write 0
+    is the head; write k + 1 is chunk k's text."""
+    done = []
+
+    class Writer(io.BufferedWriter):
+        def write(self, data):
+            if not data:
+                return super().write(data)
+            k = len(self.started)
+            self.started.append(k)
+            before(k)
+            written = super().write(data)
+            done.append((k, threading.current_thread()))
+            return written
+
+    def fake_open(fd, mode, **kwargs):
+        writer = Writer(io.FileIO(fd, mode))
+        writer.started = []
+        return io.TextIOWrapper(writer, **kwargs)
+
+    return fake_open, done
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("chunks", [1, 5])
+def test_table_text_writes_every_chunk_but_the_last_on_the_pool(
+    tmp_path, monkeypatch, workers, chunks
+):
+    """On a pool of 2 or more workers, every chunk but the last is written on the pool, in
+    order; on a 1-worker pool every chunk is written on the calling thread, and a one-chunk
+    table never asks for the pool."""
+    fake_open, done = _table_file()
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+    column = np.arange(chunks * _BLOCK_ROWS - 1, dtype=float)
+    asked = []
+    with ThreadPoolExecutor(workers) as pool:
+        monkeypatch.setattr(analysis, "_slab_pool", lambda: asked.append(1) or (pool, workers))
+        _write_table(str(tmp_path / "t.csv"), ["c"], [[column]], "csv", "test")
+    caller = threading.current_thread()
+    pooled = [workers > 1] * (chunks - 1)
+    assert [(k, t is not caller) for k, t in done] == list(enumerate([False, *pooled, False]))
+    assert len(asked) == (chunks > 1)
+    assert (tmp_path / "t.csv").read_bytes() == b"c\n" + b"".join(
+        b"%r\n" % v for v in column.tolist()
+    )
+
+
+def test_table_text_write_that_fails_on_the_pool_leaves_the_old_file(
+    tmp_path, monkeypatch, capsys
+):
+    """An OSError writing chunk 2 on the pool exits 5 naming --out, keeps the old file and
+    leaves no temporary file."""
+    caller = threading.current_thread()
+
+    def failing(k):
+        if k == 3:  # chunk 2
+            assert threading.current_thread() is not caller
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    fake_open, done = _table_file(failing)
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"old bytes\n")
+    with ThreadPoolExecutor(2) as pool:
+        monkeypatch.setattr(analysis, "_slab_pool", lambda: (pool, 2))
+        code, stdout, stderr, data = _main_outcome(TABLE_CASES["gen1d-csv"], out, capsys)
+    assert (code, stdout, data) == (5, "", b"old bytes\n")
+    assert f"{os.strerror(errno.ENOSPC)}: {str(out)!r}" in stderr
+    assert [k for k, _ in done] == [0, 1, 2] and list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("error", [MemoryError("chunk 2"), KeyboardInterrupt()])
+def test_table_text_error_while_a_write_is_in_flight_leaves_the_old_file(
+    tmp_path, monkeypatch, error
+):
+    """A formatter error or an interrupt while chunk 1 is written on the pool waits for that
+    write, then keeps the old file and leaves no temporary file."""
+    started, release = threading.Event(), threading.Event()
+
+    def slow(k):
+        if k == 2:  # chunk 1
+            started.set()
+            release.wait(10)
+
+    fake_open, done = _table_file(slow)
+    rows_text = cli._rows_text
+
+    def failing(columns, *framing):
+        if int(columns[0][0]) // _BLOCK_ROWS == 2:
+            assert started.wait(10)
+            threading.Timer(0.2, release.set).start()
+            raise error
+        return rows_text(columns, *framing)
+
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+    monkeypatch.setattr(cli, "_rows_text", failing)
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"old bytes\n")
+    column = np.arange(10 * _BLOCK_ROWS, dtype=float)
+    with ThreadPoolExecutor(2) as pool:
+        monkeypatch.setattr(analysis, "_slab_pool", lambda: (pool, 2))
+        with pytest.raises(type(error)):
+            _write_table(str(out), ["c"], [[column]], "csv", "test")
+        written = [k for k, _ in done]  # as the error left _write_table
+    assert written == [0, 1, 2]
+    assert list(tmp_path.iterdir()) == [out] and out.read_bytes() == b"old bytes\n"
 
 
 def test_table_text_gives_the_first_error_in_row_order(
