@@ -160,7 +160,8 @@ def _rows_text(columns: list, lead: bytes, cell: bytes, close: bytes, buffer) ->
     Float arrays get repr's bytes from _floattext.cells; bytes arrays ('S') are text.  Every
     byte of the matrix is written.  It lies in the first bytes of buffer (a 1-D uint8 array
     that owns its memory) where those suffice, else in a new array, and its base is the one
-    it lies in.  In tables-io's tables the float cells take two thirds of a table.
+    it lies in.  In tables-io's tables the float cells take about three quarters of the
+    calling thread's time.
     """
     from ._floattext import _WIDTH, cells, put_rows
 
@@ -172,10 +173,10 @@ def _rows_text(columns: list, lead: bytes, cell: bytes, close: bytes, buffer) ->
         len(p) if isinstance(p, bytes) else _WIDTH if p.dtype.kind == "f" else p.itemsize
         for p in pieces
     ]
-    size = len(columns[0]) * sum(widths)
-    if buffer.size < size:
-        buffer = np.empty(size, np.uint8)
-    matrix = buffer[:size].reshape(len(columns[0]), sum(widths))
+    rows, stride = len(columns[0]), sum(widths)
+    if buffer.size < rows * stride:
+        buffer = np.empty(rows * stride, np.uint8)
+    matrix = buffer[: rows * stride].reshape(rows, stride)
     at = 0
     for piece, width in zip(pieces, widths):
         block = matrix[:, at : at + width]
@@ -293,9 +294,9 @@ def _write_field_table(args: argparse.Namespace, lift, taus, names) -> None:
     Blocks come per tau per axis-0 slab of analysis._slabs, one per chunk of _BLOCK_ROWS
     rows: lift gets the slab's row slice and coordinates, and a block's density is built,
     and its coordinates gathered, as _write_table takes it and checks it, so a table holds
-    one slab's values and two chunks' text (_write_table).  The tau and node texts are formatted once
-    (_floattext.texts): lifting is under 1% of a table's time, and formatting most of the
-    rest.
+    one slab's values and two chunks' text (_write_table).  The tau and node texts are
+    formatted once (_floattext.texts): lifting is under 1% of a table's time, and formatting
+    most of the rest.
     """
     from ._floattext import texts
 

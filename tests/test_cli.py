@@ -1061,10 +1061,11 @@ def test_writer_memory_is_bounded_by_the_chunk(tmp_path, fmt):
 def test_field_table_memory_does_not_grow_with_taus(tmp_path):
     """The traced peak of a gen1d table is the same for 4 taus as for 40, one tau lifted at a time.
 
-    Measured 1.96 and 1.99 MiB, of which 0.75 MiB is the float formatter's working set
-    (1.0 MiB for both with repr); 2.23 and 2.26 MiB when the row matrix was copied to bytes
-    for its NUL drop; blocks built for every tau before writing peaked at 1.2 and 3.3 MiB
-    with repr.
+    Measured 3.07 and 3.40 MiB, of which 0.75 MiB is the float formatter's working set, and
+    about 1.4 MiB the two row matrices, the mask and the text of the chunk written on the
+    pool while the next is formatted (1.96 and 1.99 MiB with one matrix, its NULs dropped on
+    the calling thread; 1.0 MiB for both with repr); blocks built for every tau before
+    writing peaked at 1.2 and 3.3 MiB with repr.
     """
     peaks = {}
     for taus in (4, 4, 40):  # the first run also traces one-time allocations
@@ -1082,8 +1083,9 @@ def test_field_table_memory_does_not_grow_with_the_grid(tmp_path):
     """The traced peak of a one-tau gen2d table is the same at 501^2 points as at 251^2.
 
     Each is lifted and written one axis-0 slab of about 2^15 points at a time.  Measured
-    2.63 and 2.67 MiB (2.7 and 2.9 with repr); lifted whole (_SLAB = 2^24), 4.1 and 15.6 MiB
-    with repr.  Both grids are at least two slabs: 201^2, under two, peaked at 2.3 MiB,
+    4.10 and 4.14 MiB with the chunk before written on the pool (2.63 and 2.67 with its NULs
+    dropped on the calling thread, 2.7 and 2.9 with repr); lifted whole (_SLAB = 2^24), 4.1
+    and 15.6 MiB with repr.  Both grids are at least two slabs: 201^2, under two, peaked at 2.3 MiB,
     1.23x under 401^2, with repr.
     """
 
@@ -1108,8 +1110,10 @@ def test_field_table_memory_does_not_grow_with_the_slab(tmp_path, monkeypatch):
 
     Text and density columns are built per chunk of _BLOCK_ROWS rows, so only the lift grows
     with the slab.  363^2 points are the fewest that hold two whole slabs at 2^16 points.
-    Measured: 1.89 MiB over one slab's lift at 2^13-point slabs and 1.02 MiB at 2^16 (1.39
-    and 0.74 with repr); with each slab's text built whole, 1.62 and 4.93 MiB with repr.
+    Measured: 3.39 MiB over one slab's lift at 2^13-point slabs and 2.51 MiB at 2^16 with
+    the chunk before written on the pool (1.89 and 1.02 with its NULs dropped on the calling
+    thread, 1.39 and 0.74 with repr); with each slab's text built whole, 1.62 and 4.93 MiB
+    with repr.
     """
     args = ["gen2d", "--l", "1", "--tau", "0.5", "--grid", "-12:12:363"]
     nodes = [np.linspace(-12.0, 12.0, 363)] * 2
