@@ -1268,6 +1268,27 @@ def test_table_text_writes_every_chunk_but_the_last_on_the_pool(
     )
 
 
+def test_table_text_of_changing_row_widths_on_a_busy_pool_matches_the_per_row_writer(
+    tmp_path, monkeypatch
+):
+    """Chunks whose rows widen and narrow, so the writer swaps in a larger matrix and mask
+    while a write is in flight, written on a pool of more workers than CPUs, with the
+    interpreter switching threads every microsecond, give the per-row writer's bytes."""
+    chunks = 12
+    rows = np.arange(chunks * _BLOCK_ROWS + 5)
+    # an int column (handed over as text) of 1 to 19 digits, changing from chunk to chunk
+    index = 10 ** ((rows // _BLOCK_ROWS * 7) % 19) + rows
+    values = np.random.default_rng(12).standard_normal(len(rows))
+    interval = sys.getswitchinterval()
+    with ThreadPoolExecutor(4) as pool:
+        monkeypatch.setattr(analysis, "_slab_pool", lambda: (pool, 4))
+        sys.setswitchinterval(1e-6)
+        try:
+            _assert_writer_matches_reference(tmp_path, [index, values, values * values])
+        finally:
+            sys.setswitchinterval(interval)
+
+
 def test_table_text_write_that_fails_on_the_pool_leaves_the_old_file(
     tmp_path, monkeypatch, capsys
 ):
