@@ -58,8 +58,7 @@ from .oscillator import (
     density_1d,
     eigenstate_1d,
     eigenstate_2d,
-    energy_1d,
-    energy_2d,
+    energy,
     norm_constant_2d,
 )
 from .specfun import hermite, kummer_truncated

@@ -257,22 +257,22 @@ def sample_field(solution, grid: Grid1D | Grid, time: float) -> ComplexField:
     return ComplexField(grid, values, time)
 
 
-def _auto_axis(params: OscillatorParams, level: float, tau: float, count: int) -> Grid1D:
-    """Symmetric axis for a level of energy omega * level: in xi = sqrt(m omega) y, its turning
-    point sqrt(2 level) and 10 more, times s = sqrt(1 + theta^2), theta = omega tau."""
+def _auto_grid(params: OscillatorParams, qn, tau: float, count: int) -> Grid:
+    """qn.dims symmetric axes for the level qn up to free time tau: in xi = sqrt(m omega) y, its
+    turning point sqrt(2 qn.level) and 10 more, times s = sqrt(1 + theta^2), theta = omega tau."""
     stretch = math.sqrt(_stretch_sq(params.omega * tau))
-    half = (math.sqrt(2.0 * level) + 10.0) * stretch / math.sqrt(params.mass * params.omega)
-    return Grid1D(-half, half, count)
+    half = (math.sqrt(2.0 * qn.level) + 10.0) * stretch / math.sqrt(params.mass * params.omega)
+    return Grid((Grid1D(-half, half, count),) * qn.dims)
 
 
 def auto_grid(params: OscillatorParams, n: int, tau: float, count: int) -> Grid1D:
-    """Symmetric grid wide enough for level n as it spreads up to free time tau."""
-    return _auto_axis(params, QuantumNumbers1D(n).n + 0.5, tau, count)
+    """The one axis of _auto_grid for the 1D level n."""
+    return _auto_grid(params, QuantumNumbers1D(n), tau, count).axes[0]
 
 
 def auto_grid_2d(params: OscillatorParams, qn: QuantumNumbers2D, tau: float, count: int) -> Grid:
-    """Square 2D analogue of auto_grid for the level (n_radial, l), from its turning radius."""
-    return Grid((_auto_axis(params, 2 * qn.n_radial + abs(qn.l) + 1, tau, count),) * 2)
+    """_auto_grid for the 2D level (n_radial, l): a square grid, from its turning radius."""
+    return _auto_grid(params, qn, tau, count)
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +701,8 @@ def level_extrema(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     O(n^2) arithmetic; 1.8 ms at n = 120, 32 ms at n = 2000 and 0.5 s at MAX_LEVEL_1D
     (2-vCPU Xeon).  A level past MAX_LEVEL_1D is a ValueError, raised before any of it.
     """
-    QuantumNumbers1D(n)  # a level in 0 .. MAX_LEVEL_1D
-    edge, odd = math.sqrt(2.0 * n + 1.0), n % 2
+    turn_sq, odd = 2.0 * QuantumNumbers1D(n).level, n % 2  # a level in 0 .. MAX_LEVEL_1D
+    edge = math.sqrt(turn_sq)
     h = 2.0 * edge / (1 + int(8.0 * edge * edge / math.pi))
     xi = np.arange(math.ceil((edge + 1.0) / h) + 1) * h
     with np.errstate(all="ignore"):  # zeros of psi_n are never evaluated where a ratio needs it
@@ -717,7 +717,7 @@ def level_extrema(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         def zero_or_maximum(x):
             p, dp, _ = evaluate(x)
             f = dp / p - x
-            slope = np.where(is_zero, dp, x * x - (2.0 * n + 1.0) - f * f)
+            slope = np.where(is_zero, dp, x * x - turn_sq - f * f)
             return np.where(is_zero, p, f), slope
 
         roots = _bracketed_roots(zero_or_maximum, xi[cells], xi[cells + 1], rising)
@@ -838,4 +838,5 @@ def semiclassical_gap(
     if not all(a < b for a, b in zip(ns, ns[1:])):
         raise ValueError("levels must be strictly increasing")
     QuantumNumbers1D(ns[-1])  # the largest level within MAX_LEVEL_1D, before any evaluation
-    return [(n, 1.0 - float(level_extrema(n)[0][-1]) / math.sqrt(2.0 * n + 1.0)) for n in ns]
+    turn = [math.sqrt(2.0 * QuantumNumbers1D(n).level) for n in ns]
+    return [(n, 1.0 - float(level_extrema(n)[0][-1]) / x) for n, x in zip(ns, turn)]

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateTangencyError
-from .oscillator import OscillatorParams, QuantumNumbers1D, energy_1d
+from .oscillator import OscillatorParams, QuantumNumbers1D, energy
 from .transform import _stretch_sq, osc_to_free_space, osc_to_free_time
 
 _TWO_PI = 2.0 * math.pi
@@ -43,7 +43,7 @@ class TrajectoryFamily:
     @classmethod
     def from_level(cls, params: OscillatorParams, n: int) -> "TrajectoryFamily":
         """Family at the energy of quantum level n."""
-        return cls(energy=energy_1d(params, QuantumNumbers1D(n)), params=params)
+        return cls(energy=energy(params, QuantumNumbers1D(n)), params=params)
 
 
 def canonical_phase(alpha: float) -> float:

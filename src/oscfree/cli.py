@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -48,10 +49,9 @@ from .analysis import (
     ComplexField,
     Grid,
     Grid1D,
+    _auto_grid,
     _exact_peaks,
     _slabs,
-    auto_grid,
-    auto_grid_2d,
     norm,
     residual_study,
     sample_field,
@@ -375,23 +375,14 @@ def _run_envelope(args: argparse.Namespace, params: OscillatorParams) -> int:
     return EXIT_OK
 
 
-def _level_1d(args: argparse.Namespace, theta: float, count: int):
-    return QuantumNumbers1D(args.n), {"n": args.n}, auto_grid(_UNIT, args.n, theta, count)
-
-
-def _level_2d(args: argparse.Namespace, theta: float, count: int):
-    qn = QuantumNumbers2D(args.n_radial, args.l)
-    return qn, {"n_radial": args.n_radial, "l": args.l}, auto_grid_2d(_UNIT, qn, theta, count)
-
-
-# verify's suites: a function of the args, theta and a node count giving the level, its report
-# fields and its m = omega = 1 auto grid; the level's closed form; whether that solves the
-# oscillator equation (checked at --time, on the grid of theta = 0) or the free one (at
-# --tau); and the coarsest grid's default node count
+# verify's suites: the level's quantum-number class, whose fields are its flags (--n; --n-radial,
+# --l) and report fields, in order; its closed form; whether that solves the oscillator equation
+# (checked at --time, on the auto grid of theta = 0) or the free one (at --tau, on that of
+# theta); and the coarsest grid's default node count
 _SUITES = {
-    "free-residual": (_level_1d, lifted_eigenstate_1d, False, 501),
-    "osc-residual": (_level_1d, eigenstate_1d, True, 501),
-    "free-residual-2d": (_level_2d, lifted_eigenstate_2d, False, 101),
+    "free-residual": (QuantumNumbers1D, lifted_eigenstate_1d, False, 501),
+    "osc-residual": (QuantumNumbers1D, eigenstate_1d, True, 501),
+    "free-residual-2d": (QuantumNumbers2D, lifted_eigenstate_2d, False, 101),
 }
 
 
@@ -399,15 +390,19 @@ def _run_verify(args: argparse.Namespace, params: OscillatorParams) -> int:
     """Check a suite's m = omega = 1 equation in xi = sqrt(m omega) y and theta = omega tau (or
     omega t), with the xi spacing as time step, and report in y and tau: the residual at
     (m, omega) is omega (m omega)^{d/4} times the unit one, and its L2 norm omega times the
-    unit norm, so the fitted order and the verdict depend on the suite, the level and theta."""
-    level, closed_form, oscillator, base_count = _SUITES[args.suite]
+    unit norm, so the fitted order and the verdict depend on the suite, the level and theta.
+    The level is the suite's quantum-number class built from the flags named after its fields,
+    which are the report's level fields too, and the grid its auto grid (analysis._auto_grid)."""
+    numbers, closed_form, oscillator, base_count = _SUITES[args.suite]
     key, time = ("t", args.time) if oscillator else ("tau", args.tau)
     theta = params.omega * time
     if not math.isfinite(theta):  # a Python product overflows to inf without an error
         product = f"omega * {key} = {params.omega} * {time}"
         raise NonFiniteError(f"verify: theta = {product} is not finite")
     count = base_count if args.base_count is None else args.base_count
-    qn, fields, grid = level(args, 0.0 if oscillator else theta, count)
+    fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(numbers)}
+    qn = numbers(**fields)
+    grid = _auto_grid(_UNIT, qn, 0.0 if oscillator else theta, count)
     solution = functools.partial(closed_form, _UNIT, qn)
     unit = residual_study(solution, grid, theta, 1.0, args.refinements, 1.0 if oscillator else None)
     mw, w = params.mass * params.omega, params.omega
@@ -512,14 +507,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command(
         "verify", _run_verify, "residual convergence study with a JSON report", with_format=False
     )
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=("free-residual", "osc-residual", "free-residual-2d"),
-    )
+    p.add_argument("--suite", required=True, choices=tuple(_SUITES))
     p.add_argument("--n", type=int, default=2, help="1D level (1D suites)")
     p.add_argument("--l", type=int, default=1, help="angular momentum (2D suite)")
-    p.add_argument("--n-radial", type=int, default=0)
+    p.add_argument(
+        "--n-radial", type=int, default=0, help="radial quantum number (2D suite, default 0)"
+    )
     p.add_argument(
         "--tau", type=finite, default=0.5, help="free time of the residual check (default 0.5)"
     )

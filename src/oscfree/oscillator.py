@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -53,12 +54,18 @@ class QuantumNumbers1D:
     """Principal quantum number of a 1D level, 0 .. MAX_LEVEL_1D."""
 
     n: int
+    dims: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"n must be nonnegative, got {self.n}")
         if self.n > MAX_LEVEL_1D:
             raise ValueError(f"n must be at most {MAX_LEVEL_1D}, got {self.n}")
+
+    @property
+    def level(self) -> float:
+        """Reduced energy E' = E / omega = n + 1/2."""
+        return self.n + 0.5
 
 
 # largest 2D level 2 n_radial + |l|: kummer_truncated and the angular power take O(n_radial) and
@@ -73,27 +80,25 @@ class QuantumNumbers2D:
 
     n_radial: int
     l: int
+    dims: ClassVar[int] = 2
 
     def __post_init__(self) -> None:
         if self.n_radial < 0:
             raise ValueError(f"n_radial must be nonnegative, got {self.n_radial}")
-        level = 2 * self.n_radial + abs(self.l)
-        if level > MAX_LEVEL_2D:
-            raise ValueError(f"2 n_radial + |l| must be at most {MAX_LEVEL_2D}, got {level}")
+        degree = self.level - 1
+        if degree > MAX_LEVEL_2D:
+            raise ValueError(f"2 n_radial + |l| must be at most {MAX_LEVEL_2D}, got {degree}")
+
+    @property
+    def level(self) -> int:
+        """Reduced energy E' = E / omega = 2 n_radial + |l| + 1: the exponent that makes the 2D
+        polar eigenfunction solve the time-dependent oscillator equation; residual tests pin it."""
+        return 2 * self.n_radial + abs(self.l) + 1
 
 
-def energy_1d(params: OscillatorParams, qn: QuantumNumbers1D) -> float:
-    """Level energy omega * (n + 1/2)."""
-    return params.omega * (qn.n + 0.5)
-
-
-def energy_2d(params: OscillatorParams, qn: QuantumNumbers2D) -> float:
-    """Level energy omega * (2 n_radial + |l| + 1).
-
-    This is the exponent that makes the 2D polar eigenfunction solve the
-    time-dependent oscillator equation; the residual tests pin it down.
-    """
-    return params.omega * (2 * qn.n_radial + abs(qn.l) + 1)
+def energy(params: OscillatorParams, qn: QuantumNumbers1D | QuantumNumbers2D) -> float:
+    """Level energy omega E', E' the level's reduced energy (qn.level)."""
+    return params.omega * qn.level
 
 
 def _log_norm_1d(mw: float, n: int) -> float:
@@ -132,7 +137,7 @@ def eigenstate_1d(params: OscillatorParams, qn: QuantumNumbers1D, x, t: float):
     complex or ndarray
         psi_n(x, t), scalar in / scalar out.
     """
-    out = _amplitude_1d(params, qn, x) * np.exp(-1j * (qn.n + 0.5) * (params.omega * t))
+    out = _amplitude_1d(params, qn, x) * np.exp(-1j * qn.level * (params.omega * t))
     return complex(out) if np.ndim(x) == 0 else out
 
 
@@ -183,7 +188,7 @@ def eigenstate_2d(params: OscillatorParams, qn: QuantumNumbers2D, r, phi, t: flo
     out = (
         norm_constant_2d(_UNIT, qn) * math.sqrt(mw)
         * radial
-        * np.exp(1j * (qn.l * pa - (2 * qn.n_radial + labs + 1) * (params.omega * t)))
+        * np.exp(1j * (qn.l * pa - qn.level * (params.omega * t)))
     )
     if np.ndim(r) == 0 and np.ndim(phi) == 0:
         return complex(out)

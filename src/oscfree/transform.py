@@ -159,7 +159,7 @@ def lifted_eigenstate_1d(params: OscillatorParams, qn: QuantumNumbers1D, y, tau:
     del xi  # so that the complex temporaries below find one real buffer fewer
     out = np.exp(
         _log_norm_1d(mw, qn.n) + e * math.log(2.0) - 0.25 * math.log(s2) - 0.5 * xi_sq / s2
-        + 1j * _dressing_phase(theta, xi_sq, qn.n + 0.5)
+        + 1j * _dressing_phase(theta, xi_sq, qn.level)
     )
     out *= h
     if np.ndim(y) == 0:
@@ -235,7 +235,7 @@ def lifted_eigenstate_2d(params: OscillatorParams, qn: QuantumNumbers2D, y1, y2,
     if qn.n_radial:
         kummer = kummer_truncated(qn.n_radial, labs + 1.0, (sq1 + sq2) / s2)
     scale = norm_constant_2d(_UNIT, qn) * math.sqrt(mw) * s2 ** (-0.5 * (labs + 1))
-    g1 = _axis_factor(theta, sq1, 2 * qn.n_radial + labs + 1, scale)
+    g1 = _axis_factor(theta, sq1, qn.level, scale)
     g2 = _axis_factor(theta, sq2, 0.0, 1.0)
     shape = np.broadcast_shapes(xi1.shape, xi2.shape)
     buf, tmp = (np.empty(shape), np.empty(shape)), (np.empty(shape), np.empty(shape))

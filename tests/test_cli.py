@@ -1,12 +1,14 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import errno
 import io
 import json
 import math
 import os
 import re
+import shlex
 import stat
 import subprocess
 import sys
@@ -25,8 +27,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oscfree import (
-    OscillatorParams, QuantumNumbers1D, QuantumNumbers2D, _floattext, analysis, cli,
-    lifted_eigenstate_2d, transform,
+    Grid1D, OscillatorParams, QuantumNumbers1D, QuantumNumbers2D, _floattext, analysis, cli,
+    energy, lifted_eigenstate_2d, transform,
 )
 from oscfree.cli import _BLOCK_ROWS, _write_table, main
 from oscfree.oscillator import MAX_LEVEL_1D, MAX_LEVEL_2D, eigenstate_1d
@@ -351,6 +353,33 @@ class TestVerify:
             "pass": True,
         }
         assert capsys.readouterr().out == json.dumps(expected) + "\n"
+
+    @pytest.mark.parametrize("suite", tuple(cli._SUITES))
+    def test_suite_level_has_a_flag_per_field(self, suite):
+        """verify builds a suite's level from the flags named after its class's fields, so a
+        field with no flag would be an AttributeError (exit 1).  The level's energy and its auto
+        grids read its E' and dimension: the wrappers give _auto_grid's axes, bit for bit."""
+        numbers = cli._SUITES[suite][0]
+        args = cli.build_parser().parse_args(["verify", "--suite", suite])
+        numbers(**{f.name: getattr(args, f.name) for f in dataclasses.fields(numbers)})
+        params = OscillatorParams(1.3, 0.7)
+        levels = {
+            QuantumNumbers1D: [((n,), n + 0.5) for n in (0, 3, 40)],
+            QuantumNumbers2D: [((0, 1), 2), ((1, -2), 5), ((2, 5), 10)],
+        }[numbers]
+        for fields, reduced in levels:
+            qn = numbers(*fields)
+            assert qn.level == reduced
+            assert energy(params, qn) == params.omega * qn.level
+            for tau in (0.0, 0.7, 3.0):
+                s = math.sqrt(1.0 + (params.omega * tau) ** 2)
+                half = (math.sqrt(2.0 * reduced) + 10.0) * s / math.sqrt(params.mass * params.omega)
+                axes = (Grid1D(-half, half, 11),) * numbers.dims
+                assert analysis._auto_grid(params, qn, tau, 11).axes == axes
+                if numbers.dims == 1:
+                    assert analysis.auto_grid(params, qn.n, tau, 11) == axes[0]
+                else:
+                    assert analysis.auto_grid_2d(params, qn, tau, 11).axes == axes
 
 
 def _assert_exit_3_writes_nothing(tmp_path: Path, capsys, args) -> str:
@@ -1627,6 +1656,25 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of every `oscfree ...` line in README's sh blocks, less the program name."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = "".join(re.findall(r"```sh\n(.*?)```", text, re.S)).splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("oscfree ")]
+
+
+def test_readme_commands_cover_every_subcommand():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in _readme_commands()} == set(commands.choices)
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: " ".join(argv[:3]))
+def test_readme_command_exits_0(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0, capsys.readouterr()
 
 
 def dispatch_disabled(level: str, dispatch) -> list[str]:

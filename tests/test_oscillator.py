@@ -13,8 +13,7 @@ from oscfree import (
     density_1d,
     eigenstate_1d,
     eigenstate_2d,
-    energy_1d,
-    energy_2d,
+    energy,
     lifted_eigenstate_1d,
     norm_constant_2d,
 )
@@ -97,16 +96,16 @@ class TestDomainTypes:
 
 class TestEnergies:
     def test_ground_state(self):
-        assert energy_1d(OscillatorParams(1, 1), QuantumNumbers1D(0)) == 0.5
+        assert energy(OscillatorParams(1, 1), QuantumNumbers1D(0)) == 0.5
 
     def test_second_level(self):
-        assert energy_1d(OscillatorParams(1, 1), QuantumNumbers1D(2)) == 2.5
+        assert energy(OscillatorParams(1, 1), QuantumNumbers1D(2)) == 2.5
 
     def test_scales_with_omega(self):
-        assert energy_1d(OscillatorParams(1, 2), QuantumNumbers1D(3)) == 7.0
+        assert energy(OscillatorParams(1, 2), QuantumNumbers1D(3)) == 7.0
 
     def test_2d_level(self):
-        assert energy_2d(OscillatorParams(1, 1), QuantumNumbers2D(1, -2)) == 5.0
+        assert energy(OscillatorParams(1, 1), QuantumNumbers2D(1, -2)) == 5.0
 
 
 class TestEigenstate1D:
@@ -252,7 +251,7 @@ class TestEigenstate2D:
         # the same state with half the level energy in its phase must fail
         # the equation: the residual then stalls instead of shrinking
         qn = QuantumNumbers2D(0, 1)
-        half_energy = 0.5 * energy_2d(params, qn)
+        half_energy = 0.5 * energy(params, qn)
 
         def wrong(x1, x2, t):
             r = np.hypot(x1, x2)
